@@ -1,0 +1,80 @@
+"""Golden outputs: the canonical JSON of every closed form, byte for byte.
+
+Each file under tests/golden/ holds one line per n, starting at n = 1: the
+`rational_dumps` of the value (for `global_factor`, the compact JSON of its
+`poly_to_json`).  The files were written before the exact kernel's sums,
+equality and products were rewritten, so they pin the kernel's behaviour.
+Regenerate them only after an intended change of output:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from heiszeta.exactalg import poly_to_json, rational_dumps
+from heiszeta.zeta import (
+    COMPACT_GUARD,
+    GLOBAL_GUARD,
+    HYPEROCT_GUARD,
+    IGUSA_SUM_GUARD,
+    REDUCED_GUARD,
+    global_factor,
+    reduced_zeta,
+    zeta_compact,
+    zeta_graded,
+    zeta_hyperoctahedral,
+    zeta_igusa_sum,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _poly_dumps(p):
+    return json.dumps(poly_to_json(p), separators=(",", ":"))
+
+
+# file stem -> (function, serializer, largest n)
+CASES = {
+    "zeta_a": (zeta_igusa_sum, rational_dumps, min(6, IGUSA_SUM_GUARD)),
+    "zeta_b": (zeta_compact, rational_dumps, min(6, COMPACT_GUARD)),
+    "zeta_c": (zeta_hyperoctahedral, rational_dumps, min(6, HYPEROCT_GUARD)),
+    "zeta_graded": (zeta_graded, rational_dumps, min(6, HYPEROCT_GUARD)),
+    "reduced_zeta": (reduced_zeta, rational_dumps, min(8, REDUCED_GUARD)),
+    "global_factor": (global_factor, _poly_dumps, min(6, GLOBAL_GUARD)),
+}
+
+
+def _path(stem):
+    return GOLDEN / (stem + ".jsonl")
+
+
+def _lines(stem):
+    return _path(stem).read_bytes().split(b"\n")[:-1]
+
+
+@pytest.mark.parametrize("stem", sorted(CASES))
+def test_golden_file_covers_every_n(stem):
+    assert len(_lines(stem)) == CASES[stem][2]
+
+
+@pytest.mark.parametrize(
+    "stem,n",
+    [(stem, n) for stem in sorted(CASES) for n in range(1, CASES[stem][2] + 1)],
+)
+def test_golden_output(stem, n):
+    fn, dumps, _ = CASES[stem]
+    assert dumps(fn(n)).encode() == _lines(stem)[n - 1]
+
+
+def regenerate():
+    GOLDEN.mkdir(exist_ok=True)
+    for stem, (fn, dumps, top) in sorted(CASES.items()):
+        text = "".join(dumps(fn(n)) + "\n" for n in range(1, top + 1))
+        _path(stem).write_text(text)
+
+
+if __name__ == "__main__":
+    regenerate()
