@@ -11,7 +11,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .combinat import Partition, gen_W, weight_C
-from .errors import NonPolynomialReduction, RankMismatch
+from .errors import IdentityMismatch, NonPolynomialReduction, RankMismatch
 from .exactalg import (
     BivariatePolynomial,
     FactoredRational,
@@ -60,7 +60,7 @@ def birkhoff_alpha(mu, n: int, base_exponent: int = 1) -> BivariatePolynomial:
     supp = [i for i in range(1, n) if d[i - 1] > 0]
     alpha2 = gauss_multinom(n, supp, y).shift(dq=base_exponent * exp)
     if alpha != alpha2:
-        raise AssertionError(
+        raise IdentityMismatch(
             "Birkhoff forms disagree for mu=%s, n=%d" % (mu, n)
         )
     return alpha

@@ -8,9 +8,23 @@ Everything downstream of this module lives in one of two value types:
   stored.
 
 * :class:`FactoredRational` -- ``T^tshift * num / prod (1 - q^a T^b)^mult``
-  with the denominator kept as a multiset of factors, never expanded.  All
-  generating functions and zeta functions in this package are values of this
-  type, and equality is decided by exact cross-multiplication.
+  with the denominator kept as a multiset of factors.  All generating
+  functions and zeta functions in this package are values of this type.
+
+Sums and equality multiply by cofactors and never expand a full
+denominator.  A sum multiplies each numerator by its cofactor lcm / den, the
+product of the factors of the common denominator that its own denominator
+lacks.  Equality multiplies each numerator only by the factors that the other
+side has and it lacks, then compares.
+
+Products of polynomials go through ``_p_mul``, which picks one of two paths
+from the operands' sizes.  The schoolbook loop costs one dict update per
+pair of terms.  The Kronecker path packs each operand into one Python int,
+multiplies the two ints, and reads the product back; it costs about one slot
+per cell of the product's (q, T) exponent box.  ``_p_mul`` takes the
+Kronecker path when the shorter operand has at least 8 terms and the box has
+at most half as many cells as there are pairs of terms.  Small products, and
+sparse products with wide exponent spans, stay on the schoolbook loop.
 
 The module also provides q-Pochhammer symbols, Gaussian binomial and
 multinomial coefficients, exact division by a factor ``1 - q^a T^b``, the
@@ -21,6 +35,7 @@ power-series expansion in T.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
@@ -53,11 +68,34 @@ def _p_neg(a: dict) -> dict:
     return {k: -c for k, c in a.items()}
 
 
+# The shorter operand of a Kronecker product has at least this many terms.
+_KRONECKER_MIN_TERMS = 8
+
+
+def _p_box(a: dict) -> tuple[int, int, int, int]:
+    """(min e_q, max e_q, min e_T, max e_T) of a nonempty raw dict."""
+    qs = [eq for eq, _ in a]
+    ts = [et for _, et in a]
+    return min(qs), max(qs), min(ts), max(ts)
+
+
 def _p_mul(a: dict, b: dict) -> dict:
-    if not a or not b:
-        return {}
+    """Product of two raw dicts, by Kronecker substitution when the shorter
+    operand has at least _KRONECKER_MIN_TERMS terms and the product's exponent
+    box has at most len(a) * len(b) / 2 cells, else by the schoolbook loop."""
     if len(b) < len(a):
         a, b = b, a
+    if len(a) >= _KRONECKER_MIN_TERMS:
+        qa0, qa1, ta0, ta1 = _p_box(a)
+        qb0, qb1, tb0, tb1 = _p_box(b)
+        cells = (qa1 - qa0 + qb1 - qb0 + 1) * (ta1 - ta0 + tb1 - tb0 + 1)
+        if 2 * cells <= len(a) * len(b):
+            return _p_mul_kronecker(a, b)
+    return _p_mul_schoolbook(a, b)
+
+
+def _p_mul_schoolbook(a: dict, b: dict) -> dict:
+    """Product by the term-by-term loop; fastest with the shorter operand as a."""
     out: dict = {}
     for (qa, ta), ca in a.items():
         for (qb, tb), cb in b.items():
@@ -68,6 +106,91 @@ def _p_mul(a: dict, b: dict) -> dict:
             else:
                 del out[k]
     return out
+
+
+def _slot_bytes(bits: int) -> int:
+    """Bytes per packed slot holding signed values of |c| < 2^(bits-1)."""
+    w = (bits + 7) // 8
+    return w if w >= 8 else 1 << (w - 1).bit_length()  # 1, 2 and 4 read fastest
+
+
+# memoryview formats that read a little-endian slot of 1, 2, 4 or 8 bytes
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
+
+
+def _kron_unpack(
+    value: int, w: int, width: int, rows: int, q0: int, t0: int
+) -> dict:
+    """Raw dict of a packed polynomial whose slot (e_T - t0) * width + (e_q - q0)
+    holds a signed coefficient of |c| < 2^(8w-1).
+
+    Adding a bias of 2^(8w-1) to every slot makes each slot nonnegative, so
+    the slots are read back independently.
+    """
+    cells = width * rows
+    half = 1 << (8 * w - 1)
+    bias = int.from_bytes(half.to_bytes(w, "little") * cells, "little")
+    raw = (value + bias).to_bytes(cells * w, "little")
+    fmt = _SLOT_FORMATS.get(w)
+    if fmt:
+        slots = memoryview(raw).cast(fmt).tolist()
+    else:
+        slots = [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
+    out: dict = {}
+    for row in range(rows):
+        line = slots[row * width : (row + 1) * width]
+        if line.count(half) == width:
+            continue
+        et = t0 + row
+        for j, v in enumerate(line):
+            if v != half:
+                out[(q0 + j, et)] = v - half
+    return out
+
+
+def _kron_pack(p: dict, box: tuple[int, int, int, int], width: int, w: int) -> int:
+    """The signed integer sum of c * 2^(8*w*slot) over the terms of p."""
+    q0, q1, t0, t1 = box
+    size = ((t1 - t0) * width + q1 - q0 + 2) * w
+    digits = bytearray(size)
+    borrows = None
+    for (eq, et), c in p.items():
+        i = ((et - t0) * width + eq - q0) * w
+        digits[i : i + w] = c.to_bytes(w, "little", signed=True)
+        if c < 0:
+            # the two's-complement digit reads as c + 2^(8w): take 1 from the next slot
+            if borrows is None:
+                borrows = bytearray(size)
+            borrows[i + w] = 1
+    out = int.from_bytes(digits, "little")
+    if borrows is not None:
+        out -= int.from_bytes(borrows, "little")
+    return out
+
+
+def _p_mul_kronecker(a: dict, b: dict) -> dict:
+    """Product by Kronecker substitution: one bigint multiply.
+
+    Term (e_q, e_T) of an operand goes to slot (e_T - t0) * width + (e_q - q0)
+    of one Python int, where (q0, t0) is the operand's lowest corner and width
+    the q-extent of the product, so slot indices add under multiplication and
+    no product term spills into the next row.  Each slot is a whole number of
+    bytes, wide enough for every product coefficient; negative coefficients
+    are packed in two's complement.
+    """
+    if not a or not b:
+        return {}
+    box_a, box_b = _p_box(a), _p_box(b)
+    width = box_a[1] - box_a[0] + box_b[1] - box_b[0] + 1
+    rows = box_a[3] - box_a[2] + box_b[3] - box_b[2] + 1
+    w = _slot_bytes(
+        max(abs(c) for c in a.values()).bit_length()
+        + max(abs(c) for c in b.values()).bit_length()
+        + min(len(a), len(b)).bit_length()
+        + 1
+    )
+    product = _kron_pack(a, box_a, width, w) * _kron_pack(b, box_b, width, w)
+    return _kron_unpack(product, w, width, rows, box_a[0] + box_b[0], box_a[2] + box_b[2])
 
 
 def _p_scale(a: dict, c: int, dq: int = 0, dt: int = 0) -> dict:
@@ -138,7 +261,8 @@ class BivariatePolynomial:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce_poly(other)
+        if not isinstance(other, BivariatePolynomial):
+            other = _coerce_poly(other)
         return BivariatePolynomial._raw(_p_add(self.terms, other.terms))
 
     __radd__ = __add__
@@ -154,7 +278,8 @@ class BivariatePolynomial:
         return _coerce_poly(other) - self
 
     def __mul__(self, other):
-        other = _coerce_poly(other)
+        if not isinstance(other, BivariatePolynomial):
+            other = _coerce_poly(other)
         return BivariatePolynomial._raw(_p_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
@@ -348,18 +473,20 @@ def _divide_out_qfactor(
         return q.scaled(-1).shift(dq=-a)
     out: dict = {}
     for et, sl in _p_tslices(p.terms).items():
-        lo, hi = min(sl), max(sl)
-        qs: dict[int, int] = {}
-        for j in range(lo, hi + 1):
-            c = sl.get(j, 0) + qs.get(j - a, 0)
-            if c:
-                qs[j] = c
+        lo = min(sl)
+        n = max(sl) - lo + 1
+        qs = [0] * n
+        for j, c in sl.items():
+            qs[j - lo] = c
+        # quotient coefficients, in place: qs[j] = slice[j] + qs[j - a]
+        for j in range(a, n):
+            qs[j] += qs[j - a]
         # exactness: (1 - q^a) * qs must reproduce the slice
-        for j in range(hi + 1, hi + a + 1):
-            if qs.get(j - a, 0):
-                return None
-        for j, c in qs.items():
-            out[(j, et)] = c
+        if any(qs[max(n - a, 0) :]):
+            return None
+        for j in range(n - a):
+            if qs[j]:
+                out[(lo + j, et)] = qs[j]
     return BivariatePolynomial._raw(out)
 
 
@@ -461,7 +588,11 @@ class FactoredRational:
 
     @staticmethod
     def sum(items: Sequence["FactoredRational"]) -> "FactoredRational":
-        """Exact sum over the least common factor multiset."""
+        """Exact sum over the least common factor multiset.
+
+        Each numerator is multiplied by its own cofactor lcm / den, so the
+        full lcm is never expanded and nothing is divided.
+        """
         items = [it for it in items if not it.num.is_zero()]
         if not items:
             return FactoredRational.zero()
@@ -472,38 +603,36 @@ class FactoredRational:
             for k, m in it.den.items():
                 if lcm.get(k, 0) < m:
                     lcm[k] = m
-        big = expand_factors(lcm)
         tmin = min(it.tshift for it in items)
-        total = BivariatePolynomial.zero()
+        total: dict = {}
         for it in items:
-            extra = big
-            for (a, b), m in it.den.items():
-                for _ in range(m):
-                    extra = divide_out_factor(extra, a, b)
-                    assert extra is not None  # lcm contains it.den
-            total = total + (it.num * extra).shift(dt=it.tshift - tmin)
-        return FactoredRational(total, lcm, tmin)
+            terms = _times_missing(it.num.terms, it.den, lcm)
+            dt = it.tshift - tmin
+            for (eq, et), c in terms.items():
+                k = (eq, et + dt)
+                s = total.get(k, 0) + c
+                if s:
+                    total[k] = s
+                else:
+                    del total[k]
+        return FactoredRational(BivariatePolynomial._raw(total), lcm, tmin)
 
     # -- equality by cross-multiplication ------------------------------------
 
     def __eq__(self, other):
+        """Exact equality: each side is multiplied only by the denominator
+        factors that the other side has and it lacks."""
         if isinstance(other, (int, BivariatePolynomial, SignedMonomial)):
             other = FactoredRational(_coerce_poly(other))
         if not isinstance(other, FactoredRational):
             return NotImplemented
-        if (
-            self.tshift == other.tshift
-            and self.den == other.den
-            and self.num == other.num
-        ):
-            return True
-        left = self.num * expand_factors(other.den)
-        right = other.num * expand_factors(self.den)
+        left = _times_missing(self.num.terms, self.den, other.den)
+        right = _times_missing(other.num.terms, other.den, self.den)
         d = self.tshift - other.tshift
         if d > 0:
-            left = left.shift(dt=d)
+            left = _p_scale(left, 1, 0, d)
         elif d < 0:
-            right = right.shift(dt=-d)
+            right = _p_scale(right, 1, 0, -d)
         return left == right
 
     __hash__ = None
@@ -666,10 +795,44 @@ def _insert_factor(
     return num, tshift
 
 
+def _times_missing(
+    terms: dict, den: Mapping[FactorKey, int], target: Mapping[FactorKey, int]
+) -> dict:
+    """terms times the factors of target that den lacks; terms itself if none."""
+    missing = {k: m - den.get(k, 0) for k, m in target.items() if m > den.get(k, 0)}
+    if not missing:
+        return terms
+    return _p_mul(terms, expand_factors(missing).terms)
+
+
 def expand_factors(den: Mapping[FactorKey, int]) -> BivariatePolynomial:
-    """Expanded product of (1 - q^a T^b)^mult."""
+    """Expanded product of (1 - q^a T^b)^mult.
+
+    The product has at most prod (mult + 1) terms.  When its (q, T) exponent
+    box has no more cells than that, it is built in one packed integer laid
+    out as in _p_mul_kronecker, where multiplying by 1 - q^a T^b is a shift
+    and a subtraction.  Otherwise, as for factors with huge exponents, the
+    sparse product is built factor by factor.
+    """
+    factors = sorted(den.items())
+    if all(b > 0 or (b == 0 and a > 0) for (a, b), _ in factors):
+        qlo = sum(min(a, 0) * m for (a, _), m in factors)
+        width = sum(abs(a) * m for (a, _), m in factors) + 1
+        rows = sum(b * m for (_, b), m in factors) + 1
+        bound = 1
+        for _, m in factors:
+            bound *= m + 1
+        if width * rows <= bound:
+            # every coefficient is at most 2^(sum of mult) in absolute value
+            w = _slot_bytes(sum(m for _, m in factors) + 2)
+            value = 1 << (8 * w * -qlo)
+            for (a, b), m in factors:
+                shift = 8 * w * (a + b * width)  # > 0, as |a| < width
+                for _ in range(m):
+                    value -= value << shift
+            return BivariatePolynomial._raw(_kron_unpack(value, w, width, rows, qlo, 0))
     out = BivariatePolynomial.one()
-    for (a, b), m in sorted(den.items()):
+    for (a, b), m in factors:
         f = BivariatePolynomial.one_minus(a, b)
         for _ in range(m):
             out = out * f

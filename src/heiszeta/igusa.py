@@ -395,7 +395,8 @@ def E_at_minus_T(k: int, r: int, T_arg: SignedMonomial) -> BivariatePolynomial:
         raise ValueError("E_{k,r}(-T) is polynomial only for r in [2k+1]_0")
     minus = SignedMonomial(-T_arg.sign, T_arg.e_q, T_arg.e_T)
     f = fibre_F(r, minus) * fibre_F(2 * k + 1 - r, minus)
-    assert not f.den
+    if f.den:
+        raise IdentityMismatch("E_{%d,%d}(-T) kept a denominator" % (k, r))
     return f.num.shift(dt=f.tshift) if f.tshift else f.num
 
 

@@ -18,6 +18,7 @@ from .errors import (
     BudgetExceeded,
     DegenerateForm,
     FactorizationMismatch,
+    IdentityMismatch,
     SingularMatrix,
 )
 
@@ -132,7 +133,7 @@ def alt_type(gram: Sequence[Sequence[int]], p: int) -> Partition:
     pairs = []
     for i in range(0, n, 2):
         if vals[i] != vals[i + 1]:
-            raise AssertionError("alternating divisors failed to pair up")
+            raise IdentityMismatch("alternating divisors failed to pair up")
         pairs.append(vals[i])
     return Partition(tuple(pairs))
 

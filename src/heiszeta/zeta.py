@@ -237,7 +237,7 @@ def dirichlet_coeffs(n: int, p: int, order: int) -> list[int]:
     for c in coeffs:
         vals = c.eval_q(p)
         if any(et != 0 for et in vals):
-            raise AssertionError("series coefficient not constant in T")
+            raise IdentityMismatch("series coefficient not constant in T")
         out.append(vals.get(0, 0))
     return out
 
@@ -296,10 +296,6 @@ def pole_candidates(n: int) -> tuple[list[int], list[Fraction]]:
     return integral, fractional
 
 
-def _t_poly_at_prime(num: BivariatePolynomial, p: int) -> dict[int, int]:
-    return num.eval_q(p)
-
-
 def _vanishing_order(coeffs: dict[int, int], p: int, c: int, d: int) -> int:
     """Largest k with (1 - p^c T^d)^k dividing the integer polynomial."""
     order = 0
@@ -331,15 +327,15 @@ def pole_analysis(n: int, test_primes: Sequence[int] = (2, 3, 5)) -> PoleReport:
     candidates = sorted({Fraction(s) for s in integral} | set(fractional))
     for (a, b) in f.den:
         if b == 0:
-            raise AssertionError("unreduced constant factor in denominator")
+            raise IdentityMismatch("unreduced constant factor in denominator")
         if Fraction(a, b) not in candidates:
-            raise AssertionError(
+            raise IdentityMismatch(
                 "denominator factor (1 - q^%d T^%d) off the candidate list" % (a, b)
             )
     report = PoleReport(n=n, tested_at_q=list(test_primes))
     per_location: dict[Fraction, dict[int, int]] = {}
     for p in test_primes:
-        coeffs = _t_poly_at_prime(f.num, p)
+        coeffs = f.num.eval_q(p)
         for s in candidates:
             mult = sum(
                 m for (a, b), m in f.den.items() if Fraction(a, b) == s
