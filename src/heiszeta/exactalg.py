@@ -85,6 +85,12 @@ def _p_mul(a: dict, b: dict) -> dict:
     box has at most len(a) * len(b) / 2 cells, else by the schoolbook loop."""
     if len(b) < len(a):
         a, b = b, a
+    if len(b) == 1:
+        # monomial times monomial, the bulk of the products in the fibre and
+        # residue checks: one term, nothing to collect or cancel
+        for (qa, ta), ca in a.items():
+            for (qb, tb), cb in b.items():
+                return {(qa + qb, ta + tb): ca * cb}
     if len(a) >= _KRONECKER_MIN_TERMS:
         qa0, qa1, ta0, ta1 = _p_box(a)
         qb0, qb1, tb0, tb1 = _p_box(b)

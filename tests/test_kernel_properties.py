@@ -116,6 +116,8 @@ def test_cancelling_products(k, c, b):
     assert _p_mul_kronecker(square, b) == _p_mul_schoolbook(square, b)
 
 
+# high multiplicities need packed slots of several bytes
+deep_dens = st.dictionaries(factor_keys, st.integers(1, 14), max_size=3)
 wide_dens = st.dictionaries(
     st.tuples(st.integers(-300, 300), st.integers(0, 40)).filter(lambda k: k != (0, 0)),
     st.integers(1, 3),
@@ -123,7 +125,7 @@ wide_dens = st.dictionaries(
 )
 
 
-@given(dens | wide_dens)
+@given(dens | deep_dens | wide_dens)
 def test_expand_factors_matches_factor_by_factor(den):
     expected = {(0, 0): 1}
     for (a, b), m in den.items():
