@@ -11,20 +11,21 @@ Everything downstream of this module lives in one of two value types:
   with the denominator kept as a multiset of factors.  All generating
   functions and zeta functions in this package are values of this type.
 
-Sums and equality multiply by cofactors and never expand a full
-denominator.  A sum multiplies each numerator by its cofactor lcm / den, the
-product of the factors of the common denominator that its own denominator
-lacks.  Equality multiplies each numerator only by the factors that the other
-side has and it lacks, then compares.
+Sums and equality multiply by cofactors; they never expand a common
+denominator only to divide it back down.  A sum multiplies each numerator by
+its cofactor lcm / den, the factors of the common denominator that its own
+denominator lacks.  Equality multiplies each numerator only by the factors
+that the other side has and it lacks, then compares.
 
-Products of polynomials go through ``_p_mul``, which picks one of two paths
-from the operands' sizes.  The schoolbook loop costs one dict update per
-pair of terms.  The Kronecker path packs each operand into one Python int,
-multiplies the two ints, and reads the product back; it costs about one slot
-per cell of the product's (q, T) exponent box.  ``_p_mul`` takes the
-Kronecker path when the shorter operand has at least 8 terms and the box has
-at most half as many cells as there are pairs of terms.  Small products, and
-sparse products with wide exponent spans, stay on the schoolbook loop.
+Products of polynomials go through ``_p_mul``.  Two single terms multiply
+directly; otherwise ``_p_mul`` picks one of two paths from the operands'
+sizes.  The schoolbook loop costs one dict update per pair of terms.  The
+Kronecker path packs each operand into one Python int, multiplies the two
+ints, and reads the product back; it costs about one slot per cell of the
+product's (q, T) exponent box.  ``_p_mul`` takes the Kronecker path when the
+shorter operand has at least 8 terms and the box has at most half as many
+cells as there are pairs of terms.  Small products, and sparse products with
+wide exponent spans, stay on the schoolbook loop.
 
 The module also provides q-Pochhammer symbols, Gaussian binomial and
 multinomial coefficients, exact division by a factor ``1 - q^a T^b``, the
@@ -80,7 +81,7 @@ def _p_box(a: dict) -> tuple[int, int, int, int]:
 
 
 def _p_mul(a: dict, b: dict) -> dict:
-    """Product of two raw dicts, by Kronecker substitution when the shorter
+    """Product of two raw dicts: by Kronecker substitution when the shorter
     operand has at least _KRONECKER_MIN_TERMS terms and the product's exponent
     box has at most len(a) * len(b) / 2 cells, else by the schoolbook loop."""
     if len(b) < len(a):
@@ -182,10 +183,8 @@ def _p_mul_kronecker(a: dict, b: dict) -> dict:
     the q-extent of the product, so slot indices add under multiplication and
     no product term spills into the next row.  Each slot is a whole number of
     bytes, wide enough for every product coefficient; negative coefficients
-    are packed in two's complement.
+    are packed in two's complement.  Both operands must be nonempty.
     """
-    if not a or not b:
-        return {}
     box_a, box_b = _p_box(a), _p_box(b)
     width = box_a[1] - box_a[0] + box_b[1] - box_b[0] + 1
     rows = box_a[3] - box_a[2] + box_b[3] - box_b[2] + 1
@@ -596,8 +595,8 @@ class FactoredRational:
     def sum(items: Sequence["FactoredRational"]) -> "FactoredRational":
         """Exact sum over the least common factor multiset.
 
-        Each numerator is multiplied by its own cofactor lcm / den, so the
-        full lcm is never expanded and nothing is divided.
+        Each numerator is multiplied by its own cofactor lcm / den; nothing
+        is expanded and then divided back.
         """
         items = [it for it in items if not it.num.is_zero()]
         if not items:
