@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
 from . import __version__
 from .combinat import Partition
-from .errors import BudgetExceeded, HeiszetaError, SizeGuard
+from .errors import BudgetExceeded, HeiszetaError, SizeGuard, UsageError
 from .exactalg import (
     FactoredRational,
     format_latex,
@@ -195,7 +196,7 @@ def cmd_coeffs(args) -> int:
 
 def cmd_oracle(args) -> int:
     if args.mode == "lagrangian":
-        mu = Partition.from_string(args.mu)
+        mu = args.mu
         counts = enum_lagrangians(mu, args.prime)
         rows = [
             {"lambda": str(lam), "mu": str(mu), "p": args.prime, "count": str(c)}
@@ -240,6 +241,43 @@ def cmd_global(args) -> int:
         lines.append(json.dumps(rep, sort_keys=True))
     _emit("\n".join(lines), args.out)
     return 0
+
+
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def validate(args) -> None:
+    """Reject out-of-range or malformed input before any computation.
+
+    Raises UsageError, which main maps to exit code 2.  Forms b, c, graded,
+    reduced and ideal are defined at n = 0 (they give 1 / (1 - T)); form a,
+    verify and the lattice oracles need n >= 1, and R_n needs n >= 2.
+    """
+    least, what = 0, args.command
+    if args.command == "zeta" and args.form == "a":
+        least, what = 1, "form a"
+    elif args.command == "verify":
+        least = 1
+    elif args.command == "oracle" and args.mode != "lagrangian":
+        least, what = 1, "oracle " + args.mode
+    elif args.command == "global" and args.rn:
+        least, what = 2, "global --rn"
+    if args.n < least:
+        raise UsageError("--n must be at least %d for %s, got %d" % (least, what, args.n))
+    if args.command in ("coeffs", "oracle") and not _is_prime(args.prime):
+        raise UsageError("--prime must be a prime, got %d" % args.prime)
+    if args.command == "coeffs" and args.max_order < 0:
+        raise UsageError("--max-order must be nonnegative, got %d" % args.max_order)
+    if args.command == "oracle":
+        if args.max_val < 0:
+            raise UsageError("--max-val must be nonnegative, got %d" % args.max_val)
+        try:
+            args.mu = Partition.from_string(args.mu)
+        except ValueError as exc:
+            raise UsageError("--mu %r is not a partition: %s" % (args.mu, exc)) from None
+    if args.command == "global" and args.prime_bound < 2:
+        raise UsageError("--prime-bound must be at least 2, got %d" % args.prime_bound)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,7 +332,11 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        validate(args)
         return args.func(args)
+    except UsageError as exc:
+        print("usage: %s" % exc, file=sys.stderr)
+        return 2
     except (SizeGuard, BudgetExceeded) as exc:
         print("guard: %s" % exc, file=sys.stderr)
         return 2

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .errors import SizeGuard
-from .exactalg import BivariatePolynomial, FactoredRational
+from .errors import ArityMismatch, SizeGuard
+from .exactalg import BivariatePolynomial, FactoredRational, SignedMonomial
 
 SIGNED_PERM_GUARD = 8
 EULERIAN_GUARD = 10
@@ -297,6 +297,65 @@ def signed_perms(n: int, max_n: int = SIGNED_PERM_GUARD) -> Iterator[SignedPermu
     for perm in itertools.permutations(range(1, n + 1)):
         for signs in itertools.product((1, -1), repeat=n):
             yield SignedPermutation(tuple(s * v for s, v in zip(signs, perm)))
+
+
+def signed_descent_sum(
+    n: int,
+    y_exponent: int,
+    Z: SignedMonomial,
+    X: Sequence[SignedMonomial],
+    max_n: int = SIGNED_PERM_GUARD,
+) -> BivariatePolynomial:
+    """Sum over B_n of Y^l(g) Z^neg(g) prod_{i in Des_B(g)} X_i, Y = q^y_exponent.
+
+    X lists the descent slots X_0 .. X_{n-1}.  A dynamic program fills the
+    window left to right; its state is the set U of absolute values placed
+    so far and the last signed entry (0 before the first), at most
+    2^n * 2n states against 2^n n! group elements.  It uses
+    l(g) = sum_j L_j + sum_{g(j) < 0} (1 + 2 E_j), with L_j and E_j the
+    numbers of smaller absolute values after and before position j; this
+    equals inv(window) + sum of |g(j)| over the negative entries.  Placing
+    b outside U gives E = #{u in U : u < b} and L = b - 1 - E whatever the
+    sign, and a descent at index k when the last entry exceeds the new one.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > max_n:
+        raise SizeGuard("signed_descent_sum guard: n = %d exceeds %d" % (n, max_n))
+    if len(X) != n:
+        raise ArityMismatch("need the %d descent slots X_0 .. X_%d" % (n, n - 1))
+    y = y_exponent
+    layer: dict = {(0, 0): {(0, 0): 1}}
+    for k in range(n):
+        x = X[k]
+        nxt: dict = {}
+        for (used, last), poly in layer.items():
+            below = 0
+            for b in range(1, n + 1):
+                bit = 1 << (b - 1)
+                if used & bit:
+                    below += 1
+                    continue
+                for v in (b, -b):
+                    dq, dt, sign = y * (b - 1 - below), 0, 1
+                    if v < 0:
+                        dq += y * (1 + 2 * below) + Z.e_q
+                        dt += Z.e_T
+                        sign = Z.sign
+                    if last > v:
+                        dq += x.e_q
+                        dt += x.e_T
+                        sign *= x.sign
+                    target = nxt.setdefault((used | bit, v), {})
+                    for (eq, et), c in poly.items():
+                        key = (eq + dq, et + dt)
+                        target[key] = target.get(key, 0) + sign * c
+        layer = nxt
+    total: dict = {}
+    for poly in layer.values():
+        for key, c in poly.items():
+            total[key] = total.get(key, 0) + c
+    return BivariatePolynomial(total)
 
 
 def signed_perm_length_bfs(n: int) -> dict[tuple[int, ...], int]:

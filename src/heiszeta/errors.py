@@ -5,6 +5,11 @@ class HeiszetaError(Exception):
     """Base class for all package-specific errors."""
 
 
+class UsageError(HeiszetaError):
+    """A command-line input is out of range or malformed; rejected before
+    any computation."""
+
+
 class SizeGuard(HeiszetaError):
     """An input exceeds a combinatorial-explosion guard (2^n n! and friends)."""
 

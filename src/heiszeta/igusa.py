@@ -21,7 +21,7 @@ from .combinat import (
     fibre_W,
     inversions,
     perms,
-    signed_perms,
+    signed_descent_sum,
     weight_C,
 )
 from .errors import ArityMismatch, IdentityMismatch, SizeGuard
@@ -138,7 +138,9 @@ def igusa_B(
     The full variant takes slots X_0 .. X_n and denominator over all of
     them; the truncated variant takes X_0 .. X_{n-1} (the slot X_n never
     occurs in the numerator, so truncation just drops its denominator
-    factor).
+    factor).  The numerator is the group sum of
+    :func:`~heiszeta.combinat.signed_descent_sum`, a dynamic program over
+    (absolute values placed, last entry); no group element is built.
     """
     if n > max_n:
         raise SizeGuard("igusa_B guard: n = %d exceeds %d" % (n, max_n))
@@ -148,14 +150,7 @@ def igusa_B(
     if len(X) != want:
         raise ArityMismatch("variant %s needs %d slots, got %d" % (variant, want, len(X)))
     _check_positive(X)
-    num = BivariatePolynomial.zero()
-    for g in signed_perms(n, max_n=max_n):
-        m = mono(y_exponent * g.length(), 0) * (Z ** g.neg())
-        term = m.to_poly()
-        for i in g.descent_set_B():
-            term = term * X[i].to_poly()
-        num = num + term
-    out = FactoredRational(num)
+    out = FactoredRational(signed_descent_sum(n, y_exponent, Z, X[:n], max_n=max_n))
     for x in X:
         out = out.divided_by_factor(x.e_q, x.e_T)
     return out
@@ -235,23 +230,17 @@ def igusa_B_residue_limit(
 
     (1 - X_m) * Ig_Bn is regular at X_m = 1: the singular factor cancels
     syntactically, leaving the descent numerator with the X_m slot set to 1
-    over the remaining denominator factors.  Independent of the factored
-    form above.
+    over the remaining denominator factors.  The numerator is
+    :func:`~heiszeta.combinat.signed_descent_sum` with slot m set to 1.
+    Independent of the factored form above.
     """
     if not 0 <= m <= n:
         raise ValueError("m must lie in [n]_0")
     if len(X) != n:
         raise ArityMismatch("need the n slots other than X_m")
     slots = {i: x for i, x in zip([i for i in range(n + 1) if i != m], X)}
-    num = BivariatePolynomial.zero()
-    for g in signed_perms(n):
-        mm = mono(y_exponent * g.length(), 0) * (Z ** g.neg())
-        term = mm.to_poly()
-        for i in g.descent_set_B():
-            if i != m:
-                term = term * slots[i].to_poly()
-        num = num + term
-    out = FactoredRational(num)
+    descent_slots = [slots.get(i, mono(0, 0)) for i in range(n)]
+    out = FactoredRational(signed_descent_sum(n, y_exponent, Z, descent_slots))
     for x in X:
         out = out.divided_by_factor(x.e_q, x.e_T)
     return out

@@ -21,6 +21,7 @@ from .combinat import (
     eulerian_A,
     gen_W,
     partitions_up_to,
+    signed_descent_sum,
     signed_perms,
     w_partial_sums,
     weight_C,
@@ -34,7 +35,7 @@ from .exactalg import (
     divide_out_factor,
     mono,
 )
-from .igusa import igusa_A, igusa_B
+from .igusa import igusa_A, igusa_B_subset
 
 IGUSA_SUM_GUARD = 5
 COMPACT_GUARD = 12
@@ -122,30 +123,31 @@ def zeta_compact(n: int, max_n: int = COMPACT_GUARD) -> FactoredRational:
 
 
 def hyperoctahedral_numerator(n: int, c: Sequence[int]) -> BivariatePolynomial:
-    """Sum over B_n of (-1)^neg q^{C(g)} T^{(n+1) des_B(g) + neg(g)}."""
-    terms: dict = {}
-    for g in signed_perms(n):
-        key = (g.stat_C(c), g.stat_D())
-        coeff = -1 if g.neg() % 2 else 1
-        terms[key] = terms.get(key, 0) + coeff
-    return BivariatePolynomial(terms)
+    """Sum over B_n of (-1)^neg q^{C(g)} T^{(n+1) des_B(g) + neg(g)}.
+
+    With C(g) = n neg - l + sum of c_i over Des_B(g) this is the group sum
+    of :func:`signed_descent_sum` at Y = q^-1, Z = -q^n T and descent
+    slots X_i = q^{c_i} T^{n+1}, computed by its dynamic program.
+    """
+    return signed_descent_sum(n, -1, mono(n, 1, -1), [mono(ci, n + 1) for ci in c[:n]])
 
 
 @lru_cache(maxsize=None)
 def zeta_hyperoctahedral(n: int, max_n: int = HYPEROCT_GUARD) -> FactoredRational:
     """Hyperoctahedral form: type-B Igusa specialization over (T;q)_{2n}.
 
-    Built from the type-B Igusa function at Y = q^-1, Z = -q^n T and slots
-    q^{c_i} T^{n+1}; the numerator is cross-checked against the direct
-    statistic sum over B_n.
+    Built from the 2^(n+1)-term subset expansion of the type-B Igusa
+    function at Y = q^-1, Z = -q^n T and slots q^{c_i} T^{n+1}; its
+    numerator is cross-checked against the statistic sum over B_n from
+    :func:`hyperoctahedral_numerator`, an independent derivation.
     """
     if n > max_n:
         raise SizeGuard("zeta_hyperoctahedral guard: n = %d exceeds %d" % (n, max_n))
     c = c_exponents(n)
     X = [mono(ci, n + 1) for ci in c]
-    f = igusa_B(n, -1, mono(n, 1, -1), X, max_n=max_n)
+    f = igusa_B_subset(n, -1, mono(n, 1, -1), X)
     if f.num != hyperoctahedral_numerator(n, c):
-        raise IdentityMismatch("type-B numerator disagrees with statistic sum")
+        raise IdentityMismatch("type-B subset expansion disagrees with the group sum")
     for i in range(2 * n):
         f = f.divided_by_factor(i, 1)
     return f
@@ -169,7 +171,8 @@ def zeta_graded(n: int, max_n: int = HYPEROCT_GUARD) -> FactoredRational:
     """EXPERIMENTAL graded variant: c_i replaced by c_i' everywhere.
 
     The substitution is applied both in the Igusa slots and inside the
-    statistic C; no external cross-check is asserted.
+    statistic C; the numerator is :func:`hyperoctahedral_numerator` at the
+    c_i'.  No external cross-check is asserted.
     """
     if n > max_n:
         raise SizeGuard("zeta_graded guard: n = %d exceeds %d" % (n, max_n))
@@ -483,6 +486,8 @@ def global_factor(n: int, max_n: int = GLOBAL_GUARD) -> BivariatePolynomial:
 
     Returned with (e_q, e_T) read as (X-, Y-) exponents; identical to the
     compact-form numerator after T^{(n+1) des + neg} is regrouped by D.
+    This is :func:`hyperoctahedral_numerator` at the c_i, the dynamic
+    program of :func:`signed_descent_sum`; no group element is built.
     """
     if n > max_n:
         raise SizeGuard("global_factor guard: n = %d exceeds %d" % (n, max_n))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from heiszeta.cli import main
 
 
@@ -183,3 +185,39 @@ def test_out_file(tmp_path, capsys):
     code, out = run(capsys, "zeta", "--n", "1", "--form", "b", "--out", str(path))
     assert code == 0 and out == ""
     assert path.read_text().startswith("(1 - q^3 T^3)")
+
+
+# Each bad input exits 2 with one line on stderr and no traceback.
+BAD_INPUTS = [
+    ("zeta", "--n", "-1"),
+    ("zeta", "--n", "-1", "--form", "c"),
+    ("zeta", "--n", "0", "--form", "a"),
+    ("verify", "--n", "0"),
+    ("coeffs", "--n", "1", "--prime", "1", "--max-order", "2"),
+    ("coeffs", "--n", "1", "--prime", "4", "--max-order", "2"),
+    ("coeffs", "--n", "1", "--prime", "2", "--max-order", "-1"),
+    ("oracle", "lagrangian", "--mu", "1,2", "--prime", "2"),
+    ("oracle", "lagrangian", "--mu", "x", "--prime", "2"),
+    ("oracle", "sublattice", "--n", "0", "--prime", "2"),
+    ("oracle", "factorization", "--n", "1", "--prime", "2", "--max-val", "-1"),
+    ("global", "--n", "1", "--rn"),
+    ("global", "--n", "-1"),
+    ("global", "--n", "2", "--rn", "--prime-bound", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
+def test_bad_input_exits_2_with_one_line(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage: ")
+
+
+@pytest.mark.parametrize("form", ["b", "c", "graded", "reduced", "ideal"])
+def test_zeta_n0_is_one_over_one_minus_T(capsys, form):
+    code, out = run(capsys, "zeta", "--n", "0", "--form", form)
+    assert code == 0
+    assert out.strip() == "(1) / ((1 - T))"

@@ -1,6 +1,9 @@
 import random
+from collections import Counter
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heiszeta.combinat import (
     Partition,
@@ -16,13 +19,14 @@ from heiszeta.combinat import (
     is_w_vector,
     partitions_up_to,
     perms,
+    signed_descent_sum,
     signed_perm_length_bfs,
     signed_perms,
     w_partial_sums,
     weight_C,
 )
-from heiszeta.errors import SizeGuard
-from heiszeta.exactalg import BivariatePolynomial as Poly, FactoredRational as FR
+from heiszeta.errors import ArityMismatch, SizeGuard
+from heiszeta.exactalg import BivariatePolynomial as Poly, FactoredRational as FR, mono
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +232,75 @@ def test_length_formula_matches_bfs(n):
 
 def test_signed_perm_serialization():
     assert str(SignedPermutation((-2, 1, 3))) == "-2,1,3"
+
+
+# ---------------------------------------------------------------------------
+# the B_n statistic sum, against the group elements one by one
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _group_statistics(n):
+    """Counter of (length, neg, Des_B) over the signed_perms enumeration."""
+    return Counter((g.length(), g.neg(), g.descent_set_B()) for g in signed_perms(n))
+
+
+def _direct_signed_sum(n, y, Z, X):
+    """Sum over B_n of q^{y l(g)} Z^neg(g) prod_{i in Des_B(g)} X_i, term by term."""
+    terms = {}
+    for (length, neg, des), count in _group_statistics(n).items():
+        m = mono(y * length, 0) * Z**neg
+        for i in des:
+            m = m * X[i]
+        key = (m.e_q, m.e_T)
+        terms[key] = terms.get(key, 0) + m.sign * count
+    return Poly(terms)
+
+
+_monomials = st.builds(
+    mono, st.integers(-9, 9), st.integers(0, 3), st.sampled_from((1, -1))
+)
+_positive = st.builds(mono, st.integers(-9, 9), st.integers(0, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(0, 4),
+    y=st.integers(-3, 3),
+    Z=_monomials,
+    X=st.lists(_positive, min_size=4, max_size=4),
+)
+def test_signed_descent_sum_matches_group_enumeration(n, y, Z, X):
+    assert signed_descent_sum(n, y, Z, X[:n]) == _direct_signed_sum(n, y, Z, X[:n])
+
+
+@pytest.mark.parametrize("n", (5, 6))
+@pytest.mark.parametrize("graded", (False, True), ids=("form_c", "graded"))
+def test_signed_descent_sum_hyperoctahedral_slots(n, graded):
+    from heiszeta.zeta import c_exponents, c_exponents_graded
+
+    c = c_exponents_graded(n) if graded else c_exponents(n)
+    args = (-1, mono(n, 1, -1), [mono(ci, n + 1) for ci in c[:n]])
+    assert signed_descent_sum(n, *args) == _direct_signed_sum(n, *args)
+
+
+@pytest.mark.parametrize("n", (5, 6))
+def test_signed_descent_sum_residue_limit_slots(n):
+    # slot m set to 1, as in igusa_B_residue_limit
+    Z = mono(977, 2)
+    for m in range(n + 1):
+        X = [mono(0, 0) if i == m else mono(101 + 100 * i, 1) for i in range(n)]
+        assert signed_descent_sum(n, -1, Z, X) == _direct_signed_sum(n, -1, Z, X)
+
+
+def test_signed_descent_sum_guard_and_arity():
+    with pytest.raises(SizeGuard):
+        signed_descent_sum(9, -1, mono(0, 1), [mono(1, 1)] * 9)
+    with pytest.raises(ArityMismatch):
+        signed_descent_sum(3, -1, mono(0, 1), [mono(1, 1)] * 4)
+    with pytest.raises(ValueError):
+        signed_descent_sum(-1, -1, mono(0, 1), [])
+    assert signed_descent_sum(0, -1, mono(0, 1), []) == Poly.one()
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,8 @@ def test_igusa_B_monomial_count():
 def test_igusa_B_guard():
     with pytest.raises(SizeGuard):
         igusa_B(7, -1, Z_GENERIC, generic_slots(8))
+    with pytest.raises(SizeGuard):
+        igusa_B_residue_limit(9, 0, -1, Z_GENERIC, generic_slots(9))
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from heiszeta.combinat import gen_W, weight_C
-from heiszeta.errors import SizeGuard
+from heiszeta.errors import IdentityMismatch, SizeGuard
 from heiszeta.exactalg import (
     BivariatePolynomial as Poly,
     FactoredRational as FR,
@@ -20,6 +20,7 @@ from heiszeta.zeta import (
     funeq_check,
     global_factor,
     global_factor_eval,
+    hyperoctahedral_numerator,
     lemma_global_bound,
     pole_analysis,
     pole_candidates,
@@ -203,6 +204,26 @@ def test_guards():
         zeta_hyperoctahedral(7)
     with pytest.raises(SizeGuard):
         zeta_graded(7)
+    with pytest.raises(SizeGuard):
+        global_factor(7)
+    with pytest.raises(SizeGuard):
+        hyperoctahedral_numerator(9, c_exponents(9))
+
+
+def test_hyperoctahedral_cross_check_bites(monkeypatch):
+    # the subset-expansion numerator is compared with the group sum; a
+    # perturbed group sum must be caught
+    import heiszeta.zeta as zeta_mod
+
+    assert zeta_hyperoctahedral.__wrapped__(4) == zeta_compact(4)
+    group_sum = zeta_mod.hyperoctahedral_numerator
+    monkeypatch.setattr(
+        zeta_mod,
+        "hyperoctahedral_numerator",
+        lambda n, c: group_sum(n, c) + Poly.monomial(1, c[0], n + 1),
+    )
+    with pytest.raises(IdentityMismatch):
+        zeta_hyperoctahedral.__wrapped__(4)
 
 
 # ---------------------------------------------------------------------------
