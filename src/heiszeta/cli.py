@@ -14,11 +14,13 @@ import json
 import math
 import sys
 import time
+from fractions import Fraction
 
 from . import __version__
-from .combinat import Partition
+from .combinat import Partition, eulerian_A
 from .errors import BudgetExceeded, HeiszetaError, SizeGuard, UsageError
 from .exactalg import (
+    BivariatePolynomial,
     FactoredRational,
     format_latex,
     format_plain,
@@ -31,10 +33,12 @@ from .exactalg import mono
 from .oracle import check_factorization, enum_lagrangians, enum_sublattices
 from .oracle import enum_subalgebras
 from .zeta import (
+    c_exponents,
     dirichlet_coeffs,
     funeq_check,
     global_factor,
     global_factor_eval,
+    hyperoctahedral_numerator,
     pole_analysis,
     reduced_c,
     reduced_cone_series,
@@ -82,8 +86,9 @@ def cmd_zeta(args) -> int:
 
 
 def _check_crossform(n: int) -> dict:
+    """Forms a, b and c agree, and form c's numerator is the B_n group sum."""
     a, b, c = zeta_igusa_sum(n), zeta_compact(n), zeta_hyperoctahedral(n)
-    ok = a == b and b == c
+    ok = a == b and b == c and c.num == hyperoctahedral_numerator(n, c_exponents(n))
     return {"check": "crossform", "n": n, "status": "pass" if ok else "fail"}
 
 
@@ -130,13 +135,44 @@ def _check_residue(n: int) -> dict:
     return {"check": "residue", "n": n, "status": "pass"}
 
 
+def _reduced_eulerian(n: int) -> FactoredRational:
+    """The reduced zeta function as the classical Eulerian sum
+    sum_d binom(n, d) A_d(T^{n+1}) / ((1-T)^{2n-d} (1-T^{n+1})^{d+1})."""
+    return FactoredRational.sum(
+        [
+            FactoredRational(
+                BivariatePolynomial(
+                    {(0, (n + 1) * k): c * math.comb(n, d)
+                     for k, c in enumerate(eulerian_A(d)) if c}
+                ),
+                {(0, 1): 2 * n - d, (0, n + 1): d + 1},
+            )
+            for d in range(n + 1)
+        ]
+    )
+
+
+def _reduced_c_telescoped(n: int) -> Fraction:
+    """c_n as the complement 1 - n sum_k binom(n-1, k-1) k! / (n+1)^{k+1}."""
+    return 1 - n * sum(
+        Fraction(math.comb(n - 1, k - 1) * math.factorial(k), (n + 1) ** (k + 1))
+        for k in range(1, n + 1)
+    )
+
+
 def _check_reduced(n: int) -> dict:
+    """reduced_zeta against the Eulerian form, the lattice-point oracle and
+    self-reciprocity; reduced_c against its telescoped form and the limit
+    P_n(1) / (n+1)^{n+1} of the normalized numerator, and inside (0, 1)."""
     f = reduced_zeta(n)
     series = [c.coefficient(0, 0) for c in f.series_in_T(10)]
     ok = series == reduced_cone_series(n, 10)
     lhs = f.subs_inverse()
     rhs = FactoredRational(f.num.scaled(-1), f.den, f.tshift + 2 * n + 1)
-    ok = ok and lhs == rhs and 0 < reduced_c(n) < 1
+    ok = ok and lhs == rhs and f == _reduced_eulerian(n)
+    cn = reduced_c(n)
+    limit = Fraction(sum(f.num.terms.values()), (n + 1) ** (n + 1))
+    ok = ok and cn == _reduced_c_telescoped(n) == limit and 0 < cn < 1
     return {"check": "reduced", "n": n, "status": "pass" if ok else "fail"}
 
 
@@ -151,13 +187,9 @@ CHECKS = {
 
 
 def cmd_verify(args) -> int:
-    names = [c.strip() for c in args.checks.split(",") if c.strip()]
-    for name in names:
-        if name not in CHECKS:
-            raise SizeGuard("unknown check %r" % name)
     reports = []
     failed = None
-    for name in names:
+    for name in args.checks:
         t0 = time.time()
         rep = CHECKS[name](args.n)
         rep["seconds"] = round(time.time() - t0, 3)
@@ -253,12 +285,18 @@ def validate(args) -> None:
     Raises UsageError, which main maps to exit code 2.  Forms b, c, graded,
     reduced and ideal are defined at n = 0 (they give 1 / (1 - T)); form a,
     verify and the lattice oracles need n >= 1, and R_n needs n >= 2.
+    verify's --checks becomes the list of check names; an unknown name is
+    rejected.
     """
     least, what = 0, args.command
     if args.command == "zeta" and args.form == "a":
         least, what = 1, "form a"
     elif args.command == "verify":
         least = 1
+        args.checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+        for name in args.checks:
+            if name not in CHECKS:
+                raise UsageError("unknown check %r" % name)
     elif args.command == "oracle" and args.mode != "lagrangian":
         least, what = 1, "oracle " + args.mode
     elif args.command == "global" and args.rn:

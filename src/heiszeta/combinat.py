@@ -10,15 +10,13 @@ and B.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .errors import ArityMismatch, SizeGuard
+from .errors import ArityMismatch, check_n
 from .exactalg import BivariatePolynomial, FactoredRational, SignedMonomial
-
-SIGNED_PERM_GUARD = 8
-EULERIAN_GUARD = 10
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +288,9 @@ class SignedPermutation:
         return ",".join(str(x) for x in self.window)
 
 
-def signed_perms(n: int, max_n: int = SIGNED_PERM_GUARD) -> Iterator[SignedPermutation]:
+def signed_perms(n: int) -> Iterator[SignedPermutation]:
     """All 2^n n! signed permutations, deterministic order."""
-    if n > max_n:
-        raise SizeGuard("signed_perms guard: n = %d exceeds %d" % (n, max_n))
+    check_n("signed_perms", n)
     for perm in itertools.permutations(range(1, n + 1)):
         for signs in itertools.product((1, -1), repeat=n):
             yield SignedPermutation(tuple(s * v for s, v in zip(signs, perm)))
@@ -304,7 +301,6 @@ def signed_descent_sum(
     y_exponent: int,
     Z: SignedMonomial,
     X: Sequence[SignedMonomial],
-    max_n: int = SIGNED_PERM_GUARD,
 ) -> BivariatePolynomial:
     """Sum over B_n of Y^l(g) Z^neg(g) prod_{i in Des_B(g)} X_i, Y = q^y_exponent.
 
@@ -318,10 +314,7 @@ def signed_descent_sum(
     b outside U gives E = #{u in U : u < b} and L = b - 1 - E whatever the
     sign, and a descent at index k when the last entry exceeds the new one.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > max_n:
-        raise SizeGuard("signed_descent_sum guard: n = %d exceeds %d" % (n, max_n))
+    check_n("signed_descent_sum", n)
     if len(X) != n:
         raise ArityMismatch("need the %d descent slots X_0 .. X_%d" % (n, n - 1))
     y = y_exponent
@@ -387,14 +380,13 @@ def signed_perm_length_bfs(n: int) -> dict[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
-def eulerian_A(d: int, max_d: int = EULERIAN_GUARD) -> tuple[int, ...]:
+def eulerian_A(d: int) -> tuple[int, ...]:
     """Coefficient list of the Eulerian polynomial A_d(X); A_0 = 1.
 
     For d >= 1 the polynomial is sum over S_d of X^{des+1}, returned as
     coefficients indexed by exponent.
     """
-    if d > max_d:
-        raise SizeGuard("eulerian_A guard: d = %d exceeds %d" % (d, max_d))
+    check_n("eulerian_A", d)
     if d == 0:
         return (1,)
     coeffs = [0] * (d + 1)
@@ -403,7 +395,7 @@ def eulerian_A(d: int, max_d: int = EULERIAN_GUARD) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def brenti_B(n: int, max_n: int = SIGNED_PERM_GUARD) -> BivariatePolynomial:
+def brenti_B(n: int) -> BivariatePolynomial:
     """Type-B Eulerian polynomial B_n(X, Y) = sum Y^neg X^des_B.
 
     Computed from the generating identity
@@ -413,10 +405,7 @@ def brenti_B(n: int, max_n: int = SIGNED_PERM_GUARD) -> BivariatePolynomial:
     the group is kept as a cross-check in the tests.  Returned as a
     BivariatePolynomial with (e_q, e_T) read as (X-, Y-) exponents.
     """
-    if n > max_n:
-        raise SizeGuard("brenti_B guard: n = %d exceeds %d" % (n, max_n))
-    import math
-
+    check_n("brenti_B", n)
     partial: dict = {}
     for i in range(n + 1):
         # (1 + (1+Y) i)^n = sum_k C(n,k) (1+i)^{n-k} i^k Y^k
@@ -432,10 +421,10 @@ def brenti_B(n: int, max_n: int = SIGNED_PERM_GUARD) -> BivariatePolynomial:
     )
 
 
-def brenti_B_by_enumeration(n: int, max_n: int = SIGNED_PERM_GUARD) -> BivariatePolynomial:
+def brenti_B_by_enumeration(n: int) -> BivariatePolynomial:
     """B_n(X, Y) summed over the group directly; the defining formula."""
     terms: dict = {}
-    for g in signed_perms(n, max_n=max_n):
+    for g in signed_perms(n):
         k = (len(g.descent_set_B()), g.neg())
         terms[k] = terms.get(k, 0) + 1
     return BivariatePolynomial(terms)

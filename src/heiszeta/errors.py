@@ -14,6 +14,39 @@ class SizeGuard(HeiszetaError):
     """An input exceeds a combinatorial-explosion guard (2^n n! and friends)."""
 
 
+# Guarded entry point -> (least n, largest n).  Below the least n the object
+# is undefined; above the largest n the cost explodes.  None: no n-limit, a
+# budget bounds the enumeration instead.
+N_RANGE = {
+    "signed_perms": (0, 8),
+    "signed_descent_sum": (0, 8),
+    "brenti_B": (0, 8),
+    "eulerian_A": (0, 10),
+    "igusa_A_descent": (0, 8),
+    "igusa_B": (0, 6),
+    "fibre_K": (0, 8),
+    "zeta_igusa_sum": (1, 5),
+    "zeta_compact": (0, 12),
+    "zeta_hyperoctahedral": (0, 6),
+    "zeta_graded": (0, 6),
+    "reduced_zeta": (0, 8),
+    "reduced_c": (0, 20),
+    "global_factor": (0, 6),
+    "rn_numeric": (2, 6),
+    "enum_sublattices": (1, None),
+    "enum_subalgebras": (0, None),
+}
+
+
+def check_n(name: str, n: int) -> None:
+    """Raise ValueError below N_RANGE[name] and SizeGuard above it."""
+    least, largest = N_RANGE[name]
+    if n < least:
+        raise ValueError("%s needs n >= %d, got %d" % (name, least, n))
+    if largest is not None and n > largest:
+        raise SizeGuard("%s guard: n = %d exceeds %d" % (name, n, largest))
+
+
 class BudgetExceeded(HeiszetaError):
     """A brute-force enumeration would exceed its configured budget."""
 

@@ -540,10 +540,6 @@ class FactoredRational:
         return cls(0)
 
     @classmethod
-    def from_monomial(cls, m: SignedMonomial) -> "FactoredRational":
-        return cls(m.to_poly())
-
-    @classmethod
     def one_over(cls, factors: Iterable[FactorKey]) -> "FactoredRational":
         den: dict[FactorKey, int] = {}
         for k in factors:

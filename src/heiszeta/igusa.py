@@ -24,7 +24,7 @@ from .combinat import (
     signed_descent_sum,
     weight_C,
 )
-from .errors import ArityMismatch, IdentityMismatch, SizeGuard
+from .errors import ArityMismatch, IdentityMismatch, SizeGuard, check_n
 from .exactalg import (
     BivariatePolynomial,
     FactoredRational,
@@ -33,10 +33,6 @@ from .exactalg import (
     mono,
     qpochhammer,
 )
-
-IGUSA_A_DESCENT_GUARD = 8
-IGUSA_B_GUARD = 6
-FIBRE_K_GUARD = 8
 
 _VARIANT_INDEX = {
     "truncated": (1, -1),  # slots X_1 .. X_{n-1}
@@ -98,11 +94,11 @@ def igusa_A_descent(
 ) -> FactoredRational:
     """Augmented type-A Igusa function via its descent form over S_n.
 
-    Numerator sum of Y^{l(g)} prod_{j in Des(g)} X_j; asserted equal to the
-    subset-expansion form.
+    Numerator sum of Y^{l(g)} prod_{j in Des(g)} X_j over the slot
+    denominators.  The tests compare it with the subset expansion
+    ``igusa_A(n, "augmented", ...)``.
     """
-    if n > IGUSA_A_DESCENT_GUARD:
-        raise SizeGuard("igusa_A_descent guard: n = %d" % n)
+    check_n("igusa_A_descent", n)
     if len(X) != n + 1:
         raise ArityMismatch("need n + 1 slots X_0 .. X_n")
     _check_positive(X)
@@ -115,8 +111,6 @@ def igusa_A_descent(
     out = FactoredRational(num)
     for x in X:
         out = out.divided_by_factor(x.e_q, x.e_T)
-    if out != igusa_A(n, "augmented", y_exponent, X):
-        raise IdentityMismatch("descent form disagrees with subset expansion")
     return out
 
 
@@ -131,7 +125,6 @@ def igusa_B(
     Z: SignedMonomial,
     X: Sequence[SignedMonomial],
     variant: str = "full",
-    max_n: int = IGUSA_B_GUARD,
 ) -> FactoredRational:
     """Type-B Igusa function: numerator over B_n with Y^l Z^neg prod X_i.
 
@@ -142,15 +135,14 @@ def igusa_B(
     :func:`~heiszeta.combinat.signed_descent_sum`, a dynamic program over
     (absolute values placed, last entry); no group element is built.
     """
-    if n > max_n:
-        raise SizeGuard("igusa_B guard: n = %d exceeds %d" % (n, max_n))
+    check_n("igusa_B", n)
     want = n + 1 if variant == "full" else n
     if variant not in ("full", "truncated"):
         raise ValueError("unknown variant %r" % variant)
     if len(X) != want:
         raise ArityMismatch("variant %s needs %d slots, got %d" % (variant, want, len(X)))
     _check_positive(X)
-    out = FactoredRational(signed_descent_sum(n, y_exponent, Z, X[:n], max_n=max_n))
+    out = FactoredRational(signed_descent_sum(n, y_exponent, Z, X[:n]))
     for x in X:
         out = out.divided_by_factor(x.e_q, x.e_T)
     return out
@@ -339,7 +331,6 @@ def fibre_K(
     r: int,
     X_tail: Sequence[SignedMonomial],
     T_arg: SignedMonomial,
-    max_n: int = FIBRE_K_GUARD,
 ) -> BivariatePolynomial:
     """Coset model: sum over S_n / S_k of B^(t_k) q^{-2 l_k^+} X^{Des_>k} T^{t_k}.
 
@@ -347,8 +338,7 @@ def fibre_K(
     beyond position n - 1 but is accepted for signature symmetry with the
     fibre sum).
     """
-    if n > max_n:
-        raise SizeGuard("fibre_K guard: n = %d exceeds %d" % (n, max_n))
+    check_n("fibre_K", n)
     if k > n:
         raise ValueError("k must be at most n")
     if len(X_tail) != n - k:

@@ -20,6 +20,7 @@ from .errors import (
     FactorizationMismatch,
     IdentityMismatch,
     SingularMatrix,
+    check_n,
 )
 
 LAGRANGIAN_BUDGET = 3**10
@@ -372,6 +373,7 @@ def enum_sublattices(
     n: int, p: int, max_valuation: int, budget: int = HNF_BUDGET
 ) -> dict[tuple[Partition, Partition], int]:
     """Sublattices of the symplectic Z^{2n} by (quotient type, alternating type)."""
+    check_n("enum_sublattices", n)
     total = sum(hnf_count(2 * n, p, j) for j in range(max_valuation + 1))
     if total > budget:
         raise BudgetExceeded("HNF enumeration size %d exceeds %d" % (total, budget))
@@ -394,7 +396,8 @@ def check_factorization(
     Compares enum_sublattices against enum_lagrangians * alpha_n(mu; q^2)
     at q = p over every (lambda, mu) in range; raises FactorizationMismatch
     on any discrepancy (the factorization is a theorem, so a mismatch means
-    an implementation bug).
+    an implementation bug).  The HNF budget bounds the lattice enumeration
+    only; the Lagrangian enumerations keep their own budget.
     """
     lattice = enum_sublattices(n, p, max_valuation, budget=budget)
     mus = sorted(
@@ -404,7 +407,7 @@ def check_factorization(
     rows = []
     for mu_parts in mus:
         mu = Partition(mu_parts)
-        lagr = enum_lagrangians(mu, p, budget=budget)
+        lagr = enum_lagrangians(mu, p)
         alpha = _eval_poly_at(birkhoff_alpha(mu, n, base_exponent=2), p)
         lambdas = {lam.parts for lam, m2 in lattice if m2 == mu}
         lambdas |= {lam.parts for lam in lagr}
@@ -484,6 +487,7 @@ def enum_subalgebras(
     rows.  [u, v] is a multiple of the central y, so membership reduces to
     divisibility by the last diagonal entry.
     """
+    check_n("enum_subalgebras", n)
     lie = HnLieRing(n)
     rank = lie.rank
     total = sum(hnf_count(rank, p, j) for j in range(max_index_valuation + 1))

@@ -16,9 +16,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .combinat import (
-    Partition,
     brenti_B,
-    eulerian_A,
     gen_W,
     partitions_up_to,
     signed_descent_sum,
@@ -27,7 +25,7 @@ from .combinat import (
     weight_C,
 )
 from .counts import birkhoff_alpha, nprime_closed
-from .errors import FunctionalEquationFailure, IdentityMismatch, SizeGuard
+from .errors import FunctionalEquationFailure, IdentityMismatch, check_n
 from .exactalg import (
     BivariatePolynomial,
     FactoredRational,
@@ -36,13 +34,6 @@ from .exactalg import (
     mono,
 )
 from .igusa import igusa_A, igusa_B_subset
-
-IGUSA_SUM_GUARD = 5
-COMPACT_GUARD = 12
-HYPEROCT_GUARD = 6
-REDUCED_GUARD = 8
-GLOBAL_GUARD = 6
-CN_GUARD = 20
 
 
 def c_exponents(n: int) -> list[int]:
@@ -77,10 +68,9 @@ def igusa_args(n: int, w: Sequence[int]) -> list[SignedMonomial]:
 
 
 @lru_cache(maxsize=None)
-def zeta_igusa_sum(n: int, max_n: int = IGUSA_SUM_GUARD) -> FactoredRational:
+def zeta_igusa_sum(n: int) -> FactoredRational:
     """2^n-term form: sum over w of C(w) times an augmented Igusa function."""
-    if n > max_n:
-        raise SizeGuard("zeta_igusa_sum guard: n = %d exceeds %d" % (n, max_n))
+    check_n("zeta_igusa_sum", n)
     terms = [
         weight_C(w) * igusa_A(n, "augmented", -2, igusa_args(n, w))
         for w in gen_W(n)
@@ -89,15 +79,14 @@ def zeta_igusa_sum(n: int, max_n: int = IGUSA_SUM_GUARD) -> FactoredRational:
 
 
 @lru_cache(maxsize=None)
-def zeta_compact(n: int, max_n: int = COMPACT_GUARD) -> FactoredRational:
+def zeta_compact(n: int) -> FactoredRational:
     """(n+1)-term compact form, the reference implementation.
 
     Summand r: special factor (1 - q^{a_{n,r}} T^{n+1}) times
     (-q)^r (1 - q^{2n-2r+1}) (q^2;q^2)_n over
     (q;q)_{2n-r+1} (q;q)_r (q^r T; q^2)_{n-r} (q^{2n-r} T; q)_r.
     """
-    if n > max_n:
-        raise SizeGuard("zeta_compact guard: n = %d exceeds %d" % (n, max_n))
+    check_n("zeta_compact", n)
     terms = []
     for r in range(n + 1):
         num = BivariatePolynomial.monomial((-1) ** r, r, 0)
@@ -133,21 +122,18 @@ def hyperoctahedral_numerator(n: int, c: Sequence[int]) -> BivariatePolynomial:
 
 
 @lru_cache(maxsize=None)
-def zeta_hyperoctahedral(n: int, max_n: int = HYPEROCT_GUARD) -> FactoredRational:
+def zeta_hyperoctahedral(n: int) -> FactoredRational:
     """Hyperoctahedral form: type-B Igusa specialization over (T;q)_{2n}.
 
     Built from the 2^(n+1)-term subset expansion of the type-B Igusa
-    function at Y = q^-1, Z = -q^n T and slots q^{c_i} T^{n+1}; its
-    numerator is cross-checked against the statistic sum over B_n from
-    :func:`hyperoctahedral_numerator`, an independent derivation.
+    function at Y = q^-1, Z = -q^n T and slots q^{c_i} T^{n+1}.  Its
+    numerator equals the statistic sum over B_n of
+    :func:`hyperoctahedral_numerator`, an independent derivation that
+    ``verify --checks crossform`` compares with it.
     """
-    if n > max_n:
-        raise SizeGuard("zeta_hyperoctahedral guard: n = %d exceeds %d" % (n, max_n))
-    c = c_exponents(n)
-    X = [mono(ci, n + 1) for ci in c]
+    check_n("zeta_hyperoctahedral", n)
+    X = [mono(ci, n + 1) for ci in c_exponents(n)]
     f = igusa_B_subset(n, -1, mono(n, 1, -1), X)
-    if f.num != hyperoctahedral_numerator(n, c):
-        raise IdentityMismatch("type-B subset expansion disagrees with the group sum")
     for i in range(2 * n):
         f = f.divided_by_factor(i, 1)
     return f
@@ -167,15 +153,14 @@ def zeta_ideal(n: int) -> FactoredRational:
     return FactoredRational.one_over(den)
 
 
-def zeta_graded(n: int, max_n: int = HYPEROCT_GUARD) -> FactoredRational:
+def zeta_graded(n: int) -> FactoredRational:
     """EXPERIMENTAL graded variant: c_i replaced by c_i' everywhere.
 
     The substitution is applied both in the Igusa slots and inside the
     statistic C; the numerator is :func:`hyperoctahedral_numerator` at the
     c_i'.  No external cross-check is asserted.
     """
-    if n > max_n:
-        raise SizeGuard("zeta_graded guard: n = %d exceeds %d" % (n, max_n))
+    check_n("zeta_graded", n)
     c = c_exponents_graded(n)
     num = hyperoctahedral_numerator(n, c)
     den = {(i, 1): 1 for i in range(2 * n)}
@@ -391,32 +376,16 @@ def _brenti_substituted(n: int) -> BivariatePolynomial:
     return BivariatePolynomial(terms)
 
 
-def reduced_zeta(n: int, max_n: int = REDUCED_GUARD) -> FactoredRational:
+def reduced_zeta(n: int) -> FactoredRational:
     """The q -> 1 degeneration, normalized over (1-T)^n (1-T^{n+1})^{n+1}.
 
-    Computed from the type-B Eulerian polynomial and checked against the
-    classical Eulerian-sum form; self-reciprocity and the lattice-point
-    oracle are exercised in the test suite.
+    B_n(T^{n+1}, -T) / ((1-T)^{2n} (1-T^{n+1})^{n+1}) from the type-B
+    Eulerian polynomial, with (1-T)^n divided out of the numerator.
+    ``verify --checks reduced`` compares it with the classical Eulerian-sum
+    form, the lattice-point oracle and self-reciprocity.
     """
-    if n > max_n:
-        raise SizeGuard("reduced_zeta guard: n = %d exceeds %d" % (n, max_n))
-    num = _brenti_substituted(n)
-    brenti_form = FactoredRational(num, {(0, 1): 2 * n, (0, n + 1): n + 1})
-    eulerian = FactoredRational.sum(
-        [
-            FactoredRational(
-                BivariatePolynomial(
-                    {(0, (n + 1) * k): c * math.comb(n, d)
-                     for k, c in enumerate(eulerian_A(d)) if c}
-                ),
-                {(0, 1): 2 * n - d, (0, n + 1): d + 1},
-            )
-            for d in range(n + 1)
-        ]
-    )
-    if brenti_form != eulerian:
-        raise IdentityMismatch("Brenti and Eulerian forms disagree at n = %d" % n)
-    P = num
+    check_n("reduced_zeta", n)
+    P = _brenti_substituted(n)
     for _ in range(n):
         quot = divide_out_factor(P, 0, 1)
         if quot is None:
@@ -448,32 +417,19 @@ def _pair_count(pairs: int, rem: int, floor: int) -> int:
     return total
 
 
-def reduced_c(n: int, max_n: int = CN_GUARD) -> Fraction:
+def reduced_c(n: int) -> Fraction:
     """Leading coefficient c_n = lim (1-T)^{2n+1} Z_red(T) at T = 1.
 
-    Evaluated three ways: the binomial sum, its telescoped complement, and
-    P_n(1) / (n+1)^{n+1} from the normalized form; all must agree.
+    The binomial sum sum_k binom(n, k) k! / (n+1)^{k+1}; c_0 = 1.
+    ``verify --checks reduced`` compares it with the telescoped sum and
+    with P_n(1) / (n+1)^{n+1} from the normalized form, and checks
+    0 < c_n < 1.
     """
-    if n > max_n:
-        raise SizeGuard("reduced_c guard: n = %d exceeds %d" % (n, max_n))
-    direct = sum(
+    check_n("reduced_c", n)
+    return sum(
         Fraction(math.comb(n, k) * math.factorial(k), (n + 1) ** (k + 1))
         for k in range(n + 1)
     )
-    telescoped = 1 - n * sum(
-        Fraction(math.comb(n - 1, k - 1) * math.factorial(k), (n + 1) ** (k + 1))
-        for k in range(1, n + 1)
-    )
-    if direct != telescoped:
-        raise IdentityMismatch("c_n formulas disagree at n = %d" % n)
-    if n <= REDUCED_GUARD:
-        P = reduced_zeta(n).num
-        p_one = sum(P.terms.values())
-        if direct != Fraction(p_one, (n + 1) ** (n + 1)):
-            raise IdentityMismatch("c_n limit disagrees at n = %d" % n)
-    if not 0 < direct < 1:
-        raise IdentityMismatch("c_n out of (0, 1)")
-    return direct
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +437,7 @@ def reduced_c(n: int, max_n: int = CN_GUARD) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def global_factor(n: int, max_n: int = GLOBAL_GUARD) -> BivariatePolynomial:
+def global_factor(n: int) -> BivariatePolynomial:
     """N_n(X, Y) = sum over B_n of (-1)^neg X^{C(g)} Y^{D(g)}.
 
     Returned with (e_q, e_T) read as (X-, Y-) exponents; identical to the
@@ -489,8 +445,7 @@ def global_factor(n: int, max_n: int = GLOBAL_GUARD) -> BivariatePolynomial:
     This is :func:`hyperoctahedral_numerator` at the c_i, the dynamic
     program of :func:`signed_descent_sum`; no group element is built.
     """
-    if n > max_n:
-        raise SizeGuard("global_factor guard: n = %d exceeds %d" % (n, max_n))
+    check_n("global_factor", n)
     return hyperoctahedral_numerator(n, c_exponents(n))
 
 
@@ -545,18 +500,16 @@ def _euler_zeta(s: int, primes: Sequence[int]) -> float:
     return out
 
 
-def rn_numeric(n: int, prime_bound: int = 1000, max_n: int = GLOBAL_GUARD) -> dict:
-    """Truncated numeric approximation of the residue factor R_n (n >= 2).
+def rn_numeric(n: int, prime_bound: int = 1000) -> dict:
+    """Truncated numeric approximation of the residue factor R_n (n >= 2;
+    n = 1 has a double pole).
 
     Product over primes <= prime_bound of N_n(p, p^{-2n}), times truncated
     Euler products for the Riemann zeta values at the integer arguments
     dictated by the denominator.  APPROXIMATE by construction; the report
     echoes the truncation parameters.
     """
-    if n < 2:
-        raise ValueError("n >= 2 required; n = 1 has a double pole")
-    if n > max_n:
-        raise SizeGuard("rn_numeric guard: n = %d exceeds %d" % (n, max_n))
+    check_n("rn_numeric", n)
     primes = _primes_up_to(prime_bound)
     ev = global_factor_eval(n)
     nprod = 1.0

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from heiszeta.cli import _reduced_eulerian
 from heiszeta.combinat import partitions_up_to
 from heiszeta.counts import birkhoff_alpha, nprime_closed
 from heiszeta.exactalg import (
@@ -312,8 +313,10 @@ def test_criterion_13_reduced_zeta():
                 )
             }
         )
+        for n in range(9):
+            assert reduced_zeta(n) == _reduced_eulerian(n), n
         for n in range(1, 6):
-            f = reduced_zeta(n)  # Brenti = Eulerian asserted inside
+            f = reduced_zeta(n)
             series = [c.coefficient(0, 0) for c in f.series_in_T(10)]
             assert series == reduced_cone_series(n, 10), n
             lhs = f.subs_inverse()

@@ -86,8 +86,10 @@ def test_verify_fibre_residue_reduced(capsys):
 
 
 def test_verify_unknown_check(capsys):
-    code, _ = run(capsys, "verify", "--n", "2", "--checks", "bogus")
+    code = main(["verify", "--n", "2", "--checks", "bogus"])
     assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage: ")
 
 
 def test_coeffs_oracle_agreement(capsys):

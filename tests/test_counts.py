@@ -9,6 +9,7 @@ from heiszeta.counts import (
 )
 from heiszeta.errors import RankMismatch
 from heiszeta.exactalg import BivariatePolynomial as Poly
+from heiszeta.exactalg import gauss_multinom
 
 
 def eval_at(poly, q):
@@ -62,13 +63,23 @@ def test_birkhoff_counts_sublattices_directly():
             assert eval_at(poly, p) == sum(p**i for i in range(n))
 
 
-# both closed forms (multiplicity and support) are asserted inside
-# birkhoff_alpha itself; exercise a spread of shapes
+def _birkhoff_support(mu, n, base_exponent):
+    """Support form q^{d . rho'} binom(n, Supp^+(d))_Y of the Birkhoff
+    number, Y = q^-base, d the difference vector and rho'_k = k(n - k)."""
+    d = mu.difference_vector(n)
+    exp = sum(dk * k * (n - k) for k, dk in enumerate(d, start=1))
+    supp = [i for i in range(1, n) if d[i - 1] > 0]
+    return gauss_multinom(n, supp, -base_exponent).shift(dq=base_exponent * exp)
+
+
+# birkhoff_alpha computes the multiplicity form; compare it with the support
+# form over a spread of shapes
 @pytest.mark.parametrize("n", range(1, 6))
 def test_birkhoff_forms_agree(n):
     for mu in partitions_up_to(6, n):
-        birkhoff_alpha(mu, n)
-        birkhoff_alpha(mu, n, base_exponent=2)
+        for base in (1, 2):
+            support = _birkhoff_support(mu, n, base)
+            assert birkhoff_alpha(mu, n, base) == support, (mu, base)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,9 @@ from pathlib import Path
 
 import pytest
 
+from heiszeta.errors import N_RANGE
 from heiszeta.exactalg import poly_to_json, rational_dumps
 from heiszeta.zeta import (
-    COMPACT_GUARD,
-    GLOBAL_GUARD,
-    HYPEROCT_GUARD,
-    IGUSA_SUM_GUARD,
-    REDUCED_GUARD,
     global_factor,
     reduced_zeta,
     zeta_compact,
@@ -36,14 +32,18 @@ def _poly_dumps(p):
     return json.dumps(poly_to_json(p), separators=(",", ":"))
 
 
+def _top(fn, cap):
+    return min(cap, N_RANGE[fn.__name__][1])
+
+
 # file stem -> (function, serializer, largest n)
 CASES = {
-    "zeta_a": (zeta_igusa_sum, rational_dumps, min(6, IGUSA_SUM_GUARD)),
-    "zeta_b": (zeta_compact, rational_dumps, min(6, COMPACT_GUARD)),
-    "zeta_c": (zeta_hyperoctahedral, rational_dumps, min(6, HYPEROCT_GUARD)),
-    "zeta_graded": (zeta_graded, rational_dumps, min(6, HYPEROCT_GUARD)),
-    "reduced_zeta": (reduced_zeta, rational_dumps, min(8, REDUCED_GUARD)),
-    "global_factor": (global_factor, _poly_dumps, min(6, GLOBAL_GUARD)),
+    "zeta_a": (zeta_igusa_sum, rational_dumps, _top(zeta_igusa_sum, 6)),
+    "zeta_b": (zeta_compact, rational_dumps, _top(zeta_compact, 6)),
+    "zeta_c": (zeta_hyperoctahedral, rational_dumps, _top(zeta_hyperoctahedral, 6)),
+    "zeta_graded": (zeta_graded, rational_dumps, _top(zeta_graded, 6)),
+    "reduced_zeta": (reduced_zeta, rational_dumps, _top(reduced_zeta, 8)),
+    "global_factor": (global_factor, _poly_dumps, _top(global_factor, 6)),
 }
 
 

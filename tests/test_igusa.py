@@ -77,6 +77,12 @@ def test_descent_numerators():
     assert f3 == FR(num) * one_over_slots(X)
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_descent_form_equals_subset_expansion(n):
+    X = generic_slots(n + 1)
+    assert igusa_A_descent(n, -2, X) == igusa_A(n, "augmented", -2, X)
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_truncated_reversal_symmetry(n):
     X = generic_slots(n - 1)

@@ -242,6 +242,13 @@ def test_factorization_budget():
         enum_sublattices(2, 3, 4, budget=10)
 
 
+def test_factorization_keeps_the_lagrangian_budget():
+    # |M_(8)| = 2^16 exceeds the Lagrangian budget 3^10, though the HNF
+    # enumeration of rank 2 up to index 2^8 is well inside its own
+    with pytest.raises(BudgetExceeded):
+        check_factorization(1, 2, 8)
+
+
 # ---------------------------------------------------------------------------
 # Heisenberg subalgebras
 # ---------------------------------------------------------------------------

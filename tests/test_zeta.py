@@ -1,16 +1,18 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from heiszeta import cli
 from heiszeta.combinat import gen_W, weight_C
-from heiszeta.errors import IdentityMismatch, SizeGuard
+from heiszeta.errors import SizeGuard
 from heiszeta.exactalg import (
     BivariatePolynomial as Poly,
     FactoredRational as FR,
     mono,
 )
 from heiszeta.igusa import igusa_B
-from heiszeta.oracle import enum_subalgebras
+from heiszeta.oracle import enum_subalgebras, enum_sublattices
 from heiszeta.zeta import (
     Z_of_w,
     Z_of_w_partition_sum,
@@ -210,20 +212,38 @@ def test_guards():
         hyperoctahedral_numerator(9, c_exponents(9))
 
 
-def test_hyperoctahedral_cross_check_bites(monkeypatch):
-    # the subset-expansion numerator is compared with the group sum; a
-    # perturbed group sum must be caught
-    import heiszeta.zeta as zeta_mod
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: zeta_igusa_sum(0),
+        lambda: zeta_compact(-1),
+        lambda: enum_sublattices(-1, 2, 2),
+        lambda: enum_subalgebras(-1, 2, 2),
+    ],
+    ids=[
+        "zeta_igusa_sum(0)",
+        "zeta_compact(-1)",
+        "enum_sublattices(-1)",
+        "enum_subalgebras(-1)",
+    ],
+)
+def test_below_range_raises_value_error(call):
+    with pytest.raises(ValueError):
+        call()
 
-    assert zeta_hyperoctahedral.__wrapped__(4) == zeta_compact(4)
-    group_sum = zeta_mod.hyperoctahedral_numerator
+
+def test_hyperoctahedral_cross_check_bites(monkeypatch, capsys):
+    # verify --checks crossform compares form c's numerator, from the subset
+    # expansion, with the group sum; a perturbed group sum must be caught
+    assert zeta_hyperoctahedral(4).num == hyperoctahedral_numerator(4, c_exponents(4))
+    group_sum = cli.hyperoctahedral_numerator
     monkeypatch.setattr(
-        zeta_mod,
+        cli,
         "hyperoctahedral_numerator",
         lambda n, c: group_sum(n, c) + Poly.monomial(1, c[0], n + 1),
     )
-    with pytest.raises(IdentityMismatch):
-        zeta_hyperoctahedral.__wrapped__(4)
+    assert cli.main(["verify", "--n", "4", "--checks", "crossform"]) == 1
+    assert json.loads(capsys.readouterr().out)[0]["status"] == "fail"
 
 
 # ---------------------------------------------------------------------------
@@ -470,11 +490,16 @@ def test_reduced_self_reciprocity(n):
 
 
 def test_reduced_c_values():
+    assert reduced_c(0) == 1
     assert reduced_c(1) == Fraction(3, 4)
     assert reduced_c(2) == Fraction(17, 27)
     assert reduced_c(3) == Fraction(71, 128)
     for n in range(1, 21):
+        assert reduced_c(n) == cli._reduced_c_telescoped(n)
         assert 0 < reduced_c(n) < 1
+    # the limit P_n(1) / (n+1)^(n+1), with the other checks of verify
+    for n in range(1, 9):
+        assert cli._check_reduced(n)["status"] == "pass", n
 
 
 # ---------------------------------------------------------------------------
