@@ -12,7 +12,7 @@ in q, factored denominators.
 
 __version__ = "0.1.0"
 
-from .combinat import Partition, SignedPermutation, gen_W, signed_perms
+from .combinat import Partition, gen_W
 from .exactalg import (
     BivariatePolynomial,
     FactoredRational,
@@ -23,7 +23,7 @@ from .exactalg import (
     mono,
     qpochhammer,
 )
-from .counts import birkhoff_alpha, n_aggregate, nprime_closed, nprime_recursive
+from .counts import birkhoff_alpha, n_aggregate, nprime_closed
 from .igusa import igusa_A, igusa_B, igusa_B_subset
 from .oracle import (
     check_factorization,
@@ -50,7 +50,6 @@ __all__ = [
     "FactoredRational",
     "Partition",
     "SignedMonomial",
-    "SignedPermutation",
     "birkhoff_alpha",
     "check_factorization",
     "dirichlet_coeffs",
@@ -69,12 +68,10 @@ __all__ = [
     "mono",
     "n_aggregate",
     "nprime_closed",
-    "nprime_recursive",
     "pole_analysis",
     "qpochhammer",
     "reduced_c",
     "reduced_zeta",
-    "signed_perms",
     "zeta_graded",
     "zeta_ideal",
     "zeta_igusa_sum",

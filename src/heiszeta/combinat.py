@@ -1,17 +1,15 @@
 """Combinatorial ground sets and statistics.
 
 Partitions, the two-choice vectors w indexing the Lagrangian-count closed
-formula, permutations of [n] with descent/coset statistics, signed
-permutations of the hyperoctahedral group with their length, descent,
-negativity and derived statistics, and the Eulerian polynomials of types A
-and B.
+formula, permutations of [n] with descent/coset statistics, the statistic
+sum over the hyperoctahedral group B_n (a dynamic program; no group element
+is built), and the Eulerian polynomials of types A and B.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -61,20 +59,6 @@ class Partition:
         if len(self.parts) > n:
             raise ValueError("partition has more than %d parts" % n)
         return self.parts + (0,) * (n - len(self.parts))
-
-    def multiplicity(self, j: int) -> int:
-        return sum(1 for p in self.parts if p == j)
-
-    def difference_vector(self, n: int) -> tuple[int, ...]:
-        """d_i = mu_i - mu_{i+1} for i < n, d_n = mu_n (on the n-padding)."""
-        mu = self.padded(n)
-        return tuple(
-            mu[i] - mu[i + 1] if i + 1 < n else mu[i] for i in range(n)
-        )
-
-    def n_stat(self) -> int:
-        """sum_i (i - 1) * parts_i."""
-        return sum(i * p for i, p in enumerate(self.parts))
 
     def __eq__(self, other):
         if isinstance(other, Partition):
@@ -127,15 +111,6 @@ def partitions_up_to(max_size: int, max_parts: int) -> list[Partition]:
 # ---------------------------------------------------------------------------
 # the sets W_n and their fibres
 # ---------------------------------------------------------------------------
-
-
-def is_w_vector(w: Sequence[int]) -> bool:
-    prev = 0
-    for i, wi in enumerate(w, start=1):
-        if wi not in (prev, 2 * i - 1 - prev):
-            return False
-        prev = wi
-    return True
 
 
 @lru_cache(maxsize=None)
@@ -194,11 +169,6 @@ def descent_set(g: Sequence[int]) -> frozenset[int]:
     )
 
 
-def inversions(g: Sequence[int]) -> int:
-    n = len(g)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if g[i] > g[j])
-
-
 def coset_stats(g: Sequence[int], k: int) -> tuple[int, int, frozenset[int]]:
     """(t_k, ell_k^+, Des_{>k}) for the coset g S_k, with g(n+1) := n+1.
 
@@ -231,69 +201,8 @@ def coset_reps(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# signed permutations (hyperoctahedral group)
+# the statistic sum over the hyperoctahedral group B_n
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SignedPermutation:
-    """Element of B_n in window notation (g(1), ..., g(n)).
-
-    The absolute values form a permutation of [n]; each entry carries a sign.
-    """
-
-    window: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.window)
-        if sorted(abs(x) for x in self.window) != list(range(1, n + 1)):
-            raise ValueError("window is not a signed permutation of [n]")
-
-    @property
-    def n(self) -> int:
-        return len(self.window)
-
-    def length(self) -> int:
-        """Coxeter length: inv(window) + sum of |g(i)| over negative entries."""
-        w = self.window
-        inv = sum(
-            1
-            for i in range(len(w))
-            for j in range(i + 1, len(w))
-            if w[i] > w[j]
-        )
-        return inv + sum(-x for x in w if x < 0)
-
-    def descent_set_B(self) -> frozenset[int]:
-        """{i in [n-1]_0 : g(i) > g(i+1)} with g(0) = 0."""
-        w = (0,) + self.window
-        return frozenset(i for i in range(len(w) - 1) if w[i] > w[i + 1])
-
-    def neg(self) -> int:
-        return sum(1 for x in self.window if x < 0)
-
-    def stat_C(self, c: Sequence[int]) -> int:
-        """n*neg - length + sum of c_i over the type-B descent set."""
-        return (
-            self.n * self.neg()
-            - self.length()
-            + sum(c[i] for i in self.descent_set_B())
-        )
-
-    def stat_D(self) -> int:
-        """(n+1)*des_B + neg."""
-        return (self.n + 1) * len(self.descent_set_B()) + self.neg()
-
-    def __str__(self):
-        return ",".join(str(x) for x in self.window)
-
-
-def signed_perms(n: int) -> Iterator[SignedPermutation]:
-    """All 2^n n! signed permutations, deterministic order."""
-    check_n("signed_perms", n)
-    for perm in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            yield SignedPermutation(tuple(s * v for s, v in zip(signs, perm)))
 
 
 def signed_descent_sum(
@@ -351,29 +260,6 @@ def signed_descent_sum(
     return BivariatePolynomial(total)
 
 
-def signed_perm_length_bfs(n: int) -> dict[tuple[int, ...], int]:
-    """Coxeter lengths by breadth-first search over the generators.
-
-    Independent cross-check of :meth:`SignedPermutation.length`; meant for
-    n <= 3 where the group is tiny.
-    """
-    start = tuple(range(1, n + 1))
-    dist = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            images = [(-w[0],) + w[1:]] if n else []
-            for i in range(n - 1):
-                images.append(w[:i] + (w[i + 1], w[i]) + w[i + 2:])
-            for img in images:
-                if img not in dist:
-                    dist[img] = dist[w] + 1
-                    nxt.append(img)
-        frontier = nxt
-    return dist
-
-
 # ---------------------------------------------------------------------------
 # Eulerian polynomials
 # ---------------------------------------------------------------------------
@@ -419,12 +305,3 @@ def brenti_B(n: int) -> BivariatePolynomial:
     return BivariatePolynomial(
         {(i, k): c for (i, k), c in out.terms.items() if i <= n}
     )
-
-
-def brenti_B_by_enumeration(n: int) -> BivariatePolynomial:
-    """B_n(X, Y) summed over the group directly; the defining formula."""
-    terms: dict = {}
-    for g in signed_perms(n):
-        k = (len(g.descent_set_B()), g.neg())
-        terms[k] = terms.get(k, 0) + 1
-    return BivariatePolynomial(terms)

@@ -1,14 +1,11 @@
 """Closed-form counting polynomials.
 
 Birkhoff numbers (sublattices of o^n of a given quotient type), the
-Lagrangian count N'(mu) in closed and recursive form, and the aggregated
-lattice count N(mu).
+Lagrangian count N'(mu) in closed form, and the aggregated lattice count
+N(mu).
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
-from typing import Sequence
 
 from .combinat import Partition, gen_W, weight_C
 from .errors import NonPolynomialReduction, RankMismatch
@@ -56,6 +53,8 @@ def nprime_closed(mu) -> BivariatePolynomial:
     polynomial in q.
     """
     mu = tuple(mu.parts) if isinstance(mu, Partition) else tuple(mu)
+    if any(p < 0 for p in mu):
+        raise ValueError("negative part")
     if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
         raise ValueError("mu must be weakly decreasing")
     n = len(mu)
@@ -69,29 +68,6 @@ def nprime_closed(mu) -> BivariatePolynomial:
             "N'(%s) did not reduce to a polynomial" % (mu,)
         )
     return total.num
-
-
-@lru_cache(maxsize=None)
-def _nprime_rec(mu: tuple[int, ...]) -> BivariatePolynomial:
-    # mu is a strictly normalized partition tuple (weakly decreasing, no zeros)
-    if not mu:
-        return BivariatePolynomial.one()
-    head = (mu[0] - 1,) + mu[1:]
-    size = sum(mu)
-    return nprime_recursive(head) + nprime_recursive(mu[1:]).shift(dq=size)
-
-
-def nprime_recursive(mu: Sequence[int]) -> BivariatePolynomial:
-    """N'(mu) for an arbitrary composition, via the defining recursion.
-
-    Zero parts are dropped and the entries sorted (the count only depends on
-    the multiset); the first-part recursion then applies, memoized on the
-    normalized tuple.
-    """
-    key = tuple(sorted((x for x in mu if x), reverse=True))
-    if any(x < 0 for x in key):
-        raise ValueError("negative part")
-    return _nprime_rec(key)
 
 
 def n_aggregate(mu, n: int) -> BivariatePolynomial:

@@ -15,21 +15,22 @@ class SizeGuard(HeiszetaError):
 
 
 # Guarded entry point -> (least n, largest n).  Below the least n the object
-# is undefined; above the largest n the cost explodes.  None: no n-limit, a
-# budget bounds the enumeration instead.
+# is undefined; above the largest n the cost explodes.  A largest n of None
+# means no largest n: the cost stays small, or a budget bounds the
+# enumeration instead.
 N_RANGE = {
-    "signed_perms": (0, 8),
     "signed_descent_sum": (0, 8),
     "brenti_B": (0, 8),
     "eulerian_A": (0, 10),
-    "igusa_A_descent": (0, 8),
     "igusa_B": (0, 6),
     "fibre_K": (0, 8),
     "zeta_igusa_sum": (1, 5),
     "zeta_compact": (0, 12),
     "zeta_hyperoctahedral": (0, 6),
+    "zeta_ideal": (0, None),
     "zeta_graded": (0, 6),
     "reduced_zeta": (0, 8),
+    "reduced_cone_series": (0, None),
     "reduced_c": (0, 20),
     "global_factor": (0, 6),
     "rn_numeric": (2, 6),
@@ -58,11 +59,6 @@ class RankMismatch(HeiszetaError):
 class NonPolynomialReduction(HeiszetaError):
     """A rational sum that is provably a polynomial failed to clear its
     denominator; this always indicates an arithmetic bug."""
-
-
-class SubstitutionSingular(HeiszetaError):
-    """A substitution hits a vanishing denominator factor (e.g. q -> 1 with
-    an unremoved factor 1 - q^a)."""
 
 
 class NotRegularAtZero(HeiszetaError):

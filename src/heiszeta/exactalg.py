@@ -29,8 +29,7 @@ wide exponent spans, stay on the schoolbook loop.
 
 The module also provides q-Pochhammer symbols, Gaussian binomial and
 multinomial coefficients, exact division by a factor ``1 - q^a T^b``, the
-substitutions ``(q,T) -> (q^-1,T^-1)``, ``q -> 1``, ``T -> q^c T^d``, and
-power-series expansion in T.
+substitution ``(q,T) -> (q^-1,T^-1)``, and power-series expansion in T.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import NotRegularAtZero, SubstitutionSingular
+from .errors import NotRegularAtZero
 
 Term = tuple[int, int]  # (e_q, e_T)
 
@@ -362,17 +361,6 @@ class BivariatePolynomial:
             if val:
                 out[et] = val
         return out
-
-    def subs_q_one(self) -> "BivariatePolynomial":
-        out: dict = {}
-        for (eq, et), c in self.terms.items():
-            k = (0, et)
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return BivariatePolynomial._raw(out)
 
     def __repr__(self):
         return "BivariatePolynomial(%s)" % format_poly(self)
@@ -701,35 +689,6 @@ class FactoredRational:
         num = num.scaled(sign).shift(dq=dq)
         return FactoredRational(num, self.den, tshift)
 
-    def subs_q_one(self) -> "FactoredRational":
-        """Substitution q -> 1; denominator factors constant in T must be gone."""
-        for (a, b) in self.den:
-            if b == 0:
-                raise SubstitutionSingular(
-                    "factor 1 - q^%d vanishes under q -> 1; reduce first" % a
-                )
-        den = {}
-        for (a, b), m in self.den.items():
-            den[(0, b)] = den.get((0, b), 0) + m
-        return FactoredRational(self.num.subs_q_one(), den, self.tshift)
-
-    def subs_T_monomial(self, e_q: int, e_T: int) -> "FactoredRational":
-        """Substitution T -> q^e_q T^e_T with e_T >= 1."""
-        if e_T < 1:
-            raise ValueError("T must map to a monomial with positive T-exponent")
-        num = BivariatePolynomial(
-            {
-                (eq + e_q * et, e_T * et): c
-                for (eq, et), c in self.num.terms.items()
-            }
-        )
-        den = {}
-        for (a, b), m in self.den.items():
-            k = (a + e_q * b, e_T * b)
-            den[k] = den.get(k, 0) + m
-        num = num.shift(dq=e_q * self.tshift)
-        return FactoredRational(num, den, e_T * self.tshift)
-
     # -- series -------------------------------------------------------------
 
     def series_in_T(self, order: int) -> list[BivariatePolynomial]:
@@ -872,15 +831,6 @@ def qpochhammer(a: SignedMonomial, step_exponent: int, m: int) -> FactoredRation
         k = (2 * eq, 2 * a.e_T)
         den[k] = den.get(k, 0) + 1
     return FactoredRational(num, den)
-
-
-def qpochhammer_factors(
-    a: SignedMonomial, step_exponent: int, m: int
-) -> list[FactorKey]:
-    """Factor list [(a_i, b)] with (a; q^step)_m = prod (1 - q^{a_i} T^b); m >= 0."""
-    if m < 0 or a.sign != 1:
-        raise ValueError("factor list needs m >= 0 and a positive monomial")
-    return [(a.e_q + step_exponent * i, a.e_T) for i in range(m)]
 
 
 @lru_cache(maxsize=None)

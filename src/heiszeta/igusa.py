@@ -1,12 +1,13 @@
 """Igusa-type generating functions and the fibre-sum machinery.
 
 Type-A Igusa functions in truncated, plain and augmented form (subset
-expansion with Gaussian multinomial weights, plus the descent form over
-S_n), their type-B analogues over the hyperoctahedral group (descent form,
-subset expansion, residue factorization), and the fibre apparatus used to
-collapse the 2^n-term zeta formula to n+1 terms: coefficient families
-E_{k,r} / B_{k,r}^(t), fibre sums over the terminal-entry fibres of the
-w-vectors, and their coset model on S_n / S_k.
+expansion with Gaussian multinomial weights), their type-B analogues over
+the hyperoctahedral group (descent form, subset expansion, residue
+factorization), and the fibre apparatus used to collapse the 2^n-term zeta
+formula to n+1 terms: coefficient families E_{k,r} / B_{k,r}^(t), fibre
+sums over the terminal-entry fibres of the w-vectors, and their coset model
+on S_n / S_k.  One subset sum serves both subset expansions, and one slot
+denominator prod (1 - X_i) serves every function here.
 """
 
 from __future__ import annotations
@@ -17,10 +18,7 @@ from typing import Sequence
 from .combinat import (
     coset_reps,
     coset_stats,
-    descent_set,
     fibre_W,
-    inversions,
-    perms,
     signed_descent_sum,
     weight_C,
 )
@@ -47,6 +45,41 @@ def _check_positive(X: Sequence[SignedMonomial]):
             raise ValueError("Igusa slot arguments must be positive monomials")
 
 
+def _over_slots(num: BivariatePolynomial, X: Sequence[SignedMonomial]) -> FactoredRational:
+    """num / prod (1 - X_i); k equal slots give one factor of multiplicity k."""
+    den: dict = {}
+    for x in X:
+        den[(x.e_q, x.e_T)] = den.get((x.e_q, x.e_T), 0) + 1
+    return FactoredRational(num, den)
+
+
+def _subset_sum(
+    n: int,
+    indices: Sequence[int],
+    y_exponent: int,
+    X: Sequence[SignedMonomial],
+    weight: Sequence[BivariatePolynomial] | None = None,
+) -> FactoredRational:
+    """Sum over I within indices of binom(n, I)_Y w_d prod_{i in I} X_i / (1 - X_i).
+
+    X lists the slots of indices in order.  weight, when given, lists w_d
+    for d in [n]_0, taken at d = n - min(I + {n}); otherwise w_d = 1.
+    """
+    num = BivariatePolynomial.zero()
+    for mask in range(1 << len(indices)):
+        I = [i for k, i in enumerate(indices) if mask >> k & 1]
+        term = gauss_multinom(n, I, y_exponent)
+        if weight is not None:
+            term = term * weight[n - min(I + [n])]
+        for k, x in enumerate(X):
+            if mask >> k & 1:
+                term = term * x.to_poly()
+            else:
+                term = term * BivariatePolynomial.one_minus(x.e_q, x.e_T)
+        num = num + term
+    return _over_slots(num, X)
+
+
 def igusa_A(
     n: int, variant: str, y_exponent: int, X: Sequence[SignedMonomial]
 ) -> FactoredRational:
@@ -66,57 +99,24 @@ def igusa_A(
             % (variant, n, len(indices), len(X))
         )
     _check_positive(X)
-    if n == 0:
-        if variant == "plain":
-            return FactoredRational(1)
-        if variant == "augmented":
-            return FactoredRational(1).divided_by_factor(X[0].e_q, X[0].e_T)
+    if n == 0 and variant == "truncated":
         raise ArityMismatch("truncated variant needs n >= 1")
-    slot = dict(zip(indices, X))
-    num = BivariatePolynomial.zero()
-    for mask in range(1 << len(indices)):
-        I = [indices[i] for i in range(len(indices)) if mask >> i & 1]
-        term = gauss_multinom(n, I, y_exponent)
-        for i in indices:
-            if i in I:
-                term = term * slot[i].to_poly()
-            else:
-                term = term * BivariatePolynomial.one_minus(slot[i].e_q, slot[i].e_T)
-        num = num + term
-    out = FactoredRational(num)
-    for x in X:
-        out = out.divided_by_factor(x.e_q, x.e_T)
-    return out
-
-
-def igusa_A_descent(
-    n: int, y_exponent: int, X: Sequence[SignedMonomial]
-) -> FactoredRational:
-    """Augmented type-A Igusa function via its descent form over S_n.
-
-    Numerator sum of Y^{l(g)} prod_{j in Des(g)} X_j over the slot
-    denominators.  The tests compare it with the subset expansion
-    ``igusa_A(n, "augmented", ...)``.
-    """
-    check_n("igusa_A_descent", n)
-    if len(X) != n + 1:
-        raise ArityMismatch("need n + 1 slots X_0 .. X_n")
-    _check_positive(X)
-    num = BivariatePolynomial.zero()
-    for g in perms(n):
-        term = BivariatePolynomial.monomial(1, y_exponent * inversions(g), 0)
-        for j in descent_set(g):
-            term = term * X[j].to_poly()
-        num = num + term
-    out = FactoredRational(num)
-    for x in X:
-        out = out.divided_by_factor(x.e_q, x.e_T)
-    return out
+    return _subset_sum(n, indices, y_exponent, X)
 
 
 # ---------------------------------------------------------------------------
 # type-B Igusa functions
 # ---------------------------------------------------------------------------
+
+
+def _check_B_slots(n: int, X: Sequence[SignedMonomial], variant: str):
+    """Slots X_0 .. X_n (full) or X_0 .. X_{n-1} (truncated), all positive."""
+    if variant not in ("full", "truncated"):
+        raise ValueError("unknown variant %r" % variant)
+    want = n + 1 if variant == "full" else n
+    if len(X) != want:
+        raise ArityMismatch("variant %s needs %d slots, got %d" % (variant, want, len(X)))
+    _check_positive(X)
 
 
 def igusa_B(
@@ -136,16 +136,8 @@ def igusa_B(
     (absolute values placed, last entry); no group element is built.
     """
     check_n("igusa_B", n)
-    want = n + 1 if variant == "full" else n
-    if variant not in ("full", "truncated"):
-        raise ValueError("unknown variant %r" % variant)
-    if len(X) != want:
-        raise ArityMismatch("variant %s needs %d slots, got %d" % (variant, want, len(X)))
-    _check_positive(X)
-    out = FactoredRational(signed_descent_sum(n, y_exponent, Z, X[:n]))
-    for x in X:
-        out = out.divided_by_factor(x.e_q, x.e_T)
-    return out
+    _check_B_slots(n, X, variant)
+    return _over_slots(signed_descent_sum(n, y_exponent, Z, X[:n]), X)
 
 
 def igusa_B_subset(
@@ -161,29 +153,10 @@ def igusa_B_subset(
     prod_{i in I} X_i / (1 - X_i), with I over [n]_0 (full) or [n-1]_0
     (truncated).
     """
-    want = n + 1 if variant == "full" else n
-    if variant not in ("full", "truncated"):
-        raise ValueError("unknown variant %r" % variant)
-    if len(X) != want:
-        raise ArityMismatch("variant %s needs %d slots, got %d" % (variant, want, len(X)))
-    _check_positive(X)
-    indices = list(range(want))
+    _check_B_slots(n, X, variant)
     a0 = mono(y_exponent * n, 0, -1) * Z  # -Y^n Z
-    num = BivariatePolynomial.zero()
-    for mask in range(1 << len(indices)):
-        I = [i for i in indices if mask >> i & 1]
-        depth = n - min(I + [n])
-        term = gauss_multinom(n, I, y_exponent) * qpochhammer(a0, -y_exponent, depth).num
-        for i in indices:
-            if i in I:
-                term = term * X[i].to_poly()
-            else:
-                term = term * BivariatePolynomial.one_minus(X[i].e_q, X[i].e_T)
-        num = num + term
-    out = FactoredRational(num)
-    for x in X:
-        out = out.divided_by_factor(x.e_q, x.e_T)
-    return out
+    weight = [qpochhammer(a0, -y_exponent, d).num for d in range(n + 1)]
+    return _subset_sum(n, range(len(X)), y_exponent, X, weight)
 
 
 def igusa_B_residue(
@@ -232,10 +205,7 @@ def igusa_B_residue_limit(
         raise ArityMismatch("need the n slots other than X_m")
     slots = {i: x for i, x in zip([i for i in range(n + 1) if i != m], X)}
     descent_slots = [slots.get(i, mono(0, 0)) for i in range(n)]
-    out = FactoredRational(signed_descent_sum(n, y_exponent, Z, descent_slots))
-    for x in X:
-        out = out.divided_by_factor(x.e_q, x.e_T)
-    return out
+    return _over_slots(signed_descent_sum(n, y_exponent, Z, descent_slots), X)
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +252,6 @@ def _qsquare_factorial(t: int) -> BivariatePolynomial:
     for k in range(2, t + 1):
         out = out * BivariatePolynomial({(2 * i, 0): 1 for i in range(k)})
     return out
-
-
-def epsilon_kr(k: int, r: int, t: int) -> BivariatePolynomial:
-    """Series coefficient [x^t] E_{k,r}(x) for any integer r (no support cut)."""
-    if t < 0:
-        return BivariatePolynomial.zero()
-    return _E_series(k, r, t)[t]
 
 
 def Y_slot(j: int, r: int, T_arg: SignedMonomial) -> SignedMonomial:

@@ -183,20 +183,6 @@ class AltModule:
             total += s * (a[e] * b[e + 1] - a[e + 1] * b[e])
         return total % self.exponent
 
-    def closure(self, gens: Sequence[Element]) -> frozenset[Element]:
-        seen = {self.zero}
-        frontier = [self.zero]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.add(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return frozenset(seen)
-
     def perp(self, gens: Sequence[Element]) -> list[Element]:
         return [
             v
@@ -290,26 +276,6 @@ class HermiteBasis:
     """
 
     rows: tuple[tuple[int, ...], ...]
-
-    def determinant(self) -> int:
-        d = 1
-        for i, row in enumerate(self.rows):
-            d *= row[i]
-        return d
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        """Membership of an integer vector in the row span."""
-        x = list(vec)
-        r = len(x)
-        for i in range(r):
-            d = self.rows[i][i]
-            if x[i] % d:
-                return False
-            t = x[i] // d
-            if t:
-                for jj in range(i, r):
-                    x[jj] -= t * self.rows[i][jj]
-        return True
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -468,13 +434,6 @@ class HnLieRing:
         for i in range(self.n):
             total += u[2 * i] * v[2 * i + 1] - u[2 * i + 1] * v[2 * i]
         return total
-
-    def structure_constants(self) -> dict[tuple[int, int], int]:
-        """Nonzero brackets on basis pairs (i, j), i < j, as y-coefficients."""
-        out = {}
-        for i in range(self.n):
-            out[(2 * i, 2 * i + 1)] = 1
-        return out
 
 
 def enum_subalgebras(

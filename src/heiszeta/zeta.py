@@ -18,13 +18,10 @@ from typing import Sequence
 from .combinat import (
     brenti_B,
     gen_W,
-    partitions_up_to,
     signed_descent_sum,
-    signed_perms,
     w_partial_sums,
     weight_C,
 )
-from .counts import birkhoff_alpha, nprime_closed
 from .errors import FunctionalEquationFailure, IdentityMismatch, check_n
 from .exactalg import (
     BivariatePolynomial,
@@ -148,6 +145,7 @@ def zeta_ideal(n: int) -> FactoredRational:
     ideal enumeration (for n = 1 this is the classical
     zeta(s) zeta(s-1) zeta(3s-2) local factor).
     """
+    check_n("zeta_ideal", n)
     den = {(i, 1): 1 for i in range(2 * n)}
     den[(2 * n, 2 * n + 1)] = 1
     return FactoredRational.one_over(den)
@@ -170,52 +168,8 @@ def zeta_graded(n: int) -> FactoredRational:
 
 
 # ---------------------------------------------------------------------------
-# the w-indexed building block and the series oracle
+# series
 # ---------------------------------------------------------------------------
-
-
-def Z_of_w(w: Sequence[int], n: int) -> FactoredRational:
-    """Analytic contribution of one w: truncated Igusa over (1-X_0)(1-X_n)."""
-    X = igusa_args(n, w)
-    f = igusa_A(n, "truncated", -2, X[1:n])
-    f = f.divided_by_factor(X[0].e_q, X[0].e_T)
-    return f.divided_by_factor(X[n].e_q, X[n].e_T)
-
-
-def Z_of_w_partition_sum(
-    w: Sequence[int], n: int, max_size: int
-) -> FactoredRational:
-    """Partition-sum form of Z(w), truncated to |mu| <= max_size.
-
-    Exact for series coefficients of T^0 .. T^{max_size}: partitions of
-    larger size only contribute higher T-orders.
-    """
-    total = BivariatePolynomial.zero()
-    for mu in partitions_up_to(max_size, n):
-        padded = mu.padded(n)
-        dot = sum(wi * mi for wi, mi in zip(w, padded))
-        alpha = birkhoff_alpha(mu, n, base_exponent=2)
-        last = padded[-1]
-        factor = BivariatePolynomial.one_minus(2 * n * (last + 1), last + 1)
-        total = total + alpha.shift(dq=dot, dt=mu.size()) * factor
-    return FactoredRational(total, {(2 * n, 1): 1})
-
-
-def zeta_series_oracle(n: int, truncation: int) -> list[BivariatePolynomial]:
-    """T-series through T^truncation from the partition-sum formula.
-
-    Sums N'(mu) alpha_n(mu; q^2) T^{|mu|} (1 - q^{(mu_n+1) 2n} T^{mu_n+1})
-    over |mu| <= truncation, over (1 - q^{2n} T), then expands.
-    """
-    total = BivariatePolynomial.zero()
-    for mu in partitions_up_to(truncation, n):
-        padded = mu.padded(n)
-        alpha = nprime_closed(padded) * birkhoff_alpha(mu, n, base_exponent=2)
-        last = padded[-1]
-        factor = BivariatePolynomial.one_minus(2 * n * (last + 1), last + 1)
-        total = total + alpha.shift(dt=mu.size()) * factor
-    f = FactoredRational(total, {(2 * n, 1): 1})
-    return f.series_in_T(truncation)
 
 
 def dirichlet_coeffs(n: int, p: int, order: int) -> list[int]:
@@ -397,6 +351,7 @@ def reduced_zeta(n: int) -> FactoredRational:
 def reduced_cone_series(n: int, order: int) -> list[int]:
     """Lattice-point transform oracle: counts of (e_0, ..., e_{2n}) with
     e_0 <= e_{2i-1} + e_{2i} for all i, graded by coordinate sum."""
+    check_n("reduced_cone_series", n)
     out = []
     for m in range(order + 1):
         total = 0
@@ -460,28 +415,6 @@ def global_factor_eval(n: int) -> BivariatePolynomial:
         else:
             del out[key]
     return BivariatePolynomial(out)
-
-
-def lemma_global_bound(n: int) -> tuple[int, tuple[int, ...]]:
-    """Exhaustive maximum of C(g) - 2n D(g) over g != 1, with its argmax.
-
-    The maximum equals -(3n^2 - n + 4)/2 and is attained uniquely (at the
-    sign flip for n = 1, at the first transposition for n >= 2).
-    """
-    best = None
-    argmax = []
-    c = c_exponents(n)
-    for g in signed_perms(n):
-        if g.length() == 0:
-            continue
-        val = g.stat_C(c) - 2 * n * g.stat_D()
-        if best is None or val > best:
-            best, argmax = val, [g.window]
-        elif val == best:
-            argmax.append(g.window)
-    if len(argmax) != 1:
-        raise IdentityMismatch("maximizer of C - 2nD not unique at n = %d" % n)
-    return best, argmax[0]
 
 
 def _primes_up_to(bound: int) -> list[int]:

@@ -1,0 +1,245 @@
+"""Reference derivations that the tests compare the library against.
+
+Each is a second way to compute what a library function computes, or the
+defining formula read off directly: a sum over group elements, a
+recursion, a substitution.  The library never calls them, so they live
+here and not in src/heiszeta (tests/test_library_reach.py keeps it so).
+They carry no size guard; the tests call them at small n only.
+"""
+
+import itertools
+from dataclasses import dataclass
+from functools import lru_cache
+
+from heiszeta.combinat import descent_set, partitions_up_to, perms
+from heiszeta.counts import birkhoff_alpha, nprime_closed
+from heiszeta.errors import ArityMismatch, HeiszetaError, IdentityMismatch
+from heiszeta.exactalg import BivariatePolynomial as Poly, FactoredRational
+from heiszeta.igusa import _E_series, igusa_A
+from heiszeta.zeta import c_exponents, igusa_args
+
+
+def is_w_vector(w) -> bool:
+    """Membership in W_n: each w_i is w_{i-1} or 2i - 1 - w_{i-1}, w_0 = 0."""
+    prev = 0
+    for i, wi in enumerate(w, start=1):
+        if wi not in (prev, 2 * i - 1 - prev):
+            return False
+        prev = wi
+    return True
+
+
+def inversions(g) -> int:
+    return sum(1 for i in range(len(g)) for j in range(i + 1, len(g)) if g[i] > g[j])
+
+
+def difference_vector(mu, n: int) -> tuple[int, ...]:
+    """d_i = mu_i - mu_{i+1} for i < n, d_n = mu_n (on the n-padding)."""
+    m = mu.padded(n) + (0,)
+    return tuple(m[i] - m[i + 1] for i in range(n))
+
+
+@dataclass(frozen=True)
+class SignedPermutation:
+    """Element of B_n in window notation (g(1), ..., g(n))."""
+
+    window: tuple[int, ...]
+
+    def __post_init__(self):
+        if sorted(abs(x) for x in self.window) != list(range(1, len(self.window) + 1)):
+            raise ValueError("window is not a signed permutation of [n]")
+
+    def length(self) -> int:
+        """Coxeter length: inv(window) + sum of |g(i)| over negative entries."""
+        return inversions(self.window) + sum(-x for x in self.window if x < 0)
+
+    def descent_set_B(self) -> frozenset[int]:
+        """{i in [n-1]_0 : g(i) > g(i+1)} with g(0) = 0."""
+        w = (0,) + self.window
+        return frozenset(i for i in range(len(w) - 1) if w[i] > w[i + 1])
+
+    def neg(self) -> int:
+        return sum(1 for x in self.window if x < 0)
+
+    def stat_C(self, c) -> int:
+        """n*neg - length + sum of c_i over the type-B descent set."""
+        n = len(self.window)
+        return n * self.neg() - self.length() + sum(c[i] for i in self.descent_set_B())
+
+    def stat_D(self) -> int:
+        """(n+1)*des_B + neg."""
+        return (len(self.window) + 1) * len(self.descent_set_B()) + self.neg()
+
+    def __str__(self):
+        return ",".join(str(x) for x in self.window)
+
+
+def signed_perms(n: int):
+    """All 2^n n! signed permutations, deterministic order."""
+    for perm in itertools.permutations(range(1, n + 1)):
+        for signs in itertools.product((1, -1), repeat=n):
+            yield SignedPermutation(tuple(s * v for s, v in zip(signs, perm)))
+
+
+def signed_perm_length_bfs(n: int) -> dict[tuple[int, ...], int]:
+    """Coxeter lengths by breadth-first search over the generators."""
+    dist = {tuple(range(1, n + 1)): 0}
+    frontier = list(dist)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            images = [(-w[0],) + w[1:]] if n else []
+            images += [w[:i] + (w[i + 1], w[i]) + w[i + 2:] for i in range(n - 1)]
+            for img in images:
+                if img not in dist:
+                    dist[img] = dist[w] + 1
+                    nxt.append(img)
+        frontier = nxt
+    return dist
+
+
+def brenti_B_by_enumeration(n: int) -> Poly:
+    """B_n(X, Y) summed over the group directly; the defining formula."""
+    terms: dict = {}
+    for g in signed_perms(n):
+        k = (len(g.descent_set_B()), g.neg())
+        terms[k] = terms.get(k, 0) + 1
+    return Poly(terms)
+
+
+@lru_cache(maxsize=None)
+def nprime_recursive(mu: tuple[int, ...]) -> Poly:
+    """N'(mu) for any composition, by the first-part recursion.
+
+    The count depends only on the multiset of nonzero parts, so the
+    recursion runs on those, sorted decreasingly.
+    """
+    key = tuple(sorted((x for x in mu if x), reverse=True))
+    if any(x < 0 for x in key):
+        raise ValueError("negative part")
+    if not key:
+        return Poly.one()
+    head = (key[0] - 1,) + key[1:]
+    return nprime_recursive(head) + nprime_recursive(key[1:]).shift(dq=sum(key))
+
+
+def qpochhammer_factors(a, step_exponent: int, m: int) -> list[tuple[int, int]]:
+    """Factor list [(a_i, b)] with (a; q^step)_m = prod (1 - q^{a_i} T^b); m >= 0."""
+    if m < 0 or a.sign != 1:
+        raise ValueError("factor list needs m >= 0 and a positive monomial")
+    return [(a.e_q + step_exponent * i, a.e_T) for i in range(m)]
+
+
+class SubstitutionSingular(HeiszetaError):
+    """q -> 1 hits a denominator factor 1 - q^a that vanishes there."""
+
+
+def subs_q_one(f: FactoredRational) -> FactoredRational:
+    """Substitution q -> 1; denominator factors constant in T must be gone."""
+    den: dict = {}
+    for (a, b), m in f.den.items():
+        if b == 0:
+            raise SubstitutionSingular("factor 1 - q^%d vanishes under q -> 1" % a)
+        den[(0, b)] = den.get((0, b), 0) + m
+    num: dict = {}
+    for (_, et), c in f.num.terms.items():
+        num[(0, et)] = num.get((0, et), 0) + c
+    return FactoredRational(Poly(num), den, f.tshift)
+
+
+def igusa_A_descent(n: int, y_exponent: int, X) -> FactoredRational:
+    """Augmented type-A Igusa function by its descent form over S_n.
+
+    Numerator sum of Y^{l(g)} prod_{j in Des(g)} X_j over the slot
+    denominators, divided out one slot at a time.
+    """
+    if len(X) != n + 1:
+        raise ArityMismatch("need n + 1 slots X_0 .. X_n")
+    num = Poly.zero()
+    for g in perms(n):
+        term = Poly.monomial(1, y_exponent * inversions(g), 0)
+        for j in descent_set(g):
+            term = term * X[j].to_poly()
+        num = num + term
+    out = FactoredRational(num)
+    for x in X:
+        out = out.divided_by_factor(x.e_q, x.e_T)
+    return out
+
+
+def epsilon_kr(k: int, r: int, t: int) -> Poly:
+    """Series coefficient [x^t] E_{k,r}(x) for any integer r (no support cut)."""
+    return _E_series(k, r, t)[t] if t >= 0 else Poly.zero()
+
+
+def Z_of_w(w, n: int) -> FactoredRational:
+    """Analytic contribution of one w: truncated Igusa over (1-X_0)(1-X_n)."""
+    X = igusa_args(n, w)
+    f = igusa_A(n, "truncated", -2, X[1:n])
+    f = f.divided_by_factor(X[0].e_q, X[0].e_T)
+    return f.divided_by_factor(X[n].e_q, X[n].e_T)
+
+
+def _partition_sum(n: int, max_size: int, weight) -> FactoredRational:
+    """Sum of weight(mu) alpha_n(mu; q^2) T^{|mu|} (1 - q^{2n(mu_n+1)} T^{mu_n+1})
+    over |mu| <= max_size, over (1 - q^{2n} T); weight takes the n-padded mu.
+
+    Exact for series coefficients of T^0 .. T^{max_size}: partitions of
+    larger size only contribute higher T-orders.
+    """
+    total = Poly.zero()
+    for mu in partitions_up_to(max_size, n):
+        last = mu.padded(n)[-1]
+        alpha = birkhoff_alpha(mu, n, base_exponent=2).shift(dt=mu.size())
+        total = total + weight(mu.padded(n)) * alpha * Poly.one_minus(2 * n * (last + 1), last + 1)
+    return FactoredRational(total, {(2 * n, 1): 1})
+
+
+def Z_of_w_partition_sum(w, n: int, max_size: int) -> FactoredRational:
+    """Partition-sum form of Z(w): weight q^{w . mu}, truncated to |mu| <= max_size."""
+    return _partition_sum(
+        n, max_size, lambda mu: Poly.monomial(1, sum(a * b for a, b in zip(w, mu)), 0)
+    )
+
+
+def zeta_series_oracle(n: int, truncation: int) -> list[Poly]:
+    """T-series through T^truncation from the partition sum with weight N'(mu)."""
+    return _partition_sum(n, truncation, nprime_closed).series_in_T(truncation)
+
+
+def lemma_global_bound(n: int) -> tuple[int, tuple[int, ...]]:
+    """Exhaustive maximum of C(g) - 2n D(g) over g != 1 in B_n, with its argmax.
+
+    The maximum equals -(3n^2 - n + 4)/2 and is attained uniquely (at the
+    sign flip for n = 1, at the first transposition for n >= 2).  B_0 has
+    no element g != 1, so n must be at least 1.
+    """
+    if n < 1:
+        raise ValueError("lemma_global_bound needs n >= 1, got %d" % n)
+    c = c_exponents(n)
+    vals = [(g.stat_C(c) - 2 * n * g.stat_D(), g.window) for g in signed_perms(n) if g.length()]
+    best = max(v for v, _ in vals)
+    argmax = [w for v, w in vals if v == best]
+    if len(argmax) != 1:
+        raise IdentityMismatch("maximizer of C - 2nD not unique at n = %d" % n)
+    return best, argmax[0]
+
+
+def contains(H, vec) -> bool:
+    """Membership of an integer vector in the row span of a HermiteBasis."""
+    x = list(vec)
+    for i, row in enumerate(H.rows):
+        if x[i] % row[i]:
+            return False
+        t = x[i] // row[i]
+        x = [xj - t * rj for xj, rj in zip(x, row)]
+    return True
+
+
+def closure(mod, gens) -> frozenset:
+    """The subgroup of an AltModule generated by gens, by breadth-first search."""
+    seen, frontier = {mod.zero}, [mod.zero]
+    while frontier:
+        frontier = [y for y in {mod.add(x, g) for x in frontier for g in gens} if y not in seen]
+        seen.update(frontier)
+    return frozenset(seen)

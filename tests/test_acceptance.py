@@ -23,7 +23,6 @@ from heiszeta.exactalg import (
     FactoredRational as FR,
     mono,
     qpochhammer,
-    qpochhammer_factors,
 )
 from heiszeta.igusa import (
     check_I_equals_K,
@@ -47,7 +46,6 @@ from heiszeta.zeta import (
     dirichlet_coeffs,
     funeq_check,
     global_factor_eval,
-    lemma_global_bound,
     pole_analysis,
     reduced_c,
     reduced_cone_series,
@@ -56,6 +54,7 @@ from heiszeta.zeta import (
     zeta_compact,
     zeta_hyperoctahedral,
 )
+from reference import lemma_global_bound, qpochhammer_factors
 
 
 class Criterion:

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from heiszeta.combinat import (
     Partition,
-    SignedPermutation,
     brenti_B,
     coset_reps,
     coset_stats,
@@ -15,18 +14,16 @@ from heiszeta.combinat import (
     eulerian_A,
     fibre_W,
     gen_W,
-    inversions,
-    is_w_vector,
     partitions_up_to,
     perms,
     signed_descent_sum,
-    signed_perm_length_bfs,
-    signed_perms,
     w_partial_sums,
     weight_C,
 )
 from heiszeta.errors import ArityMismatch, SizeGuard
 from heiszeta.exactalg import BivariatePolynomial as Poly, FactoredRational as FR, mono
+from reference import SignedPermutation, brenti_B_by_enumeration, difference_vector
+from reference import inversions, is_w_vector, signed_perm_length_bfs, signed_perms
 
 
 # ---------------------------------------------------------------------------
@@ -48,14 +45,10 @@ def test_partition_rejects_bad_input():
 
 def test_partition_difference_vector_reconstructs():
     mu = Partition((4, 2, 2))
-    d = mu.difference_vector(4)
+    d = difference_vector(mu, 4)
     assert d == (2, 0, 2, 0)
     rebuilt = tuple(sum(d[i:]) for i in range(4))
     assert rebuilt == mu.padded(4)
-
-
-def test_partition_n_stat():
-    assert Partition((3, 2, 1)).n_stat() == 0 * 3 + 1 * 2 + 2 * 1
 
 
 def test_partition_string_round_trip():
@@ -211,8 +204,6 @@ def test_signed_perm_flip_stats():
 def test_signed_perms_counts():
     assert sum(1 for _ in signed_perms(2)) == 8
     assert sum(1 for _ in signed_perms(3)) == 48
-    with pytest.raises(SizeGuard):
-        list(signed_perms(9))
 
 
 def test_signed_perm_rejects_bad_window():
@@ -337,8 +328,6 @@ def test_brenti_B_fixtures():
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_brenti_B_matches_group_enumeration(n):
-    from heiszeta.combinat import brenti_B_by_enumeration
-
     assert brenti_B(n) == brenti_B_by_enumeration(n)
 
 

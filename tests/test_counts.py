@@ -1,15 +1,11 @@
 import pytest
 
 from heiszeta.combinat import Partition, partitions_up_to
-from heiszeta.counts import (
-    birkhoff_alpha,
-    n_aggregate,
-    nprime_closed,
-    nprime_recursive,
-)
+from heiszeta.counts import birkhoff_alpha, n_aggregate, nprime_closed
 from heiszeta.errors import RankMismatch
 from heiszeta.exactalg import BivariatePolynomial as Poly
 from heiszeta.exactalg import gauss_multinom
+from reference import difference_vector, nprime_recursive
 
 
 def eval_at(poly, q):
@@ -66,7 +62,7 @@ def test_birkhoff_counts_sublattices_directly():
 def _birkhoff_support(mu, n, base_exponent):
     """Support form q^{d . rho'} binom(n, Supp^+(d))_Y of the Birkhoff
     number, Y = q^-base, d the difference vector and rho'_k = k(n - k)."""
-    d = mu.difference_vector(n)
+    d = difference_vector(mu, n)
     exp = sum(dk * k * (n - k) for k, dk in enumerate(d, start=1))
     supp = [i for i in range(1, n) if d[i - 1] > 0]
     return gauss_multinom(n, supp, -base_exponent).shift(dq=base_exponent * exp)

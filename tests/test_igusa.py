@@ -1,5 +1,6 @@
 import pytest
 
+from heiszeta.combinat import signed_descent_sum
 from heiszeta.errors import ArityMismatch, SizeGuard
 from heiszeta.exactalg import (
     BivariatePolynomial as Poly,
@@ -7,25 +8,23 @@ from heiszeta.exactalg import (
     gauss_binom,
     mono,
     qpochhammer,
-    qpochhammer_factors,
 )
 from heiszeta.igusa import (
     E_at_minus_T,
     Y_slot,
     check_I_equals_K,
-    epsilon_kr,
     fibre_E,
     fibre_I,
     fibre_K,
     fibre_prefactor,
     generic_slots,
     igusa_A,
-    igusa_A_descent,
     igusa_B,
     igusa_B_residue,
     igusa_B_residue_limit,
     igusa_B_subset,
 )
+from reference import epsilon_kr, igusa_A_descent, inversions, qpochhammer_factors, signed_perms
 
 Z_GENERIC = mono(977, 2)
 
@@ -55,6 +54,30 @@ def test_plain_degree_zero():
     assert igusa_A(0, "plain", -2, []) == FR(1)
     X0 = generic_slots(1)
     assert igusa_A(0, "augmented", -2, X0) == one_over_slots(X0)
+    assert igusa_A(0, "augmented", -2, X0).den == {(X0[0].e_q, X0[0].e_T): 1}
+    with pytest.raises(ArityMismatch):
+        igusa_A(0, "truncated", -2, [])
+
+
+@pytest.mark.parametrize("case", ["A plain", "A augmented", "B full", "B truncated"])
+def test_repeated_slots_give_multiplicity_two(case):
+    # two equal slots make one denominator factor of multiplicity 2; the value
+    # is the numerator divided by each slot's factor in turn
+    x0, x, x3 = generic_slots(3)
+    if case.startswith("A"):
+        X = [x, x, x3] if case == "A plain" else [x0, x, x, x3]
+        got = igusa_A(3, case[2:], -2, X)
+        want = igusa_A_descent(3, -2, [x0, x, x, x3])
+        if case == "A plain":  # augmented = plain / (1 - X_0)
+            want = want * Poly.one_minus(x0.e_q, x0.e_T)
+    else:
+        X = [x, x, x3] if case == "B full" else [x, x]
+        got = igusa_B_subset(2, -1, Z_GENERIC, X, variant=case[2:])
+        want = FR(signed_descent_sum(2, -1, Z_GENERIC, X[:2]))
+        for y in X:
+            want = want.divided_by_factor(y.e_q, y.e_T)
+    assert got.den[(x.e_q, x.e_T)] == 2
+    assert got == want
 
 
 def test_igusa_arity_checks():
@@ -156,8 +179,6 @@ def test_igusa_B_guard():
 def test_sign_free_part_is_type_A_numerator(n):
     # dropping every element with a negative entry (the Z = 0 filter) leaves
     # the type-A descent numerator over S_n inside B_n
-    from heiszeta.combinat import descent_set, inversions, perms, signed_perms
-
     X = generic_slots(n + 1)
     y = -1
     positive = Poly.zero()
@@ -168,13 +189,7 @@ def test_sign_free_part_is_type_A_numerator(n):
         for i in g.descent_set_B():
             term = term * X[i].to_poly()
         positive = positive + term
-    type_a = Poly.zero()
-    for g in perms(n):
-        term = Poly.monomial(1, y * inversions(g), 0)
-        for j in descent_set(g):
-            term = term * X[j].to_poly()
-        type_a = type_a + term
-    assert positive == type_a
+    assert positive == igusa_A_descent(n, y, X).num
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -326,7 +341,7 @@ def test_fibre_K_terminal_case():
 
 def test_fibre_K_base_is_descent_sum():
     # K_n^{0,0} = sum over S_n of q^{-2 l(g)} X^{Des(g)}
-    from heiszeta.combinat import descent_set, inversions, perms
+    from heiszeta.combinat import descent_set, perms
 
     n = 3
     X = generic_slots(n)

@@ -2,8 +2,9 @@
 
 The schoolbook and Kronecker product paths are checked against each other,
 and `FactoredRational.sum` and `__eq__` against pairwise addition and
-against `sympy.cancel` as an independent oracle.  hypothesis and sympy are
-test-only dependencies.
+against `sympy.cancel` as an independent oracle.  The ring laws, `reduced`
+and the JSON round trip are checked on the same random rationals.
+hypothesis and sympy are test-only dependencies.
 """
 
 import functools
@@ -22,6 +23,8 @@ from heiszeta.exactalg import (  # noqa: E402
     _p_mul_kronecker,
     _p_mul_schoolbook,
     expand_factors,
+    rational_dumps,
+    rational_loads,
 )
 
 settings.register_profile("kernel", database=None, deadline=None, max_examples=40)
@@ -217,3 +220,33 @@ def test_equality_agrees_with_sympy(pair):
     assert (f == g) == sympy_zero(fr_expr(f) - fr_expr(g))
     assert (g == f) == (f == g)
     assert snapshot([f, g]) == before
+
+
+# -- ring laws, reduction and serialization ---------------------------------------
+
+
+@given(rationals(), rationals(), rationals())
+def test_ring_laws(f, g, h):
+    assert f + g == g + f
+    assert f * g == g * f
+    assert (f + g) + h == f + (g + h)
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+
+
+@given(rationals())
+def test_difference_with_itself_is_zero(f):
+    assert f - f == 0
+
+
+@given(rationals())
+def test_reduced_keeps_the_value(f):
+    assert f.reduced() == f
+
+
+@given(rationals())
+def test_json_round_trip(f):
+    text = rational_dumps(f)
+    back = rational_loads(text)
+    assert back == f
+    assert rational_dumps(back) == text

@@ -5,6 +5,7 @@ import pytest
 
 from heiszeta import cli
 from heiszeta.combinat import gen_W, weight_C
+from heiszeta.counts import nprime_closed
 from heiszeta.errors import SizeGuard
 from heiszeta.exactalg import (
     BivariatePolynomial as Poly,
@@ -14,8 +15,6 @@ from heiszeta.exactalg import (
 from heiszeta.igusa import igusa_B
 from heiszeta.oracle import enum_subalgebras, enum_sublattices
 from heiszeta.zeta import (
-    Z_of_w,
-    Z_of_w_partition_sum,
     c_exponents,
     c_exponents_graded,
     dirichlet_coeffs,
@@ -23,7 +22,6 @@ from heiszeta.zeta import (
     global_factor,
     global_factor_eval,
     hyperoctahedral_numerator,
-    lemma_global_bound,
     pole_analysis,
     pole_candidates,
     reduced_c,
@@ -33,11 +31,12 @@ from heiszeta.zeta import (
     special_exponent,
     zeta_graded,
     zeta_ideal,
-    zeta_series_oracle,
     zeta_igusa_sum,
     zeta_compact,
     zeta_hyperoctahedral,
 )
+from reference import Z_of_w, Z_of_w_partition_sum, lemma_global_bound, subs_q_one
+from reference import zeta_series_oracle
 
 N1_FORM = FR(
     Poly.one_minus(3, 3),
@@ -219,12 +218,20 @@ def test_guards():
         lambda: zeta_compact(-1),
         lambda: enum_sublattices(-1, 2, 2),
         lambda: enum_subalgebras(-1, 2, 2),
+        lambda: zeta_ideal(-1),
+        lambda: reduced_cone_series(-1, 3),
+        lambda: nprime_closed((1, -1)),
+        lambda: lemma_global_bound(0),
     ],
     ids=[
         "zeta_igusa_sum(0)",
         "zeta_compact(-1)",
         "enum_sublattices(-1)",
         "enum_subalgebras(-1)",
+        "zeta_ideal(-1)",
+        "reduced_cone_series(-1)",
+        "nprime_closed((1, -1))",
+        "lemma_global_bound(0)",
     ],
 )
 def test_below_range_raises_value_error(call):
@@ -472,7 +479,7 @@ def test_reduced_fixtures():
 
 def test_reduced_matches_q_to_one_substitution():
     for n in (1, 2, 3):
-        assert zeta_compact(n).reduced().subs_q_one() == reduced_zeta(n)
+        assert subs_q_one(zeta_compact(n).reduced()) == reduced_zeta(n)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
