@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import ArityMismatch, check_n
-from .exactalg import BivariatePolynomial, FactoredRational, SignedMonomial
+from .exactalg import BivariatePolynomial, FactoredRational, SignedMonomial, _p_iadd
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +248,11 @@ def signed_descent_sum(
                         dq += x.e_q
                         dt += x.e_T
                         sign *= x.sign
-                    target = nxt.setdefault((used | bit, v), {})
-                    for (eq, et), c in poly.items():
-                        key = (eq + dq, et + dt)
-                        target[key] = target.get(key, 0) + sign * c
+                    _p_iadd(nxt.setdefault((used | bit, v), {}), poly, sign, dq, dt)
         layer = nxt
     total: dict = {}
     for poly in layer.values():
-        for key, c in poly.items():
-            total[key] = total.get(key, 0) + c
+        _p_iadd(total, poly)
     return BivariatePolynomial(total)
 
 

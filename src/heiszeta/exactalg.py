@@ -1,21 +1,25 @@
 """Exact arithmetic in the two variables q and T.
 
-Everything downstream of this module lives in one of two value types:
+Everything downstream of this module lives in one of two value types, both
+immutable by construction:
 
 * :class:`BivariatePolynomial` -- a Laurent polynomial in q whose T-exponents
   are nonnegative, with arbitrary-precision integer coefficients.  Stored as
-  a sparse map ``(e_q, e_T) -> coefficient``; zero coefficients are never
-  stored.
+  a read-only sparse map ``(e_q, e_T) -> coefficient``; zero coefficients are
+  never stored.
 
 * :class:`FactoredRational` -- ``T^tshift * num / prod (1 - q^a T^b)^mult``
-  with the denominator kept as a multiset of factors.  All generating
-  functions and zeta functions in this package are values of this type.
+  with the denominator kept as a read-only multiset of factors.  All
+  generating functions and zeta functions in this package are values of
+  this type.
 
 Sums and equality multiply by cofactors; they never expand a common
 denominator only to divide it back down.  A sum multiplies each numerator by
 its cofactor lcm / den, the factors of the common denominator that its own
 denominator lacks.  Equality multiplies each numerator only by the factors
-that the other side has and it lacks, then compares.
+that the other side has and it lacks, then compares.  Every sum of term
+maps goes through the accumulator ``_p_iadd``, which adds c * q^dq * T^dt
+times a map into a dict in place and drops zeros.
 
 Products of polynomials go through ``_p_mul``.  Two single terms multiply
 directly; otherwise ``_p_mul`` picks one of two paths from the operands'
@@ -27,20 +31,27 @@ shorter operand has at least 8 terms and the box has at most half as many
 cells as there are pairs of terms.  Small products, and sparse products with
 wide exponent spans, stay on the schoolbook loop.
 
+Division by a factor 1 - u is one recurrence, y = x + u y.  ``_unroll``
+runs it on the rows of ``_p_tslices`` (row k is {e_q: coeff} of T^k) to
+divide by 1 - q^a T^b with b >= 1 and for series in T; ``_divide_dense``
+runs it on a dense list to divide by 1 - q^a and for pole orders at q = p.
+
 The module also provides q-Pochhammer symbols, Gaussian binomial and
-multinomial coefficients, exact division by a factor ``1 - q^a T^b``, the
-substitution ``(q,T) -> (q^-1,T^-1)``, and power-series expansion in T.
+multinomial coefficients, the substitution ``(q,T) -> (q^-1,T^-1)``, and the
+plain and LaTeX renderings.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import NotRegularAtZero
+from .errors import IdentityMismatch, NotRegularAtZero
 
 Term = tuple[int, int]  # (e_q, e_T)
 
@@ -49,23 +60,18 @@ Term = tuple[int, int]  # (e_q, e_T)
 # ---------------------------------------------------------------------------
 
 
-def _p_add(a: dict, b: dict) -> dict:
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k, 0) + c
+def _p_iadd(out: dict, terms: Mapping, c: int = 1, dq: int = 0, dt: int = 0) -> dict:
+    """Add c * q^dq * T^dt * terms into out, in place, dropping zeros; returns out."""
+    if not c:
+        return out
+    for (eq, et), cc in terms.items():
+        k = (eq + dq, et + dt)
+        s = out.get(k, 0) + c * cc
         if s:
             out[k] = s
         else:
-            out.pop(k, None)
+            del out[k]
     return out
-
-
-def _p_neg(a: dict) -> dict:
-    return {k: -c for k, c in a.items()}
 
 
 # The shorter operand of a Kronecker product has at least this many terms.
@@ -104,13 +110,7 @@ def _p_mul_schoolbook(a: dict, b: dict) -> dict:
     """Product by the term-by-term loop; fastest with the shorter operand as a."""
     out: dict = {}
     for (qa, ta), ca in a.items():
-        for (qb, tb), cb in b.items():
-            k = (qa + qb, ta + tb)
-            s = out.get(k, 0) + ca * cb
-            if s:
-                out[k] = s
-            else:
-                del out[k]
+        _p_iadd(out, b, ca, qa, ta)
     return out
 
 
@@ -206,21 +206,72 @@ def _p_scale(a: dict, c: int, dq: int = 0, dt: int = 0) -> dict:
     return {(eq + dq, et + dt): cc * c for (eq, et), cc in a.items()}
 
 
-def _p_tslices(a: dict) -> dict[int, dict[int, int]]:
-    """Group terms by T-degree: {e_T: {e_q: coeff}}."""
-    out: dict[int, dict[int, int]] = {}
+def _p_tslices(a: Mapping, dt: int = 0, top: Optional[int] = None) -> list[dict[int, int]]:
+    """The row layout of T^dt * a: a list indexed by e_T whose row k is
+    {e_q: coeff} of T^k, through T^top (by default the top degree)."""
+    if top is None:
+        top = max((et for _, et in a), default=-1) + dt
+    rows: list[dict[int, int]] = [{} for _ in range(top + 1)]
     for (eq, et), c in a.items():
-        out.setdefault(et, {})[eq] = c
-    return out
+        if et + dt <= top:
+            rows[et + dt][eq] = c
+    return rows
+
+
+def _unroll(rows: list[dict[int, int]], a: int, b: int, top: int) -> list[dict[int, int]]:
+    """y_k = x_k + q^a y_{k-b} for k <= top (b >= 1), in place on the rows x_0 .. x_top:
+    the series of x / (1 - q^a T^b) in T, cut after T^top."""
+    for k in range(b, top + 1):
+        prev = rows[k - b]
+        if prev:
+            cur = rows[k]
+            for eq, c in prev.items():
+                s = cur.get(eq + a, 0) + c
+                if s:
+                    cur[eq + a] = s
+                else:
+                    del cur[eq + a]
+    return rows
+
+
+def _divide_dense(xs: list[int], step: int, mult: int = 1) -> Optional[list[int]]:
+    """Quotient of sum x_j u^j by 1 - mult u^step (step >= 1), or None.
+
+    Unrolls y_j = x_j + mult y_{j-step} in place; the factor divides exactly
+    when the top step entries of y vanish, and y without them is the quotient.
+    """
+    for j in range(step, len(xs)):
+        xs[j] += mult * xs[j - step]
+    top = max(len(xs) - step, 0)
+    if any(xs[top:]):
+        return None
+    del xs[top:]
+    return xs
+
+
+def _set_fields(obj, **fields):
+    """Set the fields of a new value; both value classes refuse setattr."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 class BivariatePolynomial:
     """Sparse exact polynomial in T with Laurent exponents in q.
 
-    Immutable by convention: no method mutates ``self``.
+    Immutable by construction: ``terms`` is a read-only view, and the
+    attribute cannot be rebound.
     """
 
     __slots__ = ("terms",)
+
+    def __setattr__(self, *args):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return BivariatePolynomial, (dict(self.terms),)
 
     def __init__(self, terms: Optional[Mapping[Term, int]] = None):
         t = {}
@@ -231,15 +282,13 @@ class BivariatePolynomial:
                 if et < 0:
                     raise ValueError("negative T-exponent in polynomial term")
                 t[(eq, et)] = c
-        self.terms = t
+        _set_fields(self, terms=MappingProxyType(t))
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def _raw(cls, terms: dict) -> "BivariatePolynomial":
-        p = cls.__new__(cls)
-        p.terms = terms
-        return p
+        return _set_fields(cls.__new__(cls), terms=MappingProxyType(terms))
 
     @classmethod
     def zero(cls) -> "BivariatePolynomial":
@@ -267,16 +316,16 @@ class BivariatePolynomial:
     def __add__(self, other):
         if not isinstance(other, BivariatePolynomial):
             other = _coerce_poly(other)
-        return BivariatePolynomial._raw(_p_add(self.terms, other.terms))
+        return BivariatePolynomial._raw(_p_iadd(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BivariatePolynomial._raw(_p_neg(self.terms))
+        return self.scaled(-1)
 
     def __sub__(self, other):
         other = _coerce_poly(other)
-        return BivariatePolynomial._raw(_p_add(self.terms, _p_neg(other.terms)))
+        return BivariatePolynomial._raw(_p_iadd(dict(self.terms), other.terms, -1))
 
     def __rsub__(self, other):
         return _coerce_poly(other) - self
@@ -307,7 +356,7 @@ class BivariatePolynomial:
             return NotImplemented
         return self.terms == other.terms
 
-    __hash__ = None  # mutable dict inside; not hashable
+    __hash__ = None  # equal by value; no caller keys on a polynomial
 
     def __bool__(self):
         return bool(self.terms)
@@ -348,12 +397,13 @@ class BivariatePolynomial:
         Negative q-exponents must cancel; raises if the result is not an
         integer polynomial in T.
         """
-        slices = _p_tslices(self.terms)
         out = {}
-        for et, sl in slices.items():
+        for et, row in enumerate(_p_tslices(self.terms)):
+            if not row:
+                continue
             num = 0
-            neg = -min(0, min(sl))
-            for eq, c in sl.items():
+            neg = -min(0, min(row))
+            for eq, c in row.items():
                 num += c * q ** (eq + neg)
             if num % (q**neg):
                 raise ValueError("evaluation at q=%d is not integral" % q)
@@ -364,6 +414,14 @@ class BivariatePolynomial:
 
     def __repr__(self):
         return "BivariatePolynomial(%s)" % format_poly(self)
+
+
+def _constant_at(p: BivariatePolynomial, q: int) -> int:
+    """The value at an integer q of a polynomial that must be constant in T."""
+    vals = p.eval_q(q)
+    if any(et != 0 for et in vals):
+        raise IdentityMismatch("polynomial is not constant in T")
+    return vals.get(0, 0)
 
 
 def _coerce_poly(x) -> BivariatePolynomial:
@@ -417,9 +475,10 @@ def divide_out_factor(
 ) -> Optional[BivariatePolynomial]:
     """Exact quotient p / (1 - q^a T^b), or None when the factor does not divide.
 
-    For b >= 1 the division runs in the main variable T (the divisor's leading
-    T-coefficient -q^a is a unit in Laurent-q coefficients).  For b == 0 the
-    divisor is constant in T and each T-slice is divided separately.
+    For b >= 1 the series of p / (1 - q^a T^b) in T is unrolled up to the
+    top degree of p; the factor divides when the top b rows of that series
+    vanish.  For b == 0 the divisor is constant in T and each T-row is
+    divided separately.
     """
     if (a, b) == (0, 0):
         raise ValueError("1 - q^0 T^0 = 0 is not a divisor")
@@ -430,28 +489,14 @@ def divide_out_factor(
     if b == 0:
         return _divide_out_qfactor(p, a)
 
-    slices = {et: dict(sl) for et, sl in _p_tslices(p.terms).items()}
-    quotient: dict = {}
-    while slices:
-        m = max(slices)
-        lead = slices.pop(m)
-        if m < b:
-            return None
-        # quotient slice at T^(m-b): lead / (-q^a)
-        qslice = {eq - a: -c for eq, c in lead.items()}
-        for eq, c in qslice.items():
-            quotient[(eq, m - b)] = quotient.get((eq, m - b), 0) + c
-        # remainder gains -qslice at T^(m-b)  (from the divisor's constant 1)
-        tgt = slices.setdefault(m - b, {})
-        for eq, c in qslice.items():
-            s = tgt.get(eq, 0) - c
-            if s:
-                tgt[eq] = s
-            else:
-                tgt.pop(eq, None)
-        if not tgt:
-            del slices[m - b]
-    return BivariatePolynomial({k: c for k, c in quotient.items() if c})
+    top = p.t_degree()
+    rows = _unroll(_p_tslices(p.terms), a, b, top)
+    # p / (1 - q^a T^b) is a polynomial exactly when its series stops at T^(top-b)
+    if any(rows[max(top - b + 1, 0) :]):
+        return None
+    return BivariatePolynomial._raw(
+        {(eq, et): c for et, row in enumerate(rows) for eq, c in row.items()}
+    )
 
 
 def _divide_out_qfactor(
@@ -460,26 +505,21 @@ def _divide_out_qfactor(
     """p / (1 - q^a) with a != 0, or None."""
     if a < 0:
         # 1 - q^a = -q^a (1 - q^-a)
-        q = _divide_out_qfactor(p, -a)
-        if q is None:
-            return None
-        return q.scaled(-1).shift(dq=-a)
+        p, a = p.scaled(-1).shift(dq=-a), -a
     out: dict = {}
-    for et, sl in _p_tslices(p.terms).items():
-        lo = min(sl)
-        n = max(sl) - lo + 1
-        qs = [0] * n
-        for j, c in sl.items():
-            qs[j - lo] = c
-        # quotient coefficients, in place: qs[j] = slice[j] + qs[j - a]
-        for j in range(a, n):
-            qs[j] += qs[j - a]
-        # exactness: (1 - q^a) * qs must reproduce the slice
-        if any(qs[max(n - a, 0) :]):
+    for et, row in enumerate(_p_tslices(p.terms)):
+        if not row:
+            continue
+        lo = min(row)
+        xs = [0] * (max(row) - lo + 1)
+        for j, c in row.items():
+            xs[j - lo] = c
+        ys = _divide_dense(xs, a)
+        if ys is None:
             return None
-        for j in range(n - a):
-            if qs[j]:
-                out[(lo + j, et)] = qs[j]
+        for j, c in enumerate(ys):
+            if c:
+                out[(lo + j, et)] = c
     return BivariatePolynomial._raw(out)
 
 
@@ -496,10 +536,18 @@ class FactoredRational:
     ``den`` maps (a, b) to a positive multiplicity.  Factors are normalized at
     insertion so that b >= 0, and a > 0 whenever b == 0 (the flipped unit is
     folded into the numerator and tshift).  The represented value never
-    changes under normalization or :meth:`reduced`.
+    changes under normalization or :meth:`reduced`.  Immutable by
+    construction: ``den`` is a read-only view, and no attribute can be
+    rebound.
     """
 
     __slots__ = ("num", "den", "tshift")
+
+    __setattr__ = BivariatePolynomial.__setattr__
+    __delattr__ = BivariatePolynomial.__delattr__
+
+    def __reduce__(self):
+        return FactoredRational, (self.num, dict(self.den), self.tshift)
 
     def __init__(
         self,
@@ -517,9 +565,7 @@ class FactoredRational:
                     num, tshift = _insert_factor(clean_den, a, b, m, num, tshift)
         if num.is_zero():
             clean_den, tshift = {}, 0
-        self.num = num
-        self.den = clean_den
-        self.tshift = tshift
+        _set_fields(self, num=num, den=MappingProxyType(clean_den), tshift=tshift)
 
     # -- constructors -------------------------------------------------------
 
@@ -529,10 +575,7 @@ class FactoredRational:
 
     @classmethod
     def one_over(cls, factors: Iterable[FactorKey]) -> "FactoredRational":
-        den: dict[FactorKey, int] = {}
-        for k in factors:
-            den[k] = den.get(k, 0) + 1
-        return cls(1, den)
+        return cls(1, Counter(factors))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -543,9 +586,8 @@ class FactoredRational:
             )
         if not isinstance(other, FactoredRational):
             return NotImplemented
-        den = dict(self.den)
-        for k, m in other.den.items():
-            den[k] = den.get(k, 0) + m
+        den = Counter(self.den)
+        den.update(other.den)
         return FactoredRational(
             self.num * other.num, den, self.tshift + other.tshift
         )
@@ -595,15 +637,7 @@ class FactoredRational:
         tmin = min(it.tshift for it in items)
         total: dict = {}
         for it in items:
-            terms = _times_missing(it.num.terms, it.den, lcm)
-            dt = it.tshift - tmin
-            for (eq, et), c in terms.items():
-                k = (eq, et + dt)
-                s = total.get(k, 0) + c
-                if s:
-                    total[k] = s
-                else:
-                    del total[k]
+            _p_iadd(total, _times_missing(it.num.terms, it.den, lcm), 1, 0, it.tshift - tmin)
         return FactoredRational(BivariatePolynomial._raw(total), lcm, tmin)
 
     # -- equality by cross-multiplication ------------------------------------
@@ -664,8 +698,7 @@ class FactoredRational:
             num = num.shift(dt=-tv)
             tshift += tv
         out = FactoredRational.__new__(FactoredRational)
-        out.num, out.den, out.tshift = num, den, tshift
-        return out
+        return _set_fields(out, num=num, den=MappingProxyType(den), tshift=tshift)
 
     # -- substitutions -------------------------------------------------------
 
@@ -703,27 +736,11 @@ class FactoredRational:
                 raise NotRegularAtZero(
                     "denominator factor 1 - q^%d does not divide the numerator" % a
                 )
-        coeffs: list[dict] = [{} for _ in range(order + 1)]
-        for (eq, et), c in f.num.terms.items():
-            k = et + f.tshift
-            if k <= order:
-                coeffs[k][eq] = coeffs[k].get(eq, 0) + c
+        rows = _p_tslices(f.num.terms, f.tshift, order)
         for (a, b), m in sorted(f.den.items()):
             for _ in range(m):
-                # divide the series by (1 - q^a T^b): y_k = x_k + q^a y_{k-b}
-                for k in range(b, order + 1):
-                    prev = coeffs[k - b]
-                    if prev:
-                        cur = coeffs[k]
-                        for eq, c in prev.items():
-                            s = cur.get(eq + a, 0) + c
-                            if s:
-                                cur[eq + a] = s
-                            else:
-                                del cur[eq + a]
-        return [
-            BivariatePolynomial({(eq, 0): c for eq, c in d.items()}) for d in coeffs
-        ]
+                _unroll(rows, a, b, order)
+        return [BivariatePolynomial._raw({(eq, 0): c for eq, c in row.items()}) for row in rows]
 
     def __repr__(self):
         return "FactoredRational(%s)" % format_plain(self)
@@ -740,17 +757,12 @@ def _insert_factor(
     """Add (1 - q^a T^b)^mult to den in normalized form; returns adjusted (num, tshift)."""
     if (a, b) == (0, 0):
         raise ValueError("denominator factor 1 - q^0 T^0 = 0")
-    if b < 0:
+    if b < 0 or (b == 0 and a < 0):
         # 1/(1 - q^a T^b) = -q^-a T^-b / (1 - q^-a T^-b)
         sign = -1 if mult % 2 else 1
         num = num.scaled(sign).shift(dq=-a * mult)
-        tshift += -b * mult
+        tshift -= b * mult
         a, b = -a, -b
-    elif b == 0 and a < 0:
-        # 1/(1 - q^a) = -q^-a / (1 - q^-a)
-        sign = -1 if mult % 2 else 1
-        num = num.scaled(sign).shift(dq=-a * mult)
-        a = -a
     den[(a, b)] = den.get((a, b), 0) + mult
     return num, tshift
 
@@ -824,12 +836,11 @@ def qpochhammer(a: SignedMonomial, step_exponent: int, m: int) -> FactoredRation
         return FactoredRational.one_over(factors)
     # negative monomial: 1/(1 + u) = (1 - u)/(1 - u^2)
     num = BivariatePolynomial.one()
-    den: dict[FactorKey, int] = {}
+    den: Counter = Counter()
     for i in range(-m):
         eq = a.e_q + step_exponent * (m + i)
         num = num * BivariatePolynomial.one_minus(eq, a.e_T)
-        k = (2 * eq, 2 * a.e_T)
-        den[k] = den.get(k, 0) + 1
+        den[(2 * eq, 2 * a.e_T)] += 1
     return FactoredRational(num, den)
 
 
@@ -962,23 +973,21 @@ def sorted_factors(den: Mapping[FactorKey, int]) -> list[tuple[int, int, int]]:
     return [(a, b, den[(a, b)]) for (b, a) in sorted((b, a) for (a, b) in den)]
 
 
-def format_plain(f: FactoredRational) -> str:
-    num = format_poly(f.num)
+def _format_rational(f: FactoredRational, latex: bool) -> str:
+    num = format_poly(f.num, latex=latex)
     if f.tshift:
-        tpow = "T" if f.tshift == 1 else "T^%d" % f.tshift
-        num = "%s (%s)" % (tpow, num) if f.num.terms != {(0, 0): 1} else tpow
+        tpow = _format_monomial(1, 0, f.tshift, latex)
+        one = f.num.terms == {(0, 0): 1}
+        num = tpow if one else ("%s(%s)" if latex else "%s (%s)") % (tpow, num)
     if not f.den:
         return num
-    den = "".join(_format_factor(a, b, m) for a, b, m in sorted_factors(f.den))
-    return "(%s) / (%s)" % (num, den)
+    den = "".join(_format_factor(a, b, m, latex) for a, b, m in sorted_factors(f.den))
+    return ("\\frac{%s}{%s}" if latex else "(%s) / (%s)") % (num, den)
+
+
+def format_plain(f: FactoredRational) -> str:
+    return _format_rational(f, latex=False)
 
 
 def format_latex(f: FactoredRational) -> str:
-    num = format_poly(f.num, latex=True)
-    if f.tshift:
-        tpow = "T" if f.tshift == 1 else "T^{%d}" % f.tshift
-        num = "%s(%s)" % (tpow, num) if f.num.terms != {(0, 0): 1} else tpow
-    if not f.den:
-        return num
-    den = "".join(_format_factor(a, b, m, latex=True) for a, b, m in sorted_factors(f.den))
-    return "\\frac{%s}{%s}" % (num, den)
+    return _format_rational(f, latex=True)

@@ -12,6 +12,7 @@ denominator prod (1 - X_i) serves every function here.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from typing import Sequence
 
@@ -27,6 +28,7 @@ from .exactalg import (
     BivariatePolynomial,
     FactoredRational,
     SignedMonomial,
+    _p_iadd,
     gauss_multinom,
     mono,
     qpochhammer,
@@ -47,10 +49,7 @@ def _check_positive(X: Sequence[SignedMonomial]):
 
 def _over_slots(num: BivariatePolynomial, X: Sequence[SignedMonomial]) -> FactoredRational:
     """num / prod (1 - X_i); k equal slots give one factor of multiplicity k."""
-    den: dict = {}
-    for x in X:
-        den[(x.e_q, x.e_T)] = den.get((x.e_q, x.e_T), 0) + 1
-    return FactoredRational(num, den)
+    return FactoredRational(num, Counter((x.e_q, x.e_T) for x in X))
 
 
 def _subset_sum(
@@ -65,7 +64,7 @@ def _subset_sum(
     X lists the slots of indices in order.  weight, when given, lists w_d
     for d in [n]_0, taken at d = n - min(I + {n}); otherwise w_d = 1.
     """
-    num = BivariatePolynomial.zero()
+    num: dict = {}
     for mask in range(1 << len(indices)):
         I = [i for k, i in enumerate(indices) if mask >> k & 1]
         term = gauss_multinom(n, I, y_exponent)
@@ -76,8 +75,8 @@ def _subset_sum(
                 term = term * x.to_poly()
             else:
                 term = term * BivariatePolynomial.one_minus(x.e_q, x.e_T)
-        num = num + term
-    return _over_slots(num, X)
+        _p_iadd(num, term.terms)
+    return _over_slots(BivariatePolynomial(num), X)
 
 
 def igusa_A(
@@ -308,14 +307,14 @@ def fibre_K(
         raise ArityMismatch("need the %d trailing slots" % (n - k))
     slots = dict(zip(range(k + 1, n + 1), X_tail))
     _, B = fibre_E(k, r)
-    out = BivariatePolynomial.zero()
+    out: dict = {}
     for g in coset_reps(n, k):
         t_k, ell, des = coset_stats(g, k)
         term = B[t_k].shift(dq=-2 * ell) * (T_arg**t_k).to_poly()
         for j in des:
             term = term * slots[j].to_poly()
-        out = out + term
-    return out
+        _p_iadd(out, term.terms)
+    return BivariatePolynomial(out)
 
 
 def fibre_prefactor(k: int, r: int) -> FactoredRational:

@@ -22,6 +22,7 @@ from .errors import (
     SingularMatrix,
     check_n,
 )
+from .exactalg import _constant_at
 
 LAGRANGIAN_BUDGET = 3**10
 HNF_BUDGET = 2_000_000
@@ -374,7 +375,7 @@ def check_factorization(
     for mu_parts in mus:
         mu = Partition(mu_parts)
         lagr = enum_lagrangians(mu, p)
-        alpha = _eval_poly_at(birkhoff_alpha(mu, n, base_exponent=2), p)
+        alpha = _constant_at(birkhoff_alpha(mu, n, base_exponent=2), p)
         lambdas = {lam.parts for lam, m2 in lattice if m2 == mu}
         lambdas |= {lam.parts for lam in lagr}
         for lam_parts in sorted(lambdas):
@@ -398,13 +399,6 @@ def check_factorization(
                     % (lam, mu, got, lam, mu, expect, p)
                 )
     return rows
-
-
-def _eval_poly_at(poly, p: int) -> int:
-    vals = poly.eval_q(p)
-    if any(et != 0 for et in vals):
-        raise ValueError("polynomial is not constant in T")
-    return vals.get(0, 0)
 
 
 # ---------------------------------------------------------------------------

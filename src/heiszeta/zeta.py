@@ -10,6 +10,7 @@ and the global Euler-factor polynomials.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -27,6 +28,8 @@ from .exactalg import (
     BivariatePolynomial,
     FactoredRational,
     SignedMonomial,
+    _constant_at,
+    _divide_dense,
     divide_out_factor,
     mono,
 )
@@ -90,21 +93,12 @@ def zeta_compact(n: int) -> FactoredRational:
         num = num * BivariatePolynomial.one_minus(2 * n - 2 * r + 1, 0)
         for i in range(n):
             num = num * BivariatePolynomial.one_minus(2 * i + 2, 0)
-        den: dict = {}
-
-        def bump(key, den=den):
-            den[key] = den.get(key, 0) + 1
-
-        bump((special_exponent(n, r), n + 1))
-        for i in range(2 * n - r + 1):
-            bump((1 + i, 0))
-        for i in range(r):
-            bump((1 + i, 0))
-        for i in range(n - r):
-            bump((r + 2 * i, 1))
-        for i in range(r):
-            bump((2 * n - r + i, 1))
-        terms.append(FactoredRational(num, den))
+        factors = [(special_exponent(n, r), n + 1)]
+        factors += [(1 + i, 0) for i in range(2 * n - r + 1)]
+        factors += [(1 + i, 0) for i in range(r)]
+        factors += [(r + 2 * i, 1) for i in range(n - r)]
+        factors += [(2 * n - r + i, 1) for i in range(r)]
+        terms.append(FactoredRational(num, Counter(factors)))
     return FactoredRational.sum(terms).reduced(constants_only=True)
 
 
@@ -174,14 +168,7 @@ def zeta_graded(n: int) -> FactoredRational:
 
 def dirichlet_coeffs(n: int, p: int, order: int) -> list[int]:
     """Subalgebra counts a_{p^i} for i <= order, from the compact form."""
-    coeffs = zeta_compact(n).series_in_T(order)
-    out = []
-    for c in coeffs:
-        vals = c.eval_q(p)
-        if any(et != 0 for et in vals):
-            raise IdentityMismatch("series coefficient not constant in T")
-        out.append(vals.get(0, 0))
-    return out
+    return [_constant_at(c, p) for c in zeta_compact(n).series_in_T(order)]
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +233,12 @@ def pole_candidates(n: int) -> tuple[list[int], list[Fraction]]:
 
 def _vanishing_order(coeffs: dict[int, int], p: int, c: int, d: int) -> int:
     """Largest k with (1 - p^c T^d)^k dividing the integer polynomial."""
+    xs = [coeffs.get(k, 0) for k in range(max(coeffs, default=-1) + 1)]
     order = 0
-    cur = dict(coeffs)
-    scale = p**c
-    while cur:
-        deg = max(cur)
-        quot: dict[int, int] = {}
-        for k in range(deg + 1):
-            v = cur.get(k, 0) + scale * quot.get(k - d, 0)
-            if v:
-                quot[k] = v
-        if any(quot.get(k, 0) for k in range(max(deg - d, -1) + 1, deg + 1)):
-            return order
-        cur = {k: v for k, v in quot.items() if k <= deg - d}
+    while xs:
+        xs = _divide_dense(xs, d, p**c)
+        if xs is None:
+            break
         order += 1
     return order
 

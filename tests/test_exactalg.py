@@ -319,6 +319,15 @@ def test_series_identity_function():
     assert f.series_in_T(3) == [Poly.one(), Poly.zero(), Poly.zero(), Poly.zero()]
 
 
+def test_series_is_cut_at_the_order():
+    # T^5 / (1 - qT) and T^5 alone, cut below, at and after their first term
+    for den, tail in (({(1, 1): 1}, [Poly.one(), Poly.monomial(1, 1, 0)]), ({}, [Poly.one()])):
+        f = FR(Poly.monomial(1, 0, 5), den)
+        assert f.series_in_T(-2) == []
+        assert f.series_in_T(3) == [Poly.zero()] * 4
+        assert f.series_in_T(6) == [Poly.zero()] * 5 + tail + [Poly.zero()] * (2 - len(tail))
+
+
 def test_series_pole_at_zero_rejected():
     f = FR(1, {}, -1)
     with pytest.raises(NotRegularAtZero):
@@ -446,3 +455,35 @@ def test_json_shape():
     f = FR(Poly({(2, 1): -3}), {(1, 1): 2}, 1)
     data = rational_to_json(f)
     assert data == {"num": [["-3", 2, 1]], "unit": [1, 0, 1], "den": [[1, 1, 2]]}
+
+
+def test_cached_values_cannot_be_corrupted():
+    from heiszeta.zeta import dirichlet_coeffs, zeta_compact
+
+    f = zeta_compact(1)
+    with pytest.raises(TypeError):
+        f.num.terms[(0, 0)] = 5
+    with pytest.raises(TypeError):
+        f.den[(1, 1)] = 7
+    for obj, attr, value in [
+        (f.num, "terms", {(0, 0): 5}),
+        (f, "num", Poly.monomial(5)),
+        (f, "den", {}),
+        (f, "tshift", 3),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, attr)
+    assert dirichlet_coeffs(1, 2, 3) == [1, 3, 19, 43]
+
+
+def test_values_survive_pickle_and_copy():
+    import copy
+    import pickle
+
+    f = FR(Poly({(2, 1): -3, (-1, 0): 5}), {(1, 1): 2, (3, 0): 1}, -1)
+    for g in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+        assert (g.num.terms, g.den, g.tshift) == (f.num.terms, f.den, f.tshift)
+        with pytest.raises(TypeError):
+            g.num.terms[(0, 0)] = 1

@@ -2,9 +2,11 @@
 
 The schoolbook and Kronecker product paths are checked against each other,
 and `FactoredRational.sum` and `__eq__` against pairwise addition and
-against `sympy.cancel` as an independent oracle.  The ring laws, `reduced`
-and the JSON round trip are checked on the same random rationals.
-hypothesis and sympy are test-only dependencies.
+against `sympy.cancel` as an independent oracle.  The term accumulator and
+the two division recurrences (`divide_out_factor` and `_vanishing_order`)
+are checked against sympy.  The ring laws, `reduced` and the JSON round trip
+are checked on the same random rationals.  hypothesis and sympy are
+test-only dependencies.
 """
 
 import functools
@@ -19,13 +21,16 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from heiszeta.exactalg import (  # noqa: E402
     BivariatePolynomial as Poly,
     FactoredRational as FR,
+    _p_iadd,
     _p_mul,
     _p_mul_kronecker,
     _p_mul_schoolbook,
+    divide_out_factor,
     expand_factors,
     rational_dumps,
     rational_loads,
 )
+from heiszeta.zeta import _vanishing_order  # noqa: E402
 
 settings.register_profile("kernel", database=None, deadline=None, max_examples=40)
 settings.load_profile("kernel")
@@ -135,6 +140,74 @@ def test_expand_factors_matches_factor_by_factor(den):
         for _ in range(m):
             expected = _p_mul_schoolbook({(0, 0): 1, (a, b): -1}, expected)
     assert expand_factors(den).terms == expected
+
+
+# -- the accumulator and the division recurrences ---------------------------------
+
+
+@sympy_examples
+@given(operands, operands, small, st.integers(-5, 5), st.integers(0, 3))
+def test_accumulator_matches_sympy(out, terms, c, dq, dt):
+    before = dict(terms)
+    expected = poly_expr(out) + c * q**dq * T**dt * poly_expr(terms)
+    acc = dict(out)
+    assert _p_iadd(acc, terms, c, dq, dt) is acc
+    assert terms == before
+    assert all(acc.values())
+    assert sympy.expand(poly_expr(acc) - expected) == 0
+    assert _p_iadd(dict(terms), terms, -1) == {}
+
+
+@given(operands, factor_keys)
+def test_divide_out_factor_inverts_the_product(f, k):
+    f = Poly(f)
+    assert divide_out_factor(f * Poly.one_minus(*k), *k) == f
+
+
+# f * (1 - q^a T^b) plus a remainder of at most two terms, often none
+near_multiples = st.tuples(
+    raw_polys(3, 3, 4, small),
+    factor_keys,
+    st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(0, 3)), small, max_size=2),
+)
+
+
+@sympy_examples
+@given(near_multiples)
+def test_divide_out_factor_is_none_exactly_on_a_remainder(case):
+    f, (a, b), extra = case
+    p = Poly(f) * Poly.one_minus(a, b) + Poly(extra)
+    quot = divide_out_factor(p, a, b)
+    # clear the negative powers of q, a unit, and divide as polynomials
+    low = min((eq for eq, _ in p.terms), default=0)
+    num = sympy.expand(poly_expr(p.terms) * q ** max(-low, 0))
+    divisor = sympy.numer(sympy.together(1 - q**a * T**b))
+    _, rem = sympy.div(num, divisor, q, T, domain="QQ")
+    assert (quot is None) == (rem != 0)
+    if quot is not None:
+        assert sympy.expand(poly_expr(quot.terms) * (1 - q**a * T**b) - poly_expr(p.terms)) == 0
+
+
+@sympy_examples
+@given(
+    st.dictionaries(st.integers(0, 4), small, min_size=1, max_size=5),
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(0, 3),
+)
+def test_vanishing_order_matches_sympy(f, p, c, d, m):
+    poly = sympy.Poly(sum(v * T**k for k, v in f.items()) * (1 - p**c * T**d) ** m, T)
+    coeffs = {k: int(v) for (k,), v in poly.terms() if v}
+    divisor = sympy.Poly(1 - p**c * T**d, T)
+    mult = 0
+    while True:
+        quot, rem = sympy.div(poly, divisor, domain="QQ")
+        if not rem.is_zero:
+            break
+        poly, mult = quot, mult + 1
+    assert mult >= m
+    assert _vanishing_order(coeffs, p, c, d) == mult
 
 
 # -- sums ----------------------------------------------------------------------
