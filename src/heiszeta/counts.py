@@ -12,10 +12,6 @@ from .errors import NonPolynomialReduction, RankMismatch
 from .exactalg import BivariatePolynomial, FactoredRational, gauss_binom
 
 
-def _as_partition(mu) -> Partition:
-    return mu if isinstance(mu, Partition) else Partition(tuple(mu))
-
-
 def birkhoff_alpha(mu, n: int, base_exponent: int = 1) -> BivariatePolynomial:
     """Number of finite-index sublattices of o^n of quotient type mu, at q^base.
 
@@ -25,7 +21,7 @@ def birkhoff_alpha(mu, n: int, base_exponent: int = 1) -> BivariatePolynomial:
 
     The result depends on the padding rank n, not only on the partition.
     """
-    mu = _as_partition(mu)
+    mu = Partition(mu)
     if mu.num_parts() > n:
         raise RankMismatch(
             "partition %s has more than n = %d parts" % (mu, n)
@@ -52,11 +48,8 @@ def nprime_closed(mu) -> BivariatePolynomial:
     the value is padding-independent.  The rational sum must reduce to a
     polynomial in q.
     """
-    mu = tuple(mu.parts) if isinstance(mu, Partition) else tuple(mu)
-    if any(p < 0 for p in mu):
-        raise ValueError("negative part")
-    if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
-        raise ValueError("mu must be weakly decreasing")
+    mu = tuple(mu)
+    Partition(mu)  # ValueError on a negative or increasing part
     n = len(mu)
     terms = []
     for w in gen_W(n):
@@ -72,5 +65,5 @@ def nprime_closed(mu) -> BivariatePolynomial:
 
 def n_aggregate(mu, n: int) -> BivariatePolynomial:
     """Lattice count N(mu) = N'(mu) * alpha_n(mu; q^2)."""
-    mu = _as_partition(mu)
+    mu = Partition(mu)
     return nprime_closed(mu.padded(n)) * birkhoff_alpha(mu, n, base_exponent=2)

@@ -611,10 +611,10 @@ class FactoredRational:
             other = FactoredRational(_coerce_poly(other))
         return self + (-other)
 
-    def divided_by_factor(self, a: int, b: int, mult: int = 1) -> "FactoredRational":
-        """Multiply the denominator by (1 - q^a T^b)^mult."""
+    def divided_by_factor(self, a: int, b: int) -> "FactoredRational":
+        """Multiply the denominator by (1 - q^a T^b)."""
         den = dict(self.den)
-        num, tshift = _insert_factor(den, a, b, mult, self.num, self.tshift)
+        num, tshift = _insert_factor(den, a, b, 1, self.num, self.tshift)
         return FactoredRational(num, den, tshift)
 
     @staticmethod

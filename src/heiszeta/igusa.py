@@ -341,16 +341,13 @@ def E_at_minus_T(k: int, r: int, T_arg: SignedMonomial) -> BivariatePolynomial:
     return f.num.shift(dt=f.tshift) if f.tshift else f.num
 
 
-def check_I_equals_K(
-    n: int, k: int, r: int, X_tail: Sequence[SignedMonomial] | None = None
-) -> dict:
+def check_I_equals_K(n: int, k: int, r: int) -> dict:
     """Verify the fibre-sum identity I = P * K / (E(-T) prod (1 - X_j)).
 
-    Slots default to generic independent monomials (large distinct prime
+    The slots are generic independent monomials (large distinct prime
     exponents).  Raises IdentityMismatch on failure; returns a report dict.
     """
-    if X_tail is None:
-        X_tail = generic_slots(n - k)
+    X_tail = generic_slots(n - k)
     T_arg = mono(0, 1)
     lhs = fibre_I(n, k, r, X_tail, T_arg)
     if r < 0 or r > 2 * k + 1:
@@ -373,8 +370,8 @@ def check_I_equals_K(
 _GENERIC_PRIMES = (101, 211, 307, 401, 503, 601, 701, 809, 907, 1009)
 
 
-def generic_slots(count: int, t_exponents: Sequence[int] | None = None) -> list[SignedMonomial]:
-    """Monomial slots q^P T^b with large distinct prime q-exponents.
+def generic_slots(count: int) -> list[SignedMonomial]:
+    """Monomial slots q^P T with large distinct prime q-exponents.
 
     Algebraically independent markers for identity testing: accidental
     cancellation between distinct slots would need an exact match of prime
@@ -382,8 +379,4 @@ def generic_slots(count: int, t_exponents: Sequence[int] | None = None) -> list[
     """
     if count > len(_GENERIC_PRIMES):
         raise SizeGuard("not enough generic markers")
-    if t_exponents is None:
-        t_exponents = [1] * count
-    return [
-        mono(_GENERIC_PRIMES[i], t_exponents[i]) for i in range(count)
-    ]
+    return [mono(_GENERIC_PRIMES[i], 1) for i in range(count)]

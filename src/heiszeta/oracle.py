@@ -4,13 +4,17 @@ Ground truth for every closed form in the package: Lagrangian submodules of
 finite alternating modules, Hermite-normal-form sublattice enumeration
 classified by quotient and symplectic type, and Heisenberg subalgebra counts.
 Budgets are hard errors, never silent truncation.
+
+One symplectic form serves both lattice enumerations: `_omega` pairs x_{2i-1}
+with x_{2i}, the y-coefficient of the bracket of h_n.  An HNF basis is a
+tuple of row tuples.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .combinat import Partition, partitions_up_to
 from .counts import birkhoff_alpha
@@ -93,24 +97,15 @@ def _valuation(x: int, p: int) -> int:
     return v
 
 
-def smith_type(
-    mat: Sequence[Sequence[int]], p: int, cap: Optional[int] = None
-) -> Partition:
-    """Quotient type of Z^r / M Z^r at p: p-valuations of the SNF diagonal.
-
-    With cap = k the valuations are truncated at k (submodule types inside a
-    finite module of exponent p^k).
-    """
+def smith_type(mat: Sequence[Sequence[int]], p: int) -> Partition:
+    """Quotient type of Z^r / M Z^r at p: p-valuations of the SNF diagonal."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("matrix must be square")
     diag = _smith_diagonal(mat)
     if len(diag) < n:
         raise SingularMatrix("matrix has determinant zero")
-    vals = [_valuation(d, p) for d in diag]
-    if cap is not None:
-        vals = [min(v, cap) for v in vals]
-    return Partition(tuple(sorted(vals, reverse=True)))
+    return Partition(sorted((_valuation(d, p) for d in diag), reverse=True))
 
 
 def alt_type(gram: Sequence[Sequence[int]], p: int) -> Partition:
@@ -184,13 +179,6 @@ class AltModule:
             total += s * (a[e] * b[e + 1] - a[e + 1] * b[e])
         return total % self.exponent
 
-    def perp(self, gens: Sequence[Element]) -> list[Element]:
-        return [
-            v
-            for v in self.elements()
-            if all(self.pairing(v, g) == 0 for g in gens)
-        ]
-
     def subgroup_type(self, sub: frozenset[Element]) -> Partition:
         """Abelian type of a subgroup from the sizes of its p^k multiples."""
         sizes = [len(sub)]
@@ -209,20 +197,18 @@ class AltModule:
         return Partition(tuple(sorted(lam, reverse=True)))
 
 
-def enum_lagrangians(
-    mu, p: int, budget: int = LAGRANGIAN_BUDGET
-) -> dict[Partition, int]:
+def enum_lagrangians(mu, p: int) -> dict[Partition, int]:
     """Count Lagrangian submodules of M_mu by module type.
 
     Grows isotropic subgroups one index-p step at a time; a subgroup of order
     p^{|mu|} contained in its own perp equals it, hence is Lagrangian.
     Returns {quotient type lambda: count}; the total is N'(mu).
     """
-    mu = mu if isinstance(mu, Partition) else Partition(tuple(mu))
+    mu = Partition(mu)
     m = mu.size()
-    if p ** (2 * m) > budget:
+    if p ** (2 * m) > LAGRANGIAN_BUDGET:
         raise BudgetExceeded(
-            "|M_mu| = %d^%d exceeds the budget %d" % (p, 2 * m, budget)
+            "|M_mu| = %d^%d exceeds the budget %d" % (p, 2 * m, LAGRANGIAN_BUDGET)
         )
     if m == 0:
         return {Partition(()): 1}
@@ -267,18 +253,6 @@ def enum_lagrangians(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HermiteBasis:
-    """Upper-triangular canonical basis matrix; rows are the basis vectors.
-
-    Above-diagonal entries are reduced modulo the diagonal entry of their
-    column, giving exactly one representative per finite-index sublattice of
-    the row span.
-    """
-
-    rows: tuple[tuple[int, ...], ...]
-
-
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     if parts == 0:
         if total == 0:
@@ -300,8 +274,14 @@ def hnf_count(rank: int, p: int, valuation: int) -> int:
     return total
 
 
-def hnf_enumerate(rank: int, p: int, valuation: int) -> Iterator[HermiteBasis]:
-    """All canonical sublattice bases of Z^rank with index p^valuation."""
+def hnf_enumerate(
+    rank: int, p: int, valuation: int
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All sublattices of Z^rank with index p^valuation, as HNF row tuples.
+
+    The basis is upper triangular with each above-diagonal entry reduced
+    modulo the diagonal entry of its column: one basis per sublattice.
+    """
     for comp in _compositions(valuation, rank):
         diag = [p**b for b in comp]
         ranges = []
@@ -314,59 +294,52 @@ def hnf_enumerate(rank: int, p: int, valuation: int) -> Iterator[HermiteBasis]:
                 for i in range(j):
                     rows[i][j] = next(it)
                 rows[j][j] = diag[j]
-            yield HermiteBasis(tuple(tuple(r) for r in rows))
+            yield tuple(tuple(r) for r in rows)
 
 
-def _standard_J(n: int) -> list[list[int]]:
-    J = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        J[i][n + i] = 1
-        J[n + i][i] = -1
-    return J
+def _omega(u: Sequence[int], v: Sequence[int], n: int) -> int:
+    """sum_i (u_{2i-1} v_{2i} - u_{2i} v_{2i-1}): the y-coefficient of [u, v] in h_n.
+
+    The symplectic form of Z^{2n}; a y-coordinate past the first 2n is ignored.
+    """
+    total = 0
+    for i in range(0, 2 * n, 2):
+        total += u[i] * v[i + 1] - u[i + 1] * v[i]
+    return total
 
 
-def _gram(H: HermiteBasis, J: Sequence[Sequence[int]]) -> list[list[int]]:
-    """H J H^T for the row basis H."""
-    r = len(J)
-    out = [[0] * r for _ in range(r)]
-    for a in range(r):
-        Ja = [sum(J[i][k] * H.rows[a][k] for k in range(r)) for i in range(r)]
-        for b in range(r):
-            out[b][a] = sum(H.rows[b][i] * Ja[i] for i in range(r))
-    return out
+def _check_hnf_budget(rank: int, p: int, max_valuation: int) -> None:
+    total = sum(hnf_count(rank, p, j) for j in range(max_valuation + 1))
+    if total > HNF_BUDGET:
+        raise BudgetExceeded("HNF enumeration size %d exceeds %d" % (total, HNF_BUDGET))
 
 
 def enum_sublattices(
-    n: int, p: int, max_valuation: int, budget: int = HNF_BUDGET
+    n: int, p: int, max_valuation: int
 ) -> dict[tuple[Partition, Partition], int]:
     """Sublattices of the symplectic Z^{2n} by (quotient type, alternating type)."""
     check_n("enum_sublattices", n)
-    total = sum(hnf_count(2 * n, p, j) for j in range(max_valuation + 1))
-    if total > budget:
-        raise BudgetExceeded("HNF enumeration size %d exceeds %d" % (total, budget))
-    J = _standard_J(n)
+    _check_hnf_budget(2 * n, p, max_valuation)
     out: dict[tuple[Partition, Partition], int] = {}
     for j in range(max_valuation + 1):
         for H in hnf_enumerate(2 * n, p, j):
-            lam = smith_type(H.rows, p)
-            mu = alt_type(_gram(H, J), p)
+            lam = smith_type(H, p)
+            mu = alt_type([[_omega(a, b, n) for b in H] for a in H], p)
             key = (lam, mu)
             out[key] = out.get(key, 0) + 1
     return out
 
 
-def check_factorization(
-    n: int, p: int, max_valuation: int, budget: int = HNF_BUDGET
-) -> list[dict]:
+def check_factorization(n: int, p: int, max_valuation: int) -> list[dict]:
     """Verify lattice count = Lagrangian count x Birkhoff number, entrywise.
 
     Compares enum_sublattices against enum_lagrangians * alpha_n(mu; q^2)
     at q = p over every (lambda, mu) in range; raises FactorizationMismatch
     on any discrepancy (the factorization is a theorem, so a mismatch means
-    an implementation bug).  The HNF budget bounds the lattice enumeration
-    only; the Lagrangian enumerations keep their own budget.
+    an implementation bug).  HNF_BUDGET bounds the lattice enumeration and
+    LAGRANGIAN_BUDGET each Lagrangian enumeration.
     """
-    lattice = enum_sublattices(n, p, max_valuation, budget=budget)
+    lattice = enum_sublattices(n, p, max_valuation)
     mus = sorted(
         {mu.parts for _, mu in lattice}
         | {pt.parts for pt in partitions_up_to(max_valuation, n)}
@@ -406,60 +379,24 @@ def check_factorization(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HnLieRing:
-    """The rank-(2n+1) Lie lattice with [x_{2i-1}, x_{2i}] = y, rest zero.
-
-    Coordinates (x_1, ..., x_{2n}, y); every bracket lands in the centre
-    Z y, so it is encoded by its y-coefficient.  The class is nilpotent of
-    class 2: [[a, b], c] = 0 identically, which makes the Jacobi identity
-    automatic.
-    """
-
-    n: int
-
-    @property
-    def rank(self) -> int:
-        return 2 * self.n + 1
-
-    def bracket_y(self, u: Sequence[int], v: Sequence[int]) -> int:
-        """y-coefficient of [u, v]: sum (u_{2i-1} v_{2i} - u_{2i} v_{2i-1})."""
-        total = 0
-        for i in range(self.n):
-            total += u[2 * i] * v[2 * i + 1] - u[2 * i + 1] * v[2 * i]
-        return total
-
-
-def enum_subalgebras(
-    n: int, p: int, max_index_valuation: int, budget: int = HNF_BUDGET
-) -> list[int]:
+def enum_subalgebras(n: int, p: int, max_index_valuation: int) -> list[int]:
     """Counts a_{p^i}, i <= max_index_valuation, of finite-index subalgebras.
 
     Enumerates HNF sublattices of Z^{2n+1} (coordinates x_1, ..., x_{2n}, y)
     and keeps those closed under the bracket; closure is checked on the basis
-    rows.  [u, v] is a multiple of the central y, so membership reduces to
+    rows.  [u, v] = _omega(u, v) y is central, so membership reduces to
     divisibility by the last diagonal entry.
     """
     check_n("enum_subalgebras", n)
-    lie = HnLieRing(n)
-    rank = lie.rank
-    total = sum(hnf_count(rank, p, j) for j in range(max_index_valuation + 1))
-    if total > budget:
-        raise BudgetExceeded("HNF enumeration size %d exceeds %d" % (total, budget))
+    rank = 2 * n + 1
+    _check_hnf_budget(rank, p, max_index_valuation)
     counts = []
     for j in range(max_index_valuation + 1):
         c = 0
         for H in hnf_enumerate(rank, p, j):
-            ylat = H.rows[rank - 1][rank - 1]
-            ok = True
-            for a in range(rank):
-                for b in range(a + 1, rank):
-                    w = lie.bracket_y(H.rows[a], H.rows[b])
-                    if w % ylat:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            c += ok
+            ylat = H[-1][-1]
+            c += all(
+                _omega(u, v, n) % ylat == 0 for a, u in enumerate(H) for v in H[a + 1:]
+            )
         counts.append(c)
     return counts

@@ -226,9 +226,9 @@ def lemma_global_bound(n: int) -> tuple[int, tuple[int, ...]]:
 
 
 def contains(H, vec) -> bool:
-    """Membership of an integer vector in the row span of a HermiteBasis."""
+    """Membership of an integer vector in the row span of HNF rows H."""
     x = list(vec)
-    for i, row in enumerate(H.rows):
+    for i, row in enumerate(H):
         if x[i] % row[i]:
             return False
         t = x[i] // row[i]
@@ -243,3 +243,8 @@ def closure(mod, gens) -> frozenset:
         frontier = [y for y in {mod.add(x, g) for x in frontier for g in gens} if y not in seen]
         seen.update(frontier)
     return frozenset(seen)
+
+
+def perp(mod, gens) -> list:
+    """The elements of an AltModule perpendicular to every generator."""
+    return [v for v in mod.elements() if all(mod.pairing(v, g) == 0 for g in gens)]

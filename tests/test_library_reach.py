@@ -1,11 +1,13 @@
 """Every definition in src/heiszeta is reached from the library itself.
 
-A top-level function or class, or a non-dunder method, is live when code of
-src/heiszeta outside its own body names it (an ast.Name or ast.Attribute)
-and that code is module-level or inside a live definition.  Docstrings,
-`__init__` and the string keys of `errors.N_RANGE` name nothing.  What only
-the tests call is a second derivation and belongs in tests/reference.py.
-The public API in PUBLIC is live by definition.
+A top-level function or class is live when code of src/heiszeta outside its
+own body names it (an ast.Name or ast.Attribute), and a non-dunder method
+when such code reads it as an attribute (`obj.method`); that code must be
+module-level or inside a live definition.  A bare local of the same name
+does not reach a method.  Docstrings, `__init__` and the string keys of
+`errors.N_RANGE` name nothing.  What only the tests call is a second
+derivation and belongs in tests/reference.py.  The public API in PUBLIC is
+live by definition.
 """
 
 import ast
@@ -17,15 +19,21 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _names(nodes) -> set[str]:
-    return {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for node in nodes
-        if isinstance(node, (ast.Name, ast.Attribute))
-    }
+    """Names used: `x` for a bare name, `x` and `.x` for an attribute `obj.x`."""
+    out = set()
+    for node in nodes:
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out |= {node.attr, "." + node.attr}
+    return out
 
 
 def _units():
-    """[(label, name, names used in its body)], and the names module-level code uses."""
+    """[(label, key, names its body uses but its own)], and names module-level code uses.
+
+    The key is what reaches the unit: its name, or `.name` for a method.
+    """
     units, root = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
@@ -38,10 +46,11 @@ def _units():
             if isinstance(top, ast.ClassDef):
                 for m in top.body:
                     if isinstance(m, FUNCTIONS) and not m.name.startswith("__"):
-                        units.append((top.name + "." + m.name, m.name, _names(ast.walk(m))))
+                        body = _names(ast.walk(m)) - {m.name, "." + m.name}
+                        units.append((top.name + "." + m.name, "." + m.name, body))
                         inner |= {id(node) for node in ast.walk(m)}
             body = _names(node for node in ast.walk(top) if id(node) not in inner)
-            units.append((top.name, top.name, body))
+            units.append((top.name, top.name, body - {top.name, "." + top.name}))
     return units, root
 
 
@@ -50,10 +59,10 @@ def test_every_definition_is_reached():
     reached, todo = set(), set(PUBLIC)
     while todo:
         reached |= todo
-        for label, name, body in units:
+        for label, _, body in units:
             if label in todo:
-                live |= body - {name}
-        todo = {label for label, name, _ in units if name in live} - reached
+                live |= body
+        todo = {label for label, key, _ in units if key in live} - reached
     dead = sorted(label for label, _, _ in units if label not in reached)
     assert dead == [], "defined in src/heiszeta but reached by no library code: " + ", ".join(dead)
 

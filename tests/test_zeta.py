@@ -276,9 +276,9 @@ def _enum_ideals(n, p, max_valuation):
     for j in range(max_valuation + 1):
         c = 0
         for H in hnf_enumerate(rank, p, j):
-            ylat = H.rows[rank - 1][rank - 1]
+            ylat = H[rank - 1][rank - 1]
             c += all(
-                H.rows[a][i] % ylat == 0
+                H[a][i] % ylat == 0
                 for a in range(rank)
                 for i in range(rank - 1)
             )
