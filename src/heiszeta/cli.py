@@ -283,8 +283,8 @@ def validate(args) -> None:
     Raises UsageError, which main maps to exit code 2.  Forms b, c, graded,
     reduced and ideal are defined at n = 0 (they give 1 / (1 - T)); form a,
     verify and the lattice oracles need n >= 1, and R_n needs n >= 2.
-    verify's --checks becomes the list of check names; an unknown name is
-    rejected.
+    verify's --checks becomes the list of check names; an empty list or an
+    unknown name is rejected.
     """
     least, what = 0, args.command
     if args.command == "zeta" and args.form == "a":
@@ -292,6 +292,8 @@ def validate(args) -> None:
     elif args.command == "verify":
         least = 1
         args.checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+        if not args.checks:
+            raise UsageError("--checks names no check")
         for name in args.checks:
             if name not in CHECKS:
                 raise UsageError("unknown check %r" % name)

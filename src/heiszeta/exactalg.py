@@ -611,12 +611,6 @@ class FactoredRational:
             other = FactoredRational(_coerce_poly(other))
         return self + (-other)
 
-    def divided_by_factor(self, a: int, b: int) -> "FactoredRational":
-        """Multiply the denominator by (1 - q^a T^b)."""
-        den = dict(self.den)
-        num, tshift = _insert_factor(den, a, b, 1, self.num, self.tshift)
-        return FactoredRational(num, den, tshift)
-
     @staticmethod
     def sum(items: Sequence["FactoredRational"]) -> "FactoredRational":
         """Exact sum over the least common factor multiset.

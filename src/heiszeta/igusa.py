@@ -1,13 +1,20 @@
 """Igusa-type generating functions and the fibre-sum machinery.
 
-Type-A Igusa functions in truncated, plain and augmented form (subset
-expansion with Gaussian multinomial weights), their type-B analogues over
-the hyperoctahedral group (descent form, subset expansion, residue
-factorization), and the fibre apparatus used to collapse the 2^n-term zeta
-formula to n+1 terms: coefficient families E_{k,r} / B_{k,r}^(t), fibre
-sums over the terminal-entry fibres of the w-vectors, and their coset model
-on S_n / S_k.  One subset sum serves both subset expansions, and one slot
-denominator prod (1 - X_i) serves every function here.
+Type-A Igusa functions (subset expansion with Gaussian multinomial
+weights), their type-B analogues over the hyperoctahedral group (descent
+form, subset expansion, residue factorization), and the fibre apparatus
+used to collapse the 2^n-term zeta formula to n+1 terms: coefficient
+families E_{k,r} / B_{k,r}^(t), fibre sums over the terminal-entry fibres
+of the w-vectors, and their coset model on S_n / S_k.
+
+The slot count selects the variant.  Type A of degree n takes n - 1 slots
+X_1 .. X_{n-1} (truncated), n slots X_1 .. X_n (plain) or n + 1 slots
+X_0 .. X_n (augmented); type B takes n slots X_0 .. X_{n-1} (truncated)
+or n + 1 slots X_0 .. X_n (full).  A slot whose index never changes the
+weight of a subset (X_0 and X_n in type A, X_n in type B) contributes
+X / (1 - X) + 1 = 1 / (1 - X), so the variants differ only in their
+denominators: one subset sum runs over the other slots, and one slot
+denominator prod (1 - X_i) over all of them serves every function here.
 """
 
 from __future__ import annotations
@@ -34,17 +41,18 @@ from .exactalg import (
     qpochhammer,
 )
 
-_VARIANT_INDEX = {
-    "truncated": (1, -1),  # slots X_1 .. X_{n-1}
-    "plain": (1, 0),  # slots X_1 .. X_n
-    "augmented": (0, 0),  # slots X_0 .. X_n
-}
 
-
-def _check_positive(X: Sequence[SignedMonomial]):
-    for x in X:
-        if x.sign != 1:
-            raise ValueError("Igusa slot arguments must be positive monomials")
+def _check_slots(kind: str, n: int, X: Sequence[SignedMonomial], least: int):
+    """n >= 0, and X has least .. n + 1 slots, all positive monomials."""
+    if n < 0:
+        raise ValueError("type %s Igusa functions need degree n >= 0, got %d" % (kind, n))
+    if not least <= len(X) <= n + 1:
+        raise ArityMismatch(
+            "type %s of degree %d takes %d to %d slots, got %d"
+            % (kind, n, least, n + 1, len(X))
+        )
+    if any(x.sign != 1 for x in X):
+        raise ValueError("Igusa slot arguments must be positive monomials")
 
 
 def _over_slots(num: BivariatePolynomial, X: Sequence[SignedMonomial]) -> FactoredRational:
@@ -54,23 +62,24 @@ def _over_slots(num: BivariatePolynomial, X: Sequence[SignedMonomial]) -> Factor
 
 def _subset_sum(
     n: int,
-    indices: Sequence[int],
     y_exponent: int,
+    interior: Sequence[tuple[int, SignedMonomial]],
     X: Sequence[SignedMonomial],
     weight: Sequence[BivariatePolynomial] | None = None,
 ) -> FactoredRational:
-    """Sum over I within indices of binom(n, I)_Y w_d prod_{i in I} X_i / (1 - X_i).
+    """Sum over I of binom(n, I)_Y w_d prod_{i in I} X_i / (1 - X_i).
 
-    X lists the slots of indices in order.  weight, when given, lists w_d
+    I runs over the subsets of the indices of interior, a list of (i, X_i);
+    the denominator runs over all slots X.  weight, when given, lists w_d
     for d in [n]_0, taken at d = n - min(I + {n}); otherwise w_d = 1.
     """
     num: dict = {}
-    for mask in range(1 << len(indices)):
-        I = [i for k, i in enumerate(indices) if mask >> k & 1]
+    for mask in range(1 << len(interior)):
+        I = [i for k, (i, _) in enumerate(interior) if mask >> k & 1]
         term = gauss_multinom(n, I, y_exponent)
         if weight is not None:
             term = term * weight[n - min(I + [n])]
-        for k, x in enumerate(X):
+        for k, (_, x) in enumerate(interior):
             if mask >> k & 1:
                 term = term * x.to_poly()
             else:
@@ -79,28 +88,15 @@ def _subset_sum(
     return _over_slots(BivariatePolynomial(num), X)
 
 
-def igusa_A(
-    n: int, variant: str, y_exponent: int, X: Sequence[SignedMonomial]
-) -> FactoredRational:
-    """Type-A Igusa function of degree n.
+def igusa_A(n: int, y_exponent: int, X: Sequence[SignedMonomial]) -> FactoredRational:
+    """Type-A Igusa function of degree n on n - 1, n or n + 1 slots.
 
-    Subset sum of binom(n, I)_Y prod_{i in I} X_i / (1 - X_i); the variant
-    selects the index set: truncated I in [n-1], plain I in [n], augmented
-    I in [n]_0.  Slots are passed in index order.
+    Sum over I in [n-1] of binom(n, I)_Y prod_{i in I} X_i / (1 - X_i),
+    over the denominators of all slots.
     """
-    if variant not in _VARIANT_INDEX:
-        raise ValueError("unknown variant %r" % variant)
-    lo, hi_off = _VARIANT_INDEX[variant]
-    indices = list(range(lo, n + 1 + hi_off))
-    if len(X) != len(indices):
-        raise ArityMismatch(
-            "variant %s of degree %d needs %d slots, got %d"
-            % (variant, n, len(indices), len(X))
-        )
-    _check_positive(X)
-    if n == 0 and variant == "truncated":
-        raise ArityMismatch("truncated variant needs n >= 1")
-    return _subset_sum(n, indices, y_exponent, X)
+    _check_slots("A", n, X, max(n - 1, 0))
+    first = 1 if len(X) == n + 1 else 0
+    return _subset_sum(n, y_exponent, list(zip(range(1, n), X[first:])), X)
 
 
 # ---------------------------------------------------------------------------
@@ -108,34 +104,20 @@ def igusa_A(
 # ---------------------------------------------------------------------------
 
 
-def _check_B_slots(n: int, X: Sequence[SignedMonomial], variant: str):
-    """Slots X_0 .. X_n (full) or X_0 .. X_{n-1} (truncated), all positive."""
-    if variant not in ("full", "truncated"):
-        raise ValueError("unknown variant %r" % variant)
-    want = n + 1 if variant == "full" else n
-    if len(X) != want:
-        raise ArityMismatch("variant %s needs %d slots, got %d" % (variant, want, len(X)))
-    _check_positive(X)
-
-
 def igusa_B(
     n: int,
     y_exponent: int,
     Z: SignedMonomial,
     X: Sequence[SignedMonomial],
-    variant: str = "full",
 ) -> FactoredRational:
-    """Type-B Igusa function: numerator over B_n with Y^l Z^neg prod X_i.
+    """Type-B Igusa function on n or n + 1 slots, by its descent form.
 
-    The full variant takes slots X_0 .. X_n and denominator over all of
-    them; the truncated variant takes X_0 .. X_{n-1} (the slot X_n never
-    occurs in the numerator, so truncation just drops its denominator
-    factor).  The numerator is the group sum of
+    The numerator, over B_n with Y^l Z^neg prod X_i, is the group sum of
     :func:`~heiszeta.combinat.signed_descent_sum`, a dynamic program over
     (absolute values placed, last entry); no group element is built.
     """
     check_n("igusa_B", n)
-    _check_B_slots(n, X, variant)
+    _check_slots("B", n, X, n)
     return _over_slots(signed_descent_sum(n, y_exponent, Z, X[:n]), X)
 
 
@@ -144,18 +126,16 @@ def igusa_B_subset(
     y_exponent: int,
     Z: SignedMonomial,
     X: Sequence[SignedMonomial],
-    variant: str = "full",
 ) -> FactoredRational:
-    """Subset expansion of the type-B Igusa function.
+    """Subset expansion of the type-B Igusa function on n or n + 1 slots.
 
-    Sum over I of binom(n, I)_Y (-Y^n Z; Y^-1)_{n - min(I + {n})}
-    prod_{i in I} X_i / (1 - X_i), with I over [n]_0 (full) or [n-1]_0
-    (truncated).
+    Sum over I in [n-1]_0 of binom(n, I)_Y (-Y^n Z; Y^-1)_{n - min(I + {n})}
+    prod_{i in I} X_i / (1 - X_i), over the denominators of all slots.
     """
-    _check_B_slots(n, X, variant)
+    _check_slots("B", n, X, n)
     a0 = mono(y_exponent * n, 0, -1) * Z  # -Y^n Z
     weight = [qpochhammer(a0, -y_exponent, d).num for d in range(n + 1)]
-    return _subset_sum(n, range(len(X)), y_exponent, X, weight)
+    return _subset_sum(n, y_exponent, list(enumerate(X[:n])), X, weight)
 
 
 def igusa_B_residue(
@@ -178,8 +158,8 @@ def igusa_B_residue(
     head, tail = list(X[:m]), list(X[m:])
     a0 = mono(y_exponent * n, 0, -1) * Z
     pref = gauss_multinom(n, [m], y_exponent) * qpochhammer(a0, -y_exponent, n - m).num
-    left = igusa_B(m, y_exponent, Z, head, variant="truncated")
-    right = igusa_A(n - m, "plain", y_exponent, tail)
+    left = igusa_B(m, y_exponent, Z, head)
+    right = igusa_A(n - m, y_exponent, tail)
     return left * right * pref
 
 
@@ -282,7 +262,7 @@ def fibre_I(
     for w in fibre_W(k, r):
         slots = [Y_slot(j, wj, T_arg) for j, wj in enumerate(w, start=1)]
         terms.append(
-            weight_C(w) * igusa_A(n, "plain", -2, slots + list(X_tail))
+            weight_C(w) * igusa_A(n, -2, slots + list(X_tail))
         )
     return FactoredRational.sum(terms)
 
@@ -322,12 +302,9 @@ def fibre_prefactor(k: int, r: int) -> FactoredRational:
     num = BivariatePolynomial.monomial((-1) ** r, r, 0)
     num = num * BivariatePolynomial.one_minus(2, 0) ** k
     num = num * BivariatePolynomial.one_minus(2 * k - 2 * r + 1, 0)
-    out = FactoredRational(num)
-    for i in range(2 * k - r + 1):
-        out = out.divided_by_factor(1 + i, 0)
-    for i in range(r):
-        out = out.divided_by_factor(1 + i, 0)
-    return out
+    factors = [(1 + i, 0) for i in range(2 * k - r + 1)]
+    factors += [(1 + i, 0) for i in range(r)]
+    return FactoredRational(num, Counter(factors))
 
 
 def E_at_minus_T(k: int, r: int, T_arg: SignedMonomial) -> BivariatePolynomial:

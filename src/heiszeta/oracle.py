@@ -197,6 +197,13 @@ class AltModule:
         return Partition(tuple(sorted(lam, reverse=True)))
 
 
+def _check_lagrangian_budget(p: int, size: int) -> None:
+    if p ** (2 * size) > LAGRANGIAN_BUDGET:
+        raise BudgetExceeded(
+            "|M_mu| = %d^%d exceeds the budget %d" % (p, 2 * size, LAGRANGIAN_BUDGET)
+        )
+
+
 def enum_lagrangians(mu, p: int) -> dict[Partition, int]:
     """Count Lagrangian submodules of M_mu by module type.
 
@@ -206,10 +213,7 @@ def enum_lagrangians(mu, p: int) -> dict[Partition, int]:
     """
     mu = Partition(mu)
     m = mu.size()
-    if p ** (2 * m) > LAGRANGIAN_BUDGET:
-        raise BudgetExceeded(
-            "|M_mu| = %d^%d exceeds the budget %d" % (p, 2 * m, LAGRANGIAN_BUDGET)
-        )
+    _check_lagrangian_budget(p, m)
     if m == 0:
         return {Partition(()): 1}
     mod = AltModule(tuple(mu.parts), p)
@@ -309,9 +313,15 @@ def _omega(u: Sequence[int], v: Sequence[int], n: int) -> int:
 
 
 def _check_hnf_budget(rank: int, p: int, max_valuation: int) -> None:
-    total = sum(hnf_count(rank, p, j) for j in range(max_valuation + 1))
-    if total > HNF_BUDGET:
-        raise BudgetExceeded("HNF enumeration size %d exceeds %d" % (total, HNF_BUDGET))
+    """Refuse at the first valuation where the running HNF count passes HNF_BUDGET."""
+    total = 0
+    for j in range(max_valuation + 1):
+        total += hnf_count(rank, p, j)
+        if total > HNF_BUDGET:
+            raise BudgetExceeded(
+                "HNF enumeration size %d up to valuation %d exceeds %d"
+                % (total, j, HNF_BUDGET)
+            )
 
 
 def enum_sublattices(
@@ -337,8 +347,12 @@ def check_factorization(n: int, p: int, max_valuation: int) -> list[dict]:
     at q = p over every (lambda, mu) in range; raises FactorizationMismatch
     on any discrepancy (the factorization is a theorem, so a mismatch means
     an implementation bug).  HNF_BUDGET bounds the lattice enumeration and
-    LAGRANGIAN_BUDGET each Lagrangian enumeration.
+    LAGRANGIAN_BUDGET each Lagrangian enumeration; both are checked before
+    any enumeration, the HNF one first, since every mu has |mu| <= max_valuation.
     """
+    _check_hnf_budget(2 * n, p, max_valuation)
+    for size in range(max_valuation + 1):  # names the least |mu| over budget
+        _check_lagrangian_budget(p, size)
     lattice = enum_sublattices(n, p, max_valuation)
     mus = sorted(
         {mu.parts for _, mu in lattice}

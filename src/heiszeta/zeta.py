@@ -72,7 +72,7 @@ def zeta_igusa_sum(n: int) -> FactoredRational:
     """2^n-term form: sum over w of C(w) times an augmented Igusa function."""
     check_n("zeta_igusa_sum", n)
     terms = [
-        weight_C(w) * igusa_A(n, "augmented", -2, igusa_args(n, w))
+        weight_C(w) * igusa_A(n, -2, igusa_args(n, w))
         for w in gen_W(n)
     ]
     return FactoredRational.sum(terms).reduced()
@@ -116,7 +116,7 @@ def hyperoctahedral_numerator(n: int, c: Sequence[int]) -> BivariatePolynomial:
 def zeta_hyperoctahedral(n: int) -> FactoredRational:
     """Hyperoctahedral form: type-B Igusa specialization over (T;q)_{2n}.
 
-    Built from the 2^(n+1)-term subset expansion of the type-B Igusa
+    Built from the 2^n-term subset expansion of the type-B Igusa
     function at Y = q^-1, Z = -q^n T and slots q^{c_i} T^{n+1}.  Its
     numerator equals the statistic sum over B_n of
     :func:`hyperoctahedral_numerator`, an independent derivation that
@@ -125,9 +125,7 @@ def zeta_hyperoctahedral(n: int) -> FactoredRational:
     check_n("zeta_hyperoctahedral", n)
     X = [mono(ci, n + 1) for ci in c_exponents(n)]
     f = igusa_B_subset(n, -1, mono(n, 1, -1), X)
-    for i in range(2 * n):
-        f = f.divided_by_factor(i, 1)
-    return f
+    return f * FactoredRational.one_over((i, 1) for i in range(2 * n))
 
 
 def zeta_ideal(n: int) -> FactoredRational:

@@ -161,10 +161,7 @@ def igusa_A_descent(n: int, y_exponent: int, X) -> FactoredRational:
         for j in descent_set(g):
             term = term * X[j].to_poly()
         num = num + term
-    out = FactoredRational(num)
-    for x in X:
-        out = out.divided_by_factor(x.e_q, x.e_T)
-    return out
+    return FactoredRational(num) * FactoredRational.one_over((x.e_q, x.e_T) for x in X)
 
 
 def epsilon_kr(k: int, r: int, t: int) -> Poly:
@@ -175,9 +172,8 @@ def epsilon_kr(k: int, r: int, t: int) -> Poly:
 def Z_of_w(w, n: int) -> FactoredRational:
     """Analytic contribution of one w: truncated Igusa over (1-X_0)(1-X_n)."""
     X = igusa_args(n, w)
-    f = igusa_A(n, "truncated", -2, X[1:n])
-    f = f.divided_by_factor(X[0].e_q, X[0].e_T)
-    return f.divided_by_factor(X[n].e_q, X[n].e_T)
+    f = igusa_A(n, -2, X[1:n])
+    return f * FactoredRational.one_over([(X[0].e_q, X[0].e_T), (X[n].e_q, X[n].e_T)])
 
 
 def _partition_sum(n: int, max_size: int, weight) -> FactoredRational:

@@ -195,6 +195,7 @@ BAD_INPUTS = [
     ("zeta", "--n", "-1", "--form", "c"),
     ("zeta", "--n", "0", "--form", "a"),
     ("verify", "--n", "0"),
+    ("verify", "--n", "2", "--checks", ","),
     ("coeffs", "--n", "1", "--prime", "1", "--max-order", "2"),
     ("coeffs", "--n", "1", "--prime", "4", "--max-order", "2"),
     ("coeffs", "--n", "1", "--prime", "2", "--max-order", "-1"),

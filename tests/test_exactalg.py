@@ -229,7 +229,7 @@ def test_divide_then_multiply_back_random():
         a, b = rng.randint(-3, 3), rng.randint(0, 2)
         if (a, b) == (0, 0):
             continue
-        g = f.divided_by_factor(a, b) * Poly.one_minus(a, b)
+        g = f * FR.one_over([(a, b)]) * Poly.one_minus(a, b)
         assert g == f
 
 

@@ -6,6 +6,7 @@ from heiszeta.exactalg import (
     BivariatePolynomial as Poly,
     FactoredRational as FR,
     gauss_binom,
+    gauss_multinom,
     mono,
     qpochhammer,
 )
@@ -40,23 +41,24 @@ def one_over_slots(slots):
 
 def test_augmented_degree_one_fixture():
     X = generic_slots(2)
-    assert igusa_A(1, "augmented", -2, X) == one_over_slots(X)
+    assert igusa_A(1, -2, X) == one_over_slots(X)
 
 
 def test_augmented_degree_two_fixture():
     X0, X1, X2 = generic_slots(3)
-    got = igusa_A(2, "augmented", -2, [X0, X1, X2])
+    got = igusa_A(2, -2, [X0, X1, X2])
     num = Poly({(0, 0): 1, (X1.e_q - 2, X1.e_T): 1})  # 1 + q^-2 X_1
     assert got == FR(num) * one_over_slots([X0, X1, X2])
 
 
 def test_plain_degree_zero():
-    assert igusa_A(0, "plain", -2, []) == FR(1)
+    assert igusa_A(0, -2, []) == FR(1)
     X0 = generic_slots(1)
-    assert igusa_A(0, "augmented", -2, X0) == one_over_slots(X0)
-    assert igusa_A(0, "augmented", -2, X0).den == {(X0[0].e_q, X0[0].e_T): 1}
+    assert igusa_A(0, -2, X0) == one_over_slots(X0)
+    assert igusa_A(0, -2, X0).den == {(X0[0].e_q, X0[0].e_T): 1}
+    # degree 0 has no truncated variant: 0 or 1 slots only
     with pytest.raises(ArityMismatch):
-        igusa_A(0, "truncated", -2, [])
+        igusa_A(0, -2, generic_slots(2))
 
 
 @pytest.mark.parametrize("case", ["A plain", "A augmented", "B full", "B truncated"])
@@ -66,25 +68,59 @@ def test_repeated_slots_give_multiplicity_two(case):
     x0, x, x3 = generic_slots(3)
     if case.startswith("A"):
         X = [x, x, x3] if case == "A plain" else [x0, x, x, x3]
-        got = igusa_A(3, case[2:], -2, X)
+        got = igusa_A(3, -2, X)
         want = igusa_A_descent(3, -2, [x0, x, x, x3])
         if case == "A plain":  # augmented = plain / (1 - X_0)
             want = want * Poly.one_minus(x0.e_q, x0.e_T)
     else:
         X = [x, x, x3] if case == "B full" else [x, x]
-        got = igusa_B_subset(2, -1, Z_GENERIC, X, variant=case[2:])
-        want = FR(signed_descent_sum(2, -1, Z_GENERIC, X[:2]))
-        for y in X:
-            want = want.divided_by_factor(y.e_q, y.e_T)
+        got = igusa_B_subset(2, -1, Z_GENERIC, X)
+        want = FR(signed_descent_sum(2, -1, Z_GENERIC, X[:2])) * one_over_slots(X)
     assert got.den[(x.e_q, x.e_T)] == 2
     assert got == want
 
 
 def test_igusa_arity_checks():
-    with pytest.raises(ArityMismatch):
-        igusa_A(2, "plain", -2, generic_slots(3))
+    # type A of degree n takes n - 1, n or n + 1 slots; type B takes n or n + 1
+    for n in (1, 2, 3):
+        for count in range(n + 4):
+            X = generic_slots(count)
+            if count not in (n - 1, n, n + 1):
+                with pytest.raises(ArityMismatch):
+                    igusa_A(n, -2, X)
+            if count not in (n, n + 1):
+                with pytest.raises(ArityMismatch):
+                    igusa_B(n, -1, Z_GENERIC, X)
+                with pytest.raises(ArityMismatch):
+                    igusa_B_subset(n, -1, Z_GENERIC, X)
     with pytest.raises(ArityMismatch):
         igusa_A_descent(2, -2, generic_slots(2))
+    with pytest.raises(ValueError):
+        igusa_A(-1, -2, [])
+    with pytest.raises(ValueError):
+        igusa_B_subset(-1, -1, Z_GENERIC, [])
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_subset_sums_skip_the_free_slots(n, monkeypatch):
+    # X_0 and X_n never change a type-A subset's weight, nor X_n a type-B
+    # one's, so only the other slots are summed over: 2^(n-1) and 2^n
+    # subsets with all n + 1 slots given, not 2^(n+1)
+    from heiszeta import igusa
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return gauss_multinom(*args)
+
+    monkeypatch.setattr(igusa, "gauss_multinom", counting)
+    X = generic_slots(n + 1)
+    igusa_A(n, -2, X)
+    assert len(calls) == 2 ** (n - 1)
+    calls.clear()
+    igusa_B_subset(n, -1, Z_GENERIC, X)
+    assert len(calls) == 2**n
 
 
 def test_descent_numerators():
@@ -103,25 +139,23 @@ def test_descent_numerators():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_descent_form_equals_subset_expansion(n):
     X = generic_slots(n + 1)
-    assert igusa_A_descent(n, -2, X) == igusa_A(n, "augmented", -2, X)
+    assert igusa_A_descent(n, -2, X) == igusa_A(n, -2, X)
 
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_truncated_reversal_symmetry(n):
     X = generic_slots(n - 1)
-    a = igusa_A(n, "truncated", -2, X)
-    b = igusa_A(n, "truncated", -2, list(reversed(X)))
+    a = igusa_A(n, -2, X)
+    b = igusa_A(n, -2, list(reversed(X)))
     assert a == b
 
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_bridge_identity(n):
     X = generic_slots(n + 1)
-    tr = igusa_A(n, "truncated", -2, X[1:n])
-    tr = tr.divided_by_factor(X[0].e_q, X[0].e_T)
-    tr = tr.divided_by_factor(X[n].e_q, X[n].e_T)
-    pl = igusa_A(n, "plain", -2, X[1:]).divided_by_factor(X[0].e_q, X[0].e_T)
-    aug = igusa_A(n, "augmented", -2, X)
+    tr = igusa_A(n, -2, X[1:n]) * one_over_slots([X[0], X[n]])
+    pl = igusa_A(n, -2, X[1:]) * one_over_slots(X[:1])
+    aug = igusa_A(n, -2, X)
     assert tr == pl == aug
 
 
@@ -130,11 +164,11 @@ def test_pascal_type_induction(n):
     # Ig_n = sum_j binom(n,j)_Y X_j Ig_j with X_0 = 1
     y = -2
     X = generic_slots(n)
-    lhs = igusa_A(n, "plain", y, X)
+    lhs = igusa_A(n, y, X)
     terms = [FR(gauss_binom(n, 0, y))]
     for j in range(1, n + 1):
         terms.append(
-            igusa_A(j, "plain", y, X[:j]) * gauss_binom(n, j, y) * X[j - 1]
+            igusa_A(j, y, X[:j]) * gauss_binom(n, j, y) * X[j - 1]
         )
     assert lhs == FR.sum(terms)
 
@@ -144,7 +178,7 @@ def test_triangular_specialization(n):
     # Ig_n(q^-1; q^{-binom(r+1,2)} U^r) = (-q^-1 U; q^-1)_n / (q^-2 U^2; q^-1)_n
     uq, ut = 97, 2
     X = [mono(-(r * (r + 1) // 2) + uq * r, ut * r) for r in range(1, n + 1)]
-    lhs = igusa_A(n, "plain", -1, X)
+    lhs = igusa_A(n, -1, X)
     num = qpochhammer(mono(uq - 1, ut, -1), -1, n).num
     den = qpochhammer_factors(mono(2 * uq - 2, 2 * ut), -1, n)
     rhs = FR(num, {k: den.count(k) for k in set(den)})
@@ -201,8 +235,8 @@ def test_subset_expansion_matches_descent_form(n):
 @pytest.mark.parametrize("n", range(1, 4))
 def test_truncated_subset_matches(n):
     X = generic_slots(n)
-    lhs = igusa_B(n, -1, Z_GENERIC, X, variant="truncated")
-    rhs = igusa_B_subset(n, -1, Z_GENERIC, X, variant="truncated")
+    lhs = igusa_B(n, -1, Z_GENERIC, X)
+    rhs = igusa_B_subset(n, -1, Z_GENERIC, X)
     assert lhs == rhs
 
 
@@ -229,7 +263,7 @@ def test_residue_edge_cases():
 def test_type_B_triangular_specialization(k):
     # truncated-B_k(q^-1, Z; q^{(k(k+1)-r(r+1))/2}) = (-q^{1-k} Z; q^2)_k / (q; q^2)_k
     X = [mono((k * (k + 1) - r * (r + 1)) // 2, 0) for r in range(k)]
-    lhs = igusa_B(k, -1, Z_GENERIC, X, variant="truncated")
+    lhs = igusa_B(k, -1, Z_GENERIC, X)
     num = qpochhammer(mono(1 - k, 0, -1) * Z_GENERIC, 2, k).num
     den = qpochhammer_factors(mono(1, 0), 2, k)
     rhs = FR(num, {kk: den.count(kk) for kk in set(den)})
@@ -324,7 +358,7 @@ def test_cross_difference_identity(k):
 def test_fibre_I_base_cases():
     n = 3
     X = generic_slots(n)
-    base = igusa_A(n, "plain", -2, X)
+    base = igusa_A(n, -2, X)
     assert fibre_I(n, 0, 0, X, mono(0, 1)) == base
     assert fibre_I(n, 0, 1, X, mono(0, 1)) == base
     assert fibre_I(n, 0, 5, X, mono(0, 1)).is_zero()
@@ -413,9 +447,8 @@ def test_I_recursion(n):
             lhs = fibre_I(n, k + 1, r, Xt, T)
             slot = Y_slot(k + 1, r, T)
             terms = [
-                fibre_I(n, k, u, [slot] + list(Xt), T).divided_by_factor(
-                    2 * k + 1 - 2 * u, 0
-                )
+                fibre_I(n, k, u, [slot] + list(Xt), T)
+                * FR.one_over([(2 * k + 1 - 2 * u, 0)])
                 for u in (r, rp)
             ]
             assert lhs == FR.sum(terms)

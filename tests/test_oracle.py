@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from heiszeta import oracle
 from heiszeta.combinat import Partition, partitions_up_to
 from heiszeta.counts import birkhoff_alpha, nprime_closed
 from heiszeta.errors import BudgetExceeded, DegenerateForm, SingularMatrix
@@ -234,16 +235,39 @@ def test_factorization(n, p, maxval):
 
 
 def test_factorization_budget():
-    # 7.0e8 HNF bases of rank 4 up to index 3^6, refused before enumerating
+    # 7.0e8 HNF bases of rank 4 up to index 3^6, refused before enumerating;
+    # |M_(6)| = 3^12 also exceeds the Lagrangian budget, but the HNF refusal
+    # comes first
     with pytest.raises(BudgetExceeded):
         enum_sublattices(2, 3, 6)
+    with pytest.raises(BudgetExceeded, match="HNF"):
+        check_factorization(2, 3, 6)
 
 
-def test_factorization_keeps_the_lagrangian_budget():
+def test_factorization_keeps_the_lagrangian_budget(monkeypatch):
     # |M_(8)| = 2^16 exceeds the Lagrangian budget 3^10, though the HNF
-    # enumeration of rank 2 up to index 2^8 is well inside its own
-    with pytest.raises(BudgetExceeded):
+    # enumeration of rank 2 up to index 2^8 is well inside its own; the
+    # refusal comes before the lattice enumeration
+    def refuse(*args):
+        raise AssertionError("enum_sublattices ran before the budget check")
+
+    monkeypatch.setattr(oracle, "enum_sublattices", refuse)
+    with pytest.raises(BudgetExceeded, match=r"2\^16"):
         check_factorization(1, 2, 8)
+
+
+def test_hnf_budget_stops_at_the_first_valuation_over_it(monkeypatch):
+    # the running count passes 2 * 10^6 at valuation 19 of rank 2, p = 2
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return hnf_count(*args)
+
+    monkeypatch.setattr(oracle, "hnf_count", counting)
+    with pytest.raises(BudgetExceeded):
+        enum_sublattices(1, 2, 200)
+    assert len(calls) <= 25
 
 
 # ---------------------------------------------------------------------------
