@@ -13,7 +13,9 @@ tuple of row tuples.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterator, Sequence
 
 from .combinat import Partition, partitions_up_to
@@ -172,12 +174,10 @@ class AltModule:
     def scalar(self, k: int, a: Element) -> Element:
         return tuple((k * x) % m for x, m in zip(a, self.mods))
 
-    def pairing(self, a: Element, b: Element) -> int:
-        total = 0
-        for i, s in enumerate(self.scale):
-            e = 2 * i
-            total += s * (a[e] * b[e + 1] - a[e + 1] * b[e])
-        return total % self.exponent
+    def dual(self, v: Element) -> Element:
+        """w with <x, v> = sum_k w_k x_k modulo `exponent`, for every x."""
+        pairs = ((s * v[2 * i + 1], -s * v[2 * i]) for i, s in enumerate(self.scale))
+        return tuple(c % self.exponent for pair in pairs for c in pair)
 
     def subgroup_type(self, sub: frozenset[Element]) -> Partition:
         """Abelian type of a subgroup from the sizes of its p^k multiples."""
@@ -217,10 +217,10 @@ def enum_lagrangians(mu, p: int) -> dict[Partition, int]:
     if m == 0:
         return {Partition(()): 1}
     mod = AltModule(tuple(mu.parts), p)
+    elements = list(mod.elements())
+    times_p = {x: mod.scalar(p, x) for x in elements}
     # subgroup -> perp list; grown by index p per step, deduplicated globally
-    level: dict[frozenset[Element], list[Element]] = {
-        frozenset({mod.zero}): list(mod.elements())
-    }
+    level: dict[frozenset[Element], list[Element]] = {frozenset({mod.zero}): elements}
     found: set[frozenset[Element]] = set()
     for step in range(m):
         last = step == m - 1
@@ -230,7 +230,7 @@ def enum_lagrangians(mu, p: int) -> dict[Partition, int]:
             for v in perp:
                 if v in processed:
                     continue
-                if mod.scalar(p, v) not in sub:
+                if times_p[v] not in sub:
                     continue  # index-p^2 jump; reached later along a chain
                 grown = set(sub)
                 for j in range(1, p):
@@ -241,9 +241,8 @@ def enum_lagrangians(mu, p: int) -> dict[Partition, int]:
                 if last:
                     found.add(fz)
                 elif fz not in nxt:
-                    nxt[fz] = [
-                        x for x in perp if mod.pairing(x, v) == 0
-                    ]
+                    w = mod.dual(v)
+                    nxt[fz] = [x for x in perp if sum(map(mul, w, x)) % mod.exponent == 0]
         level = nxt
     out: dict[Partition, int] = {}
     for sub in found:
@@ -258,6 +257,9 @@ def enum_lagrangians(mu, p: int) -> dict[Partition, int]:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Diagonal valuations of the HNFs of rank `parts` and index p^total."""
+    if parts < 0:
+        raise ValueError("HNF rank must be >= 0, got %d" % parts)
     if parts == 0:
         if total == 0:
             yield ()
@@ -284,21 +286,18 @@ def hnf_enumerate(
     """All sublattices of Z^rank with index p^valuation, as HNF row tuples.
 
     The basis is upper triangular with each above-diagonal entry reduced
-    modulo the diagonal entry of its column: one basis per sublattice.
+    modulo the diagonal entry of its column: one basis per sublattice.  Row i
+    is (0, ..., 0, d_i, t_{i+1}, ..., t_{rank-1}) with t_j in range(d_j), so
+    the rows are chosen independently.
     """
     for comp in _compositions(valuation, rank):
         diag = [p**b for b in comp]
-        ranges = []
-        for j in range(rank):
-            ranges.extend(range(diag[j]) for _ in range(j))
-        for above in itertools.product(*ranges):
-            rows = [[0] * rank for _ in range(rank)]
-            it = iter(above)
-            for j in range(rank):
-                for i in range(j):
-                    rows[i][j] = next(it)
-                rows[j][j] = diag[j]
-            yield tuple(tuple(r) for r in rows)
+        choices = [
+            [(0,) * i + (diag[i],) + tail
+             for tail in itertools.product(*(range(d) for d in diag[i + 1:]))]
+            for i in range(rank)
+        ]
+        yield from itertools.product(*choices)
 
 
 def _omega(u: Sequence[int], v: Sequence[int], n: int) -> int:
@@ -350,6 +349,7 @@ def check_factorization(n: int, p: int, max_valuation: int) -> list[dict]:
     LAGRANGIAN_BUDGET each Lagrangian enumeration; both are checked before
     any enumeration, the HNF one first, since every mu has |mu| <= max_valuation.
     """
+    check_n("enum_sublattices", n)
     _check_hnf_budget(2 * n, p, max_valuation)
     for size in range(max_valuation + 1):  # names the least |mu| over budget
         _check_lagrangian_budget(p, size)
@@ -396,21 +396,24 @@ def check_factorization(n: int, p: int, max_valuation: int) -> list[dict]:
 def enum_subalgebras(n: int, p: int, max_index_valuation: int) -> list[int]:
     """Counts a_{p^i}, i <= max_index_valuation, of finite-index subalgebras.
 
-    Enumerates HNF sublattices of Z^{2n+1} (coordinates x_1, ..., x_{2n}, y)
-    and keeps those closed under the bracket; closure is checked on the basis
-    rows.  [u, v] = _omega(u, v) y is central, so membership reduces to
-    divisibility by the last diagonal entry.
+    A sublattice of Z^{2n+1} (coordinates x_1, ..., x_{2n}, y) has an HNF whose
+    first 2n rows restrict to the HNF of an x-part lattice L of index p^j, each
+    with a y-entry modulo p^e, and whose last row is p^e y.  [u, v] = _omega(u, v) y
+    is central, so it is closed iff p^e divides _omega on every pair of rows of L:
+    only L is enumerated, and it counts p^{2n e} subalgebras of index p^{j+e}.
     """
     check_n("enum_subalgebras", n)
-    rank = 2 * n + 1
-    _check_hnf_budget(rank, p, max_index_valuation)
-    counts = []
+    _check_hnf_budget(2 * n + 1, p, max_index_valuation)  # on the bases counted, not those built
+    counts = [0] * (max_index_valuation + 1)
     for j in range(max_index_valuation + 1):
-        c = 0
-        for H in hnf_enumerate(rank, p, j):
-            ylat = H[-1][-1]
-            c += all(
-                _omega(u, v, n) % ylat == 0 for a, u in enumerate(H) for v in H[a + 1:]
-            )
-        counts.append(c)
+        for H in hnf_enumerate(2 * n, p, j):
+            g = p ** (max_index_valuation - j)  # then p^e for the largest e allowed
+            for u, v in itertools.combinations(H, 2):
+                g = math.gcd(g, _omega(u, v, n))
+                if g == 1:
+                    break
+            for e in range(max_index_valuation - j + 1):
+                if g % p**e:
+                    break
+                counts[j + e] += p ** (2 * n * e)
     return counts

@@ -16,6 +16,7 @@ from heiszeta.counts import birkhoff_alpha, nprime_closed
 from heiszeta.errors import ArityMismatch, HeiszetaError, IdentityMismatch
 from heiszeta.exactalg import BivariatePolynomial as Poly, FactoredRational
 from heiszeta.igusa import _E_series, igusa_A
+from heiszeta.oracle import _omega, hnf_enumerate
 from heiszeta.zeta import c_exponents, igusa_args
 
 
@@ -241,6 +242,28 @@ def closure(mod, gens) -> frozenset:
     return frozenset(seen)
 
 
+def pairing(mod, a, b) -> int:
+    """<a, b> in an AltModule, through the dual coefficients of b."""
+    return sum(x * w for x, w in zip(a, mod.dual(b))) % mod.exponent
+
+
 def perp(mod, gens) -> list:
     """The elements of an AltModule perpendicular to every generator."""
-    return [v for v in mod.elements() if all(mod.pairing(v, g) == 0 for g in gens)]
+    return [v for v in mod.elements() if all(pairing(mod, v, g) == 0 for g in gens)]
+
+
+def subalgebras_by_full_hnf(n: int, p: int, k: int) -> list[int]:
+    """Subalgebra counts a_{p^j}, j <= k, of h_n over every HNF of Z^{2n+1}.
+
+    Keeps each sublattice whose basis rows pairwise bracket into it:
+    [u, v] = _omega(u, v) y is central, so membership reduces to divisibility
+    by the last diagonal entry.  No budget; small cases only.
+    """
+    counts = []
+    for j in range(k + 1):
+        c = 0
+        for H in hnf_enumerate(2 * n + 1, p, j):
+            ylat = H[-1][-1]
+            c += all(_omega(u, v, n) % ylat == 0 for u, v in itertools.combinations(H, 2))
+        counts.append(c)
+    return counts

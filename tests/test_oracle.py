@@ -18,7 +18,7 @@ from heiszeta.oracle import (
     hnf_enumerate,
     smith_type,
 )
-from reference import closure, contains, perp
+from reference import closure, contains, pairing, perp, subalgebras_by_full_hnf
 
 
 def eval_at(poly, q):
@@ -93,9 +93,11 @@ def test_altmodule_cardinality_and_pairing():
     e1 = (1, 0, 0, 0)
     f1 = (0, 1, 0, 0)
     e2 = (0, 0, 1, 0)
-    assert mod.pairing(e1, f1) == mod.exponent // 9  # value 1/9 scaled by 9
-    assert mod.pairing(e1, e1) == 0
-    assert mod.pairing(e1, e2) == 0
+    assert pairing(mod, e1, f1) == mod.exponent // 9  # value 1/9 scaled by 9
+    assert pairing(mod, f1, e1) == mod.exponent - mod.exponent // 9  # alternating
+    assert pairing(mod, e1, e1) == 0
+    assert pairing(mod, e1, e2) == 0
+    assert mod.dual(f1) == (mod.exponent // 9, 0, 0, 0)
 
 
 def test_perp_duality_random():
@@ -315,3 +317,43 @@ def test_subalgebras_collapse_the_sublattice_table(n, p, k):
         for j in range(k + 1)
     ]
     assert counts == enum_subalgebras(n, p, k)
+
+
+@pytest.mark.parametrize(
+    "n,p,k", [(0, 2, 3), (1, 2, 6), (1, 3, 3), (1, 5, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2)]
+)
+def test_subalgebras_match_the_full_hnf_enumeration(n, p, k):
+    assert enum_subalgebras(n, p, k) == subalgebras_by_full_hnf(n, p, k)
+
+
+def test_subalgebras_enumerate_only_x_part_lattices(monkeypatch):
+    # each subalgebra is an x-part lattice of Z^{2n} and a y-column; only the
+    # former is enumerated: 543 bases of rank 2 for n = 1, p = 3 up to 3^5,
+    # where the full rank-3 enumeration builds 111,834
+    ranks, seen = [], []
+
+    def counting(rank, p, v):
+        ranks.append(rank)
+        for H in hnf_enumerate(rank, p, v):
+            seen.append(H)
+            yield H
+
+    monkeypatch.setattr(oracle, "hnf_enumerate", counting)
+    assert enum_subalgebras(1, 3, 5) == [1, 4, 49, 157, 1534, 4693]
+    assert set(ranks) == {2}
+    assert len(seen) == 543
+
+
+def test_hnf_rows_are_chosen_independently():
+    # every basis is upper triangular, reduced modulo its column diagonal,
+    # and distinct; the count is hnf_count's
+    for rank, p, v in [(0, 2, 0), (1, 3, 2), (3, 2, 2), (4, 2, 2)]:
+        bases = list(hnf_enumerate(rank, p, v))
+        assert len(set(bases)) == len(bases) == hnf_count(rank, p, v)
+        for H in bases:
+            prod = 1
+            for i, row in enumerate(H):
+                assert len(row) == rank and all(x == 0 for x in row[:i])
+                prod *= row[i]
+                assert all(0 <= row[j] < H[j][j] for j in range(i + 1, rank))
+            assert prod == p**v

@@ -13,7 +13,13 @@ from heiszeta.exactalg import (
     mono,
 )
 from heiszeta.igusa import igusa_B
-from heiszeta.oracle import enum_subalgebras, enum_sublattices
+from heiszeta.oracle import (
+    check_factorization,
+    enum_subalgebras,
+    enum_sublattices,
+    hnf_count,
+    hnf_enumerate,
+)
 from heiszeta.zeta import (
     c_exponents,
     c_exponents_graded,
@@ -215,6 +221,10 @@ def test_guards():
         lambda: zeta_compact(-1),
         lambda: enum_sublattices(-1, 2, 2),
         lambda: enum_subalgebras(-1, 2, 2),
+        lambda: check_factorization(-1, 2, 3),
+        lambda: check_factorization(0, 3, 10),
+        lambda: hnf_count(-1, 2, 2),
+        lambda: list(hnf_enumerate(-1, 2, 2)),
         lambda: zeta_ideal(-1),
         lambda: reduced_cone_series(-1, 3),
         lambda: nprime_closed((1, -1)),
@@ -225,6 +235,10 @@ def test_guards():
         "zeta_compact(-1)",
         "enum_sublattices(-1)",
         "enum_subalgebras(-1)",
+        "check_factorization(-1)",
+        "check_factorization(0)",
+        "hnf_count(-1)",
+        "hnf_enumerate(-1)",
         "zeta_ideal(-1)",
         "reduced_cone_series(-1)",
         "nprime_closed((1, -1))",
