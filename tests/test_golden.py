@@ -39,7 +39,7 @@ def _top(fn, cap):
 # file stem -> (function, serializer, largest n)
 CASES = {
     "zeta_a": (zeta_igusa_sum, rational_dumps, _top(zeta_igusa_sum, 6)),
-    "zeta_b": (zeta_compact, rational_dumps, _top(zeta_compact, 6)),
+    "zeta_b": (zeta_compact, rational_dumps, _top(zeta_compact, 8)),
     "zeta_c": (zeta_hyperoctahedral, rational_dumps, _top(zeta_hyperoctahedral, 6)),
     "zeta_graded": (zeta_graded, rational_dumps, _top(zeta_graded, 6)),
     "reduced_zeta": (reduced_zeta, rational_dumps, _top(reduced_zeta, 8)),
