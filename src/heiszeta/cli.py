@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import __version__
 from .combinat import Partition, eulerian_A
-from .errors import BudgetExceeded, HeiszetaError, SizeGuard, UsageError
+from .errors import BudgetExceeded, HeiszetaError, SizeGuard, UsageError, check_prime
 from .exactalg import (
     BivariatePolynomial,
     FactoredRational,
@@ -273,10 +273,6 @@ def cmd_global(args) -> int:
     return 0
 
 
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
-
-
 def validate(args) -> None:
     """Reject out-of-range or malformed input before any computation.
 
@@ -303,8 +299,8 @@ def validate(args) -> None:
         least, what = 2, "global --rn"
     if args.n < least:
         raise UsageError("--n must be at least %d for %s, got %d" % (least, what, args.n))
-    if args.command in ("coeffs", "oracle") and not _is_prime(args.prime):
-        raise UsageError("--prime must be a prime, got %d" % args.prime)
+    if args.command in ("coeffs", "oracle"):
+        check_prime(args.prime)
     if args.command == "coeffs" and args.max_order < 0:
         raise UsageError("--max-order must be nonnegative, got %d" % args.max_order)
     if args.command == "oracle":

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input checks that raise them."""
+
+import math
 
 
 class HeiszetaError(Exception):
@@ -6,8 +8,13 @@ class HeiszetaError(Exception):
 
 
 class UsageError(HeiszetaError):
-    """A command-line input is out of range or malformed; rejected before
-    any computation."""
+    """An input is out of range or malformed; rejected before any computation."""
+
+
+def check_prime(p: int) -> None:
+    """Raise UsageError unless p is a prime."""
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise UsageError("--prime must be a prime, got %d" % p)
 
 
 class SizeGuard(HeiszetaError):

@@ -13,28 +13,28 @@ immutable by construction:
   generating functions and zeta functions in this package are values of
   this type.
 
-Sums and equality multiply by cofactors; they never expand a common
-denominator only to divide it back down.  A sum multiplies each numerator by
-its cofactor lcm / den, the factors of the common denominator that its own
-denominator lacks.  Equality multiplies each numerator only by the factors
-that the other side has and it lacks, then compares.  Every sum of term
-maps goes through the accumulator ``_p_iadd``, which adds c * q^dq * T^dt
-times a map into a dict in place and drops zeros.
+Products go through ``_p_mul``: two single terms multiply directly, the
+schoolbook loop costs one dict update per pair of terms, and Kronecker
+substitution packs each operand into one Python int (term (e_q, e_T) in slot
+(e_T - t0) * width + e_q - q0), multiplies once and reads the product back,
+at about one slot per cell of the product's (q, T) box.  The size rule takes
+the Kronecker path when the shorter operand has at least 8 terms and the box
+has at most half as many cells as there are pairs of terms.  In the packed
+layout a product with 1 - q^a T^b is a shift and a subtraction.
 
-Products of polynomials go through ``_p_mul``.  Two single terms multiply
-directly; otherwise ``_p_mul`` picks one of two paths from the operands'
-sizes.  The schoolbook loop costs one dict update per pair of terms.  The
-Kronecker path packs each operand into one Python int, multiplies the two
-ints, and reads the product back; it costs about one slot per cell of the
-product's (q, T) exponent box.  ``_p_mul`` takes the Kronecker path when the
-shorter operand has at least 8 terms and the box has at most half as many
-cells as there are pairs of terms.  Small products, and sparse products with
-wide exponent spans, stay on the schoolbook loop.
+Sums and equality multiply by cofactors and never expand a common
+denominator only to divide it back.  A sum multiplies each numerator by the
+factors of the common denominator that its own lacks; under the size rule,
+applied to the whole sum, it is one packed accumulation read back once, and
+otherwise (sparse sums with wide spans) each product is added into a dict by
+``_p_iadd``.  Equality multiplies each numerator only by the factors that
+the other side has and it lacks.
 
-Division by a factor 1 - u is one recurrence, y = x + u y.  ``_unroll``
-runs it on the rows of ``_p_tslices`` (row k is {e_q: coeff} of T^k) to
-divide by 1 - q^a T^b with b >= 1 and for series in T; ``_divide_dense``
-runs it on a dense list to divide by 1 - q^a and for pole orders at q = p.
+Division by 1 - u is one recurrence, y = x + u y: ``_unroll`` on the T-rows
+of ``_p_tslices`` for T-factors and series in T, ``_divide_dense`` on dense
+lists for constant factors and pole orders at q = p.  ``reduced`` cancels
+factors in one row pass (``_cancel``), of which ``divide_out_factor`` is the
+one-factor case.
 
 The module also provides q-Pochhammer symbols, Gaussian binomial and
 multinomial coefficients, the substitution ``(q,T) -> (q^-1,T^-1)``, and the
@@ -124,9 +124,7 @@ def _slot_bytes(bits: int) -> int:
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
 
 
-def _kron_unpack(
-    value: int, w: int, width: int, rows: int, q0: int, t0: int
-) -> dict:
+def _kron_unpack(value: int, w: int, width: int, rows: int, q0: int, t0: int) -> dict:
     """Raw dict of a packed polynomial whose slot (e_T - t0) * width + (e_q - q0)
     holds a signed coefficient of |c| < 2^(8w-1).
 
@@ -174,6 +172,17 @@ def _kron_pack(p: dict, box: tuple[int, int, int, int], width: int, w: int) -> i
     return out
 
 
+def _kron_times(value: int, factors: Mapping, w: int, width: int) -> int:
+    """value times prod (1 - q^a T^b)^mult in the packed layout of slots of w
+    bytes and rows of width slots: each factor is a shift and a subtraction.
+    Every factor needs a + b * width > 0."""
+    for (a, b), m in factors.items():
+        shift = 8 * w * (a + b * width)
+        for _ in range(m):
+            value -= value << shift
+    return value
+
+
 def _p_mul_kronecker(a: dict, b: dict) -> dict:
     """Product by Kronecker substitution: one bigint multiply.
 
@@ -187,12 +196,8 @@ def _p_mul_kronecker(a: dict, b: dict) -> dict:
     box_a, box_b = _p_box(a), _p_box(b)
     width = box_a[1] - box_a[0] + box_b[1] - box_b[0] + 1
     rows = box_a[3] - box_a[2] + box_b[3] - box_b[2] + 1
-    w = _slot_bytes(
-        max(abs(c) for c in a.values()).bit_length()
-        + max(abs(c) for c in b.values()).bit_length()
-        + min(len(a), len(b)).bit_length()
-        + 1
-    )
+    bits = max(map(abs, a.values())).bit_length() + max(map(abs, b.values())).bit_length()
+    w = _slot_bytes(bits + min(len(a), len(b)).bit_length() + 1)
     product = _kron_pack(a, box_a, width, w) * _kron_pack(b, box_b, width, w)
     return _kron_unpack(product, w, width, rows, box_a[0] + box_b[0], box_a[2] + box_b[2])
 
@@ -373,10 +378,6 @@ class BivariatePolynomial:
         """Largest T-exponent; -1 for the zero polynomial."""
         return max((et for _, et in self.terms), default=-1)
 
-    def t_valuation(self) -> int:
-        """Smallest T-exponent; 0 for the zero polynomial."""
-        return min((et for _, et in self.terms), default=0)
-
     def sorted_terms(self) -> list[tuple[int, int, int]]:
         """Terms as (coeff, e_q, e_T), ordered lexicographically by (e_T, e_q)."""
         return [
@@ -447,14 +448,10 @@ class SignedMonomial:
             raise ValueError("sign must be +-1")
 
     def __mul__(self, other: "SignedMonomial") -> "SignedMonomial":
-        return SignedMonomial(
-            self.sign * other.sign, self.e_q + other.e_q, self.e_T + other.e_T
-        )
+        return SignedMonomial(self.sign * other.sign, self.e_q + other.e_q, self.e_T + other.e_T)
 
     def __pow__(self, k: int) -> "SignedMonomial":
-        return SignedMonomial(
-            self.sign if k % 2 else 1, self.e_q * k, self.e_T * k
-        )
+        return SignedMonomial(self.sign if k % 2 else 1, self.e_q * k, self.e_T * k)
 
     def to_poly(self) -> BivariatePolynomial:
         return BivariatePolynomial.monomial(self.sign, self.e_q, self.e_T)
@@ -470,57 +467,69 @@ def mono(e_q: int = 0, e_T: int = 0, sign: int = 1) -> SignedMonomial:
 # ---------------------------------------------------------------------------
 
 
-def divide_out_factor(
-    p: BivariatePolynomial, a: int, b: int
-) -> Optional[BivariatePolynomial]:
-    """Exact quotient p / (1 - q^a T^b), or None when the factor does not divide.
-
-    For b >= 1 the series of p / (1 - q^a T^b) in T is unrolled up to the
-    top degree of p; the factor divides when the top b rows of that series
-    vanish.  For b == 0 the divisor is constant in T and each T-row is
-    divided separately.
-    """
+def divide_out_factor(p: BivariatePolynomial, a: int, b: int) -> Optional[BivariatePolynomial]:
+    """Exact quotient p / (1 - q^a T^b), or None when the factor does not divide."""
     if (a, b) == (0, 0):
         raise ValueError("1 - q^0 T^0 = 0 is not a divisor")
     if p.is_zero():
         return BivariatePolynomial.zero()
     if b < 0:
         raise ValueError("factor must have b >= 0")
-    if b == 0:
-        return _divide_out_qfactor(p, a)
-
-    top = p.t_degree()
-    rows = _unroll(_p_tslices(p.terms), a, b, top)
-    # p / (1 - q^a T^b) is a polynomial exactly when its series stops at T^(top-b)
-    if any(rows[max(top - b + 1, 0) :]):
-        return None
-    return BivariatePolynomial._raw(
-        {(eq, et): c for et, row in enumerate(rows) for eq, c in row.items()}
-    )
+    terms, tv, left = _cancel(p.terms, [(a, b, 1)])
+    return None if left[0] else BivariatePolynomial._raw(_p_scale(terms, 1, 0, tv))
 
 
-def _divide_out_qfactor(
-    p: BivariatePolynomial, a: int
-) -> Optional[BivariatePolynomial]:
-    """p / (1 - q^a) with a != 0, or None."""
-    if a < 0:
-        # 1 - q^a = -q^a (1 - q^-a)
-        p, a = p.scaled(-1).shift(dq=-a), -a
-    out: dict = {}
-    for et, row in enumerate(_p_tslices(p.terms)):
-        if not row:
-            continue
-        lo = min(row)
-        xs = [0] * (max(row) - lo + 1)
-        for j, c in row.items():
-            xs[j - lo] = c
-        ys = _divide_dense(xs, a)
-        if ys is None:
-            return None
-        for j, c in enumerate(ys):
-            if c:
-                out[(lo + j, et)] = c
-    return BivariatePolynomial._raw(out)
+def _cancel(terms: Mapping, factors: Sequence[tuple[int, int, int]]) -> tuple[dict, int, list]:
+    """Divide terms by each (1 - q^a T^b)^m of factors in order, one copy at a
+    time while a copy divides exactly: constant factors on dense row lists kept
+    from one factor to the next, T-factors on the sparse rows.  Returns the
+    quotient's terms without their T-content, that T-content, and the copies
+    of each factor that did not divide."""
+    rows, dense, left = _p_tslices(terms), False, []
+    for a, b, m in factors:
+        if dense != (b == 0):
+            rows, dense = [_dense_row(r) if b == 0 else _sparse_row(r) for r in rows], b == 0
+        while m:
+            if dense:
+                quot = _divide_dense_rows(rows, a)
+            else:
+                keep = max(len(rows) - b, 0)
+                # the series of the quotient in T must stop at T^(top - b)
+                quot = _unroll([dict(row) for row in rows], a, b, len(rows) - 1)
+                quot = None if any(quot[keep:]) else quot[:keep]
+            if quot is None:
+                break
+            rows, m = quot, m - 1
+        left.append(m)
+    if dense:
+        rows = [_sparse_row(r) for r in rows]
+    tv = next((et for et, row in enumerate(rows) if row), 0)
+    return {(eq, et - tv): c for et, row in enumerate(rows) for eq, c in row.items()}, tv, left
+
+
+def _dense_row(row: dict[int, int]) -> Optional[tuple[int, list[int]]]:
+    """(lowest e_q, dense coefficient list) of a row {e_q: coeff}; None if empty."""
+    lo = min(row, default=0)
+    return (lo, [row.get(j, 0) for j in range(lo, max(row) + 1)]) if row else None
+
+
+def _sparse_row(row: Optional[tuple[int, list[int]]]) -> dict[int, int]:
+    return {row[0] + j: c for j, c in enumerate(row[1]) if c} if row else {}
+
+
+def _divide_dense_rows(rows: list, a: int) -> Optional[list]:
+    """Dense rows divided by 1 - q^a (a != 0), or None; rows are kept."""
+    out = []
+    for row in rows:
+        if row:
+            lo, xs = row
+            # 1 - q^a = -q^a (1 - q^-a) for a < 0
+            xs = _divide_dense([-x for x in xs] if a < 0 else xs[:], abs(a))
+            if xs is None:
+                return None
+            row = (lo - min(a, 0), xs)
+        out.append(row)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -581,16 +590,12 @@ class FactoredRational:
 
     def __mul__(self, other):
         if isinstance(other, (int, BivariatePolynomial, SignedMonomial)):
-            return FactoredRational(
-                self.num * _coerce_poly(other), self.den, self.tshift
-            )
+            return FactoredRational(self.num * _coerce_poly(other), self.den, self.tshift)
         if not isinstance(other, FactoredRational):
             return NotImplemented
         den = Counter(self.den)
         den.update(other.den)
-        return FactoredRational(
-            self.num * other.num, den, self.tshift + other.tshift
-        )
+        return FactoredRational(self.num * other.num, den, self.tshift + other.tshift)
 
     __rmul__ = __mul__
 
@@ -615,23 +620,42 @@ class FactoredRational:
     def sum(items: Sequence["FactoredRational"]) -> "FactoredRational":
         """Exact sum over the least common factor multiset.
 
-        Each numerator is multiplied by its own cofactor lcm / den; nothing
-        is expanded and then divided back.
+        Each numerator is multiplied by its cofactor lcm / den; nothing is
+        expanded and then divided back.  By the size rule of _p_mul applied to
+        the whole sum, either each numerator is packed into the sum's (q, T)
+        box, multiplied by its cofactor there and added into one integer that
+        is read back once, or each product is added into a dict.
         """
         items = [it for it in items if not it.num.is_zero()]
-        if not items:
-            return FactoredRational.zero()
-        if len(items) == 1:
-            return items[0]
+        if len(items) < 2:
+            return items[0] if items else FactoredRational.zero()
         lcm: dict[FactorKey, int] = {}
         for it in items:
-            for k, m in it.den.items():
-                if lcm.get(k, 0) < m:
-                    lcm[k] = m
+            lcm.update((k, m) for k, m in it.den.items() if m > lcm.get(k, 0))
         tmin = min(it.tshift for it in items)
-        total: dict = {}
+        parts, spans, pairs = [], [], 0
         for it in items:
-            _p_iadd(total, _times_missing(it.num.terms, it.den, lcm), 1, 0, it.tshift - tmin)
+            terms, missing, dt = it.num.terms, _missing(it.den, lcm), it.tshift - tmin
+            (lo, hi, top, count), box = _span(missing), _p_box(terms)
+            parts.append((terms, missing, box, dt))
+            spans.append((box[0] + lo, box[1] + hi, box[2] + dt, box[3] + top + dt))
+            pairs += len(terms) * count
+        q0, q1, t0, t1 = (f(s[i] for s in spans) for i, f in enumerate((min, max, min, max)))
+        width, rows = q1 - q0 + 1, t1 - t0 + 1
+        if 2 * width * rows > pairs:
+            total: dict = {}
+            for terms, missing, _, dt in parts:
+                _p_iadd(total, _times_missing(terms, missing), 1, 0, dt)
+        else:
+            # each product's coefficients are below 2^(bits of num + sum of mult)
+            bits = max(max(map(abs, t.values())).bit_length() + sum(m.values())
+                       for t, m, _, _ in parts)
+            w = _slot_bytes(bits + len(parts).bit_length() + 1)
+            value = 0
+            for terms, missing, box, dt in parts:
+                packed = _kron_times(_kron_pack(terms, box, width, w), missing, w, width)
+                value += packed << 8 * w * ((box[2] + dt - t0) * width + box[0] - q0)
+            total = _kron_unpack(value, w, width, rows, q0, t0)
         return FactoredRational(BivariatePolynomial._raw(total), lcm, tmin)
 
     # -- equality by cross-multiplication ------------------------------------
@@ -643,8 +667,8 @@ class FactoredRational:
             other = FactoredRational(_coerce_poly(other))
         if not isinstance(other, FactoredRational):
             return NotImplemented
-        left = _times_missing(self.num.terms, self.den, other.den)
-        right = _times_missing(other.num.terms, other.den, self.den)
+        left = _times_missing(self.num.terms, _missing(self.den, other.den))
+        right = _times_missing(other.num.terms, _missing(other.den, self.den))
         d = self.tshift - other.tshift
         if d > 0:
             left = _p_scale(left, 1, 0, d)
@@ -670,29 +694,13 @@ class FactoredRational:
         """
         if self.num.is_zero():
             return FactoredRational.zero()
-        num = self.num
-        den = dict(self.den)
-        for (a, b) in sorted(den, key=lambda k: (k[1], k[0])):
-            if constants_only and b != 0:
-                continue
-            m = den[(a, b)]
-            while m:
-                quot = divide_out_factor(num, a, b)
-                if quot is None:
-                    break
-                num = quot
-                m -= 1
-            if m:
-                den[(a, b)] = m
-            else:
-                del den[(a, b)]
-        tshift = self.tshift
-        tv = num.t_valuation()
-        if tv > 0:
-            num = num.shift(dt=-tv)
-            tshift += tv
+        factors = [f for f in sorted_factors(self.den) if f[1] == 0 or not constants_only]
+        terms, tv, left = _cancel(self.num.terms, factors)
+        left = {(a, b): m for (a, b, _), m in zip(factors, left)}
+        den = {k: left.get(k, m) for k, m in self.den.items() if left.get(k, m)}
+        num = BivariatePolynomial._raw(terms)
         out = FactoredRational.__new__(FactoredRational)
-        return _set_fields(out, num=num, den=MappingProxyType(den), tshift=tshift)
+        return _set_fields(out, num=num, den=MappingProxyType(den), tshift=self.tshift + tv)
 
     # -- substitutions -------------------------------------------------------
 
@@ -701,9 +709,7 @@ class FactoredRational:
         if self.num.is_zero():
             return FactoredRational.zero()
         deg = self.num.t_degree()
-        num = BivariatePolynomial(
-            {(-eq, deg - et): c for (eq, et), c in self.num.terms.items()}
-        )
+        num = BivariatePolynomial({(-eq, deg - et): c for (eq, et), c in self.num.terms.items()})
         tshift = -self.tshift - deg
         sign = 1
         dq = 0
@@ -741,12 +747,7 @@ class FactoredRational:
 
 
 def _insert_factor(
-    den: dict[FactorKey, int],
-    a: int,
-    b: int,
-    mult: int,
-    num: BivariatePolynomial,
-    tshift: int,
+    den: dict[FactorKey, int], a: int, b: int, mult: int, num: BivariatePolynomial, tshift: int
 ) -> tuple[BivariatePolynomial, int]:
     """Add (1 - q^a T^b)^mult to den in normalized form; returns adjusted (num, tshift)."""
     if (a, b) == (0, 0):
@@ -761,42 +762,46 @@ def _insert_factor(
     return num, tshift
 
 
-def _times_missing(
-    terms: dict, den: Mapping[FactorKey, int], target: Mapping[FactorKey, int]
-) -> dict:
-    """terms times the factors of target that den lacks; terms itself if none."""
-    missing = {k: m - den.get(k, 0) for k, m in target.items() if m > den.get(k, 0)}
-    if not missing:
-        return terms
-    return _p_mul(terms, expand_factors(missing).terms)
+def _missing(den: Mapping[FactorKey, int], target: Mapping[FactorKey, int]) -> dict:
+    """The factors of target that den lacks, with the multiplicities it lacks."""
+    return {k: m - den.get(k, 0) for k, m in target.items() if m > den.get(k, 0)}
+
+
+def _times_missing(terms: dict, missing: Mapping[FactorKey, int]) -> dict:
+    """terms times the expanded missing factors; terms itself if there are none."""
+    return _p_mul(terms, expand_factors(missing).terms) if missing else terms
+
+
+def _span(factors: Mapping[FactorKey, int]) -> tuple[int, int, int, int]:
+    """(lowest e_q, highest e_q, T-degree, largest term count) of the expanded
+    product of factors with b >= 0."""
+    lo = hi = top = 0
+    count = 1
+    for (a, b), m in factors.items():
+        lo += min(a, 0) * m
+        hi += max(a, 0) * m
+        top += b * m
+        count *= m + 1
+    return lo, hi, top, count
 
 
 def expand_factors(den: Mapping[FactorKey, int]) -> BivariatePolynomial:
     """Expanded product of (1 - q^a T^b)^mult.
 
-    The product has at most prod (mult + 1) terms.  When its (q, T) exponent
-    box has no more cells than that, it is built in one packed integer laid
-    out as in _p_mul_kronecker, where multiplying by 1 - q^a T^b is a shift
-    and a subtraction.  Otherwise, as for factors with huge exponents, the
-    sparse product is built factor by factor.
+    The product has at most prod (mult + 1) terms.  When its (q, T) box has no
+    more cells than that, it is built in one packed integer by _kron_times;
+    otherwise, as for factors with huge exponents, factor by factor.
     """
     factors = sorted(den.items())
     if all(b > 0 or (b == 0 and a > 0) for (a, b), _ in factors):
-        qlo = sum(min(a, 0) * m for (a, _), m in factors)
-        width = sum(abs(a) * m for (a, _), m in factors) + 1
-        rows = sum(b * m for (_, b), m in factors) + 1
-        bound = 1
-        for _, m in factors:
-            bound *= m + 1
-        if width * rows <= bound:
+        lo, hi, top, bound = _span(den)
+        width = hi - lo + 1  # > |a| for every factor
+        if width * (top + 1) <= bound:
             # every coefficient is at most 2^(sum of mult) in absolute value
-            w = _slot_bytes(sum(m for _, m in factors) + 2)
-            value = 1 << (8 * w * -qlo)
-            for (a, b), m in factors:
-                shift = 8 * w * (a + b * width)  # > 0, as |a| < width
-                for _ in range(m):
-                    value -= value << shift
-            return BivariatePolynomial._raw(_kron_unpack(value, w, width, rows, qlo, 0))
+            w = _slot_bytes(sum(den.values()) + 2)
+            value = _kron_times(1 << (8 * w * -lo), den, w, width)
+            terms = _kron_unpack(value, w, width, top + 1, lo, 0)
+            return BivariatePolynomial._raw(terms)
     out = BivariatePolynomial.one()
     for (a, b), m in factors:
         f = BivariatePolynomial.one_minus(a, b)
@@ -815,19 +820,14 @@ def qpochhammer(a: SignedMonomial, step_exponent: int, m: int) -> FactoredRation
     if m >= 0:
         num = BivariatePolynomial.one()
         for i in range(m):
-            num = num * BivariatePolynomial(
-                {
-                    (0, 0): 1,
-                    (a.e_q + step_exponent * i, a.e_T): -a.sign,
-                }
-            )
+            u = (a.e_q + step_exponent * i, a.e_T)
+            num = num * BivariatePolynomial({(0, 0): 1, u: -a.sign})
         return FactoredRational(num)
     # (a;q)_m = ((a q^m; q)_{-m})^-1
     if a.sign == 1:
-        factors = [
+        return FactoredRational.one_over(
             (a.e_q + step_exponent * (m + i), a.e_T) for i in range(-m)
-        ]
-        return FactoredRational.one_over(factors)
+        )
     # negative monomial: 1/(1 + u) = (1 - u)/(1 - u^2)
     num = BivariatePolynomial.one()
     den: Counter = Counter()

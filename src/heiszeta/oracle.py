@@ -27,6 +27,7 @@ from .errors import (
     IdentityMismatch,
     SingularMatrix,
     check_n,
+    check_prime,
 )
 from .exactalg import _constant_at
 
@@ -211,6 +212,7 @@ def enum_lagrangians(mu, p: int) -> dict[Partition, int]:
     p^{|mu|} contained in its own perp equals it, hence is Lagrangian.
     Returns {quotient type lambda: count}; the total is N'(mu).
     """
+    check_prime(p)
     mu = Partition(mu)
     m = mu.size()
     _check_lagrangian_budget(p, m)
@@ -328,6 +330,7 @@ def enum_sublattices(
 ) -> dict[tuple[Partition, Partition], int]:
     """Sublattices of the symplectic Z^{2n} by (quotient type, alternating type)."""
     check_n("enum_sublattices", n)
+    check_prime(p)
     _check_hnf_budget(2 * n, p, max_valuation)
     out: dict[tuple[Partition, Partition], int] = {}
     for j in range(max_valuation + 1):
@@ -350,6 +353,7 @@ def check_factorization(n: int, p: int, max_valuation: int) -> list[dict]:
     any enumeration, the HNF one first, since every mu has |mu| <= max_valuation.
     """
     check_n("enum_sublattices", n)
+    check_prime(p)
     _check_hnf_budget(2 * n, p, max_valuation)
     for size in range(max_valuation + 1):  # names the least |mu| over budget
         _check_lagrangian_budget(p, size)
@@ -403,7 +407,8 @@ def enum_subalgebras(n: int, p: int, max_index_valuation: int) -> list[int]:
     only L is enumerated, and it counts p^{2n e} subalgebras of index p^{j+e}.
     """
     check_n("enum_subalgebras", n)
-    _check_hnf_budget(2 * n + 1, p, max_index_valuation)  # on the bases counted, not those built
+    check_prime(p)
+    _check_hnf_budget(2 * n, p, max_index_valuation)  # the x-part bases, which are built
     counts = [0] * (max_index_valuation + 1)
     for j in range(max_index_valuation + 1):
         for H in hnf_enumerate(2 * n, p, j):

@@ -14,7 +14,15 @@ from functools import lru_cache
 from heiszeta.combinat import descent_set, partitions_up_to, perms
 from heiszeta.counts import birkhoff_alpha, nprime_closed
 from heiszeta.errors import ArityMismatch, HeiszetaError, IdentityMismatch
-from heiszeta.exactalg import BivariatePolynomial as Poly, FactoredRational
+from heiszeta.exactalg import (
+    BivariatePolynomial as Poly,
+    FactoredRational,
+    _divide_dense,
+    _p_iadd,
+    _p_mul_schoolbook,
+    _p_tslices,
+    _unroll,
+)
 from heiszeta.igusa import _E_series, igusa_A
 from heiszeta.oracle import _omega, hnf_enumerate
 from heiszeta.zeta import c_exponents, igusa_args
@@ -267,3 +275,70 @@ def subalgebras_by_full_hnf(n: int, p: int, k: int) -> list[int]:
             c += all(_omega(u, v, n) % ylat == 0 for u, v in itertools.combinations(H, 2))
         counts.append(c)
     return counts
+
+
+def expand_factor_by_factor(den) -> dict:
+    """prod (1 - q^a T^b)^mult as a raw dict, one schoolbook product per factor."""
+    out = {(0, 0): 1}
+    for (a, b), m in den.items():
+        for _ in range(m):
+            out = _p_mul_schoolbook(out, {(0, 0): 1, (a, b): -1})
+    return out
+
+
+def sum_per_item(items) -> FactoredRational:
+    """FactoredRational.sum one product at a time: each numerator times the
+    factors of the common denominator that its own lacks, added into a dict."""
+    items = [it for it in items if not it.num.is_zero()]
+    if len(items) < 2:
+        return items[0] if items else FactoredRational.zero()
+    lcm: dict = {}
+    for it in items:
+        for k, m in it.den.items():
+            lcm[k] = max(lcm.get(k, 0), m)
+    tmin = min(it.tshift for it in items)
+    total: dict = {}
+    for it in items:
+        missing = {k: m - it.den.get(k, 0) for k, m in lcm.items() if m > it.den.get(k, 0)}
+        product = _p_mul_schoolbook(dict(it.num.terms), expand_factor_by_factor(missing))
+        _p_iadd(total, product, 1, 0, it.tshift - tmin)
+    return FactoredRational(Poly(total), lcm, tmin)
+
+
+def divide_one_factor(p: Poly, a: int, b: int):
+    """p / (1 - q^a T^b), or None, with fresh rows on every call: the series in
+    T unrolled to the top degree for b >= 1, a dense list per T-row for b == 0."""
+    if b == 0:
+        if a < 0:  # 1 - q^a = -q^a (1 - q^-a)
+            p, a = p.scaled(-1).shift(dq=-a), -a
+        out = {}
+        for et, row in enumerate(_p_tslices(p.terms)):
+            if row:
+                lo = min(row)
+                ys = _divide_dense([row.get(j, 0) for j in range(lo, max(row) + 1)], a)
+                if ys is None:
+                    return None
+                out.update(((lo + j, et), c) for j, c in enumerate(ys) if c)
+        return Poly(out)
+    top = p.t_degree()
+    rows = _unroll(_p_tslices(p.terms), a, b, top)
+    if any(rows[max(top - b + 1, 0) :]):
+        return None
+    return Poly({(eq, et): c for et, row in enumerate(rows) for eq, c in row.items()})
+
+
+def reduced_factor_at_a_time(f: FactoredRational, constants_only: bool = False) -> FactoredRational:
+    """FactoredRational.reduced by one divide_one_factor call per copy of each
+    factor, constant factors first, then the T-content folded into tshift."""
+    if f.num.is_zero():
+        return FactoredRational.zero()
+    num, den = f.num, dict(f.den)
+    for a, b in sorted(den, key=lambda k: (k[1], k[0])):
+        while den.get((a, b)) and not (constants_only and b):
+            quot = divide_one_factor(num, a, b)
+            if quot is None:
+                break
+            num = quot
+            den[(a, b)] -= 1
+    tv = min(et for _, et in num.terms)
+    return FactoredRational(num.shift(dt=-tv), den, f.tshift + tv)

@@ -120,6 +120,18 @@ def test_coeffs_prime3(capsys):
     assert out.strip().splitlines()[2].split("\t") == ["3^1", "4", "4", "True"]
 
 
+def test_coeffs_oracle_agrees_at_3_to_the_7(capsys):
+    # a budget on the 9,077,708 rank-3 bases the count stands for would refuse it
+    code, out = run(
+        capsys,
+        "coeffs", "--n", "1", "--prime", "3", "--max-order", "7", "--oracle",
+    )
+    assert code == 0
+    rows = [line.split("\t") for line in out.strip().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["3^%d" % i for i in range(8)]
+    assert all(r[3] == "True" for r in rows)
+
+
 def test_oracle_lagrangian(capsys):
     code, out = run(capsys, "oracle", "lagrangian", "--mu", "1", "--prime", "2")
     assert code == 0

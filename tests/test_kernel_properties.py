@@ -2,14 +2,18 @@
 
 The schoolbook and Kronecker product paths are checked against each other,
 and `FactoredRational.sum` and `__eq__` against pairwise addition and
-against `sympy.cancel` as an independent oracle.  The term accumulator and
-the two division recurrences (`divide_out_factor` and `_vanishing_order`)
-are checked against sympy.  The ring laws, `reduced` and the JSON round trip
-are checked on the same random rationals.  hypothesis and sympy are
-test-only dependencies.
+against `sympy.cancel` as an independent oracle.  The packed sum and the
+one-pass `reduced` are checked term for term against the per-item sum and
+the factor-at-a-time reduction of tests/reference.py.  The term accumulator
+and the two division recurrences (`divide_out_factor` and
+`_vanishing_order`) are checked against sympy.  The ring laws, `reduced` and
+the JSON round trip are checked on the same random rationals.  hypothesis
+and sympy are test-only dependencies.
 """
 
 import functools
+import time
+from collections import Counter
 
 import pytest
 
@@ -18,6 +22,7 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from heiszeta import exactalg  # noqa: E402
 from heiszeta.exactalg import (  # noqa: E402
     BivariatePolynomial as Poly,
     FactoredRational as FR,
@@ -31,6 +36,7 @@ from heiszeta.exactalg import (  # noqa: E402
     rational_loads,
 )
 from heiszeta.zeta import _vanishing_order  # noqa: E402
+from reference import divide_one_factor, reduced_factor_at_a_time, sum_per_item  # noqa: E402
 
 settings.register_profile("kernel", database=None, deadline=None, max_examples=40)
 settings.load_profile("kernel")
@@ -265,6 +271,120 @@ def test_sums_that_cancel_to_zero(items, rng):
     assert snapshot(both) == before
     assert total.is_zero()
     assert total == 0
+
+
+# -- the packed sum and the one-pass reduction against their references -----------
+
+# the largest coefficient a packed slot of 1, 2, 4, 8 and 16 bytes holds, either sign
+slot_bounds = st.sampled_from([s * (2 ** (8 * w - 1) - 1) for w in (1, 2, 4, 8, 16) for s in (1, -1)])
+# constant factors, T-factors with negative q-exponents, and factors of T alone
+factor_pool = [(1, 0), (2, 0), (3, 0), (1, 1), (-2, 1), (-1, 2), (0, 1), (2, 3)]
+
+
+@st.composite
+def summands(draw):
+    """A rational over up to six factors from factor_pool, repeats giving multiplicities."""
+    values = draw(st.sampled_from([small, small | slot_bounds, small | huge]))
+    num = Poly(draw(raw_polys(2, 2, 9, values)))
+    den = Counter(draw(st.lists(st.sampled_from(factor_pool), max_size=6)))
+    return FR(num, den, draw(st.integers(-3, 3)))
+
+
+def exact(f):
+    """The representation of f: numerator terms, factors and tshift."""
+    return snapshot([f])[0]
+
+
+@settings(max_examples=80)
+@given(st.lists(summands(), min_size=1, max_size=5), st.sampled_from(["plain", "zero", "wide"]))
+def test_sum_matches_the_per_item_reference(items, kind):
+    if kind == "zero":
+        # each item once as itself and once negated over a larger denominator
+        items = items + [FR(-(f.num * Poly.one_minus(-1, 2)), Counter(f.den) + Counter({(-1, 2): 1}),
+                            f.tshift) for f in items]
+    elif kind == "wide":
+        # a factor whose q-span outgrows the packed box: the per-item path
+        items = items + [FR(Poly.monomial(5, 2, 1), {(300, 2): 1}, -1)]
+    before = snapshot(items)
+    total = FR.sum(items)
+    assert snapshot(items) == before
+    assert exact(total) == exact(sum_per_item(items))
+    assert total.is_zero() or kind != "zero"
+
+
+def test_a_dense_sum_is_one_packed_accumulation(monkeypatch):
+    reads = []
+    unpack = exactalg._kron_unpack
+
+    def per_item(*args):
+        raise AssertionError("the per-item path ran")
+
+    monkeypatch.setattr(exactalg, "_kron_unpack", lambda *args: reads.append(args) or unpack(*args))
+    monkeypatch.setattr(exactalg, "_times_missing", per_item)
+    # a box of 76 cells against 196 terms before collecting
+    num = Poly.one_minus(1, 0) ** 3
+    items = [
+        FR(num * Poly.monomial((-1) ** r, r), Counter([(1 + i, 0) for i in range(r + 2)] + [(1, 1)] * r))
+        for r in range(4)
+    ]
+    total = FR.sum(items)
+    assert len(reads) == 1
+    assert exact(total) == exact(sum_per_item(items))
+
+
+@pytest.mark.parametrize("w", [1, 2, 4, 8])
+def test_packed_sums_carry_past_the_slot_bound(w, monkeypatch):
+    # every coefficient is the largest that a w-byte slot holds, and they add
+    # up in every cell, so the packed sum needs slots wider than w bytes
+    def per_item(*args):
+        raise AssertionError("the per-item path ran")
+
+    monkeypatch.setattr(exactalg, "_times_missing", per_item)
+    c = 2 ** (8 * w - 1) - 1
+    block = Poly({(i, j): c for i in range(3) for j in range(3)})
+    items = [FR(block), FR(block), FR(block.scaled(-1), {(1, 0): 1}, 1)]
+    total = FR.sum(items)
+    assert max(map(abs, total.num.terms.values())) > c
+    assert exact(total) == exact(sum_per_item(items))
+
+
+def test_a_sum_with_a_huge_exponent_stays_per_item(monkeypatch):
+    def packed(*args):
+        raise AssertionError("packed a sum whose box is 10^9 columns wide")
+
+    monkeypatch.setattr(exactalg, "_kron_pack", packed)
+    items = [FR.one_over([(10**9, 1)]), FR(Poly({(0, 0): 3, (1, 1): -2}), {(1, 0): 2}, 1)]
+    start = time.perf_counter()
+    total = FR.sum(items)
+    assert time.perf_counter() - start < 2
+    assert exact(total) == exact(sum_per_item(items))
+
+
+@st.composite
+def reducible(draw):
+    """A rational whose numerator is a multiple of some of its factors, with
+    extra factors that may not divide, a possible remainder and T-content."""
+    divides = Counter(draw(st.lists(st.sampled_from(factor_pool), max_size=5)))
+    extra = Counter(draw(st.lists(st.sampled_from(factor_pool), max_size=3)))
+    num = Poly(draw(raw_polys(4, 3, 5, small | huge | slot_bounds))) * expand_factors(divides)
+    if draw(st.booleans()):
+        num = num + Poly(draw(raw_polys(3, 2, 2, small)))
+    return FR(num.shift(dt=draw(st.integers(0, 2))), divides + extra, draw(st.integers(-2, 2)))
+
+
+@settings(max_examples=80)
+@given(reducible(), st.booleans())
+def test_reduced_matches_the_factor_at_a_time_reference(f, constants_only):
+    assert exact(f.reduced(constants_only)) == exact(reduced_factor_at_a_time(f, constants_only))
+
+
+@given(operands, st.tuples(st.integers(-4, 4), st.integers(0, 3)).filter(lambda k: k != (0, 0)),
+       st.booleans())
+def test_divide_out_factor_matches_the_reference(f, k, multiple):
+    p = Poly(f) * Poly.one_minus(*k) if multiple else Poly(f)
+    got, want = divide_out_factor(p, *k), divide_one_factor(p, *k)
+    assert (got is None) == (want is None)
+    assert got.terms == want.terms if got is not None else not multiple
 
 
 # -- equality -------------------------------------------------------------------

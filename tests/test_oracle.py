@@ -5,7 +5,7 @@ import pytest
 from heiszeta import oracle
 from heiszeta.combinat import Partition, partitions_up_to
 from heiszeta.counts import birkhoff_alpha, nprime_closed
-from heiszeta.errors import BudgetExceeded, DegenerateForm, SingularMatrix
+from heiszeta.errors import BudgetExceeded, DegenerateForm, SingularMatrix, UsageError
 from heiszeta.oracle import (
     AltModule,
     _omega,
@@ -18,6 +18,7 @@ from heiszeta.oracle import (
     hnf_enumerate,
     smith_type,
 )
+from heiszeta.zeta import dirichlet_coeffs
 from reference import closure, contains, pairing, perp, subalgebras_by_full_hnf
 
 
@@ -293,6 +294,30 @@ def test_lie_ring_bracket():
 def test_enum_subalgebras_fixtures():
     assert enum_subalgebras(1, 2, 2) == [1, 3, 19]
     assert enum_subalgebras(1, 3, 1) == [1, 4]
+
+
+@pytest.mark.parametrize(
+    "fn,args",
+    [
+        (enum_sublattices, (1, 1, 1)),
+        (enum_lagrangians, ((1,), 0)),
+        (enum_subalgebras, (1, 4, 2)),
+        (check_factorization, (1, 4, 2)),
+    ],
+    ids=["sublattices", "lagrangians", "subalgebras", "factorization"],
+)
+def test_oracles_refuse_a_non_prime(fn, args):
+    # p = 1 looped forever in smith_type, p = 0 divided by zero, and p = 4
+    # gave subalgebra counts with no error
+    with pytest.raises(UsageError, match="must be a prime"):
+        fn(*args)
+
+
+def test_subalgebra_budget_counts_the_bases_built():
+    # 4,916 x-part bases of rank 2 up to 3^7; the 9,077,708 rank-3 bases
+    # they stand for are never built
+    assert sum(hnf_count(2, 3, j) for j in range(8)) == 4916
+    assert enum_subalgebras(1, 3, 7) == dirichlet_coeffs(1, 3, 7)
 
 
 def test_enum_subalgebras_budget():
