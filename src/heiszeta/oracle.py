@@ -13,7 +13,6 @@ tuple of row tuples.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from operator import mul
 from typing import Iterator, Sequence
@@ -412,13 +411,13 @@ def enum_subalgebras(n: int, p: int, max_index_valuation: int) -> list[int]:
     counts = [0] * (max_index_valuation + 1)
     for j in range(max_index_valuation + 1):
         for H in hnf_enumerate(2 * n, p, j):
-            g = p ** (max_index_valuation - j)  # then p^e for the largest e allowed
+            top = max_index_valuation - j  # then the largest e with p^e | _omega on H
             for u, v in itertools.combinations(H, 2):
-                g = math.gcd(g, _omega(u, v, n))
-                if g == 1:
-                    break
-            for e in range(max_index_valuation - j + 1):
-                if g % p**e:
-                    break
+                w = _omega(u, v, n)
+                if w:
+                    top = min(top, _valuation(w, p))
+                    if top == 0:
+                        break
+            for e in range(top + 1):
                 counts[j + e] += p ** (2 * n * e)
     return counts
