@@ -295,6 +295,13 @@ def exact(f):
     return snapshot([f])[0]
 
 
+def refuse(what):
+    """A stand-in for a kernel function that must not run."""
+    def call(*args):
+        raise AssertionError(what)
+    return call
+
+
 @settings(max_examples=80)
 @given(st.lists(summands(), min_size=1, max_size=5), st.sampled_from(["plain", "zero", "wide"]))
 def test_sum_matches_the_per_item_reference(items, kind):
@@ -315,12 +322,8 @@ def test_sum_matches_the_per_item_reference(items, kind):
 def test_a_dense_sum_is_one_packed_accumulation(monkeypatch):
     reads = []
     unpack = exactalg._kron_unpack
-
-    def per_item(*args):
-        raise AssertionError("the per-item path ran")
-
     monkeypatch.setattr(exactalg, "_kron_unpack", lambda *args: reads.append(args) or unpack(*args))
-    monkeypatch.setattr(exactalg, "_times_missing", per_item)
+    monkeypatch.setattr(exactalg, "_times_missing", refuse("the per-item path ran"))
     # a box of 76 cells against 196 terms before collecting
     num = Poly.one_minus(1, 0) ** 3
     items = [
@@ -336,10 +339,7 @@ def test_a_dense_sum_is_one_packed_accumulation(monkeypatch):
 def test_packed_sums_carry_past_the_slot_bound(w, monkeypatch):
     # every coefficient is the largest that a w-byte slot holds, and they add
     # up in every cell, so the packed sum needs slots wider than w bytes
-    def per_item(*args):
-        raise AssertionError("the per-item path ran")
-
-    monkeypatch.setattr(exactalg, "_times_missing", per_item)
+    monkeypatch.setattr(exactalg, "_times_missing", refuse("the per-item path ran"))
     c = 2 ** (8 * w - 1) - 1
     block = Poly({(i, j): c for i in range(3) for j in range(3)})
     items = [FR(block), FR(block), FR(block.scaled(-1), {(1, 0): 1}, 1)]
@@ -349,10 +349,7 @@ def test_packed_sums_carry_past_the_slot_bound(w, monkeypatch):
 
 
 def test_a_sum_with_a_huge_exponent_stays_per_item(monkeypatch):
-    def packed(*args):
-        raise AssertionError("packed a sum whose box is 10^9 columns wide")
-
-    monkeypatch.setattr(exactalg, "_kron_pack", packed)
+    monkeypatch.setattr(exactalg, "_kron_pack", refuse("packed a sum whose box is 10^9 columns wide"))
     items = [FR.one_over([(10**9, 1)]), FR(Poly({(0, 0): 3, (1, 1): -2}), {(1, 0): 2}, 1)]
     start = time.perf_counter()
     total = FR.sum(items)
