@@ -8,73 +8,66 @@ validated against brute-force enumeration over Z/p^k, and analyzed for
 poles, functional equations, q -> 1 degenerations, and global Euler-factor
 data.  All arithmetic is exact: big-integer coefficients, Laurent exponents
 in q, factored denominators.
+
+Public names load on first use (PEP 562): ``import heiszeta`` imports no
+submodule, and reading ``heiszeta.zeta_compact`` (or ``from heiszeta import
+zeta_compact``) imports ``heiszeta.zeta`` then.
 """
 
 __version__ = "0.1.0"
 
-from .combinat import Partition, gen_W
-from .exactalg import (
-    BivariatePolynomial,
-    FactoredRational,
-    SignedMonomial,
-    divide_out_factor,
-    gauss_binom,
-    gauss_multinom,
-    mono,
-    qpochhammer,
-)
-from .counts import birkhoff_alpha, n_aggregate, nprime_closed
-from .igusa import igusa_A, igusa_B, igusa_B_subset
-from .oracle import (
-    check_factorization,
-    enum_lagrangians,
-    enum_subalgebras,
-    enum_sublattices,
-)
-from .zeta import (
-    dirichlet_coeffs,
-    funeq_check,
-    global_factor,
-    pole_analysis,
-    reduced_c,
-    reduced_zeta,
-    zeta_graded,
-    zeta_ideal,
-    zeta_igusa_sum,
-    zeta_compact,
-    zeta_hyperoctahedral,
-)
+# Public name -> the submodule that defines it.
+_HOME = {
+    name: module
+    for module, names in {
+        "combinat": ("Partition", "gen_W"),
+        "counts": ("birkhoff_alpha", "n_aggregate", "nprime_closed"),
+        "exactalg": (
+            "BivariatePolynomial",
+            "FactoredRational",
+            "SignedMonomial",
+            "divide_out_factor",
+            "gauss_binom",
+            "gauss_multinom",
+            "mono",
+            "qpochhammer",
+        ),
+        "igusa": ("igusa_A", "igusa_B", "igusa_B_subset"),
+        "oracle": (
+            "check_factorization",
+            "enum_lagrangians",
+            "enum_subalgebras",
+            "enum_sublattices",
+        ),
+        "zeta": (
+            "dirichlet_coeffs",
+            "funeq_check",
+            "global_factor",
+            "pole_analysis",
+            "reduced_c",
+            "reduced_zeta",
+            "zeta_graded",
+            "zeta_ideal",
+            "zeta_igusa_sum",
+            "zeta_compact",
+            "zeta_hyperoctahedral",
+        ),
+    }.items()
+    for name in names
+}
 
-__all__ = [
-    "BivariatePolynomial",
-    "FactoredRational",
-    "Partition",
-    "SignedMonomial",
-    "birkhoff_alpha",
-    "check_factorization",
-    "dirichlet_coeffs",
-    "divide_out_factor",
-    "enum_lagrangians",
-    "enum_subalgebras",
-    "enum_sublattices",
-    "funeq_check",
-    "gauss_binom",
-    "gauss_multinom",
-    "gen_W",
-    "global_factor",
-    "igusa_A",
-    "igusa_B",
-    "igusa_B_subset",
-    "mono",
-    "n_aggregate",
-    "nprime_closed",
-    "pole_analysis",
-    "qpochhammer",
-    "reduced_c",
-    "reduced_zeta",
-    "zeta_graded",
-    "zeta_ideal",
-    "zeta_igusa_sum",
-    "zeta_compact",
-    "zeta_hyperoctahedral",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from importlib import import_module
+
+    value = getattr(import_module("." + _HOME[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -5,6 +5,11 @@ Subcommands: zeta (closed forms), verify (identity suites), coeffs
 (finite-ring enumerations), global (Euler-factor polynomial and numeric
 residue factor).  Exit codes: 0 success, 1 mathematical mismatch, 2 usage or
 guard violation.  All output is deterministic for fixed inputs and version.
+
+Library names load on first use: each command imports the modules it runs
+inside its own function.  `--version` loads only this module and `errors`;
+zeta, verify and global never load the oracles; the oracle modes never load
+the closed forms.
 """
 
 from __future__ import annotations
@@ -14,50 +19,27 @@ import json
 import math
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
-from .combinat import Partition, eulerian_A
 from .errors import BudgetExceeded, HeiszetaError, SizeGuard, UsageError, check_prime
-from .exactalg import (
-    BivariatePolynomial,
-    FactoredRational,
-    format_latex,
-    format_plain,
-    format_poly,
-    rational_to_json,
-)
-from .igusa import check_I_equals_K, generic_slots, igusa_B, igusa_B_subset
-from .igusa import igusa_B_residue, igusa_B_residue_limit
-from .exactalg import mono
-from .oracle import check_factorization, enum_lagrangians, enum_sublattices
-from .oracle import enum_subalgebras
-from .zeta import (
-    c_exponents,
-    dirichlet_coeffs,
-    funeq_check,
-    global_factor,
-    global_factor_eval,
-    hyperoctahedral_numerator,
-    pole_analysis,
-    reduced_c,
-    reduced_cone_series,
-    reduced_zeta,
-    rn_numeric,
-    zeta_graded,
-    zeta_ideal,
-    zeta_igusa_sum,
-    zeta_compact,
-    zeta_hyperoctahedral,
-)
 
+
+def _zeta():
+    """The module of the closed forms, imported on first use."""
+    from . import zeta
+
+    return zeta
+
+
+# Each form is looked up in heiszeta.zeta when it runs, so that building the
+# parser, which lists the form names, imports no library module.
 FORMS = {
-    "a": zeta_igusa_sum,
-    "b": zeta_compact,
-    "c": zeta_hyperoctahedral,
-    "ideal": zeta_ideal,
-    "graded": zeta_graded,
-    "reduced": reduced_zeta,
+    "a": lambda n: _zeta().zeta_igusa_sum(n),
+    "b": lambda n: _zeta().zeta_compact(n),
+    "c": lambda n: _zeta().zeta_hyperoctahedral(n),
+    "ideal": lambda n: _zeta().zeta_ideal(n),
+    "graded": lambda n: _zeta().zeta_graded(n),
+    "reduced": lambda n: _zeta().reduced_zeta(n),
 }
 
 
@@ -69,7 +51,9 @@ def _emit(text: str, out_path: str | None):
         print(text)
 
 
-def _render(f: FactoredRational, fmt: str) -> str:
+def _render(f, fmt: str) -> str:
+    from .exactalg import format_latex, format_plain, rational_to_json
+
     if fmt == "plain":
         return format_plain(f)
     if fmt == "latex":
@@ -87,17 +71,24 @@ def cmd_zeta(args) -> int:
 
 def _check_crossform(n: int) -> dict:
     """Forms a, b and c agree, and form c's numerator is the B_n group sum."""
+    from .zeta import c_exponents, hyperoctahedral_numerator
+    from .zeta import zeta_compact, zeta_hyperoctahedral, zeta_igusa_sum
+
     a, b, c = zeta_igusa_sum(n), zeta_compact(n), zeta_hyperoctahedral(n)
     ok = a == b and b == c and c.num == hyperoctahedral_numerator(n, c_exponents(n))
     return {"check": "crossform", "n": n, "status": "pass" if ok else "fail"}
 
 
 def _check_funeq(n: int) -> dict:
+    from .zeta import funeq_check
+
     rep = funeq_check(n)
     return {"check": "funeq", "n": n, "status": rep["status"], "detail": rep["factor"]}
 
 
 def _check_poles(n: int) -> dict:
+    from .zeta import pole_analysis
+
     rep = pole_analysis(n)
     detail = {
         "integral": [[s, o] for s, o in rep.integral_poles],
@@ -115,6 +106,8 @@ def _check_poles(n: int) -> dict:
 
 
 def _check_fibre(n: int) -> dict:
+    from .igusa import check_I_equals_K
+
     for k in range(n + 1):
         for r in range(2 * k + 2):
             check_I_equals_K(n, k, r)
@@ -122,6 +115,10 @@ def _check_fibre(n: int) -> dict:
 
 
 def _check_residue(n: int) -> dict:
+    from .exactalg import mono
+    from .igusa import generic_slots, igusa_B, igusa_B_residue, igusa_B_residue_limit
+    from .igusa import igusa_B_subset
+
     Z = mono(977, 2)
     for m in range(n + 1):
         X = generic_slots(n)
@@ -133,9 +130,12 @@ def _check_residue(n: int) -> dict:
     return {"check": "residue", "n": n, "status": "pass"}
 
 
-def _reduced_eulerian(n: int) -> FactoredRational:
+def _reduced_eulerian(n: int):
     """The reduced zeta function as the classical Eulerian sum
     sum_d binom(n, d) A_d(T^{n+1}) / ((1-T)^{2n-d} (1-T^{n+1})^{d+1})."""
+    from .combinat import eulerian_A
+    from .exactalg import BivariatePolynomial, FactoredRational
+
     return FactoredRational.sum(
         [
             FactoredRational(
@@ -150,8 +150,10 @@ def _reduced_eulerian(n: int) -> FactoredRational:
     )
 
 
-def _reduced_c_telescoped(n: int) -> Fraction:
-    """c_n as the complement 1 - n sum_k binom(n-1, k-1) k! / (n+1)^{k+1}."""
+def _reduced_c_telescoped(n: int):
+    """c_n as the complement 1 - n sum_k binom(n-1, k-1) k! / (n+1)^{k+1}, a Fraction."""
+    from fractions import Fraction
+
     return 1 - n * sum(
         Fraction(math.comb(n - 1, k - 1) * math.factorial(k), (n + 1) ** (k + 1))
         for k in range(1, n + 1)
@@ -162,6 +164,11 @@ def _check_reduced(n: int) -> dict:
     """reduced_zeta against the Eulerian form, the lattice-point oracle and
     self-reciprocity; reduced_c against its telescoped form and the limit
     P_n(1) / (n+1)^{n+1} of the normalized numerator, and inside (0, 1)."""
+    from fractions import Fraction
+
+    from .exactalg import FactoredRational
+    from .zeta import reduced_c, reduced_cone_series, reduced_zeta
+
     f = reduced_zeta(n)
     series = [c.coefficient(0, 0) for c in f.series_in_T(10)]
     ok = series == reduced_cone_series(n, 10)
@@ -203,10 +210,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
+    from .zeta import dirichlet_coeffs
+
     formula = dirichlet_coeffs(args.n, args.prime, args.max_order)
     rows = []
     oracle_counts = None
     if args.oracle:
+        from .oracle import enum_subalgebras
+
         oracle_counts = enum_subalgebras(args.n, args.prime, args.max_order)
     ok = True
     for i, val in enumerate(formula):
@@ -225,6 +236,8 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import check_factorization, enum_lagrangians, enum_sublattices
+
     if args.mode == "lagrangian":
         mu = args.mu
         counts = enum_lagrangians(mu, args.prime)
@@ -255,6 +268,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_global(args) -> int:
+    from .exactalg import format_poly
+    from .zeta import global_factor, global_factor_eval, rn_numeric
+
     lines = [
         "N_%d(X, Y) = %s"
         % (args.n, format_poly(global_factor(args.n), qvar="X", tvar="Y"))
@@ -304,6 +320,8 @@ def validate(args) -> None:
     if args.command == "coeffs" and args.max_order < 0:
         raise UsageError("--max-order must be nonnegative, got %d" % args.max_order)
     if args.command == "oracle":
+        from .combinat import Partition
+
         if args.max_val < 0:
             raise UsageError("--max-val must be nonnegative, got %d" % args.max_val)
         try:

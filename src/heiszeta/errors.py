@@ -1,7 +1,5 @@
 """Exception types shared across the package, and the input checks that raise them."""
 
-import math
-
 
 class HeiszetaError(Exception):
     """Base class for all package-specific errors."""
@@ -11,10 +9,43 @@ class UsageError(HeiszetaError):
     """An input is out of range or malformed; rejected before any computation."""
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound,
+# psi_13 (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 def check_prime(p: int) -> None:
-    """Raise UsageError unless p is a prime."""
-    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+    """Raise UsageError unless p is a prime below PRIME_LIMIT."""
+    if p >= PRIME_LIMIT:
+        raise UsageError("--prime must be below %d, the limit of the primality test, got %d"
+                         % (PRIME_LIMIT, p))
+    if p < 2 or not _is_prime(p):
         raise UsageError("--prime must be a prime, got %d" % p)
+
+
+def _is_prime(p: int) -> bool:
+    """Whether p >= 2 is a strong probable prime to every base of _PRIME_BASES:
+    whether p is a prime, for p below PRIME_LIMIT."""
+    if p in _PRIME_BASES:
+        return True
+    if any(p % b == 0 for b in _PRIME_BASES):
+        return False
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class SizeGuard(HeiszetaError):

@@ -46,7 +46,6 @@ from __future__ import annotations
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
@@ -255,7 +254,7 @@ def _divide_dense(xs: list[int], step: int, mult: int = 1) -> Optional[list[int]
 
 
 def _set_fields(obj, **fields):
-    """Set the fields of a new value; both value classes refuse setattr."""
+    """Set the fields of a new value; the value classes refuse setattr."""
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
     return obj
@@ -435,17 +434,32 @@ def _coerce_poly(x) -> BivariatePolynomial:
     raise TypeError("cannot coerce %r to BivariatePolynomial" % (x,))
 
 
-@dataclass(frozen=True)
 class SignedMonomial:
-    """The monomial sign * q^e_q * T^e_T (sign in {1, -1})."""
+    """The monomial sign * q^e_q * T^e_T (sign in {1, -1}); immutable, and
+    equal and hashed by (sign, e_q, e_T)."""
 
-    sign: int
-    e_q: int
-    e_T: int
+    __slots__ = ("sign", "e_q", "e_T")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    __setattr__ = __delattr__ = BivariatePolynomial.__setattr__
+
+    def __init__(self, sign: int, e_q: int, e_T: int):
+        if sign not in (1, -1):
             raise ValueError("sign must be +-1")
+        _set_fields(self, sign=sign, e_q=e_q, e_T=e_T)
+
+    def __reduce__(self):
+        return SignedMonomial, (self.sign, self.e_q, self.e_T)
+
+    def __eq__(self, other):
+        if other.__class__ is not SignedMonomial:
+            return NotImplemented
+        return (self.sign, self.e_q, self.e_T) == (other.sign, other.e_q, other.e_T)
+
+    def __hash__(self):
+        return hash((self.sign, self.e_q, self.e_T))
+
+    def __repr__(self):
+        return "SignedMonomial(sign=%r, e_q=%r, e_T=%r)" % (self.sign, self.e_q, self.e_T)
 
     def __mul__(self, other: "SignedMonomial") -> "SignedMonomial":
         return SignedMonomial(self.sign * other.sign, self.e_q + other.e_q, self.e_T + other.e_T)
@@ -552,8 +566,7 @@ class FactoredRational:
 
     __slots__ = ("num", "den", "tshift")
 
-    __setattr__ = BivariatePolynomial.__setattr__
-    __delattr__ = BivariatePolynomial.__delattr__
+    __setattr__ = __delattr__ = BivariatePolynomial.__setattr__
 
     def __reduce__(self):
         return FactoredRational, (self.num, dict(self.den), self.tshift)
@@ -711,8 +724,7 @@ class FactoredRational:
         deg = self.num.t_degree()
         num = BivariatePolynomial({(-eq, deg - et): c for (eq, et), c in self.num.terms.items()})
         tshift = -self.tshift - deg
-        sign = 1
-        dq = 0
+        sign, dq = 1, 0
         for (a, b), m in self.den.items():
             # 1/(1 - q^-a T^-b) = -q^a T^b / (1 - q^a T^b)
             if m % 2:
@@ -820,22 +832,23 @@ def qpochhammer(a: SignedMonomial, step_exponent: int, m: int) -> FactoredRation
     if m >= 0:
         num = BivariatePolynomial.one()
         for i in range(m):
-            u = (a.e_q + step_exponent * i, a.e_T)
-            num = num * BivariatePolynomial({(0, 0): 1, u: -a.sign})
+            # a constant factor 1 - a q^0 T^0 is 0 or 2: the 1 and the monomial add
+            u = {(a.e_q + step_exponent * i, a.e_T): 1}
+            num = num * BivariatePolynomial._raw(_p_iadd({(0, 0): 1}, u, -a.sign))
         return FactoredRational(num)
     # (a;q)_m = ((a q^m; q)_{-m})^-1
+    exps = [a.e_q + step_exponent * (m + i) for i in range(-m)]
+    if a.e_T == 0 and 0 in exps:
+        raise ValueError("(a; q^%d)_%d has the constant factor %s, whose reciprocal is not "
+                         "a product of factors 1 - q^a T^b"
+                         % (step_exponent, m, "1 - 1 = 0" if a.sign == 1 else "1 + 1 = 2"))
     if a.sign == 1:
-        return FactoredRational.one_over(
-            (a.e_q + step_exponent * (m + i), a.e_T) for i in range(-m)
-        )
+        return FactoredRational.one_over((eq, a.e_T) for eq in exps)
     # negative monomial: 1/(1 + u) = (1 - u)/(1 - u^2)
     num = BivariatePolynomial.one()
-    den: Counter = Counter()
-    for i in range(-m):
-        eq = a.e_q + step_exponent * (m + i)
+    for eq in exps:
         num = num * BivariatePolynomial.one_minus(eq, a.e_T)
-        den[(2 * eq, 2 * a.e_T)] += 1
-    return FactoredRational(num, den)
+    return FactoredRational(num, Counter((2 * eq, 2 * a.e_T) for eq in exps))
 
 
 @lru_cache(maxsize=None)
@@ -894,11 +907,8 @@ def rational_to_json(f: FactoredRational) -> dict:
 def rational_from_json(data: Mapping) -> FactoredRational:
     sign, e_q, e_T = data["unit"]
     num = poly_from_json(data["num"]).scaled(int(sign)).shift(dq=int(e_q))
-    return FactoredRational(
-        num,
-        {(int(a), int(b)): int(m) for a, b, m in data["den"]},
-        int(e_T),
-    )
+    den = {(int(a), int(b)): int(m) for a, b, m in data["den"]}
+    return FactoredRational(num, den, int(e_T))
 
 
 def rational_dumps(f: FactoredRational) -> str:
@@ -917,15 +927,10 @@ def rational_loads(s: str) -> FactoredRational:
 def _format_monomial(
     c: int, eq: int, et: int, latex: bool = False, qvar: str = "q", tvar: str = "T"
 ) -> str:
-    parts = []
-    if eq:
-        parts.append(
-            qvar if eq == 1 else ("%s^{%d}" % (qvar, eq) if latex else "%s^%d" % (qvar, eq))
-        )
-    if et:
-        parts.append(
-            tvar if et == 1 else ("%s^{%d}" % (tvar, et) if latex else "%s^%d" % (tvar, et))
-        )
+    parts = [
+        var if e == 1 else ("%s^{%d}" if latex else "%s^%d") % (var, e)
+        for var, e in ((qvar, eq), (tvar, et)) if e
+    ]
     body = (" " if not latex else "").join(parts)
     if not parts:
         return str(c)
@@ -944,19 +949,12 @@ def format_poly(
     out = []
     for c, eq, et in p.sorted_terms():
         s = _format_monomial(c, eq, et, latex, qvar, tvar)
-        if out:
-            if s.startswith("-"):
-                out.append(" - " + s[1:])
-            else:
-                out.append(" + " + s)
-        else:
-            out.append(s)
+        out.append((" - " + s[1:] if s.startswith("-") else " + " + s) if out else s)
     return "".join(out)
 
 
 def _format_factor(a: int, b: int, m: int, latex: bool = False) -> str:
-    inner = "1 - " + _format_monomial(1, a, b, latex)
-    s = "(%s)" % inner
+    s = "(1 - %s)" % _format_monomial(1, a, b, latex)
     if m > 1:
         s += "^{%d}" % m if latex else "^%d" % m
     return s

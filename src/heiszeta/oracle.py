@@ -13,7 +13,6 @@ tuple of row tuples.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -144,19 +143,17 @@ def alt_type(gram: Sequence[Sequence[int]], p: int) -> Partition:
 Element = tuple[int, ...]
 
 
-@dataclass
 class AltModule:
     """The alternating module M_mu: blocks (Z/p^{mu_i}) e_i + (Z/p^{mu_i}) f_i.
 
     Elements are coordinate tuples (a_1, b_1, ..., a_l, b_l); the pairing
     takes values in (1/p^{mu_1}) Z / Z, represented by integers modulo
-    p^{mu_1} with zero meaning perpendicular.
+    p^{mu_1} with zero meaning perpendicular.  Modules are equal when their
+    mu and p are.
     """
 
-    mu: tuple[int, ...]
-    p: int
-
-    def __post_init__(self):
+    def __init__(self, mu: tuple[int, ...], p: int):
+        self.mu, self.p = mu, p
         self.mods = tuple(self.p**m for m in self.mu for _ in (0, 1))
         self.exponent = self.p ** (self.mu[0] if self.mu else 0)
         self.scale = tuple(self.exponent // self.p**m for m in self.mu)
@@ -164,6 +161,16 @@ class AltModule:
         for b in self.mods:
             self.size *= b
         self.zero = (0,) * len(self.mods)
+
+    def __eq__(self, other):
+        if other.__class__ is not AltModule:
+            return NotImplemented
+        return (self.mu, self.p) == (other.mu, other.p)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "AltModule(mu=%r, p=%r)" % (self.mu, self.p)
 
     def elements(self) -> Iterator[Element]:
         return itertools.product(*(range(b) for b in self.mods))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -192,22 +191,44 @@ def funeq_check(n: int) -> dict:
     return {"n": n, "factor": "-q^%d T^%d" % (binom, 2 * n + 1), "status": "pass"}
 
 
-@dataclass
 class PoleReport:
     """Pole locations and orders of the local zeta function at tested primes.
 
     ``double_poles`` lists the locations whose order is at least 2.  For
     n <= 6 these are exactly the s = m with m(m+1) = 4n (s = 3 for n = 3,
     s = 4 for n = 5), as found by exact computation at the tested primes;
-    no proof of that law is in this package.
+    no proof of that law is in this package.  Reports are equal when all
+    their fields are.
     """
 
-    n: int
-    tested_at_q: list[int]
-    integral_poles: list[tuple[int, int]] = field(default_factory=list)
-    fractional_poles: list[tuple[Fraction, int]] = field(default_factory=list)
-    double_poles: list[Fraction] = field(default_factory=list)
-    discrepancies: list[str] = field(default_factory=list)
+    _FIELDS = ("n", "tested_at_q", "integral_poles", "fractional_poles",
+              "double_poles", "discrepancies")
+
+    def __init__(
+        self,
+        n: int,
+        tested_at_q: list[int],
+        integral_poles: list[tuple[int, int]] | None = None,
+        fractional_poles: list[tuple[Fraction, int]] | None = None,
+        double_poles: list[Fraction] | None = None,
+        discrepancies: list[str] | None = None,
+    ):
+        self.n = n
+        self.tested_at_q = tested_at_q
+        self.integral_poles = [] if integral_poles is None else integral_poles
+        self.fractional_poles = [] if fractional_poles is None else fractional_poles
+        self.double_poles = [] if double_poles is None else double_poles
+        self.discrepancies = [] if discrepancies is None else discrepancies
+
+    def __eq__(self, other):
+        if other.__class__ is not PoleReport:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
+
+    __hash__ = None  # mutable: pole_analysis appends to the lists
+
+    def __repr__(self):
+        return "PoleReport(%s)" % ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._FIELDS)
 
     def order_at(self, s) -> int:
         s = Fraction(s)

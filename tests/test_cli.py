@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
 from heiszeta.cli import main
+from heiszeta.errors import PRIME_LIMIT, UsageError, check_prime
 
 
 def run(capsys, *argv):
@@ -210,6 +212,8 @@ BAD_INPUTS = [
     ("verify", "--n", "2", "--checks", ","),
     ("coeffs", "--n", "1", "--prime", "1", "--max-order", "2"),
     ("coeffs", "--n", "1", "--prime", "4", "--max-order", "2"),
+    ("coeffs", "--n", "1", "--prime", "561", "--max-order", "2"),
+    ("coeffs", "--n", "1", "--prime", "3317044064679887385961981", "--max-order", "1"),
     ("coeffs", "--n", "1", "--prime", "2", "--max-order", "-1"),
     ("oracle", "lagrangian", "--mu", "1,2", "--prime", "2"),
     ("oracle", "lagrangian", "--mu", "x", "--prime", "2"),
@@ -236,3 +240,42 @@ def test_zeta_n0_is_one_over_one_minus_T(capsys, form):
     code, out = run(capsys, "zeta", "--n", "0", "--form", form)
     assert code == 0
     assert out.strip() == "(1) / ((1 - T))"
+
+
+def _accepted(p):
+    try:
+        check_prime(p)
+    except UsageError:
+        return False
+    return True
+
+
+def test_check_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    assert [p for p in range(-3, 20000) if _accepted(p) != sympy.isprime(p)] == []
+    assert _accepted(sympy.prevprime(PRIME_LIMIT))
+
+
+# Strong pseudoprimes to the first 4, 9 and 12 prime bases, and Carmichael numbers.
+@pytest.mark.parametrize(
+    "n",
+    [3215031751, 3825123056546413051, 318665857834031151167461,
+     561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185],
+)
+def test_check_prime_refuses_pseudoprimes(n):
+    assert not _accepted(n)
+
+
+def test_check_prime_refuses_at_its_limit():
+    # the limit itself is a strong pseudoprime to all 13 bases
+    for p in (PRIME_LIMIT, PRIME_LIMIT + 2, 10**30 + 57):
+        with pytest.raises(UsageError, match="must be below %d" % PRIME_LIMIT):
+            check_prime(p)
+
+
+def test_large_prime_is_checked_at_once(capsys):
+    argv = ("coeffs", "--n", "1", "--prime", "1000000000000000003", "--max-order", "1")
+    t0 = time.perf_counter()
+    code, out = run(capsys, *argv)
+    assert code == 0 and time.perf_counter() - t0 < 1.0
+    assert out.splitlines()[-1] == "1000000000000000003^1\t1000000000000000004"

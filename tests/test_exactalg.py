@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -125,6 +126,66 @@ def test_qpochhammer_negative_m_negative_monomial():
     # (a; q)_{-1} with a = -qT is 1/(1 - a q^-1) = 1/(1 + T)
     f = qpochhammer(mono(1, 1, -1), 1, -1)
     assert f * Poly({(0, 0): 1, (0, 1): 1}) == FR(1)
+
+
+def test_qpochhammer_constant_factor():
+    # a factor 1 - a q^0 T^0 is 1 - 1 = 0 or 1 + 1 = 2, not the monomial alone
+    assert qpochhammer(mono(0, 0), 1, 1) == FR(0)
+    assert qpochhammer(mono(0, 0, -1), 1, 2) == FR(Poly({(0, 0): 2, (1, 0): 2}))
+    assert qpochhammer(mono(-1, 0), 1, 2) == FR(0)
+    # for m < 0 the reciprocal of a constant factor is no product of 1 - q^a T^b
+    for sign, text in ((1, "1 - 1 = 0"), (-1, "1 + 1 = 2")):
+        with pytest.raises(ValueError, match=re.escape("constant factor " + text)):
+            qpochhammer(mono(2, 0, sign), 1, -3)
+
+
+def _as_sympy(f, q, T):
+    """A FactoredRational as a sympy expression in q and T."""
+    num = sum(c * q**eq * T**et for (eq, et), c in f.num.terms.items())
+    den = 1
+    for (a, b), m in f.den.items():
+        den *= (1 - q**a * T**b) ** m
+    return num * T**f.tshift / den
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_qpochhammer_against_sympy(sign):
+    sympy = pytest.importorskip("sympy")
+    q, T = sympy.symbols("q T")
+    for e_q in (-1, 0, 1):
+        for e_T in (0, 1):
+            for step in (0, 1, 2):
+                for m in range(-2, 4):
+                    # (a; q^step)_m = 1 / (a q^(step m); q^step)_(-m) for m < 0
+                    lo = min(m, 0)
+                    factors = [1 - sign * q ** (e_q + step * (lo + i)) * T**e_T
+                               for i in range(abs(m))]
+                    if m < 0 and any(f.is_number for f in factors):
+                        with pytest.raises(ValueError):
+                            qpochhammer(mono(e_q, e_T, sign), step, m)
+                        continue
+                    expected = sympy.Mul(*factors) ** (1 if m >= 0 else -1)
+                    got = _as_sympy(qpochhammer(mono(e_q, e_T, sign), step, m), q, T)
+                    assert sympy.cancel(got - expected) == 0, (e_q, e_T, step, m)
+
+
+def test_signed_monomial_value_semantics():
+    import copy
+    import pickle
+
+    m = mono(2, 3, -1)
+    assert m == mono(2, 3, -1) and m != mono(2, 3) and m != (-1, 2, 3)
+    assert hash(m) == hash(mono(2, 3, -1)) and len({m, mono(2, 3, -1), mono(2, 3)}) == 2
+    assert repr(m) == "SignedMonomial(sign=-1, e_q=2, e_T=3)"
+    for attr in ("sign", "e_q", "e_T", "other"):
+        with pytest.raises(AttributeError):
+            setattr(m, attr, 1)
+    with pytest.raises(AttributeError):
+        del m.sign
+    with pytest.raises(ValueError, match="sign must be"):
+        mono(1, 1, 0)
+    for n in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+        assert n == m and (n.sign, n.e_q, n.e_T) == (-1, 2, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,90 @@
+"""What `import heiszeta` and each CLI command load.
+
+The package resolves its public names on first use, and each command imports
+only the library modules it runs.  No module imports `dataclasses`, whose
+import pulls in inspect, dis and tokenize.  Import sets are read in a fresh
+interpreter per case, since this process has loaded every module.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import heiszeta
+
+SRC = str(Path(__file__).parent.parent / "src")
+
+# Runs cli.main on its arguments, then prints the heiszeta modules loaded,
+# and whether dataclasses was loaded before heiszeta and after the command.
+PROBE = """\
+import json, sys
+bare = "dataclasses" in sys.modules
+from heiszeta.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "heiszeta")
+print(json.dumps([loaded, bare, "dataclasses" in sys.modules]))
+"""
+
+BASE = {"heiszeta", "heiszeta.cli", "heiszeta.errors"}
+CLOSED_FORMS = BASE | {"heiszeta.combinat", "heiszeta.exactalg", "heiszeta.igusa", "heiszeta.zeta"}
+ORACLE = BASE | {"heiszeta.combinat", "heiszeta.counts", "heiszeta.exactalg", "heiszeta.oracle"}
+
+
+def _run(code, *argv):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["--version"], BASE),
+        (["zeta", "--n", "3", "--form", "b"], CLOSED_FORMS),
+        (["verify", "--n", "2", "--checks", "funeq"], CLOSED_FORMS),
+        (["oracle", "lagrangian", "--mu", "1", "--prime", "2"], ORACLE),
+    ],
+    ids=["version", "zeta", "verify", "oracle"],
+)
+def test_each_command_loads_only_what_it_runs(argv, modules):
+    loaded, bare, after = _run(PROBE, *argv)
+    assert set(loaded) == modules
+    if not bare:
+        assert not after, "dataclasses was imported"
+
+
+def test_import_heiszeta_loads_no_submodule():
+    code = (
+        "import json, sys, heiszeta\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('heiszeta'))))"
+    )
+    assert _run(code) == ["heiszeta"]
+
+
+@pytest.mark.parametrize("name", heiszeta.__all__)
+def test_public_name_resolves_to_its_home(name):
+    obj = getattr(heiszeta, name)
+    home = sys.modules[obj.__module__]
+    assert home.__name__.startswith("heiszeta.")
+    assert getattr(home, name) is obj
+    assert name in dir(heiszeta)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        heiszeta.no_such_name
+    assert not hasattr(heiszeta, "zeta_compactt")
+    namespace = {}
+    exec("from heiszeta import *", namespace)
+    assert set(heiszeta.__all__) <= set(namespace)
