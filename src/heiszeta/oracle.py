@@ -13,8 +13,8 @@ tuple of row tuples.
 from __future__ import annotations
 
 import itertools
-from operator import mul
-from typing import Iterator, Sequence
+import math
+from typing import Iterable, Iterator, Sequence
 
 from .combinat import Partition, partitions_up_to
 from .counts import birkhoff_alpha
@@ -38,59 +38,41 @@ HNF_BUDGET = 2_000_000
 # ---------------------------------------------------------------------------
 
 
-def _smith_diagonal(mat: Sequence[Sequence[int]]) -> list[int]:
-    """Diagonal of the Smith normal form (absolute values, divisibility chain)."""
-    m = [list(row) for row in mat]
-    rows, cols = len(m), len(m[0])
-    diag = []
-    top = 0
-    while top < min(rows, cols):
-        pivot = None
-        best = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                v = abs(m[i][j])
-                if v and (best is None or v < best):
-                    pivot, best = (i, j), v
+def _smith_diagonal(mat: Sequence[Sequence[int]], p: int) -> list[int]:
+    """p-valuations of the Smith diagonal, by fraction-free elimination over Z_(p).
+
+    Pivots on a nonzero entry p^v u of least valuation, replaces every other
+    row r by u r - (r_j / p^v) (pivot row), which is unimodular over the
+    integers localized at p because p does not divide u, then drops the pivot
+    row and column and records v.  Stops when what is left is all zero, so a
+    matrix of rank r gives r valuations.
+    """
+    rows = [list(row) for row in mat]
+    vals = []
+    while rows:
+        pivot = None  # (v, i, j); x % p^v is nonzero iff x has valuation below v
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                if x and (pivot is None or x % p ** pivot[0]):
+                    pivot = (_valuation(x, p), i, j)
         if pivot is None:
             break
-        pi, pj = pivot
-        m[top], m[pi] = m[pi], m[top]
-        for row in m:
-            row[top], row[pj] = row[pj], row[top]
-        p = m[top][top]
-        dirty = False
-        for i in range(top + 1, rows):
-            f = m[i][top] // p
-            if f:
-                for j in range(top, cols):
-                    m[i][j] -= f * m[top][j]
-            if m[i][top]:
-                dirty = True
-        for j in range(top + 1, cols):
-            f = m[top][j] // p
-            if f:
-                for i in range(top, rows):
-                    m[i][j] -= f * m[i][top]
-            if m[top][j]:
-                dirty = True
-        if dirty:
-            continue
-        bad = None
-        for i in range(top + 1, rows):
-            if any(m[i][j] % p for j in range(top + 1, cols)):
-                bad = i
-                break
-        if bad is not None:
-            for j in range(top, cols):
-                m[top][j] += m[bad][j]
-            continue
-        diag.append(abs(p))
-        top += 1
-    return diag
+        v, i, j = pivot
+        top = rows.pop(i)
+        pv = p**v
+        u = top.pop(j) // pv
+        nxt = []
+        for r in rows:
+            f = r.pop(j) // pv
+            nxt.append([u * a - f * b for a, b in zip(r, top)])
+        rows = nxt
+        vals.append(v)
+    return vals
 
 
 def _valuation(x: int, p: int) -> int:
+    if x == 0:
+        raise ValueError("0 has no finite %d-adic valuation" % p)
     v = 0
     while x % p == 0:
         x //= p
@@ -103,10 +85,10 @@ def smith_type(mat: Sequence[Sequence[int]], p: int) -> Partition:
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("matrix must be square")
-    diag = _smith_diagonal(mat)
-    if len(diag) < n:
+    vals = _smith_diagonal(mat, p)
+    if len(vals) < n:
         raise SingularMatrix("matrix has determinant zero")
-    return Partition(sorted((_valuation(d, p) for d in diag), reverse=True))
+    return Partition(sorted(vals, reverse=True))
 
 
 def alt_type(gram: Sequence[Sequence[int]], p: int) -> Partition:
@@ -124,10 +106,9 @@ def alt_type(gram: Sequence[Sequence[int]], p: int) -> Partition:
         for j in range(n):
             if gram[i][j] != -gram[j][i]:
                 raise DegenerateForm("matrix is not alternating")
-    diag = _smith_diagonal(gram)
-    if len(diag) < n:
+    vals = sorted(_smith_diagonal(gram, p), reverse=True)
+    if len(vals) < n:
         raise DegenerateForm("form is degenerate over the fraction field")
-    vals = sorted((_valuation(d, p) for d in diag), reverse=True)
     pairs = []
     for i in range(0, n, 2):
         if vals[i] != vals[i + 1]:
@@ -140,16 +121,16 @@ def alt_type(gram: Sequence[Sequence[int]], p: int) -> Partition:
 # finite alternating modules
 # ---------------------------------------------------------------------------
 
-Element = tuple[int, ...]
-
-
 class AltModule:
     """The alternating module M_mu: blocks (Z/p^{mu_i}) e_i + (Z/p^{mu_i}) f_i.
 
-    Elements are coordinate tuples (a_1, b_1, ..., a_l, b_l); the pairing
-    takes values in (1/p^{mu_1}) Z / Z, represented by integers modulo
-    p^{mu_1} with zero meaning perpendicular.  Modules are equal when their
-    mu and p are.
+    An element (a_1, b_1, ..., a_l, b_l) is one int: coordinate k sits in
+    slot k, the bits [k W, (k + 1) W), where W = bit_length(L (E - 1)^2) + 1
+    for L = 2 l slots and the exponent E = p^{mu_1}.  A slot of a sum of two
+    elements, or of the Kronecker product in `orthogonal`, stays below
+    2^(W-1), so no carry crosses into the next slot.  The pairing takes values
+    in (1/E) Z / Z, represented by integers modulo E with zero meaning
+    perpendicular.  Modules are equal when their mu and p are.
     """
 
     def __init__(self, mu: tuple[int, ...], p: int):
@@ -157,10 +138,14 @@ class AltModule:
         self.mods = tuple(self.p**m for m in self.mu for _ in (0, 1))
         self.exponent = self.p ** (self.mu[0] if self.mu else 0)
         self.scale = tuple(self.exponent // self.p**m for m in self.mu)
-        self.size = 1
-        for b in self.mods:
-            self.size *= b
-        self.zero = (0,) * len(self.mods)
+        self.size = math.prod(self.mods)
+        self.zero = 0
+        w = self.width = (len(self.mods) * (self.exponent - 1) ** 2).bit_length() + 1
+        self.slot_mask = (1 << w) - 1
+        # per slot: the modulus m_k, the offset 2^(W-1) - m_k, and the top bit
+        self.moduli = sum(m << (w * k) for k, m in enumerate(self.mods))
+        self.offsets = sum(((1 << (w - 1)) - m) << (w * k) for k, m in enumerate(self.mods))
+        self.flags = sum(1 << (w * k + w - 1) for k in range(len(self.mods)))
 
     def __eq__(self, other):
         if other.__class__ is not AltModule:
@@ -172,35 +157,48 @@ class AltModule:
     def __repr__(self):
         return "AltModule(mu=%r, p=%r)" % (self.mu, self.p)
 
-    def elements(self) -> Iterator[Element]:
-        return itertools.product(*(range(b) for b in self.mods))
+    def times_p(self) -> dict[int, int]:
+        """Every element x, mapped to p x."""
+        table = {0: 0}
+        for k, m in enumerate(self.mods):
+            shift = self.width * k
+            table = {x + (c << shift): px + ((self.p * c % m) << shift)
+                     for x, px in table.items() for c in range(m)}
+        return table
 
-    def add(self, a: Element, b: Element) -> Element:
-        return tuple((x + y) % m for x, y, m in zip(a, b, self.mods))
+    def translate(self, xs: Iterable[int], v: int) -> set[int]:
+        """{x + v for x in xs}: add slotwise, then subtract m_k where a slot reached it.
 
-    def scalar(self, k: int, a: Element) -> Element:
-        return tuple((k * x) % m for x, m in zip(a, self.mods))
+        t + offsets sets the top bit of slot k exactly when t_k >= m_k; those
+        bits, moved down and multiplied by the slot mask, select the moduli.
+        """
+        m, off, top, s, f = self.moduli, self.offsets, self.flags, self.width - 1, self.slot_mask
+        return {(t := x + v) - (m & ((((t + off) & top) >> s) * f)) for x in xs}
 
-    def dual(self, v: Element) -> Element:
-        """w with <x, v> = sum_k w_k x_k modulo `exponent`, for every x."""
-        pairs = ((s * v[2 * i + 1], -s * v[2 * i]) for i, s in enumerate(self.scale))
-        return tuple(c % self.exponent for pair in pairs for c in pair)
+    def dual(self, v: int) -> int:
+        """w with <x, v> = sum_k w_k x_k modulo `exponent`, w_k packed in slot L - 1 - k."""
+        w, mask, last, e = self.width, self.slot_mask, len(self.mods) - 1, self.exponent
+        out = 0
+        for i, s in enumerate(self.scale):
+            a, b = (v >> (2 * i * w)) & mask, (v >> ((2 * i + 1) * w)) & mask
+            out |= (s * b % e) << ((last - 2 * i) * w) | (-s * a % e) << ((last - 2 * i - 1) * w)
+        return out
 
-    def subgroup_type(self, sub: frozenset[Element]) -> Partition:
+    def orthogonal(self, xs: Iterable[int], v: int) -> list[int]:
+        """The x in xs with <x, v> = 0, read off slot L - 1 of x * dual(v)."""
+        w, shift = self.dual(v), self.width * (len(self.mods) - 1)
+        mask, e = self.slot_mask, self.exponent
+        return [x for x in xs if ((x * w >> shift) & mask) % e == 0]
+
+    def subgroup_type(self, sub: frozenset[int], times_p: dict[int, int]) -> Partition:
         """Abelian type of a subgroup from the sizes of its p^k multiples."""
         sizes = [len(sub)]
         cur = set(sub)
         while len(cur) > 1:
-            cur = {self.scalar(self.p, x) for x in cur}
+            cur = {times_p[x] for x in cur}
             sizes.append(len(cur))
-        heights = [
-            _valuation(sizes[k - 1] // sizes[k], self.p)
-            for k in range(1, len(sizes))
-        ]
-        lam = [
-            sum(1 for t in heights if t > i)
-            for i in range(heights[0] if heights else 0)
-        ]
+        heights = [_valuation(sizes[k - 1] // sizes[k], self.p) for k in range(1, len(sizes))]
+        lam = [sum(1 for t in heights if t > i) for i in range(heights[0] if heights else 0)]
         return Partition(tuple(sorted(lam, reverse=True)))
 
 
@@ -225,14 +223,13 @@ def enum_lagrangians(mu, p: int) -> dict[Partition, int]:
     if m == 0:
         return {Partition(()): 1}
     mod = AltModule(tuple(mu.parts), p)
-    elements = list(mod.elements())
-    times_p = {x: mod.scalar(p, x) for x in elements}
+    times_p = mod.times_p()
     # subgroup -> perp list; grown by index p per step, deduplicated globally
-    level: dict[frozenset[Element], list[Element]] = {frozenset({mod.zero}): elements}
-    found: set[frozenset[Element]] = set()
+    level: dict[frozenset[int], list[int]] = {frozenset({mod.zero}): list(times_p)}
+    found: set[frozenset[int]] = set()
     for step in range(m):
         last = step == m - 1
-        nxt: dict[frozenset[Element], list[Element]] = {}
+        nxt: dict[frozenset[int], list[int]] = {}
         for sub, perp in level.items():
             processed = set(sub)
             for v in perp:
@@ -240,21 +237,20 @@ def enum_lagrangians(mu, p: int) -> dict[Partition, int]:
                     continue
                 if times_p[v] not in sub:
                     continue  # index-p^2 jump; reached later along a chain
-                grown = set(sub)
-                for j in range(1, p):
-                    jv = mod.scalar(j, v)
-                    grown.update(mod.add(x, jv) for x in sub)
+                grown, coset = set(sub), sub
+                for _ in range(1, p):  # the cosets sub + j v, j = 1, ..., p - 1
+                    coset = mod.translate(coset, v)
+                    grown |= coset
                 processed |= grown
                 fz = frozenset(grown)
                 if last:
                     found.add(fz)
                 elif fz not in nxt:
-                    w = mod.dual(v)
-                    nxt[fz] = [x for x in perp if sum(map(mul, w, x)) % mod.exponent == 0]
+                    nxt[fz] = mod.orthogonal(perp, v)
         level = nxt
     out: dict[Partition, int] = {}
     for sub in found:
-        lam = mod.subgroup_type(sub)
+        lam = mod.subgroup_type(sub, times_p)
         out[lam] = out.get(lam, 0) + 1
     return out
 
@@ -320,7 +316,10 @@ def _omega(u: Sequence[int], v: Sequence[int], n: int) -> int:
 
 
 def _check_hnf_budget(rank: int, p: int, max_valuation: int) -> None:
-    """Refuse at the first valuation where the running HNF count passes HNF_BUDGET."""
+    """Refuse a negative max valuation, then stop at the first valuation where
+    the running HNF count passes HNF_BUDGET."""
+    if max_valuation < 0:
+        raise ValueError("max valuation must be >= 0, got %d" % max_valuation)
     total = 0
     for j in range(max_valuation + 1):
         total += hnf_count(rank, p, j)

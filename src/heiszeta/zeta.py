@@ -32,7 +32,6 @@ from .exactalg import (
     divide_out_factor,
     mono,
 )
-from .igusa import igusa_A, igusa_B_subset
 
 
 def c_exponents(n: int) -> list[int]:
@@ -69,6 +68,8 @@ def igusa_args(n: int, w: Sequence[int]) -> list[SignedMonomial]:
 @lru_cache(maxsize=None)
 def zeta_igusa_sum(n: int) -> FactoredRational:
     """2^n-term form: sum over w of C(w) times an augmented Igusa function."""
+    from .igusa import igusa_A
+
     check_n("zeta_igusa_sum", n)
     terms = [
         weight_C(w) * igusa_A(n, -2, igusa_args(n, w))
@@ -121,6 +122,8 @@ def zeta_hyperoctahedral(n: int) -> FactoredRational:
     :func:`hyperoctahedral_numerator`, an independent derivation that
     ``verify --checks crossform`` compares with it.
     """
+    from .igusa import igusa_B_subset
+
     check_n("zeta_hyperoctahedral", n)
     X = [mono(ci, n + 1) for ci in c_exponents(n)]
     f = igusa_B_subset(n, -1, mono(n, 1, -1), X)

@@ -10,10 +10,11 @@ They carry no size guard; the tests call them at small n only.
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
-from heiszeta.combinat import descent_set, partitions_up_to, perms
+from heiszeta.combinat import Partition, descent_set, partitions_up_to, perms
 from heiszeta.counts import birkhoff_alpha, nprime_closed
-from heiszeta.errors import ArityMismatch, HeiszetaError, IdentityMismatch
+from heiszeta.errors import ArityMismatch, HeiszetaError, IdentityMismatch, check_prime
 from heiszeta.exactalg import (
     BivariatePolynomial as Poly,
     FactoredRational,
@@ -24,7 +25,7 @@ from heiszeta.exactalg import (
     _unroll,
 )
 from heiszeta.igusa import _E_series, igusa_A
-from heiszeta.oracle import _omega, hnf_enumerate
+from heiszeta.oracle import _check_lagrangian_budget, _omega, _valuation, hnf_enumerate
 from heiszeta.zeta import c_exponents, igusa_args
 
 
@@ -241,23 +242,198 @@ def contains(H, vec) -> bool:
     return True
 
 
+def pack(mod, coords) -> int:
+    """The packed element of an AltModule with coordinate k in slot k."""
+    return sum(c << (mod.width * k) for k, c in enumerate(coords))
+
+
+def unpack(mod, x) -> tuple[int, ...]:
+    """The coordinates of a packed element, slot by slot."""
+    return tuple((x >> (mod.width * k)) & mod.slot_mask for k in range(len(mod.mods)))
+
+
 def closure(mod, gens) -> frozenset:
-    """The subgroup of an AltModule generated by gens, by breadth-first search."""
-    seen, frontier = {mod.zero}, [mod.zero]
+    """The subgroup of an AltModule generated by gens, by breadth-first search.
+
+    Raises AssertionError once it holds more elements than the module, which
+    only an addition that leaves the module can cause.
+    """
+    seen, frontier = {mod.zero}, {mod.zero}
     while frontier:
-        frontier = [y for y in {mod.add(x, g) for x in frontier for g in gens} if y not in seen]
-        seen.update(frontier)
+        frontier = set().union(*(mod.translate(frontier, g) for g in gens)) - seen
+        seen |= frontier
+        assert len(seen) <= mod.size, "the sums left the module"
     return frozenset(seen)
 
 
 def pairing(mod, a, b) -> int:
-    """<a, b> in an AltModule, through the dual coefficients of b."""
-    return sum(x * w for x, w in zip(a, mod.dual(b))) % mod.exponent
+    """<a, b> in an AltModule: the dot product of a with the dual coefficients of b.
+
+    The dual is packed in reverse slot order, so its coordinates are read backwards.
+    """
+    return sum(x * w for x, w in zip(unpack(mod, a), unpack(mod, mod.dual(b))[::-1])) % mod.exponent
 
 
 def perp(mod, gens) -> list:
     """The elements of an AltModule perpendicular to every generator."""
-    return [v for v in mod.elements() if all(pairing(mod, v, g) == 0 for g in gens)]
+    return [v for v in mod.times_p() if all(pairing(mod, v, g) == 0 for g in gens)]
+
+
+# The Lagrangian enumeration and the Smith form as they were before the oracle
+# packed its elements into ints and worked over Z_(p): coordinate tuples and an
+# integer Smith normal form with a divisibility fix-up.
+
+Element = tuple[int, ...]
+
+
+class TupleAltModule:
+    """The alternating module M_mu: blocks (Z/p^{mu_i}) e_i + (Z/p^{mu_i}) f_i.
+
+    Elements are coordinate tuples (a_1, b_1, ..., a_l, b_l); the pairing
+    takes values in (1/p^{mu_1}) Z / Z, represented by integers modulo
+    p^{mu_1} with zero meaning perpendicular.
+    """
+
+    def __init__(self, mu: tuple[int, ...], p: int):
+        self.mu, self.p = mu, p
+        self.mods = tuple(self.p**m for m in self.mu for _ in (0, 1))
+        self.exponent = self.p ** (self.mu[0] if self.mu else 0)
+        self.scale = tuple(self.exponent // self.p**m for m in self.mu)
+        self.size = 1
+        for b in self.mods:
+            self.size *= b
+        self.zero = (0,) * len(self.mods)
+
+    def elements(self):
+        return itertools.product(*(range(b) for b in self.mods))
+
+    def add(self, a: Element, b: Element) -> Element:
+        return tuple((x + y) % m for x, y, m in zip(a, b, self.mods))
+
+    def scalar(self, k: int, a: Element) -> Element:
+        return tuple((k * x) % m for x, m in zip(a, self.mods))
+
+    def dual(self, v: Element) -> Element:
+        """w with <x, v> = sum_k w_k x_k modulo `exponent`, for every x."""
+        pairs = ((s * v[2 * i + 1], -s * v[2 * i]) for i, s in enumerate(self.scale))
+        return tuple(c % self.exponent for pair in pairs for c in pair)
+
+    def subgroup_type(self, sub: frozenset) -> Partition:
+        """Abelian type of a subgroup from the sizes of its p^k multiples."""
+        sizes = [len(sub)]
+        cur = set(sub)
+        while len(cur) > 1:
+            cur = {self.scalar(self.p, x) for x in cur}
+            sizes.append(len(cur))
+        heights = [
+            _valuation(sizes[k - 1] // sizes[k], self.p)
+            for k in range(1, len(sizes))
+        ]
+        lam = [
+            sum(1 for t in heights if t > i)
+            for i in range(heights[0] if heights else 0)
+        ]
+        return Partition(tuple(sorted(lam, reverse=True)))
+
+
+def enum_lagrangians_by_tuples(mu, p: int) -> dict[Partition, int]:
+    """Count Lagrangian submodules of M_mu by module type.
+
+    Grows isotropic subgroups one index-p step at a time; a subgroup of order
+    p^{|mu|} contained in its own perp equals it, hence is Lagrangian.
+    Returns {quotient type lambda: count}; the total is N'(mu).
+    """
+    check_prime(p)
+    mu = Partition(mu)
+    m = mu.size()
+    _check_lagrangian_budget(p, m)
+    if m == 0:
+        return {Partition(()): 1}
+    mod = TupleAltModule(tuple(mu.parts), p)
+    elements = list(mod.elements())
+    times_p = {x: mod.scalar(p, x) for x in elements}
+    # subgroup -> perp list; grown by index p per step, deduplicated globally
+    level: dict[frozenset[Element], list[Element]] = {frozenset({mod.zero}): elements}
+    found: set[frozenset[Element]] = set()
+    for step in range(m):
+        last = step == m - 1
+        nxt: dict[frozenset[Element], list[Element]] = {}
+        for sub, perp in level.items():
+            processed = set(sub)
+            for v in perp:
+                if v in processed:
+                    continue
+                if times_p[v] not in sub:
+                    continue  # index-p^2 jump; reached later along a chain
+                grown = set(sub)
+                for j in range(1, p):
+                    jv = mod.scalar(j, v)
+                    grown.update(mod.add(x, jv) for x in sub)
+                processed |= grown
+                fz = frozenset(grown)
+                if last:
+                    found.add(fz)
+                elif fz not in nxt:
+                    w = mod.dual(v)
+                    nxt[fz] = [x for x in perp if sum(map(mul, w, x)) % mod.exponent == 0]
+        level = nxt
+    out: dict[Partition, int] = {}
+    for sub in found:
+        lam = mod.subgroup_type(sub)
+        out[lam] = out.get(lam, 0) + 1
+    return out
+
+
+def smith_diagonal_integer(mat) -> list[int]:
+    """Diagonal of the Smith normal form (absolute values, divisibility chain)."""
+    m = [list(row) for row in mat]
+    rows, cols = len(m), len(m[0])
+    diag = []
+    top = 0
+    while top < min(rows, cols):
+        pivot = None
+        best = None
+        for i in range(top, rows):
+            for j in range(top, cols):
+                v = abs(m[i][j])
+                if v and (best is None or v < best):
+                    pivot, best = (i, j), v
+        if pivot is None:
+            break
+        pi, pj = pivot
+        m[top], m[pi] = m[pi], m[top]
+        for row in m:
+            row[top], row[pj] = row[pj], row[top]
+        p = m[top][top]
+        dirty = False
+        for i in range(top + 1, rows):
+            f = m[i][top] // p
+            if f:
+                for j in range(top, cols):
+                    m[i][j] -= f * m[top][j]
+            if m[i][top]:
+                dirty = True
+        for j in range(top + 1, cols):
+            f = m[top][j] // p
+            if f:
+                for i in range(top, rows):
+                    m[i][j] -= f * m[i][top]
+            if m[top][j]:
+                dirty = True
+        if dirty:
+            continue
+        bad = None
+        for i in range(top + 1, rows):
+            if any(m[i][j] % p for j in range(top + 1, cols)):
+                bad = i
+                break
+        if bad is not None:
+            for j in range(top, cols):
+                m[top][j] += m[bad][j]
+            continue
+        diag.append(abs(p))
+        top += 1
+    return diag
 
 
 def subalgebras_by_full_hnf(n: int, p: int, k: int) -> list[int]:

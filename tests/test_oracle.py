@@ -1,7 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 import time
+from operator import mul
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heiszeta import oracle
 from heiszeta.combinat import Partition, partitions_up_to
@@ -20,7 +26,18 @@ from heiszeta.oracle import (
     smith_type,
 )
 from heiszeta.zeta import dirichlet_coeffs
-from reference import closure, contains, pairing, perp, subalgebras_by_full_hnf
+from reference import (
+    TupleAltModule,
+    closure,
+    contains,
+    enum_lagrangians_by_tuples,
+    pack,
+    pairing,
+    perp,
+    smith_diagonal_integer,
+    subalgebras_by_full_hnf,
+    unpack,
+)
 
 
 def eval_at(poly, q):
@@ -38,6 +55,7 @@ def test_smith_type_examples():
     assert smith_type([[1, 0], [0, 1]], 2) == Partition(())
     assert smith_type([[4, 0], [0, 2]], 2) == Partition((2, 1))
     assert smith_type([[2, 1], [0, 2]], 2) == Partition((2,))
+    assert smith_type([], 2) == Partition(())  # Z^0 / 0 is trivial
 
 
 def test_smith_type_singular():
@@ -63,8 +81,52 @@ def test_smith_type_random_diagonal_recovery():
         assert smith_type(m, 2) == Partition(tuple(v for v in vals if v))
 
 
+# entries with every p-valuation up to 3 at p = 2, 3 and 5, and zeros
+_entries = st.builds(mul, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4, 5, 8, 9, 25, 27)))
+
+
+@st.composite
+def _square_matrices(draw):
+    n = draw(st.integers(1, 5))
+    mat = draw(st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):  # make the last row a combination of the others: singular
+        c = draw(st.integers(-3, 3))
+        mat[-1] = [c * a + b for a, b in zip(mat[0], mat[-2])] if n > 1 else [0]
+    return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(_square_matrices(), st.sampled_from((2, 3, 5)))
+def test_smith_valuations_match_the_integer_smith_form(mat, p):
+    expect = sorted(oracle._valuation(d, p) for d in smith_diagonal_integer(mat))
+    assert sorted(oracle._smith_diagonal(mat, p)) == expect
+    if len(expect) < len(mat):
+        with pytest.raises(SingularMatrix, match="determinant zero"):
+            smith_type(mat, p)
+    else:
+        assert smith_type(mat, p) == Partition(sorted(expect, reverse=True))
+
+
+def test_valuation_of_zero_is_refused():
+    # it looped forever, since 0 % p == 0 at every step; a subprocess with a
+    # timeout turns a regression into a failure instead of a hang
+    code = (
+        "from heiszeta.oracle import _valuation\n"
+        "try:\n    _valuation(0, 3)\nexcept ValueError as e:\n    print(e)"
+    )
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert proc.stdout.strip() == "0 has no finite 3-adic valuation", proc.stderr
+    assert oracle._valuation(-24, 2) == 3
+
+
 def test_alt_type_examples():
     assert alt_type([[0, 1], [-1, 0]], 3) == Partition(())
+    assert alt_type([], 3) == Partition(())
     assert alt_type([[0, 2], [-2, 0]], 2) == Partition((1,))
     J_mu = [
         [0, 0, 2, 0],
@@ -92,21 +154,21 @@ def test_alt_type_rejects_non_alternating():
 def test_altmodule_cardinality_and_pairing():
     mod = AltModule((2, 1), 3)
     assert mod.size == 3 ** (2 * 3)
-    e1 = (1, 0, 0, 0)
-    f1 = (0, 1, 0, 0)
-    e2 = (0, 0, 1, 0)
+    e1 = pack(mod, (1, 0, 0, 0))
+    f1 = pack(mod, (0, 1, 0, 0))
+    e2 = pack(mod, (0, 0, 1, 0))
     assert pairing(mod, e1, f1) == mod.exponent // 9  # value 1/9 scaled by 9
     assert pairing(mod, f1, e1) == mod.exponent - mod.exponent // 9  # alternating
     assert pairing(mod, e1, e1) == 0
     assert pairing(mod, e1, e2) == 0
-    assert mod.dual(f1) == (mod.exponent // 9, 0, 0, 0)
+    assert mod.dual(f1) == pack(mod, (mod.exponent // 9, 0, 0, 0)[::-1])
 
 
 def test_perp_duality_random():
     rng = random.Random(9)
     for mu in [(1,), (2,), (1, 1), (2, 1)]:
         mod = AltModule(mu, 2)
-        elts = list(mod.elements())
+        elts = list(mod.times_p())
         for _ in range(6):
             gens = tuple(rng.choice(elts) for _ in range(rng.randint(1, 2)))
             N = closure(mod, gens)
@@ -115,6 +177,42 @@ def test_perp_duality_random():
             # (N^perp)^perp == N
             back = perp(mod, tuple(orth))
             assert frozenset(back) == N
+
+
+ARITHMETIC_MODULES = [((1,), 2), ((1, 1), 2), ((2, 1), 2), ((3,), 2), ((1,), 3), ((2, 1), 3), ((1, 1), 5)]
+
+
+@pytest.mark.parametrize("mu, p", ARITHMETIC_MODULES)
+def test_packed_arithmetic_matches_coordinates(mu, p):
+    mod, ref = AltModule(mu, p), TupleAltModule(mu, p)
+    table = mod.times_p()
+    assert len(table) == mod.size == ref.size
+    assert sorted(unpack(mod, x) for x in table) == sorted(ref.elements())
+    for x, px in table.items():
+        assert unpack(mod, px) == ref.scalar(p, unpack(mod, x))
+    rng = random.Random(10 * sum(mu) + p)
+    for v in rng.sample(sorted(table), min(12, len(table))):
+        vt = unpack(mod, v)
+        for x in table:
+            (y,) = mod.translate([x], v)
+            assert unpack(mod, y) == ref.add(unpack(mod, x), vt)
+        w = ref.dual(vt)
+        assert unpack(mod, mod.dual(v))[::-1] == w
+        expect = [x for x in table if sum(map(mul, w, unpack(mod, x))) % ref.exponent == 0]
+        assert mod.orthogonal(table, v) == expect
+
+
+@pytest.mark.parametrize("mu, p", ARITHMETIC_MODULES + [((7,), 2), ((5,), 3), ((2, 2, 2, 2, 2), 3)])
+def test_slots_keep_their_top_bit_free(mu, p):
+    # translate keeps its flags in the top bit of each slot, so a slot of a
+    # sum of two elements, or of the Kronecker product of an element with a
+    # dual, stays below 2^(W-1); the second bound is reached when all parts
+    # of mu are equal
+    mod = AltModule(mu, p)
+    top, e = 1 << (mod.width - 1), mod.exponent
+    assert all(2 * (m - 1) < top for m in mod.mods)
+    assert sum((m - 1) * (e - 1) for m in mod.mods) < top
+    assert mod.moduli | mod.offsets | mod.flags < 1 << (mod.width * len(mod.mods))
 
 
 def test_enum_lagrangians_examples():
@@ -144,6 +242,19 @@ def test_lagrangian_totals_match_closed_form(p):
             continue
         total = sum(enum_lagrangians(mu, p).values())
         assert total == eval_at(nprime_closed(mu.padded(len(mu))), p)
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_lagrangian_tables_match_the_tuple_enumeration(p):
+    for mu in partitions_up_to(3, 3):
+        assert enum_lagrangians(mu, p) == enum_lagrangians_by_tuples(mu, p)
+
+
+@pytest.mark.parametrize("mu, p", [((7,), 2), ((5,), 3), ((3,), 5), ((2,), 7)])
+def test_widest_slots_under_the_budget(mu, p):
+    # the largest exponent p^{mu_1} whose module fits LAGRANGIAN_BUDGET
+    assert p ** (2 * mu[0]) <= oracle.LAGRANGIAN_BUDGET < p ** (2 * mu[0] + 2)
+    assert sum(enum_lagrangians(mu, p).values()) == eval_at(nprime_closed(mu), p)
 
 
 def test_lagrangian_polynomiality_cross_check():
@@ -312,6 +423,17 @@ def test_oracles_refuse_a_non_prime(fn, args):
     # gave subalgebra counts with no error
     with pytest.raises(UsageError, match="must be a prime"):
         fn(*args)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [enum_sublattices, enum_subalgebras, check_factorization],
+    ids=["sublattices", "subalgebras", "factorization"],
+)
+def test_oracles_refuse_a_negative_max_valuation(fn):
+    # they returned {}, [] and [] where the command line refuses
+    with pytest.raises(ValueError, match="max valuation must be >= 0, got -1"):
+        fn(1, 2, -1)
 
 
 def test_subalgebra_budget_counts_the_bases_built():

@@ -33,7 +33,8 @@ print(json.dumps([loaded, bare, "dataclasses" in sys.modules]))
 """
 
 BASE = {"heiszeta", "heiszeta.cli", "heiszeta.errors"}
-CLOSED_FORMS = BASE | {"heiszeta.combinat", "heiszeta.exactalg", "heiszeta.igusa", "heiszeta.zeta"}
+CLOSED_FORMS = BASE | {"heiszeta.combinat", "heiszeta.exactalg", "heiszeta.zeta"}
+IGUSA_FORMS = CLOSED_FORMS | {"heiszeta.igusa"}  # forms a and c, and the checks that build them
 ORACLE = BASE | {"heiszeta.combinat", "heiszeta.counts", "heiszeta.exactalg", "heiszeta.oracle"}
 
 
@@ -52,10 +53,12 @@ def _run(code, *argv):
     [
         (["--version"], BASE),
         (["zeta", "--n", "3", "--form", "b"], CLOSED_FORMS),
+        (["zeta", "--n", "2", "--form", "a"], IGUSA_FORMS),
         (["verify", "--n", "2", "--checks", "funeq"], CLOSED_FORMS),
+        (["verify", "--n", "2", "--checks", "crossform"], IGUSA_FORMS),
         (["oracle", "lagrangian", "--mu", "1", "--prime", "2"], ORACLE),
     ],
-    ids=["version", "zeta", "verify", "oracle"],
+    ids=["version", "zeta", "zeta-igusa", "verify", "verify-crossform", "oracle"],
 )
 def test_each_command_loads_only_what_it_runs(argv, modules):
     loaded, bare, after = _run(PROBE, *argv)
