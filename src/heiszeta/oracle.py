@@ -58,8 +58,7 @@ def _smith_diagonal(mat: Sequence[Sequence[int]], p: int) -> list[int]:
         if pivot is None:
             break
         v, i, j = pivot
-        top = rows.pop(i)
-        pv = p**v
+        top, pv = rows.pop(i), p**v
         u = top.pop(j) // pv
         nxt = []
         for r in rows:
@@ -212,9 +211,11 @@ def _check_lagrangian_budget(p: int, size: int) -> None:
 def enum_lagrangians(mu, p: int) -> dict[Partition, int]:
     """Count Lagrangian submodules of M_mu by module type.
 
-    Grows isotropic subgroups one index-p step at a time; a subgroup of order
-    p^{|mu|} contained in its own perp equals it, hence is Lagrangian.
-    Returns {quotient type lambda: count}; the total is N'(mu).
+    Grows isotropic subgroups one index-p step at a time, building every
+    element as a packed int of `AltModule`: p - 1 cosets by `translate`, the
+    perp by `orthogonal`.  A subgroup of order p^{|mu|} contained in its own
+    perp equals it, hence is Lagrangian.  Returns {quotient type lambda:
+    count}; the total is N'(mu).
     """
     check_prime(p)
     mu = Partition(mu)

@@ -118,7 +118,7 @@ def test_valuation_of_zero_is_refused():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
     )
     assert proc.stdout.strip() == "0 has no finite 3-adic valuation", proc.stderr
     assert oracle._valuation(-24, 2) == 3
@@ -212,7 +212,7 @@ def test_slots_keep_their_top_bit_free(mu, p):
     top, e = 1 << (mod.width - 1), mod.exponent
     assert all(2 * (m - 1) < top for m in mod.mods)
     assert sum((m - 1) * (e - 1) for m in mod.mods) < top
-    assert mod.moduli | mod.offsets | mod.flags < 1 << (mod.width * len(mod.mods))
+    assert all(m <= top for m in mod.mods)  # every offset 2^(W-1) - m_k is >= 0
 
 
 def test_enum_lagrangians_examples():
