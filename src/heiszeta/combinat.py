@@ -11,10 +11,12 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import ArityMismatch, check_n
-from .exactalg import BivariatePolynomial, FactoredRational, SignedMonomial, _p_iadd
+
+if TYPE_CHECKING:  # the oracles load this module without the exact kernel
+    from .exactalg import BivariatePolynomial, FactoredRational, SignedMonomial
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +140,8 @@ def w_partial_sums(w: Sequence[int]) -> tuple[int, ...]:
 
 def weight_C(w: Sequence[int]) -> FactoredRational:
     """C(w) = prod_i 1 / (1 - q^{2i - 1 - 2 w_i})."""
+    from .exactalg import FactoredRational
+
     return FactoredRational.one_over(
         (2 * i - 1 - 2 * wi, 0) for i, wi in enumerate(w, start=1)
     )
@@ -223,6 +227,8 @@ def signed_descent_sum(
     b outside U gives E = #{u in U : u < b} and L = b - 1 - E whatever the
     sign, and a descent at index k when the last entry exceeds the new one.
     """
+    from .exactalg import BivariatePolynomial, _p_iadd
+
     check_n("signed_descent_sum", n)
     if len(X) != n:
         raise ArityMismatch("need the %d descent slots X_0 .. X_%d" % (n, n - 1))
@@ -287,6 +293,8 @@ def brenti_B(n: int) -> BivariatePolynomial:
     the group is kept as a cross-check in the tests.  Returned as a
     BivariatePolynomial with (e_q, e_T) read as (X-, Y-) exponents.
     """
+    from .exactalg import BivariatePolynomial
+
     check_n("brenti_B", n)
     partial: dict = {}
     for i in range(n + 1):

@@ -15,6 +15,9 @@ weight of a subset (X_0 and X_n in type A, X_n in type B) contributes
 X / (1 - X) + 1 = 1 / (1 - X), so the variants differ only in their
 denominators: one subset sum runs over the other slots, and one slot
 denominator prod (1 - X_i) over all of them serves every function here.
+That subset sum is a recurrence over the least index chosen so far, O(m^2)
+polynomial products for m slots; expanded term by term, each of the 2^m
+subsets would cost one Gaussian multinomial and m products.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from .exactalg import (
     FactoredRational,
     SignedMonomial,
     _p_iadd,
+    _p_mul,
+    gauss_binom,
     gauss_multinom,
     mono,
     qpochhammer,
@@ -69,22 +74,31 @@ def _subset_sum(
 ) -> FactoredRational:
     """Sum over I of binom(n, I)_Y w_d prod_{i in I} X_i / (1 - X_i).
 
-    I runs over the subsets of the indices of interior, a list of (i, X_i);
-    the denominator runs over all slots X.  weight, when given, lists w_d
-    for d in [n]_0, taken at d = n - min(I + {n}); otherwise w_d = 1.
+    I runs over the subsets of the indices of interior, a list of (i, X_i)
+    in increasing i; the denominator runs over all slots X.  weight, when
+    given, lists w_d for d in [n]_0, taken at d = n - min(I + {n});
+    otherwise w_d = 1.
+
+    binom(n, I)_Y is the chain binom(n, i_l) binom(i_l, i_{l-1}) ..., so a
+    walk over the slots from the largest index down only needs the least
+    index u chosen so far (u = n before any choice).  Each state u holds the
+    numerator summed over its partial subsets: skipping slot i multiplies it
+    by 1 - X_i, and choosing i adds binom(u, i)_Y X_i times it to state i.
+    That is O(m^2) products for m interior slots, not 2^m subsets.
     """
+    states: dict[int, dict] = {n: {(0, 0): 1}}
+    for i, x in reversed(interior):
+        chosen: dict = {}
+        for u, num in states.items():
+            binom = gauss_binom(u, i, y_exponent).terms
+            _p_iadd(chosen, _p_mul(binom, num), 1, x.e_q, x.e_T)  # choose i
+            _p_iadd(num, dict(num), -1, x.e_q, x.e_T)  # skip i: times 1 - X_i
+        states[i] = chosen
     num: dict = {}
-    for mask in range(1 << len(interior)):
-        I = [i for k, (i, _) in enumerate(interior) if mask >> k & 1]
-        term = gauss_multinom(n, I, y_exponent)
+    for u, terms in states.items():
         if weight is not None:
-            term = term * weight[n - min(I + [n])]
-        for k, (_, x) in enumerate(interior):
-            if mask >> k & 1:
-                term = term * x.to_poly()
-            else:
-                term = term * BivariatePolynomial.one_minus(x.e_q, x.e_T)
-        _p_iadd(num, term.terms)
+            terms = _p_mul(weight[n - u].terms, terms)
+        _p_iadd(num, terms)
     return _over_slots(BivariatePolynomial(num), X)
 
 
@@ -333,10 +347,10 @@ def check_I_equals_K(n: int, k: int, r: int) -> dict:
             raise IdentityMismatch("empty fibre (k=%d, r=%d) not zero" % (k, r))
         return {"n": n, "k": k, "r": r, "status": "pass", "empty": True}
     K = fibre_K(n, k, r, X_tail, T_arg)
+    # prod (1 - X_j) goes into the right side's denominator, which lhs shares,
+    # so the cross-multiplication never expands it
     left = lhs * E_at_minus_T(k, r, T_arg)
-    for x in X_tail:
-        left = left * BivariatePolynomial.one_minus(x.e_q, x.e_T)
-    right = fibre_prefactor(k, r) * K
+    right = fibre_prefactor(k, r) * _over_slots(K, X_tail)
     if left != right:
         raise IdentityMismatch(
             "fibre identity failed at (n, k, r) = (%d, %d, %d)" % (n, k, r)

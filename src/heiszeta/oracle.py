@@ -17,7 +17,6 @@ import math
 from typing import Iterable, Iterator, Sequence
 
 from .combinat import Partition, partitions_up_to
-from .counts import birkhoff_alpha
 from .errors import (
     BudgetExceeded,
     DegenerateForm,
@@ -27,7 +26,6 @@ from .errors import (
     check_n,
     check_prime,
 )
-from .exactalg import _constant_at
 
 LAGRANGIAN_BUDGET = 3**10
 HNF_BUDGET = 2_000_000
@@ -316,6 +314,17 @@ def _omega(u: Sequence[int], v: Sequence[int], n: int) -> int:
     return total
 
 
+def _gram(H: Sequence[Sequence[int]], n: int) -> list[list[int]]:
+    """The alternating Gram matrix of the rows of H under `_omega`: the
+    entries above the diagonal, mirrored with a minus sign."""
+    gram = [[0] * len(H) for _ in H]
+    for i, u in enumerate(H):
+        for j in range(i + 1, len(H)):
+            gram[i][j] = _omega(u, H[j], n)
+            gram[j][i] = -gram[i][j]
+    return gram
+
+
 def _check_hnf_budget(rank: int, p: int, max_valuation: int) -> None:
     """Refuse a negative max valuation, then stop at the first valuation where
     the running HNF count passes HNF_BUDGET."""
@@ -342,7 +351,7 @@ def enum_sublattices(
     for j in range(max_valuation + 1):
         for H in hnf_enumerate(2 * n, p, j):
             lam = smith_type(H, p)
-            mu = alt_type([[_omega(a, b, n) for b in H] for a in H], p)
+            mu = alt_type(_gram(H, n), p)
             key = (lam, mu)
             out[key] = out.get(key, 0) + 1
     return out
@@ -358,6 +367,9 @@ def check_factorization(n: int, p: int, max_valuation: int) -> list[dict]:
     LAGRANGIAN_BUDGET each Lagrangian enumeration; both are checked before
     any enumeration, the HNF one first, since every mu has |mu| <= max_valuation.
     """
+    from .counts import birkhoff_alpha
+    from .exactalg import _constant_at
+
     check_n("enum_sublattices", n)
     check_prime(p)
     _check_hnf_budget(2 * n, p, max_valuation)

@@ -116,8 +116,9 @@ def hyperoctahedral_numerator(n: int, c: Sequence[int]) -> BivariatePolynomial:
 def zeta_hyperoctahedral(n: int) -> FactoredRational:
     """Hyperoctahedral form: type-B Igusa specialization over (T;q)_{2n}.
 
-    Built from the 2^n-term subset expansion of the type-B Igusa
-    function at Y = q^-1, Z = -q^n T and slots q^{c_i} T^{n+1}.  Its
+    Built from the subset expansion of the type-B Igusa function at
+    Y = q^-1, Z = -q^n T and slots q^{c_i} T^{n+1}; the recurrence of
+    ``igusa._subset_sum`` sums its 2^n subsets in O(n^2) products.  Its
     numerator equals the statistic sum over B_n of
     :func:`hyperoctahedral_numerator`, an independent derivation that
     ``verify --checks crossform`` compares with it.

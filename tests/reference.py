@@ -23,8 +23,9 @@ from heiszeta.exactalg import (
     _p_mul_schoolbook,
     _p_tslices,
     _unroll,
+    gauss_multinom,
 )
-from heiszeta.igusa import _E_series, igusa_A
+from heiszeta.igusa import _E_series, _over_slots, igusa_A
 from heiszeta.oracle import _check_lagrangian_budget, _omega, _valuation, hnf_enumerate
 from heiszeta.zeta import c_exponents, igusa_args
 
@@ -172,6 +173,24 @@ def igusa_A_descent(n: int, y_exponent: int, X) -> FactoredRational:
             term = term * X[j].to_poly()
         num = num + term
     return FactoredRational(num) * FactoredRational.one_over((x.e_q, x.e_T) for x in X)
+
+
+def subset_sum_by_masks(n: int, y_exponent: int, interior, X, weight=None) -> FactoredRational:
+    """igusa._subset_sum term by term: one Gaussian multinomial and one
+    product per slot for each of the 2^m subsets of the m interior slots."""
+    num: dict = {}
+    for mask in range(1 << len(interior)):
+        I = [i for k, (i, _) in enumerate(interior) if mask >> k & 1]
+        term = gauss_multinom(n, I, y_exponent)
+        if weight is not None:
+            term = term * weight[n - min(I + [n])]
+        for k, (_, x) in enumerate(interior):
+            if mask >> k & 1:
+                term = term * x.to_poly()
+            else:
+                term = term * Poly.one_minus(x.e_q, x.e_T)
+        _p_iadd(num, term.terms)
+    return _over_slots(Poly(num), X)
 
 
 def epsilon_kr(k: int, r: int, t: int) -> Poly:

@@ -1,18 +1,18 @@
 import pytest
 
-from heiszeta.combinat import signed_descent_sum
-from heiszeta.errors import ArityMismatch, SizeGuard
+from heiszeta.combinat import gen_W, signed_descent_sum
+from heiszeta.errors import ArityMismatch, IdentityMismatch, SizeGuard
 from heiszeta.exactalg import (
     BivariatePolynomial as Poly,
     FactoredRational as FR,
     gauss_binom,
-    gauss_multinom,
     mono,
     qpochhammer,
 )
 from heiszeta.igusa import (
     E_at_minus_T,
     Y_slot,
+    _subset_sum,
     check_I_equals_K,
     fibre_E,
     fibre_I,
@@ -25,7 +25,15 @@ from heiszeta.igusa import (
     igusa_B_residue_limit,
     igusa_B_subset,
 )
-from reference import epsilon_kr, igusa_A_descent, inversions, qpochhammer_factors, signed_perms
+from heiszeta.zeta import c_exponents, igusa_args
+from reference import (
+    epsilon_kr,
+    igusa_A_descent,
+    inversions,
+    qpochhammer_factors,
+    signed_perms,
+    subset_sum_by_masks,
+)
 
 Z_GENERIC = mono(977, 2)
 
@@ -101,26 +109,64 @@ def test_igusa_arity_checks():
         igusa_B_subset(-1, -1, Z_GENERIC, [])
 
 
+def _subset_sum_args(case, n):
+    """(n, y, interior, X, weight) of _subset_sum as igusa_A, igusa_B_subset,
+    form a (every w in W_n) and form c build them."""
+    if case.startswith("A"):
+        count = {"A truncated": n - 1, "A plain": n, "A augmented": n + 1}[case]
+        X = generic_slots(max(count, 0))
+        return [(n, -2, list(zip(range(1, n), X[int(count == n + 1):])), X, None)]
+    if case == "form a":
+        return [(n, -2, list(zip(range(1, n), X[1:])), X, None)
+                for X in (igusa_args(n, w) for w in gen_W(n))]
+    y, Z, X = -1, Z_GENERIC, generic_slots(n + 1)
+    if case == "form c":
+        Z, X = mono(n, 1, -1), [mono(c, n + 1) for c in c_exponents(n)]
+    a0 = mono(y * n, 0, -1) * Z
+    weight = [qpochhammer(a0, -y, d).num for d in range(n + 1)]
+    return [(n, y, list(enumerate(X[:n])), X, weight)]
+
+
+@pytest.mark.parametrize(
+    "case, n",
+    [(case, n)
+     for case in ("A truncated", "A plain", "A augmented", "B", "form a", "form c")
+     for n in range(case.startswith("form"), 7)],
+)
+def test_subset_sum_equals_the_mask_loop(case, n):
+    # the recurrence over the least chosen index gives the 2^m-subset sum
+    # term for term, numerator and denominator alike
+    for args in _subset_sum_args(case, n):
+        got, want = _subset_sum(*args), subset_sum_by_masks(*args)
+        assert dict(got.num.terms) == dict(want.num.terms)
+        assert (dict(got.den), got.tshift) == (dict(want.den), want.tshift)
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_subset_sums_skip_the_free_slots(n, monkeypatch):
     # X_0 and X_n never change a type-A subset's weight, nor X_n a type-B
-    # one's, so only the other slots are summed over: 2^(n-1) and 2^n
-    # subsets with all n + 1 slots given, not 2^(n+1)
+    # one's, so only the other m slots enter the recurrence: m = n - 1 and
+    # m = n, with one Gaussian binomial per (state, slot) pair, m(m+1)/2 in
+    # all.  A free slot in the sum, or a return to 2^m subsets, changes it.
     from heiszeta import igusa
 
     calls = []
 
     def counting(*args):
         calls.append(args)
-        return gauss_multinom(*args)
+        return gauss_binom(*args)
 
-    monkeypatch.setattr(igusa, "gauss_multinom", counting)
-    X = generic_slots(n + 1)
-    igusa_A(n, -2, X)
-    assert len(calls) == 2 ** (n - 1)
+    monkeypatch.setattr(igusa, "gauss_binom", counting)
+    X, other = generic_slots(n + 1), generic_slots(n + 3)[2:]
+    f = igusa_A(n, -2, X)
+    assert len(calls) == (n - 1) * n // 2
+    assert {i for _, i, _ in calls} == set(range(1, n))
+    assert igusa_A(n, -2, [other[0]] + X[1:n] + [other[1]]).num == f.num
     calls.clear()
-    igusa_B_subset(n, -1, Z_GENERIC, X)
-    assert len(calls) == 2**n
+    f = igusa_B_subset(n, -1, Z_GENERIC, X)
+    assert len(calls) == n * (n + 1) // 2
+    assert {i for _, i, _ in calls} == set(range(n))
+    assert igusa_B_subset(n, -1, Z_GENERIC, X[:n] + [other[1]]).num == f.num
 
 
 def test_descent_numerators():
@@ -434,6 +480,22 @@ def test_I_equals_K_all_fibres(n):
 def test_I_equals_K_out_of_range_vacuous():
     rep = check_I_equals_K(2, 1, 7)
     assert rep["empty"]
+
+
+@pytest.mark.parametrize("r", [1, 6], ids=["fibre", "empty"])
+def test_I_equals_K_fails_on_a_perturbed_K(r, monkeypatch):
+    # one extra monomial in the coset model must break the identity, both
+    # where the slot factors sit in the right side's denominator and where
+    # the fibre is empty (k = 2 has fibres r = 0 .. 5)
+    from heiszeta import igusa
+
+    real = igusa.fibre_K
+    assert check_I_equals_K(4, 2, r)["status"] == "pass"
+    monkeypatch.setattr(
+        igusa, "fibre_K", lambda *args: real(*args) + Poly.monomial(1, 3, 2)
+    )
+    with pytest.raises(IdentityMismatch):
+        check_I_equals_K(4, 2, r)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))

@@ -15,6 +15,7 @@ from heiszeta.counts import birkhoff_alpha, nprime_closed
 from heiszeta.errors import BudgetExceeded, DegenerateForm, SingularMatrix, UsageError
 from heiszeta.oracle import (
     AltModule,
+    _gram,
     _omega,
     alt_type,
     check_factorization,
@@ -383,6 +384,23 @@ def test_hnf_budget_stops_at_the_first_valuation_over_it(monkeypatch):
     with pytest.raises(BudgetExceeded):
         enum_sublattices(1, 2, 200)
     assert len(calls) <= 25
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gram_pairs_each_row_pair_once(n, monkeypatch):
+    # the Gram matrix is the full table of _omega, from n(2n - 1) calls: one
+    # per pair of rows above the diagonal, not (2n)^2
+    calls = []
+
+    def counting(u, v, n):
+        calls.append((u, v))
+        return _omega(u, v, n)
+
+    monkeypatch.setattr(oracle, "_omega", counting)
+    for H in hnf_enumerate(2 * n, 3, 1):
+        calls.clear()
+        assert _gram(H, n) == [[_omega(a, b, n) for b in H] for a in H]
+        assert len(calls) == n * (2 * n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@ print(json.dumps([loaded, bare, "dataclasses" in sys.modules]))
 BASE = {"heiszeta", "heiszeta.cli", "heiszeta.errors"}
 CLOSED_FORMS = BASE | {"heiszeta.combinat", "heiszeta.exactalg", "heiszeta.zeta"}
 IGUSA_FORMS = CLOSED_FORMS | {"heiszeta.igusa"}  # forms a and c, and the checks that build them
-ORACLE = BASE | {"heiszeta.combinat", "heiszeta.counts", "heiszeta.exactalg", "heiszeta.oracle"}
+ORACLE = BASE | {"heiszeta.combinat", "heiszeta.oracle"}  # lagrangian and sublattice
+FACTORIZATION = ORACLE | {"heiszeta.counts", "heiszeta.exactalg"}  # alpha_n(mu; q^2) at q = p
 
 
 def _run(code, *argv):
@@ -57,8 +58,11 @@ def _run(code, *argv):
         (["verify", "--n", "2", "--checks", "funeq"], CLOSED_FORMS),
         (["verify", "--n", "2", "--checks", "crossform"], IGUSA_FORMS),
         (["oracle", "lagrangian", "--mu", "1", "--prime", "2"], ORACLE),
+        (["oracle", "factorization", "--n", "1", "--prime", "2", "--max-val", "1"],
+         FACTORIZATION),
     ],
-    ids=["version", "zeta", "zeta-igusa", "verify", "verify-crossform", "oracle"],
+    ids=["version", "zeta", "zeta-igusa", "verify", "verify-crossform", "oracle",
+         "oracle-factorization"],
 )
 def test_each_command_loads_only_what_it_runs(argv, modules):
     loaded, bare, after = _run(PROBE, *argv)
