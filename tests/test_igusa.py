@@ -157,7 +157,7 @@ def test_subset_sums_skip_the_free_slots(n, monkeypatch):
         return gauss_binom(*args)
 
     monkeypatch.setattr(igusa, "gauss_binom", counting)
-    X, other = generic_slots(n + 1), generic_slots(n + 3)[2:]
+    X, other = generic_slots(n + 1), generic_slots(n + 3)[n + 1:]
     f = igusa_A(n, -2, X)
     assert len(calls) == (n - 1) * n // 2
     assert {i for _, i, _ in calls} == set(range(1, n))
