@@ -292,7 +292,10 @@ def fibre_K(
 
     X_tail supplies X_{k+1} .. X_n (the last slot is never used by descents
     beyond position n - 1 but is accepted for signature symmetry with the
-    fibre sum).
+    fibre sum).  Each coset adds B^(t_k) times one signed monomial, so the
+    cosets are grouped by t_k and the exponents of that monomial, with their
+    signs summed into one multiplicity, and each B^(t_k) is added once per
+    group.
     """
     check_n("fibre_K", n)
     if k > n:
@@ -301,13 +304,18 @@ def fibre_K(
         raise ArityMismatch("need the %d trailing slots" % (n - k))
     slots = dict(zip(range(k + 1, n + 1), X_tail))
     _, B = fibre_E(k, r)
-    out: dict = {}
+    groups: Counter = Counter()
     for g in coset_reps(n, k):
         t_k, ell, des = coset_stats(g, k)
-        term = B[t_k].shift(dq=-2 * ell) * (T_arg**t_k).to_poly()
+        sign = T_arg.sign**t_k
+        dq, dt = T_arg.e_q * t_k - 2 * ell, T_arg.e_T * t_k
         for j in des:
-            term = term * slots[j].to_poly()
-        _p_iadd(out, term.terms)
+            x = slots[j]
+            sign, dq, dt = sign * x.sign, dq + x.e_q, dt + x.e_T
+        groups[t_k, dq, dt] += sign
+    out: dict = {}
+    for (t_k, dq, dt), c in groups.items():
+        _p_iadd(out, B[t_k].terms, c, dq, dt)
     return BivariatePolynomial(out)
 
 

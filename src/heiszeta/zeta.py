@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .combinat import (
     brenti_B,
@@ -32,6 +31,9 @@ from .exactalg import (
     divide_out_factor,
     mono,
 )
+
+if TYPE_CHECKING:  # Fraction is imported by the pole and c_n functions that use it
+    from fractions import Fraction
 
 
 def c_exponents(n: int) -> list[int]:
@@ -235,6 +237,8 @@ class PoleReport:
         return "PoleReport(%s)" % ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._FIELDS)
 
     def order_at(self, s) -> int:
+        from fractions import Fraction
+
         s = Fraction(s)
         for loc, order in self.integral_poles:
             if loc == s:
@@ -247,6 +251,8 @@ class PoleReport:
 
 def pole_candidates(n: int) -> tuple[list[int], list[Fraction]]:
     """Integral candidates [2n-1]_0 and fractional candidates a_{n,r}/(n+1)."""
+    from fractions import Fraction
+
     integral = list(range(2 * n))
     fractional = sorted(
         {Fraction(special_exponent(n, r), n + 1) for r in range(n + 1)}
@@ -276,6 +282,8 @@ def pole_analysis(n: int, test_primes: Sequence[int] = (2, 3, 5)) -> PoleReport:
     exact computation at the tested primes finds exactly the s = m with
     m(m+1) = 4n, which is observed here, not proved.
     """
+    from fractions import Fraction
+
     f = zeta_compact(n)
     integral, fractional = pole_candidates(n)
     candidates = sorted({Fraction(s) for s in integral} | set(fractional))
@@ -383,6 +391,8 @@ def reduced_c(n: int) -> Fraction:
     with P_n(1) / (n+1)^{n+1} from the normalized form, and checks
     0 < c_n < 1.
     """
+    from fractions import Fraction
+
     check_n("reduced_c", n)
     return sum(
         Fraction(math.comb(n, k) * math.factorial(k), (n + 1) ** (k + 1))

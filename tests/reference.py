@@ -12,7 +12,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from heiszeta.combinat import Partition, descent_set, partitions_up_to, perms
+from heiszeta.combinat import (
+    Partition,
+    coset_reps,
+    coset_stats,
+    descent_set,
+    partitions_up_to,
+    perms,
+)
 from heiszeta.counts import birkhoff_alpha, nprime_closed
 from heiszeta.errors import ArityMismatch, HeiszetaError, IdentityMismatch, check_prime
 from heiszeta.exactalg import (
@@ -25,7 +32,7 @@ from heiszeta.exactalg import (
     _unroll,
     gauss_multinom,
 )
-from heiszeta.igusa import _E_series, _over_slots, igusa_A
+from heiszeta.igusa import _E_series, _over_slots, fibre_E, igusa_A
 from heiszeta.oracle import _check_lagrangian_budget, _omega, _valuation, hnf_enumerate
 from heiszeta.zeta import c_exponents, igusa_args
 
@@ -191,6 +198,21 @@ def subset_sum_by_masks(n: int, y_exponent: int, interior, X, weight=None) -> Fa
                 term = term * Poly.one_minus(x.e_q, x.e_T)
         _p_iadd(num, term.terms)
     return _over_slots(Poly(num), X)
+
+
+def fibre_K_by_cosets(n: int, k: int, r: int, X_tail, T_arg) -> Poly:
+    """igusa.fibre_K coset by coset: B^(t_k) shifted by q^{-2 l_k^+}, times
+    T_arg^{t_k} and each descent slot, built as polynomial products."""
+    slots = dict(zip(range(k + 1, n + 1), X_tail))
+    _, B = fibre_E(k, r)
+    out: dict = {}
+    for g in coset_reps(n, k):
+        t_k, ell, des = coset_stats(g, k)
+        term = B[t_k].shift(dq=-2 * ell) * (T_arg**t_k).to_poly()
+        for j in des:
+            term = term * slots[j].to_poly()
+        _p_iadd(out, term.terms)
+    return Poly(out)
 
 
 def epsilon_kr(k: int, r: int, t: int) -> Poly:

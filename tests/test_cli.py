@@ -84,7 +84,11 @@ def test_verify_fibre_residue_reduced(capsys):
         capsys, "verify", "--n", "2", "--checks", "fibre,residue,reduced"
     )
     assert code == 0
-    assert all(r["status"] == "pass" for r in json.loads(out))
+    reports = json.loads(out)
+    assert all(r["status"] == "pass" for r in reports)
+    # each (k, r) with r <= k stands for r and 2k+1-r
+    pairs = [[k, r] for k in range(3) for r in range(k + 1)]
+    assert reports[0]["detail"] == {"pairs": pairs} and len(pairs) == 6
 
 
 def test_verify_unknown_check(capsys):

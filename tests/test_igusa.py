@@ -28,6 +28,7 @@ from heiszeta.igusa import (
 from heiszeta.zeta import c_exponents, igusa_args
 from reference import (
     epsilon_kr,
+    fibre_K_by_cosets,
     igusa_A_descent,
     inversions,
     qpochhammer_factors,
@@ -475,6 +476,44 @@ def test_I_equals_K_all_fibres(n):
     for k in range(n + 1):
         for r in range(2 * k + 2):
             check_I_equals_K(n, k, r)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_mirrored_fibre_has_the_same_operands(n):
+    # verify --checks fibre proves r <= k only: r and 2k+1-r must give the
+    # same fibre sum, coset model, prefactor and E(-T)
+    T = mono(0, 1)
+    for k in range(n + 1):
+        X = generic_slots(n - k)
+        for r in range(k + 1):
+            rp = 2 * k + 1 - r
+            assert fibre_I(n, k, r, X, T) == fibre_I(n, k, rp, X, T)
+            assert fibre_K(n, k, r, X, T) == fibre_K(n, k, rp, X, T)
+            P, Pp = fibre_prefactor(k, r), fibre_prefactor(k, rp)
+            assert (P.num, P.den, P.tshift) == (Pp.num, Pp.den, Pp.tshift)
+            assert E_at_minus_T(k, r, T) == E_at_minus_T(k, rp, T)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+def test_fibre_K_equals_the_coset_loop(n):
+    T = mono(0, 1)
+    for k in range(n + 1):
+        X = generic_slots(n - k)
+        for r in range(2 * k + 4):
+            K = fibre_K(n, k, r, X, T)
+            assert K.terms == fibre_K_by_cosets(n, k, r, X, T).terms
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_fibre_K_equals_the_coset_loop_with_signs(n):
+    # the grouping folds the signs of T_arg and the slots into one
+    # multiplicity; check_I_equals_K only passes positive ones
+    T = mono(1, 1, -1)
+    for k in range(n + 1):
+        X = [mono(x.e_q, x.e_T, (-1) ** i) for i, x in enumerate(generic_slots(n - k))]
+        for r in range(2 * k + 2):
+            K = fibre_K(n, k, r, X, T)
+            assert K.terms == fibre_K_by_cosets(n, k, r, X, T).terms
 
 
 def test_I_equals_K_out_of_range_vacuous():

@@ -2,8 +2,10 @@
 
 The package resolves its public names on first use, and each command imports
 only the library modules it runs.  No module imports `dataclasses`, whose
-import pulls in inspect, dis and tokenize.  Import sets are read in a fresh
-interpreter per case, since this process has loaded every module.
+import pulls in inspect, dis and tokenize, and only the functions that use
+`fractions` (with decimal and numbers behind it) import it.  Import sets are
+read in a fresh interpreter per case, since this process has loaded every
+module.
 """
 
 import json
@@ -19,17 +21,19 @@ import heiszeta
 SRC = str(Path(__file__).parent.parent / "src")
 
 # Runs cli.main on its arguments, then prints the heiszeta modules loaded,
-# and whether dataclasses was loaded before heiszeta and after the command.
+# and which of dataclasses and fractions were loaded before heiszeta and
+# after the command.
 PROBE = """\
 import json, sys
-bare = "dataclasses" in sys.modules
+WATCHED = ("dataclasses", "fractions")
+bare = {m: m in sys.modules for m in WATCHED}
 from heiszeta.cli import main
 try:
     main(sys.argv[1:])
 except SystemExit:
     pass
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "heiszeta")
-print(json.dumps([loaded, bare, "dataclasses" in sys.modules]))
+print(json.dumps([loaded, bare, {m: m in sys.modules for m in WATCHED}]))
 """
 
 BASE = {"heiszeta", "heiszeta.cli", "heiszeta.errors"}
@@ -67,8 +71,22 @@ def _run(code, *argv):
 def test_each_command_loads_only_what_it_runs(argv, modules):
     loaded, bare, after = _run(PROBE, *argv)
     assert set(loaded) == modules
-    if not bare:
-        assert not after, "dataclasses was imported"
+    if not bare["dataclasses"]:
+        assert not after["dataclasses"], "dataclasses was imported"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["zeta", "--n", "3", "--form", "b"], False),
+        (["verify", "--n", "3", "--checks", "poles"], True),
+    ],
+    ids=["zeta", "verify-poles"],
+)
+def test_fractions_loads_only_where_it_is_used(argv, expected):
+    _, bare, after = _run(PROBE, *argv)
+    if not bare["fractions"]:
+        assert after["fractions"] is expected
 
 
 def test_import_heiszeta_loads_no_submodule():
