@@ -494,24 +494,19 @@ def test_mirrored_fibre_has_the_same_operands(n):
             assert E_at_minus_T(k, r, T) == E_at_minus_T(k, rp, T)
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
-def test_fibre_K_equals_the_coset_loop(n):
-    T = mono(0, 1)
+@pytest.mark.parametrize(
+    "n, sign",
+    [(n, 1) for n in (1, 2, 3, 4, 5)] + [(n, -1) for n in (2, 3, 4)],
+    ids=["1", "2", "3", "4", "5", "2-signed", "3-signed", "4-signed"],
+)
+def test_fibre_K_equals_the_coset_loop(n, sign):
+    # sign -1 takes T_arg = -q T and slots of alternating sign: the grouping
+    # folds their signs into one multiplicity, and check_I_equals_K only
+    # passes positive ones
+    T = mono(0, 1) if sign == 1 else mono(1, 1, -1)
     for k in range(n + 1):
-        X = generic_slots(n - k)
+        X = [mono(x.e_q, x.e_T, sign**i) for i, x in enumerate(generic_slots(n - k))]
         for r in range(2 * k + 4):
-            K = fibre_K(n, k, r, X, T)
-            assert K.terms == fibre_K_by_cosets(n, k, r, X, T).terms
-
-
-@pytest.mark.parametrize("n", (2, 3, 4))
-def test_fibre_K_equals_the_coset_loop_with_signs(n):
-    # the grouping folds the signs of T_arg and the slots into one
-    # multiplicity; check_I_equals_K only passes positive ones
-    T = mono(1, 1, -1)
-    for k in range(n + 1):
-        X = [mono(x.e_q, x.e_T, (-1) ** i) for i, x in enumerate(generic_slots(n - k))]
-        for r in range(2 * k + 2):
             K = fibre_K(n, k, r, X, T)
             assert K.terms == fibre_K_by_cosets(n, k, r, X, T).terms
 
