@@ -372,9 +372,10 @@ _GENERIC_PRIMES = (101, 211, 307, 401, 503, 601, 701, 809, 907, 1009)
 def generic_slots(count: int) -> list[SignedMonomial]:
     """Monomial slots q^P T with large distinct prime q-exponents.
 
-    Algebraically independent markers for identity testing: accidental
-    cancellation between distinct slots would need an exact match of prime
-    combinations, impossible at the tested degrees.
+    Markers for identity testing.  The substitution is not injective on
+    monomials: 101 + 211 = 307 + 5, so X_1 X_2 and q^5 T X_3 both become
+    q^312 T^2.  Two sides that agree on these slots are strong evidence of
+    an identity in free slots, not a proof.
     """
     if count > len(_GENERIC_PRIMES):
         raise SizeGuard("not enough generic markers")

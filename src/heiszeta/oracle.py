@@ -3,7 +3,10 @@
 Ground truth for every closed form in the package: Lagrangian submodules of
 finite alternating modules, Hermite-normal-form sublattice enumeration
 classified by quotient and symplectic type, and Heisenberg subalgebra counts.
-Budgets are hard errors, never silent truncation.
+Budgets are hard errors, never silent truncation.  Every HNF is enumerated
+and classified exactly: the quotient type is read off the minor on the
+non-unit diagonal entries (a unit diagonal entry splits off), one local Smith
+elimination per distinct minor.
 
 One symplectic form serves both lattice enumerations: `_omega` pairs x_{2i-1}
 with x_{2i}, the y-coefficient of the bracket of h_n.  An HNF basis is a
@@ -39,20 +42,18 @@ HNF_BUDGET = 2_000_000
 def _smith_diagonal(mat: Sequence[Sequence[int]], p: int) -> list[int]:
     """p-valuations of the Smith diagonal, by fraction-free elimination over Z_(p).
 
-    Pivots on a nonzero entry p^v u of least valuation, replaces every other
-    row r by u r - (r_j / p^v) (pivot row), which is unimodular over the
-    integers localized at p because p does not divide u, then drops the pivot
-    row and column and records v.  Stops when what is left is all zero, so a
-    matrix of rank r gives r valuations.
+    Pivots on a nonzero entry p^v u of least valuation (the first unit ends
+    the search, since no valuation is below 0), replaces every other row r by
+    u r - (r_j / p^v) (pivot row), which is unimodular over the integers
+    localized at p because p does not divide u, then drops the pivot row and
+    column and records v.  A row with r_j = 0 is kept as it is: u r differs
+    from r by a unit.  Stops when what is left is all zero, so a matrix of
+    rank r gives r valuations.
     """
     rows = [list(row) for row in mat]
     vals = []
     while rows:
-        pivot = None  # (v, i, j); x % p^v is nonzero iff x has valuation below v
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                if x and (pivot is None or x % p ** pivot[0]):
-                    pivot = (_valuation(x, p), i, j)
+        pivot = _least_pivot(rows, p)
         if pivot is None:
             break
         v, i, j = pivot
@@ -61,10 +62,22 @@ def _smith_diagonal(mat: Sequence[Sequence[int]], p: int) -> list[int]:
         nxt = []
         for r in rows:
             f = r.pop(j) // pv
-            nxt.append([u * a - f * b for a, b in zip(r, top)])
+            nxt.append([u * a - f * b for a, b in zip(r, top)] if f else r)
         rows = nxt
         vals.append(v)
     return vals
+
+
+def _least_pivot(rows: list[list[int]], p: int) -> tuple[int, int, int] | None:
+    """(v, i, j) of the first entry of least p-valuation v, None if all are zero."""
+    pivot = None  # x % p^v is nonzero iff x has valuation below v
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x and (pivot is None or x % p ** pivot[0]):
+                if x % p:
+                    return 0, i, j
+                pivot = (_valuation(x, p), i, j)
+    return pivot
 
 
 def _valuation(x: int, p: int) -> int:
@@ -100,7 +113,7 @@ def alt_type(gram: Sequence[Sequence[int]], p: int) -> Partition:
     for i in range(n):
         if gram[i][i] != 0:
             raise DegenerateForm("nonzero diagonal entry")
-        for j in range(n):
+        for j in range(i + 1, n):  # the check is symmetric in (i, j)
             if gram[i][j] != -gram[j][i]:
                 raise DegenerateForm("matrix is not alternating")
     vals = sorted(_smith_diagonal(gram, p), reverse=True)
@@ -325,6 +338,12 @@ def _gram(H: Sequence[Sequence[int]], n: int) -> list[list[int]]:
     return gram
 
 
+def _nonunit_minor(H: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The minor of an HNF on the indices whose diagonal entry is not 1."""
+    idx = [i for i, row in enumerate(H) if row[i] != 1]
+    return tuple(tuple(H[r][c] for c in idx) for r in idx)
+
+
 def _check_hnf_budget(rank: int, p: int, max_valuation: int) -> None:
     """Refuse a negative max valuation, then stop at the first valuation where
     the running HNF count passes HNF_BUDGET."""
@@ -343,14 +362,27 @@ def _check_hnf_budget(rank: int, p: int, max_valuation: int) -> None:
 def enum_sublattices(
     n: int, p: int, max_valuation: int
 ) -> dict[tuple[Partition, Partition], int]:
-    """Sublattices of the symplectic Z^{2n} by (quotient type, alternating type)."""
+    """Sublattices of the symplectic Z^{2n} by (quotient type, alternating type).
+
+    The quotient type of an HNF H is `smith_type` of its minor on the indices
+    whose diagonal entry is not 1.  A column with diagonal entry 1 is zero
+    above it (entries there are reduced modulo 1) and below it (H is upper
+    triangular), so column operations with it clear the rest of its row, and
+    that row and column split off a unit.  At index p^j that
+    minor has at most j rows; each distinct minor is eliminated once per
+    call.  The alternating type needs the whole Gram matrix, for every H.
+    """
     check_n("enum_sublattices", n)
     check_prime(p)
     _check_hnf_budget(2 * n, p, max_valuation)
     out: dict[tuple[Partition, Partition], int] = {}
+    quotient: dict[tuple[tuple[int, ...], ...], Partition] = {}  # minor -> lambda
     for j in range(max_valuation + 1):
         for H in hnf_enumerate(2 * n, p, j):
-            lam = smith_type(H, p)
+            minor = _nonunit_minor(H)
+            lam = quotient.get(minor)
+            if lam is None:
+                lam = quotient[minor] = smith_type(minor, p)
             mu = alt_type(_gram(H, n), p)
             key = (lam, mu)
             out[key] = out.get(key, 0) + 1

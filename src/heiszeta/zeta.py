@@ -125,11 +125,16 @@ def zeta_hyperoctahedral(n: int) -> FactoredRational:
     :func:`hyperoctahedral_numerator`, an independent derivation that
     ``verify --checks crossform`` compares with it.
     """
+    check_n("zeta_hyperoctahedral", n)
+    return _type_B_form(n, c_exponents(n))
+
+
+def _type_B_form(n: int, c: Sequence[int]) -> FactoredRational:
+    """The type-B Igusa function at Y = q^-1, Z = -q^n T and slots
+    q^{c_i} T^{n+1}, over (T;q)_{2n}."""
     from .igusa import igusa_B_subset
 
-    check_n("zeta_hyperoctahedral", n)
-    X = [mono(ci, n + 1) for ci in c_exponents(n)]
-    f = igusa_B_subset(n, -1, mono(n, 1, -1), X)
+    f = igusa_B_subset(n, -1, mono(n, 1, -1), [mono(ci, n + 1) for ci in c])
     return f * FactoredRational.one_over((i, 1) for i in range(2 * n))
 
 
@@ -152,16 +157,12 @@ def zeta_graded(n: int) -> FactoredRational:
     """EXPERIMENTAL graded variant: c_i replaced by c_i' everywhere.
 
     The substitution is applied both in the Igusa slots and inside the
-    statistic C; the numerator is :func:`hyperoctahedral_numerator` at the
-    c_i'.  No external cross-check is asserted.
+    statistic C: the hyperoctahedral form built at the c_i'.  Its numerator
+    is the B_n group sum :func:`hyperoctahedral_numerator` at the c_i' (the
+    tests compare the two); no count outside the package is compared with it.
     """
     check_n("zeta_graded", n)
-    c = c_exponents_graded(n)
-    num = hyperoctahedral_numerator(n, c)
-    den = {(i, 1): 1 for i in range(2 * n)}
-    for cm in c:
-        den[(cm, n + 1)] = den.get((cm, n + 1), 0) + 1
-    return FactoredRational(num, den)
+    return _type_B_form(n, c_exponents_graded(n))
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +411,12 @@ def global_factor(n: int) -> BivariatePolynomial:
 
     Returned with (e_q, e_T) read as (X-, Y-) exponents; identical to the
     compact-form numerator after T^{(n+1) des + neg} is regrouped by D.
-    This is :func:`hyperoctahedral_numerator` at the c_i, the dynamic
-    program of :func:`signed_descent_sum`; no group element is built.
+    This is the numerator of the cached :func:`zeta_hyperoctahedral`, which
+    ``verify --checks crossform`` compares with the group sum
+    :func:`hyperoctahedral_numerator`; no group element is built.
     """
     check_n("global_factor", n)
-    return hyperoctahedral_numerator(n, c_exponents(n))
+    return zeta_hyperoctahedral(n).num
 
 
 def global_factor_eval(n: int) -> BivariatePolynomial:
@@ -457,11 +459,13 @@ def rn_numeric(n: int, prime_bound: int = 1000) -> dict:
     """
     check_n("rn_numeric", n)
     primes = _primes_up_to(prime_bound)
-    ev = global_factor_eval(n)
+    # summed in exponent order, so the float result does not depend on the
+    # order in which N_n's terms were built
+    terms = sorted((e, coeff) for (e, _), coeff in global_factor_eval(n).terms.items())
     nprod = 1.0
     for p in primes:
         val = 0.0
-        for (e, _), coeff in ev.terms.items():
+        for e, coeff in terms:
             val += coeff * float(p) ** e
         nprod *= val
     zargs = [2 * n - i for i in range(2 * n - 1)]

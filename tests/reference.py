@@ -33,7 +33,15 @@ from heiszeta.exactalg import (
     gauss_multinom,
 )
 from heiszeta.igusa import _E_series, _over_slots, fibre_E, igusa_A
-from heiszeta.oracle import _check_lagrangian_budget, _omega, _valuation, hnf_enumerate
+from heiszeta.oracle import (
+    _check_lagrangian_budget,
+    _gram,
+    _omega,
+    _valuation,
+    alt_type,
+    hnf_enumerate,
+    smith_type,
+)
 from heiszeta.zeta import c_exponents, igusa_args
 
 
@@ -475,6 +483,19 @@ def smith_diagonal_integer(mat) -> list[int]:
         diag.append(abs(p))
         top += 1
     return diag
+
+
+def sublattice_table_by_full_smith(n: int, p: int, max_valuation: int) -> dict:
+    """Sublattices of the symplectic Z^{2n} by (quotient type, alternating type),
+    with a full 2n x 2n Smith elimination of every HNF for its quotient type."""
+    out = {}
+    for j in range(max_valuation + 1):
+        for H in hnf_enumerate(2 * n, p, j):
+            lam = smith_type(H, p)
+            mu = alt_type(_gram(H, n), p)
+            key = (lam, mu)
+            out[key] = out.get(key, 0) + 1
+    return out
 
 
 def subalgebras_by_full_hnf(n: int, p: int, k: int) -> list[int]:

@@ -578,3 +578,10 @@ def test_terminal_E_product(n):
             * qpochhammer(mono(-r, 1), 1, r).num
         )
         assert lhs == rhs
+
+
+def test_generic_markers_can_collide():
+    # 101 + 211 = 307 + 5: two distinct monomials in the slots meet after the
+    # substitution, so an equality on generic slots is evidence, not a proof
+    X1, X2, X3 = generic_slots(3)
+    assert X1 * X2 == mono(5, 1) * X3 == mono(312, 2)

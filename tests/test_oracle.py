@@ -37,6 +37,7 @@ from reference import (
     perp,
     smith_diagonal_integer,
     subalgebras_by_full_hnf,
+    sublattice_table_by_full_smith,
     unpack,
 )
 
@@ -108,6 +109,29 @@ def test_smith_valuations_match_the_integer_smith_form(mat, p):
         assert smith_type(mat, p) == Partition(sorted(expect, reverse=True))
 
 
+def _integer_smith_valuations(mat, p):
+    return sorted(oracle._valuation(d, p) for d in smith_diagonal_integer(mat))
+
+
+@pytest.mark.parametrize(
+    "mat, p",
+    [
+        # the only unit is in the first row; one later row has a zero in its column
+        ([[2, 3, 0], [4, 0, 6], [0, 8, 2]], 2),
+        ([[3, 9, 1], [9, 3, 0], [6, 27, 3]], 3),
+        # the only unit is in the last row
+        ([[2, 4, 6], [4, 2, 8], [6, 1, 4]], 2),
+        ([[3, 6, 0], [0, 9, 3], [6, 3, 2]], 3),
+        # no unit: every entry is divisible by p
+        ([[2, 4, 0], [6, 2, 4], [0, 8, 12]], 2),
+        ([[3, 9, 0], [0, 6, 27], [9, 0, 3]], 3),
+    ],
+    ids=["first-row-2", "first-row-3", "last-row-2", "last-row-3", "none-2", "none-3"],
+)
+def test_smith_valuations_wherever_the_unit_is(mat, p):
+    assert sorted(oracle._smith_diagonal(mat, p)) == _integer_smith_valuations(mat, p)
+
+
 def test_valuation_of_zero_is_refused():
     # it looped forever, since 0 % p == 0 at every step; a subprocess with a
     # timeout turns a regression into a failure instead of a hang
@@ -145,6 +169,31 @@ def test_alt_type_rejects_non_alternating():
         alt_type([[0, 1], [1, 0]], 2)
     with pytest.raises(DegenerateForm):
         alt_type([[0, 0], [0, 0]], 2)
+
+
+_ALTERNATING = [
+    [0, 2, 0, 1],
+    [-2, 0, 3, 0],
+    [0, -3, 0, 4],
+    [-1, 0, -4, 0],
+]
+
+
+@pytest.mark.parametrize(
+    "i, j, value, match",
+    [
+        (2, 2, 1, "nonzero diagonal entry"),
+        (1, 3, 5, "not alternating"),  # above the diagonal
+        (3, 1, 5, "not alternating"),  # below the diagonal
+    ],
+    ids=["diagonal", "above", "below"],
+)
+def test_alt_type_rejects_each_broken_entry(i, j, value, match):
+    assert alt_type(_ALTERNATING, 2) == Partition(())  # Pfaffian 11
+    gram = [row[:] for row in _ALTERNATING]
+    gram[i][j] = value
+    with pytest.raises(DegenerateForm, match=match):
+        alt_type(gram, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +381,24 @@ def test_enum_sublattices_n2_table():
         ("1,1", "2"): 20,
         ("2", "2"): 120,
     }
+
+
+@pytest.mark.parametrize("n,p,maxval", [(1, 2, 3), (1, 3, 3), (2, 2, 3), (2, 3, 2), (3, 2, 1)])
+def test_sublattice_table_matches_the_full_smith_form(n, p, maxval):
+    assert enum_sublattices(n, p, maxval) == sublattice_table_by_full_smith(n, p, maxval)
+
+
+@pytest.mark.parametrize("rank", [2, 4, 6])
+@pytest.mark.parametrize("p", [2, 3])
+def test_nonunit_minor_has_the_quotient_type(rank, p):
+    # every HNF up to valuation 2: a unit diagonal entry splits off
+    for j in range(3):
+        for H in hnf_enumerate(rank, p, j):
+            minor = oracle._nonunit_minor(H)
+            assert len(minor) <= j
+            lam = smith_type(minor, p)
+            assert lam == smith_type(H, p)
+            assert lam == Partition(sorted(_integer_smith_valuations(H, p), reverse=True))
 
 
 @pytest.mark.parametrize("n,p,maxval", [(1, 2, 3), (1, 3, 2), (2, 2, 2)])

@@ -38,7 +38,8 @@ print(json.dumps([loaded, bare, {m: m in sys.modules for m in WATCHED}]))
 
 BASE = {"heiszeta", "heiszeta.cli", "heiszeta.errors"}
 CLOSED_FORMS = BASE | {"heiszeta.combinat", "heiszeta.exactalg", "heiszeta.zeta"}
-IGUSA_FORMS = CLOSED_FORMS | {"heiszeta.igusa"}  # forms a and c, and the checks that build them
+# forms a, c and graded, global, and the checks that build them
+IGUSA_FORMS = CLOSED_FORMS | {"heiszeta.igusa"}
 ORACLE = BASE | {"heiszeta.combinat", "heiszeta.oracle"}  # lagrangian and sublattice
 FACTORIZATION = ORACLE | {"heiszeta.counts", "heiszeta.exactalg"}  # alpha_n(mu; q^2) at q = p
 
@@ -59,14 +60,16 @@ def _run(code, *argv):
         (["--version"], BASE),
         (["zeta", "--n", "3", "--form", "b"], CLOSED_FORMS),
         (["zeta", "--n", "2", "--form", "a"], IGUSA_FORMS),
+        (["zeta", "--n", "3", "--form", "graded"], IGUSA_FORMS),
+        (["global", "--n", "2"], IGUSA_FORMS),
         (["verify", "--n", "2", "--checks", "funeq"], CLOSED_FORMS),
         (["verify", "--n", "2", "--checks", "crossform"], IGUSA_FORMS),
         (["oracle", "lagrangian", "--mu", "1", "--prime", "2"], ORACLE),
         (["oracle", "factorization", "--n", "1", "--prime", "2", "--max-val", "1"],
          FACTORIZATION),
     ],
-    ids=["version", "zeta", "zeta-igusa", "verify", "verify-crossform", "oracle",
-         "oracle-factorization"],
+    ids=["version", "zeta", "zeta-igusa", "zeta-graded", "global", "verify",
+         "verify-crossform", "oracle", "oracle-factorization"],
 )
 def test_each_command_loads_only_what_it_runs(argv, modules):
     loaded, bare, after = _run(PROBE, *argv)

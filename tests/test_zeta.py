@@ -329,6 +329,19 @@ def test_graded_fixture_and_shift():
         assert all(ci - cgi == 2 * n for ci, cgi in zip(c, cg))
 
 
+@pytest.mark.parametrize("n", range(8))
+def test_graded_numerator_is_the_B_n_group_sum(n):
+    # zeta_graded builds its numerator by the subset recurrence; the B_n
+    # dynamic program is the second derivation.  n = 7 is past the guard.
+    c = c_exponents_graded(n)
+    den = {(i, 1): 1 for i in range(2 * n)}
+    for cm in c:
+        den[(cm, n + 1)] = den.get((cm, n + 1), 0) + 1
+    got = zeta_graded(n) if n < 7 else zeta._type_B_form(n, c)
+    assert got.num == hyperoctahedral_numerator(n, c)
+    assert dict(got.den) == den and got.tshift == 0
+
+
 def test_graded_n1_inverse_symmetry_shape():
     # recorded sanity property: the n=1 graded form transforms with -q T^3
     g = zeta_graded(1)
@@ -526,8 +539,8 @@ def test_reduced_c_values():
 
 
 def test_global_factor_matches_hyperoctahedral_numerator():
-    for n in (1, 2, 3):
-        assert global_factor(n) == zeta_hyperoctahedral(n).num
+    for n in range(7):
+        assert global_factor(n) == hyperoctahedral_numerator(n, c_exponents(n))
 
 
 def test_global_factor_eval_table_rows():
