@@ -368,9 +368,9 @@ def enum_sublattices(
     whose diagonal entry is not 1.  A column with diagonal entry 1 is zero
     above it (entries there are reduced modulo 1) and below it (H is upper
     triangular), so column operations with it clear the rest of its row, and
-    that row and column split off a unit.  At index p^j that
-    minor has at most j rows; each distinct minor is eliminated once per
-    call.  The alternating type needs the whole Gram matrix, for every H.
+    that row and column split off a unit.  At index p^j the minor has at
+    most j rows; each distinct minor is eliminated once per call.  The
+    alternating type needs the whole Gram matrix, for every H.
     """
     check_n("enum_sublattices", n)
     check_prime(p)
