@@ -3,10 +3,10 @@
 Ground truth for every closed form in the package: Lagrangian submodules of
 finite alternating modules, Hermite-normal-form sublattice enumeration
 classified by quotient and symplectic type, and Heisenberg subalgebra counts.
-Budgets are hard errors, never silent truncation.  Every HNF is enumerated
-and classified exactly: the quotient type is read off the minor on the
-non-unit diagonal entries (a unit diagonal entry splits off), one local Smith
-elimination per distinct minor.
+Budgets are hard errors, never silent truncation.  Every isotropic subgroup
+is built, as a bitset over the elements of the module, and every HNF is
+enumerated and classified exactly: one local Smith elimination per distinct
+minor on the non-unit diagonal entries and per distinct Gram matrix.
 
 One symplectic form serves both lattice enumerations: `_omega` pairs x_{2i-1}
 with x_{2i}, the y-coefficient of the bracket of h_n.  An HNF basis is a
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .combinat import Partition, partitions_up_to
 from .errors import (
@@ -119,12 +119,9 @@ def alt_type(gram: Sequence[Sequence[int]], p: int) -> Partition:
     vals = sorted(_smith_diagonal(gram, p), reverse=True)
     if len(vals) < n:
         raise DegenerateForm("form is degenerate over the fraction field")
-    pairs = []
-    for i in range(0, n, 2):
-        if vals[i] != vals[i + 1]:
-            raise IdentityMismatch("alternating divisors failed to pair up")
-        pairs.append(vals[i])
-    return Partition(tuple(pairs))
+    if vals[0::2] != vals[1::2]:
+        raise IdentityMismatch("alternating divisors failed to pair up")
+    return Partition(tuple(vals[0::2]))
 
 
 # ---------------------------------------------------------------------------
@@ -134,99 +131,114 @@ def alt_type(gram: Sequence[Sequence[int]], p: int) -> Partition:
 class AltModule:
     """The alternating module M_mu: blocks (Z/p^{mu_i}) e_i + (Z/p^{mu_i}) f_i.
 
-    An element (a_1, b_1, ..., a_l, b_l) is one int: coordinate k sits in
-    slot k, the bits [k W, (k + 1) W), where W = bit_length(L (E - 1)^2) + 1
-    for L = 2 l slots and the exponent E = p^{mu_1}.  A slot of a sum of two
-    elements, or of the Kronecker product in `orthogonal`, stays below
-    2^(W-1), so no carry crosses into the next slot.  The pairing takes values
-    in (1/E) Z / Z, represented by integers modulo E with zero meaning
-    perpendicular.  Modules are equal when their mu and p are.
+    An element (a_1, b_1, ..., a_l, b_l) has coordinates x_k modulo m_k and
+    the mixed-radix index sum_k x_k r_k, r_k = m_0 ... m_{k-1}; a set of
+    elements is a bitset, the int with the bits of their indices set.  The
+    pairing takes values in (1/E) Z / Z for the exponent E = p^{mu_1},
+    represented by integers modulo E with zero meaning perpendicular.
     """
 
     def __init__(self, mu: tuple[int, ...], p: int):
         self.mu, self.p = mu, p
-        self.mods = tuple(self.p**m for m in self.mu for _ in (0, 1))
-        self.exponent = self.p ** (self.mu[0] if self.mu else 0)
-        self.scale = tuple(self.exponent // self.p**m for m in self.mu)
+        self.mods = tuple(p**m for m in mu for _ in (0, 1))
+        self.exponent = p ** (mu[0] if mu else 0)
+        self.scale = tuple(self.exponent // p**m for m in mu)
+        self.radix = tuple(math.prod(self.mods[:k]) for k in range(len(self.mods)))
         self.size = math.prod(self.mods)
-        self.zero = 0
-        w = self.width = (len(self.mods) * (self.exponent - 1) ** 2).bit_length() + 1
-        self.slot_mask = (1 << w) - 1
-        # per slot: the modulus m_k, the offset 2^(W-1) - m_k, and the top bit
-        self.moduli = sum(m << (w * k) for k, m in enumerate(self.mods))
-        self.offsets = sum(((1 << (w - 1)) - m) << (w * k) for k, m in enumerate(self.mods))
-        self.flags = sum(1 << (w * k + w - 1) for k in range(len(self.mods)))
+        self._below: dict[tuple[int, int], int] = {}
+        self._torsion: list[int] | None = None
 
-    def __eq__(self, other):
-        if other.__class__ is not AltModule:
-            return NotImplemented
-        return (self.mu, self.p) == (other.mu, other.p)
+    def coords(self, i: int) -> tuple[int, ...]:
+        """The coordinates of the element with index i."""
+        return tuple(i // r % m for r, m in zip(self.radix, self.mods))
 
-    __hash__ = None
+    def below(self, k: int, t: int) -> int:
+        """The bitset of the elements whose coordinate k is below t."""
+        if (k, t) not in self._below:
+            r = self.radix[k]
+            self._below[k, t] = _comb(r * self.mods[k], self.size) * ((1 << t * r) - 1)
+        return self._below[k, t]
 
-    def __repr__(self):
-        return "AltModule(mu=%r, p=%r)" % (self.mu, self.p)
+    def rotation(self, v: Sequence[int]) -> tuple[tuple[int, int, int, int], ...]:
+        """The steps of s -> s + v on bitsets, one per nonzero coordinate c
+        of v: an element whose x_k is below m_k - c moves up by c r_k, the
+        others down by (m_k - c) r_k.  `_span` applies them."""
+        return tuple((self.below(k, m - c), c * r, (m - c) * r, self.below(k, c))
+                     for k, (c, m, r) in enumerate(zip(v, self.mods, self.radix)) if c)
 
-    def times_p(self) -> dict[int, int]:
-        """Every element x, mapped to p x."""
-        table = {0: 0}
-        for k, m in enumerate(self.mods):
-            shift = self.width * k
-            table = {x + (c << shift): px + ((self.p * c % m) << shift)
-                     for x, px in table.items() for c in range(m)}
-        return table
+    def grid(self, steps: Sequence[int]) -> int:
+        """The bitset of the elements whose coordinate k is a multiple of steps[k] | m_k."""
+        return math.prod(_comb(q * r, m * r) for q, m, r in zip(steps, self.mods, self.radix))
 
-    def translate(self, xs: Iterable[int], v: int) -> set[int]:
-        """{x + v for x in xs}: add slotwise, then subtract m_k where a slot reached it.
+    def orth(self, v: Sequence[int]) -> int:
+        """The bitset of {x : <x, v> = 0}, where <x, v> = sum_k w_k x_k modulo E.
 
-        t + offsets sets the top bit of slot k exactly when t_k >= m_k; those
-        bits, moved down and multiplied by the slot mask, select the moduli.
+        d -> w_k d modulo E has a period t_k dividing m_k.  Over the digits
+        below t_k, one coordinate at a time, keeps for each value of the
+        pairing so far the bitset of the elements reaching it (at the last
+        coordinate, only the value 0); the product with `grid(t)` then adds
+        the multiples of t_k to each digit, without carries.
         """
-        m, off, top, s, f = self.moduli, self.offsets, self.flags, self.width - 1, self.slot_mask
-        return {(t := x + v) - (m & ((((t + off) & top) >> s) * f)) for x in xs}
+        e, last = self.exponent, len(self.mods) - 1
+        w = [c % e for i, s in enumerate(self.scale) for c in (s * v[2 * i + 1], -s * v[2 * i])]
+        periods = [e // math.gcd(c, e) for c in w]
+        sums = {0: 1}  # value of the pairing so far -> bitset over those coordinates
+        for k in range(last):
+            nxt: dict[int, int] = {}
+            for s, bits in sums.items():
+                for d in range(periods[k]):
+                    key = (s + w[k] * d) % e
+                    nxt[key] = nxt.get(key, 0) | bits << d * self.radix[k]
+            sums = nxt
+        solve = {-w[last] * d % e: d * self.radix[last] for d in range(periods[last])}
+        zero = sum(bits << solve[s] for s, bits in sums.items() if s in solve)
+        return zero * self.grid(periods)
 
-    def dual(self, v: int) -> int:
-        """w with <x, v> = sum_k w_k x_k modulo `exponent`, w_k packed in slot L - 1 - k."""
-        w, mask, last, e = self.width, self.slot_mask, len(self.mods) - 1, self.exponent
-        out = 0
-        for i, s in enumerate(self.scale):
-            a, b = (v >> (2 * i * w)) & mask, (v >> ((2 * i + 1) * w)) & mask
-            out |= (s * b % e) << ((last - 2 * i) * w) | (-s * a % e) << ((last - 2 * i - 1) * w)
-        return out
+    def subgroup_type(self, sub: int) -> Partition:
+        """Abelian type of a subgroup: |sub & M[p^k]| = p^{lambda'_1 + ... + lambda'_k}
+        for the conjugate partition lambda', where M[p^k] = {x : p^k x = 0}."""
+        if self._torsion is None:
+            self._torsion = [self.grid([max(m // self.p**k, 1) for m in self.mods])
+                             for k in range(1, max(self.mu, default=0) + 1)]
+        sizes = [0] + [_valuation((sub & t).bit_count(), self.p) for t in self._torsion]
+        conj = [b - a for a, b in zip(sizes, sizes[1:])]  # lambda'_k, the number of parts >= k
+        return Partition(tuple(sum(c > i for c in conj) for i in range(conj[0] if conj else 0)))
 
-    def orthogonal(self, xs: Iterable[int], v: int) -> list[int]:
-        """The x in xs with <x, v> = 0, read off slot L - 1 of x * dual(v)."""
-        w, shift = self.dual(v), self.width * (len(self.mods) - 1)
-        mask, e = self.slot_mask, self.exponent
-        return [x for x in xs if ((x * w >> shift) & mask) % e == 0]
 
-    def subgroup_type(self, sub: frozenset[int], times_p: dict[int, int]) -> Partition:
-        """Abelian type of a subgroup from the sizes of its p^k multiples."""
-        sizes = [len(sub)]
-        cur = set(sub)
-        while len(cur) > 1:
-            cur = {times_p[x] for x in cur}
-            sizes.append(len(cur))
-        heights = [_valuation(sizes[k - 1] // sizes[k], self.p) for k in range(1, len(sizes))]
-        lam = [sum(1 for t in heights if t > i) for i in range(heights[0] if heights else 0)]
-        return Partition(tuple(sorted(lam, reverse=True)))
+def _span(s: int, rotation: Sequence[tuple[int, int, int, int]], p: int) -> int:
+    """The bitset s + {0, v, ..., (p - 1) v}, for the `AltModule.rotation` of v."""
+    out = s
+    for _ in range(1, p):
+        for low, up, down, high in rotation:
+            s = (s & low) << up | (s >> down) & high
+        out |= s
+    return out
+
+
+def _comb(period: int, total: int) -> int:
+    """The bits 0, period, 2 period, ... below bit `total`, a multiple of `period`."""
+    bits, span = 1, period
+    while span < total:
+        bits |= bits << span
+        span *= 2
+    return bits & ((1 << total) - 1)
 
 
 def _check_lagrangian_budget(p: int, size: int) -> None:
     if p ** (2 * size) > LAGRANGIAN_BUDGET:
-        raise BudgetExceeded(
-            "|M_mu| = %d^%d exceeds the budget %d" % (p, 2 * size, LAGRANGIAN_BUDGET)
-        )
+        raise BudgetExceeded("|M_mu| = %d^%d exceeds the budget %d"
+                             % (p, 2 * size, LAGRANGIAN_BUDGET))
 
 
 def enum_lagrangians(mu, p: int) -> dict[Partition, int]:
     """Count Lagrangian submodules of M_mu by module type.
 
-    Grows isotropic subgroups one index-p step at a time, building every
-    element as a packed int of `AltModule`: p - 1 cosets by `translate`, the
-    perp by `orthogonal`.  A subgroup of order p^{|mu|} contained in its own
-    perp equals it, hence is Lagrangian.  Returns {quotient type lambda:
-    count}; the total is N'(mu).
+    Grows isotropic subgroups one index-p step at a time, each a bitset of
+    `AltModule` kept with its perp and its preimage under x -> p x.  Each
+    candidate v in perp & preimage & ~sub gives sub + <v>, the span of p
+    translates, with the perp perp & orth(v); its bits leave the candidates.
+    A subgroup of order p^{|mu|} contained in its own perp equals it, hence
+    is Lagrangian.  Returns {quotient type lambda: count}; the total is N'(mu).
     """
     check_prime(p)
     mu = Partition(mu)
@@ -235,34 +247,33 @@ def enum_lagrangians(mu, p: int) -> dict[Partition, int]:
     if m == 0:
         return {Partition(()): 1}
     mod = AltModule(tuple(mu.parts), p)
-    times_p = mod.times_p()
-    # subgroup -> perp list; grown by index p per step, deduplicated globally
-    level: dict[frozenset[int], list[int]] = {frozenset({mod.zero}): list(times_p)}
-    found: set[frozenset[int]] = set()
+    multiples = mod.grid([p] * len(mod.mods))  # pM
+    gens: dict[int, tuple] = {}  # index of v -> (rotation, orth(v) unless first met last)
+    # subgroup -> (perp, preimage); grown by index p per step, deduplicated globally
+    level = {1: ((1 << mod.size) - 1, mod.grid([q // p for q in mod.mods]))}
     for step in range(m):
         last = step == m - 1
-        nxt: dict[frozenset[int], list[int]] = {}
-        for sub, perp in level.items():
-            processed = set(sub)
-            for v in perp:
-                if v in processed:
-                    continue
-                if times_p[v] not in sub:
-                    continue  # index-p^2 jump; reached later along a chain
-                grown, coset = set(sub), sub
-                for _ in range(1, p):  # the cosets sub + j v, j = 1, ..., p - 1
-                    coset = mod.translate(coset, v)
-                    grown |= coset
-                processed |= grown
-                fz = frozenset(grown)
+        nxt: dict[int, tuple[int, int] | None] = {}
+        for sub, (perp, pre) in level.items():
+            todo = perp & pre & ~sub
+            while todo:
+                i = (todo & -todo).bit_length() - 1
+                if i not in gens:
+                    v = mod.coords(i)
+                    gens[i] = (mod.rotation(v), None if last else mod.orth(v))
+                rotation, orth = gens[i]
+                grown = _span(sub, rotation, p)
+                todo &= ~grown
                 if last:
-                    found.add(fz)
-                elif fz not in nxt:
-                    nxt[fz] = mod.orthogonal(perp, v)
+                    nxt[grown] = None
+                elif grown not in nxt:
+                    hit = (grown ^ sub) & multiples  # p u in grown, not in sub: u joins pre
+                    u = [c // p for c in mod.coords(hit.bit_length() - 1)] if hit else ()
+                    nxt[grown] = (perp & orth, _span(pre, mod.rotation(u), p))
         level = nxt
     out: dict[Partition, int] = {}
-    for sub in found:
-        lam = mod.subgroup_type(sub, times_p)
+    for sub in level:  # the Lagrangians
+        lam = mod.subgroup_type(sub)
         out[lam] = out.get(lam, 0) + 1
     return out
 
@@ -287,18 +298,12 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def hnf_count(rank: int, p: int, valuation: int) -> int:
     """Number of HNF matrices with determinant p^valuation in the given rank."""
-    total = 0
-    for comp in _compositions(valuation, rank):
-        prod = 1
-        for j, b in enumerate(comp):  # column j has j entries above the diagonal
-            prod *= (p**b) ** j
-        total += prod
-    return total
+    # column j has j entries above the diagonal
+    return sum(math.prod((p**b) ** j for j, b in enumerate(comp))
+               for comp in _compositions(valuation, rank))
 
 
-def hnf_enumerate(
-    rank: int, p: int, valuation: int
-) -> Iterator[tuple[tuple[int, ...], ...]]:
+def hnf_enumerate(rank: int, p: int, valuation: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All sublattices of Z^rank with index p^valuation, as HNF row tuples.
 
     The basis is upper triangular with each above-diagonal entry reduced
@@ -327,15 +332,12 @@ def _omega(u: Sequence[int], v: Sequence[int], n: int) -> int:
     return total
 
 
-def _gram(H: Sequence[Sequence[int]], n: int) -> list[list[int]]:
-    """The alternating Gram matrix of the rows of H under `_omega`: the
-    entries above the diagonal, mirrored with a minus sign."""
-    gram = [[0] * len(H) for _ in H]
-    for i, u in enumerate(H):
-        for j in range(i + 1, len(H)):
-            gram[i][j] = _omega(u, H[j], n)
-            gram[j][i] = -gram[i][j]
-    return gram
+def _gram(upper: Sequence[int], size: int) -> list[list[int]]:
+    """The alternating Gram matrix with `upper` above the diagonal, row by row."""
+    mat = [[0] * size for _ in range(size)]
+    for (i, j), w in zip(itertools.combinations(range(size), 2), upper):
+        mat[i][j], mat[j][i] = w, -w
+    return mat
 
 
 def _nonunit_minor(H: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -353,15 +355,11 @@ def _check_hnf_budget(rank: int, p: int, max_valuation: int) -> None:
     for j in range(max_valuation + 1):
         total += hnf_count(rank, p, j)
         if total > HNF_BUDGET:
-            raise BudgetExceeded(
-                "HNF enumeration size %d up to valuation %d exceeds %d"
-                % (total, j, HNF_BUDGET)
-            )
+            raise BudgetExceeded("HNF enumeration size %d up to valuation %d exceeds %d"
+                                 % (total, j, HNF_BUDGET))
 
 
-def enum_sublattices(
-    n: int, p: int, max_valuation: int
-) -> dict[tuple[Partition, Partition], int]:
+def enum_sublattices(n: int, p: int, max_valuation: int) -> dict[tuple[Partition, Partition], int]:
     """Sublattices of the symplectic Z^{2n} by (quotient type, alternating type).
 
     The quotient type of an HNF H is `smith_type` of its minor on the indices
@@ -369,21 +367,32 @@ def enum_sublattices(
     above it (entries there are reduced modulo 1) and below it (H is upper
     triangular), so column operations with it clear the rest of its row, and
     that row and column split off a unit.  At index p^j the minor has at
-    most j rows; each distinct minor is eliminated once per call.  The
-    alternating type needs the whole Gram matrix, for every H.
+    most j rows.  Each distinct minor and each distinct Gram matrix is
+    eliminated once per call, and `_omega` runs once per distinct row pair.
     """
     check_n("enum_sublattices", n)
     check_prime(p)
     _check_hnf_budget(2 * n, p, max_valuation)
     out: dict[tuple[Partition, Partition], int] = {}
     quotient: dict[tuple[tuple[int, ...], ...], Partition] = {}  # minor -> lambda
+    pairs: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}  # rows -> _omega
+    alternating: dict[tuple[int, ...], Partition] = {}  # Gram above the diagonal -> mu
     for j in range(max_valuation + 1):
         for H in hnf_enumerate(2 * n, p, j):
             minor = _nonunit_minor(H)
             lam = quotient.get(minor)
             if lam is None:
                 lam = quotient[minor] = smith_type(minor, p)
-            mu = alt_type(_gram(H, n), p)
+            upper = []
+            for uv in itertools.combinations(H, 2):
+                w = pairs.get(uv)
+                if w is None:
+                    w = pairs[uv] = _omega(*uv, n)
+                upper.append(w)
+            upper = tuple(upper)
+            mu = alternating.get(upper)
+            if mu is None:
+                mu = alternating[upper] = alt_type(_gram(upper, 2 * n), p)
             key = (lam, mu)
             out[key] = out.get(key, 0) + 1
     return out
@@ -423,17 +432,8 @@ def check_factorization(n: int, p: int, max_valuation: int) -> list[dict]:
             lam = Partition(lam_parts)
             got = lattice.get((lam, mu), 0)
             expect = lagr.get(lam, 0) * alpha
-            rows.append(
-                {
-                    "lambda": str(lam),
-                    "mu": str(mu),
-                    "p": p,
-                    "lattice": got,
-                    "lagrangian": lagr.get(lam, 0),
-                    "birkhoff": alpha,
-                    "ok": got == expect,
-                }
-            )
+            rows.append({"lambda": str(lam), "mu": str(mu), "p": p, "lattice": got,
+                         "lagrangian": lagr.get(lam, 0), "birkhoff": alpha, "ok": got == expect})
             if got != expect:
                 raise FactorizationMismatch(
                     "N(%s; %s) = %d but N'(%s; %s) * alpha = %d at p = %d"

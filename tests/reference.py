@@ -37,6 +37,7 @@ from heiszeta.oracle import (
     _check_lagrangian_budget,
     _gram,
     _omega,
+    _span,
     _valuation,
     alt_type,
     hnf_enumerate,
@@ -292,44 +293,55 @@ def contains(H, vec) -> bool:
 
 
 def pack(mod, coords) -> int:
-    """The packed element of an AltModule with coordinate k in slot k."""
-    return sum(c << (mod.width * k) for k, c in enumerate(coords))
+    """The index of an element of an AltModule: coordinate k is digit k, of radix m_k."""
+    index = 0
+    for c, m in zip(reversed(coords), reversed(mod.mods)):
+        index = index * m + c
+    return index
 
 
 def unpack(mod, x) -> tuple[int, ...]:
-    """The coordinates of a packed element, slot by slot."""
-    return tuple((x >> (mod.width * k)) & mod.slot_mask for k in range(len(mod.mods)))
+    """The coordinates of the element of an AltModule with index x, digit by digit."""
+    out = []
+    for m in mod.mods:
+        x, c = divmod(x, m)
+        out.append(c)
+    return tuple(out)
 
 
 def closure(mod, gens) -> frozenset:
-    """The subgroup of an AltModule generated by gens, by breadth-first search.
+    """The indices of the subgroup of an AltModule generated by the indices
+    gens, by breadth-first search over bitsets with the module's rotations.
 
-    Raises AssertionError once it holds more elements than the module, which
-    only an addition that leaves the module can cause.
+    Raises AssertionError once a rotation sets a bit past the module's size,
+    which only an addition that leaves the module can cause.
     """
-    seen, frontier = {mod.zero}, {mod.zero}
+    rotations = [mod.rotation(unpack(mod, g)) for g in gens]
+    seen = frontier = 1  # the zero element
     while frontier:
-        frontier = set().union(*(mod.translate(frontier, g) for g in gens)) - seen
+        grown = 0
+        for rotation in rotations:
+            grown |= _span(frontier, rotation, 2)
+        frontier = grown & ~seen
         seen |= frontier
-        assert len(seen) <= mod.size, "the sums left the module"
-    return frozenset(seen)
+        assert seen >> mod.size == 0, "the sums left the module"
+    return frozenset(i for i in range(mod.size) if seen >> i & 1)
 
 
 def pairing(mod, a, b) -> int:
-    """<a, b> in an AltModule: the dot product of a with the dual coefficients of b.
-
-    The dual is packed in reverse slot order, so its coordinates are read backwards.
-    """
-    return sum(x * w for x, w in zip(unpack(mod, a), unpack(mod, mod.dual(b))[::-1])) % mod.exponent
+    """<a, b> in an AltModule, for indices a and b: the dot product of the
+    coordinates of a with the dual coefficients of b (`TupleAltModule.dual`)."""
+    w = TupleAltModule(mod.mu, mod.p).dual(unpack(mod, b))
+    return sum(map(mul, unpack(mod, a), w)) % mod.exponent
 
 
 def perp(mod, gens) -> list:
-    """The elements of an AltModule perpendicular to every generator."""
-    return [v for v in mod.times_p() if all(pairing(mod, v, g) == 0 for g in gens)]
+    """The indices of the elements of an AltModule perpendicular to every generator."""
+    return [v for v in range(mod.size) if all(pairing(mod, v, g) == 0 for g in gens)]
 
 
 # The Lagrangian enumeration and the Smith form as they were before the oracle
-# packed its elements into ints and worked over Z_(p): coordinate tuples and an
+# grew its subgroups as bitsets and worked over Z_(p): coordinate tuples and an
 # integer Smith normal form with a divisibility fix-up.
 
 Element = tuple[int, ...]
@@ -492,7 +504,8 @@ def sublattice_table_by_full_smith(n: int, p: int, max_valuation: int) -> dict:
     for j in range(max_valuation + 1):
         for H in hnf_enumerate(2 * n, p, j):
             lam = smith_type(H, p)
-            mu = alt_type(_gram(H, n), p)
+            upper = [_omega(u, v, n) for u, v in itertools.combinations(H, 2)]
+            mu = alt_type(_gram(upper, 2 * n), p)
             key = (lam, mu)
             out[key] = out.get(key, 0) + 1
     return out

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -211,14 +212,15 @@ def test_altmodule_cardinality_and_pairing():
     assert pairing(mod, f1, e1) == mod.exponent - mod.exponent // 9  # alternating
     assert pairing(mod, e1, e1) == 0
     assert pairing(mod, e1, e2) == 0
-    assert mod.dual(f1) == pack(mod, (mod.exponent // 9, 0, 0, 0)[::-1])
+    # <x, f1> = a_1 / 9, so f1 is perpendicular exactly to the x with a_1 = 0
+    assert mod.orth(unpack(mod, f1)) == sum(1 << x for x in range(mod.size) if unpack(mod, x)[0] == 0)
 
 
 def test_perp_duality_random():
     rng = random.Random(9)
     for mu in [(1,), (2,), (1, 1), (2, 1)]:
         mod = AltModule(mu, 2)
-        elts = list(mod.times_p())
+        elts = range(mod.size)
         for _ in range(6):
             gens = tuple(rng.choice(elts) for _ in range(rng.randint(1, 2)))
             N = closure(mod, gens)
@@ -232,37 +234,52 @@ def test_perp_duality_random():
 ARITHMETIC_MODULES = [((1,), 2), ((1, 1), 2), ((2, 1), 2), ((3,), 2), ((1,), 3), ((2, 1), 3), ((1, 1), 5)]
 
 
+def _bitset(indices):
+    return sum(1 << i for i in set(indices))
+
+
 @pytest.mark.parametrize("mu, p", ARITHMETIC_MODULES)
 def test_packed_arithmetic_matches_coordinates(mu, p):
+    # the mixed-radix bitsets against the coordinate tuples of TupleAltModule:
+    # the index of every element, sub + {0, v, ..., (p - 1) v} by rotations,
+    # orth(v) and the type read off popcounts
     mod, ref = AltModule(mu, p), TupleAltModule(mu, p)
-    table = mod.times_p()
-    assert len(table) == mod.size == ref.size
-    assert sorted(unpack(mod, x) for x in table) == sorted(ref.elements())
-    for x, px in table.items():
-        assert unpack(mod, px) == ref.scalar(p, unpack(mod, x))
+    assert mod.size == ref.size
+    assert sorted(unpack(mod, x) for x in range(mod.size)) == sorted(ref.elements())
+    assert all(mod.coords(x) == unpack(mod, x) and pack(mod, unpack(mod, x)) == x
+               for x in range(mod.size))
     rng = random.Random(10 * sum(mu) + p)
-    for v in rng.sample(sorted(table), min(12, len(table))):
-        vt = unpack(mod, v)
-        for x in table:
-            (y,) = mod.translate([x], v)
-            assert unpack(mod, y) == ref.add(unpack(mod, x), vt)
+    for v in rng.sample(range(mod.size), min(12, mod.size)):
+        vt, rotation = unpack(mod, v), mod.rotation(unpack(mod, v))
+        for x in range(mod.size):
+            added = ref.add(unpack(mod, x), vt)
+            assert oracle._span(1 << x, rotation, 2) == _bitset([x, pack(mod, added)])
+            multiples = [ref.add(unpack(mod, x), ref.scalar(j, vt)) for j in range(p)]
+            assert oracle._span(1 << x, rotation, p) == _bitset(pack(mod, y) for y in multiples)
         w = ref.dual(vt)
-        assert unpack(mod, mod.dual(v))[::-1] == w
-        expect = [x for x in table if sum(map(mul, w, unpack(mod, x))) % ref.exponent == 0]
-        assert mod.orthogonal(table, v) == expect
+        expect = [x for x in range(mod.size) if sum(map(mul, w, unpack(mod, x))) % ref.exponent == 0]
+        assert mod.orth(vt) == _bitset(expect)
+        sub = closure(mod, (v, rng.randrange(mod.size)))
+        lam = ref.subgroup_type(frozenset(unpack(mod, x) for x in sub))
+        assert mod.subgroup_type(_bitset(sub)) == lam
 
 
 @pytest.mark.parametrize("mu, p", ARITHMETIC_MODULES + [((7,), 2), ((5,), 3), ((2, 2, 2, 2, 2), 3)])
 def test_slots_keep_their_top_bit_free(mu, p):
-    # translate keeps its flags in the top bit of each slot, so a slot of a
-    # sum of two elements, or of the Kronecker product of an element with a
-    # dual, stays below 2^(W-1); the second bound is reached when all parts
-    # of mu are equal
+    # coordinate k is digit k of the index, of radix m_k, so a rotation that
+    # adds c to it stays inside the block of r_{k+1} = m_k r_k indices that
+    # shares the other digits; checked on the layout alone, without building
+    # a bitset, so the module may be past LAGRANGIAN_BUDGET
     mod = AltModule(mu, p)
-    top, e = 1 << (mod.width - 1), mod.exponent
-    assert all(2 * (m - 1) < top for m in mod.mods)
-    assert sum((m - 1) * (e - 1) for m in mod.mods) < top
-    assert all(m <= top for m in mod.mods)  # every offset 2^(W-1) - m_k is >= 0
+    assert mod.radix[0] == 1
+    assert all(mod.radix[k + 1] == mod.radix[k] * m for k, m in enumerate(mod.mods[:-1]))
+    assert mod.radix[-1] * mod.mods[-1] == mod.size == p ** (2 * sum(mu))
+    top = tuple(m - 1 for m in mod.mods)
+    assert pack(mod, top) == mod.size - 1 and mod.coords(mod.size - 1) == top
+    for k, m in enumerate(mod.mods):
+        digit = tuple(m - 1 if j == k else 0 for j in range(len(mod.mods)))
+        assert pack(mod, digit) == (m - 1) * mod.radix[k] < mod.radix[k] * m
+        assert mod.coords(pack(mod, digit)) == digit
 
 
 def test_enum_lagrangians_examples():
@@ -298,6 +315,19 @@ def test_lagrangian_totals_match_closed_form(p):
 def test_lagrangian_tables_match_the_tuple_enumeration(p):
     for mu in partitions_up_to(3, 3):
         assert enum_lagrangians(mu, p) == enum_lagrangians_by_tuples(mu, p)
+
+
+def test_lagrangian_tables_at_size_4_match_the_tuple_enumeration():
+    # every mu of size 4 with at most 3 parts at p = 2, |M_mu| = 2^8
+    for mu in partitions_up_to(4, 3):
+        if mu.size() == 4:
+            assert enum_lagrangians(mu, 2) == enum_lagrangians_by_tuples(mu, 2)
+
+
+def test_lagrangian_total_of_four_parts():
+    # (1, 1, 1, 1) at p = 2: the Lagrangian subspaces of F_2^8, 3 * 5 * 9 * 17
+    total = sum(enum_lagrangians((1, 1, 1, 1), 2).values())
+    assert total == eval_at(nprime_closed((1, 1, 1, 1)), 2) == 2295
 
 
 @pytest.mark.parametrize("mu, p", [((7,), 2), ((5,), 3), ((3,), 5), ((2,), 7)])
@@ -455,19 +485,41 @@ def test_hnf_budget_stops_at_the_first_valuation_over_it(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_gram_pairs_each_row_pair_once(n, monkeypatch):
-    # the Gram matrix is the full table of _omega, from n(2n - 1) calls: one
-    # per pair of rows above the diagonal, not (2n)^2
+    # _gram mirrors the n(2n - 1) values of _omega above the diagonal into the
+    # full table, and enum_sublattices calls _omega once per distinct pair of
+    # rows over all the HNFs it classifies, not once per pair and lattice
     calls = []
 
     def counting(u, v, n):
         calls.append((u, v))
         return _omega(u, v, n)
 
-    monkeypatch.setattr(oracle, "_omega", counting)
     for H in hnf_enumerate(2 * n, 3, 1):
-        calls.clear()
-        assert _gram(H, n) == [[_omega(a, b, n) for b in H] for a in H]
-        assert len(calls) == n * (2 * n - 1)
+        upper = [_omega(a, b, n) for a, b in itertools.combinations(H, 2)]
+        assert len(upper) == n * (2 * n - 1)
+        assert _gram(upper, 2 * n) == [[_omega(a, b, n) for b in H] for a in H]
+    monkeypatch.setattr(oracle, "_omega", counting)
+    table = enum_sublattices(n, 3, 1)
+    pairs = {uv for j in range(2) for H in hnf_enumerate(2 * n, 3, j)
+             for uv in itertools.combinations(H, 2)}
+    assert len(calls) == len(set(calls)) == len(pairs)
+    assert table == sublattice_table_by_full_smith(n, 3, 1)
+
+
+def test_sublattices_eliminate_each_distinct_gram_once(monkeypatch):
+    # the 1566 lattices at (2, 2, 3) have 20 distinct non-unit minors and 463
+    # distinct Gram matrices: one Smith elimination each, not one per lattice
+    calls = []
+
+    def counting(mat, p):
+        calls.append(mat)
+        return smith_diagonal(mat, p)
+
+    smith_diagonal = oracle._smith_diagonal
+    monkeypatch.setattr(oracle, "_smith_diagonal", counting)
+    table = enum_sublattices(2, 2, 3)
+    assert sum(table.values()) == 1566
+    assert len(calls) == 20 + 463
 
 
 # ---------------------------------------------------------------------------
