@@ -290,6 +290,23 @@ def test_enum_lagrangians_examples():
     assert counts == {Partition((1, 1)): 15}
 
 
+def test_each_supergroup_is_grown_once_per_parent(monkeypatch):
+    # F_2^4: the 15 lines each grow once from {0}, each with its preimage, and
+    # each line lies in 3 Lagrangian planes, grown once each from that line:
+    # 15 + 15 + 15 * 3 spans, where a candidate that only drops its own bit
+    # would grow each plane once per new element, 15 * 6 times
+    calls = []
+
+    def counting(s, rotation, p):
+        calls.append(s)
+        return span(s, rotation, p)
+
+    span = oracle._span
+    monkeypatch.setattr(oracle, "_span", counting)
+    assert enum_lagrangians((1, 1), 2) == {Partition((1, 1)): 15}
+    assert len(calls) == 15 + 15 + 15 * 3
+
+
 def test_enum_lagrangians_size_constraint():
     for mu in [(2,), (2, 1)]:
         for lam, c in enum_lagrangians(mu, 2).items():
