@@ -8,8 +8,10 @@ guard violation.  All output is deterministic for fixed inputs and version.
 
 Library names load on first use: each command imports the modules it runs
 inside its own function.  `--version` loads only this module and `errors`;
-zeta, verify and global never load the oracles; the oracle modes never load
-the closed forms.
+zeta, verify and global never load the oracles.  `oracle lagrangian` and
+`oracle sublattice` load `oracle` and `combinat`, and `oracle factorization`
+also `counts`, for its integer Birkhoff numbers; no oracle mode loads the
+exact kernel `exactalg`, the closed forms or `igusa`.
 """
 
 from __future__ import annotations

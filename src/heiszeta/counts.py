@@ -1,15 +1,45 @@
 """Closed-form counting polynomials.
 
-Birkhoff numbers (sublattices of o^n of a given quotient type), the
-Lagrangian count N'(mu) in closed form, and the aggregated lattice count
-N(mu).
+Birkhoff numbers (sublattices of o^n of a given quotient type), as a
+polynomial and as an integer at a given q, the Lagrangian count N'(mu) in
+closed form, and the aggregated lattice count N(mu).  The exact kernel is
+imported only by the functions that build polynomials, so the integer
+Birkhoff number, all that the factorization oracle needs, loads without it.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .combinat import Partition, gen_W, weight_C
 from .errors import NonPolynomialReduction, RankMismatch
-from .exactalg import BivariatePolynomial, FactoredRational, gauss_binom
+
+if TYPE_CHECKING:
+    from .exactalg import BivariatePolynomial
+
+
+def _multiplicity_form(mu, n: int) -> tuple[int, list[tuple[int, int]]]:
+    """<mu, 2 rho> and the Gaussian binomials (N_j, m_j) of alpha_n(mu).
+
+    m_j is the number of parts j of mu padded to n parts, N_j the parts not
+    yet chosen: [n]!/prod_j [m_j]! = prod_j binom(N_j, m_j).  Raises
+    RankMismatch when mu has more than n parts.
+    """
+    mu = Partition(mu)
+    if mu.num_parts() > n:
+        raise RankMismatch(
+            "partition %s has more than n = %d parts" % (mu, n)
+        )
+    padded = mu.padded(n)
+    pairing = sum(p * (n - 2 * i + 1) for i, p in enumerate(padded, start=1))
+    binoms = []
+    upper = n
+    for j in range(padded[0] + 1 if padded else 0):
+        m = padded.count(j)
+        if m:
+            binoms.append((upper, m))
+            upper -= m
+    return pairing, binoms
 
 
 def birkhoff_alpha(mu, n: int, base_exponent: int = 1) -> BivariatePolynomial:
@@ -21,24 +51,50 @@ def birkhoff_alpha(mu, n: int, base_exponent: int = 1) -> BivariatePolynomial:
 
     The result depends on the padding rank n, not only on the partition.
     """
-    mu = Partition(mu)
-    if mu.num_parts() > n:
-        raise RankMismatch(
-            "partition %s has more than n = %d parts" % (mu, n)
-        )
-    padded = mu.padded(n)
-    y = -base_exponent
+    from .exactalg import BivariatePolynomial, gauss_binom
 
-    # the multinomial [n]!/prod [m_j]! as nested binomials
-    pairing = sum(p * (n - 2 * i + 1) for i, p in enumerate(padded, start=1))
-    mults = [padded.count(j) for j in range(padded[0] + 1)] if padded else []
+    pairing, binoms = _multiplicity_form(mu, n)
     multinom = BivariatePolynomial.one()
-    upper = n
-    for m in mults:
-        if m:
-            multinom = multinom * gauss_binom(upper, m, y)
-            upper -= m
+    for upper, m in binoms:
+        multinom = multinom * gauss_binom(upper, m, -base_exponent)
     return multinom.shift(dq=base_exponent * pairing)
+
+
+def birkhoff_number(mu, n: int, q: int, base_exponent: int = 1) -> int:
+    """birkhoff_alpha(mu, n, base_exponent) at an integer q >= 2, as an int.
+
+    With Q = q^base, binom(N, m)_{1/Q} = Q^{-m(N-m)} binom(N, m)_Q and
+    binom(N, m)_Q = prod_{i=1}^m (Q^{N-m+i} - 1) / (Q^i - 1), an exact
+    quotient of integer products, so alpha_n(mu) = Q^e prod_j binom(N_j, m_j)_Q
+    with e = <mu, 2 rho> - sum_j m_j (N_j - m_j).  An inexact quotient or a
+    negative e would mean a wrong multiplicity form, and raises
+    NonPolynomialReduction.
+    """
+    if q < 2 or base_exponent < 1:
+        raise ValueError("need q >= 2 and base >= 1, got q = %d, base = %d" % (q, base_exponent))
+    pairing, binoms = _multiplicity_form(mu, n)
+    big_q = q**base_exponent
+    value, exponent = 1, pairing
+    for upper, m in binoms:
+        num = den = 1
+        for i in range(1, m + 1):
+            num *= big_q ** (upper - m + i) - 1
+            den *= big_q**i - 1
+        value *= _exact_quotient(num, den)
+        exponent -= m * (upper - m)
+    if exponent < 0:
+        raise NonPolynomialReduction(
+            "alpha_%d(%s) has the negative q-exponent %d" % (n, Partition(mu), exponent)
+        )
+    return value * big_q**exponent
+
+
+def _exact_quotient(num: int, den: int) -> int:
+    """num / den, which must be an integer."""
+    quot, rem = divmod(num, den)
+    if rem:
+        raise NonPolynomialReduction("%d is not a multiple of %d" % (num, den))
+    return quot
 
 
 def nprime_closed(mu) -> BivariatePolynomial:
@@ -48,6 +104,8 @@ def nprime_closed(mu) -> BivariatePolynomial:
     the value is padding-independent.  The rational sum must reduce to a
     polynomial in q.
     """
+    from .exactalg import BivariatePolynomial, FactoredRational
+
     mu = tuple(mu)
     Partition(mu)  # ValueError on a negative or increasing part
     n = len(mu)

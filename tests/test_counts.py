@@ -1,8 +1,9 @@
 import pytest
 
+from heiszeta import counts
 from heiszeta.combinat import Partition, partitions_up_to
-from heiszeta.counts import birkhoff_alpha, n_aggregate, nprime_closed
-from heiszeta.errors import RankMismatch
+from heiszeta.counts import birkhoff_alpha, birkhoff_number, n_aggregate, nprime_closed
+from heiszeta.errors import HeiszetaError, NonPolynomialReduction, RankMismatch
 from heiszeta.exactalg import BivariatePolynomial as Poly
 from heiszeta.exactalg import gauss_multinom
 from reference import difference_vector, nprime_recursive
@@ -76,6 +77,33 @@ def test_birkhoff_forms_agree(n):
         for base in (1, 2):
             support = _birkhoff_support(mu, n, base)
             assert birkhoff_alpha(mu, n, base) == support, (mu, base)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_birkhoff_number_is_the_polynomial_at_q(n):
+    for mu in partitions_up_to(6, n):
+        for base in (1, 2):
+            poly = birkhoff_alpha(mu, n, base)
+            for p in (2, 3, 5):
+                assert birkhoff_number(mu, n, p, base) == eval_at(poly, p), (mu, base, p)
+
+
+def test_birkhoff_number_refuses_a_bad_rank_or_q():
+    with pytest.raises(RankMismatch):
+        birkhoff_number(Partition((1, 1, 1)), 2, 3, 2)
+    with pytest.raises(ValueError):
+        birkhoff_number(Partition((1,)), 2, 1)
+
+
+def test_birkhoff_number_refuses_what_is_not_a_polynomial(monkeypatch):
+    # a wrong multiplicity form shows as an inexact quotient or a negative
+    # q-exponent, and raises a package error, not an assert
+    with pytest.raises(NonPolynomialReduction):
+        counts._exact_quotient(7, 3)
+    assert counts._exact_quotient(12, 3) == 4
+    monkeypatch.setattr(counts, "_multiplicity_form", lambda mu, n: (-1, [(2, 1)]))
+    with pytest.raises(HeiszetaError, match="negative"):
+        birkhoff_number(Partition((1,)), 2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,8 @@ CLOSED_FORMS = BASE | {"heiszeta.combinat", "heiszeta.exactalg", "heiszeta.zeta"
 # forms a, c and graded, global, and the checks that build them
 IGUSA_FORMS = CLOSED_FORMS | {"heiszeta.igusa"}
 ORACLE = BASE | {"heiszeta.combinat", "heiszeta.oracle"}  # lagrangian and sublattice
-FACTORIZATION = ORACLE | {"heiszeta.counts", "heiszeta.exactalg"}  # alpha_n(mu; q^2) at q = p
+# alpha_n(mu; q^2) at q = p as an integer, without the exact kernel
+FACTORIZATION = ORACLE | {"heiszeta.counts"}
 
 
 def _run(code, *argv):
@@ -65,11 +66,12 @@ def _run(code, *argv):
         (["verify", "--n", "2", "--checks", "funeq"], CLOSED_FORMS),
         (["verify", "--n", "2", "--checks", "crossform"], IGUSA_FORMS),
         (["oracle", "lagrangian", "--mu", "1", "--prime", "2"], ORACLE),
+        (["oracle", "sublattice", "--n", "1", "--prime", "2", "--max-val", "1"], ORACLE),
         (["oracle", "factorization", "--n", "1", "--prime", "2", "--max-val", "1"],
          FACTORIZATION),
     ],
     ids=["version", "zeta", "zeta-igusa", "zeta-graded", "global", "verify",
-         "verify-crossform", "oracle", "oracle-factorization"],
+         "verify-crossform", "oracle", "oracle-sublattice", "oracle-factorization"],
 )
 def test_each_command_loads_only_what_it_runs(argv, modules):
     loaded, bare, after = _run(PROBE, *argv)
