@@ -60,20 +60,20 @@ def birkhoff_alpha(mu, n: int, base_exponent: int = 1) -> BivariatePolynomial:
     return multinom.shift(dq=base_exponent * pairing)
 
 
-def birkhoff_number(mu, n: int, q: int, base_exponent: int = 1) -> int:
-    """birkhoff_alpha(mu, n, base_exponent) at an integer q >= 2, as an int.
+def birkhoff_number(mu, n: int, big_q: int) -> int:
+    """alpha_n(mu) at the integer Q = big_q >= 2, as an int.
 
-    With Q = q^base, binom(N, m)_{1/Q} = Q^{-m(N-m)} binom(N, m)_Q and
+    birkhoff_alpha(mu, n, base) at q is birkhoff_number(mu, n, q**base).
+    binom(N, m)_{1/Q} = Q^{-m(N-m)} binom(N, m)_Q and
     binom(N, m)_Q = prod_{i=1}^m (Q^{N-m+i} - 1) / (Q^i - 1), an exact
     quotient of integer products, so alpha_n(mu) = Q^e prod_j binom(N_j, m_j)_Q
     with e = <mu, 2 rho> - sum_j m_j (N_j - m_j).  An inexact quotient or a
     negative e would mean a wrong multiplicity form, and raises
     NonPolynomialReduction.
     """
-    if q < 2 or base_exponent < 1:
-        raise ValueError("need q >= 2 and base >= 1, got q = %d, base = %d" % (q, base_exponent))
+    if big_q < 2:
+        raise ValueError("need Q >= 2, got Q = %d" % big_q)
     pairing, binoms = _multiplicity_form(mu, n)
-    big_q = q**base_exponent
     value, exponent = 1, pairing
     for upper, m in binoms:
         num = den = 1

@@ -5,9 +5,8 @@ finite alternating modules, Hermite-normal-form sublattice enumeration
 classified by quotient and symplectic type, and Heisenberg subalgebra counts.
 Budgets are hard errors, never silent truncation.  Every isotropic subgroup
 is built, as a bitset over the elements of the module, and every HNF is
-counted and classified exactly, one diagonal at a time: one local Smith
-elimination per distinct minor on the non-unit diagonal entries and per
-distinct Gram matrix.
+enumerated and classified exactly: one local Smith elimination per distinct
+minor on the non-unit diagonal entries and per distinct Gram matrix.
 
 One symplectic form serves both lattice enumerations: `_omega` pairs x_{2i-1}
 with x_{2i}, the y-coefficient of the bracket of h_n.  An HNF basis is a
@@ -18,8 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from operator import getitem
 from typing import Iterator, Sequence
 
 from .combinat import Partition, partitions_up_to
@@ -306,28 +303,22 @@ def hnf_count(rank: int, p: int, valuation: int) -> int:
                for comp in _compositions(valuation, rank))
 
 
-def _hnf_rows(comp: Sequence[int], p: int) -> list[list[tuple[int, ...]]]:
-    """The choices of each row of an HNF with diagonal valuations `comp`.
-
-    Row i is (0, ..., 0, d_i, t_{i+1}, ..., t_{rank-1}) with d_j = p^comp[j]
-    and t_j in range(d_j): each above-diagonal entry is reduced modulo the
-    diagonal entry of its column, and the rows are chosen independently.
-    """
-    diag = [p**b for b in comp]
-    return [[(0,) * i + (diag[i],) + tail
-             for tail in itertools.product(*(range(d) for d in diag[i + 1:]))]
-            for i in range(len(comp))]
-
-
 def hnf_enumerate(rank: int, p: int, valuation: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All sublattices of Z^rank with index p^valuation, as HNF row tuples.
 
     The basis is upper triangular with each above-diagonal entry reduced
-    modulo the diagonal entry of its column: one basis per sublattice.  For
-    each diagonal, the bases are the product of the `_hnf_rows` choices.
+    modulo the diagonal entry of its column: one basis per sublattice.  Row i
+    is (0, ..., 0, d_i, t_{i+1}, ..., t_{rank-1}) with t_j in range(d_j), so
+    the rows are chosen independently.
     """
     for comp in _compositions(valuation, rank):
-        yield from itertools.product(*_hnf_rows(comp, p))
+        diag = [p**b for b in comp]
+        choices = [
+            [(0,) * i + (diag[i],) + tail
+             for tail in itertools.product(*(range(d) for d in diag[i + 1:]))]
+            for i in range(rank)
+        ]
+        yield from itertools.product(*choices)
 
 
 def _omega(u: Sequence[int], v: Sequence[int], n: int) -> int:
@@ -347,6 +338,12 @@ def _gram(upper: Sequence[int], size: int) -> list[list[int]]:
     for (i, j), w in zip(itertools.combinations(range(size), 2), upper):
         mat[i][j], mat[j][i] = w, -w
     return mat
+
+
+def _nonunit_minor(H: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The minor of an HNF on the indices whose diagonal entry is not 1."""
+    idx = [i for i, row in enumerate(H) if row[i] != 1]
+    return tuple(tuple(H[r][c] for c in idx) for r in idx)
 
 
 def _check_hnf_budget(rank: int, p: int, max_valuation: int) -> None:
@@ -370,85 +367,47 @@ def enum_sublattices(n: int, p: int, max_valuation: int) -> dict[tuple[Partition
     above it (entries there are reduced modulo 1) and below it (H is upper
     triangular), so column operations with it clear the rest of its row, and
     that row and column split off a unit.  At index p^j the minor has at
-    most j rows.  The HNFs are counted one diagonal at a time by `_census`
-    under their (minor, Gram matrix) key; each distinct minor and each
-    distinct Gram matrix is eliminated once per call, and `_omega` runs once
-    per distinct row pair.
+    most j rows.  Each distinct minor and each distinct Gram matrix is
+    eliminated once per call, and `_omega` runs once per distinct row pair.
     """
     check_n("enum_sublattices", n)
     check_prime(p)
     _check_hnf_budget(2 * n, p, max_valuation)
-    out: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}  # parts of (lambda, mu)
+    out: dict[tuple[Partition, Partition], int] = {}
     quotient: dict[tuple[tuple[int, ...], ...], Partition] = {}  # minor -> lambda
     pairs: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}  # rows -> _omega
     alternating: dict[tuple[int, ...], Partition] = {}  # Gram above the diagonal -> mu
     for j in range(max_valuation + 1):
-        for comp in _compositions(j, 2 * n):
-            for (minor, upper), count in _census(_hnf_rows(comp, p), n, pairs).items():
-                lam = quotient.get(minor)
-                if lam is None:
-                    lam = quotient[minor] = smith_type(minor, p)
-                mu = alternating.get(upper)
-                if mu is None:
-                    mu = alternating[upper] = alt_type(_gram(upper, 2 * n), p)
-                key = (lam.parts, mu.parts)
-                out[key] = out.get(key, 0) + count
-    return {(Partition(lam), Partition(mu)): c for (lam, mu), c in out.items()}
-
-
-def _census(rows: list[list[tuple[int, ...]]], n: int, pairs: dict) -> Counter:
-    """Count the HNFs with these row choices by (non-unit minor, Gram above the diagonal).
-
-    Each pair of rows (i, k) gets the table of `_omega` over their choices,
-    read from the memo `pairs` and added to it.  For each choice of rows 1,
-    2, ..., all choices of row 0 are counted at once: their Gram entries,
-    first in the upper triangle, are the columns of row 0's tables at the
-    chosen rows, zipped.  The minor takes, from each row whose diagonal
-    entry is not 1, its entries in those columns.
-    """
-    size = len(rows)
-    idx = [i for i, choices in enumerate(rows) if choices[0][i] != 1]
-    proj = {r: [tuple(u[c] for c in idx) for u in rows[r]] for r in idx}
-
-    def table(i, k):
-        out = []
-        for u in rows[i]:
-            line = []
-            for v in rows[k]:
-                w = pairs.get((u, v))
+        for H in hnf_enumerate(2 * n, p, j):
+            minor = _nonunit_minor(H)
+            lam = quotient.get(minor)
+            if lam is None:
+                lam = quotient[minor] = smith_type(minor, p)
+            upper = []
+            for uv in itertools.combinations(H, 2):
+                w = pairs.get(uv)
                 if w is None:
-                    w = pairs[u, v] = _omega(u, v, n)
-                line.append(w)
-            out.append(line)
-        return out
-
-    later = list(itertools.combinations(range(1, size), 2))
-    tables = {ik: table(*ik) for ik in later}
-    # first[k - 1][b]: _omega of each choice of row 0 with choice b of row k
-    first = [list(zip(*table(0, k))) for k in range(1, size)]
-    heads = [(x,) for x in proj[0]] if 0 in proj else None
-    minor_rows = [r for r in idx if r]
-    census: Counter = Counter()
-    for rest in itertools.product(*(range(len(c)) for c in rows[1:])):  # rest[k - 1]: row k
-        upper = tuple(tables[i, k][rest[i - 1]][rest[k - 1]] for i, k in later)
-        minor = tuple(proj[r][rest[r - 1]] for r in minor_rows)
-        uppers = map(tuple.__add__, zip(*map(getitem, first, rest)), itertools.repeat(upper))
-        minors = (map(tuple.__add__, heads, itertools.repeat(minor)) if heads
-                  else itertools.repeat(minor))
-        census.update(zip(minors, uppers))
-    return census
+                    w = pairs[uv] = _omega(*uv, n)
+                upper.append(w)
+            upper = tuple(upper)
+            mu = alternating.get(upper)
+            if mu is None:
+                mu = alternating[upper] = alt_type(_gram(upper, 2 * n), p)
+            key = (lam, mu)
+            out[key] = out.get(key, 0) + 1
+    return out
 
 
 def check_factorization(n: int, p: int, max_valuation: int) -> list[dict]:
     """Verify lattice count = Lagrangian count x Birkhoff number, entrywise.
 
     Compares enum_sublattices against enum_lagrangians * alpha_n(mu; q^2)
-    at q = p, the integer `counts.birkhoff_number`, over every (lambda, mu)
-    in range; raises FactorizationMismatch on any discrepancy (the
-    factorization is a theorem, so a mismatch means an implementation bug).
-    HNF_BUDGET bounds the lattice enumeration and LAGRANGIAN_BUDGET each
-    Lagrangian enumeration; both are checked before any enumeration, the HNF
-    one first, since every mu has |mu| <= max_valuation.
+    at q = p, the integer `counts.birkhoff_number(mu, n, p * p)`, over every
+    (lambda, mu) in range; raises FactorizationMismatch on any discrepancy
+    (the factorization is a theorem, so a mismatch means an implementation
+    bug).  HNF_BUDGET bounds the lattice enumeration and LAGRANGIAN_BUDGET
+    each Lagrangian enumeration; both are checked before any enumeration,
+    the HNF one first, since every mu has |mu| <= max_valuation.
     """
     from .counts import birkhoff_number
 
@@ -466,7 +425,7 @@ def check_factorization(n: int, p: int, max_valuation: int) -> list[dict]:
     for mu_parts in mus:
         mu = Partition(mu_parts)
         lagr = enum_lagrangians(mu, p)
-        alpha = birkhoff_number(mu, n, p, base_exponent=2)
+        alpha = birkhoff_number(mu, n, p * p)
         lambdas = {lam.parts for lam, m2 in lattice if m2 == mu}
         lambdas |= {lam.parts for lam in lagr}
         for lam_parts in sorted(lambdas):

@@ -497,13 +497,6 @@ def smith_diagonal_integer(mat) -> list[int]:
     return diag
 
 
-def nonunit_minor(H) -> tuple[tuple[int, ...], ...]:
-    """The minor of an HNF on the indices whose diagonal entry is not 1, the
-    first half of the key under which `oracle._census` counts H."""
-    idx = [i for i, row in enumerate(H) if row[i] != 1]
-    return tuple(tuple(H[r][c] for c in idx) for r in idx)
-
-
 def sublattice_table_by_full_smith(n: int, p: int, max_valuation: int) -> dict:
     """Sublattices of the symplectic Z^{2n} by (quotient type, alternating type),
     with a full 2n x 2n Smith elimination of every HNF for its quotient type."""

@@ -85,12 +85,12 @@ def test_birkhoff_number_is_the_polynomial_at_q(n):
         for base in (1, 2):
             poly = birkhoff_alpha(mu, n, base)
             for p in (2, 3, 5):
-                assert birkhoff_number(mu, n, p, base) == eval_at(poly, p), (mu, base, p)
+                assert birkhoff_number(mu, n, p**base) == eval_at(poly, p), (mu, base, p)
 
 
 def test_birkhoff_number_refuses_a_bad_rank_or_q():
     with pytest.raises(RankMismatch):
-        birkhoff_number(Partition((1, 1, 1)), 2, 3, 2)
+        birkhoff_number(Partition((1, 1, 1)), 2, 9)
     with pytest.raises(ValueError):
         birkhoff_number(Partition((1,)), 2, 1)
 
