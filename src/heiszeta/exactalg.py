@@ -22,13 +22,13 @@ the Kronecker path when the shorter operand has at least 8 terms and the box
 has at most half as many cells as there are pairs of terms.  In the packed
 layout a product with 1 - q^a T^b is a shift and a subtraction.
 
-Sums and equality multiply by cofactors and never expand a common
-denominator only to divide it back.  A sum multiplies each numerator by the
-factors of the common denominator that its own lacks; under the size rule,
-applied to the whole sum, it is one packed accumulation read back once, and
-otherwise (sparse sums with wide spans) each product is added into a dict by
-``_p_iadd``.  Equality multiplies each numerator only by the factors that
-the other side has and it lacks.
+Sums multiply by cofactors and never expand a common denominator only to
+divide it back.  A sum multiplies each numerator by the factors of the common
+denominator that its own lacks; under the size rule, applied to the whole
+sum, it is one packed accumulation read back once, and otherwise (sparse sums
+with wide spans) each product is added into a dict by ``_p_iadd``.  Equality
+compares the numerators of two sides over the same denominator and T-shift,
+and otherwise asks the sum whether their difference is zero.
 
 Division by 1 - u is one recurrence, y = x + u y: ``_unroll`` on the T-rows
 of ``_p_tslices`` for T-factors and series in T, ``_divide_dense`` on dense
@@ -318,9 +318,9 @@ class BivariatePolynomial:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, BivariatePolynomial):
-            other = _coerce_poly(other)
-        return BivariatePolynomial._raw(_p_iadd(dict(self.terms), other.terms))
+        if not isinstance(other, _POLY_LIKE):
+            return NotImplemented
+        return BivariatePolynomial._raw(_p_iadd(dict(self.terms), _coerce_poly(other).terms))
 
     __radd__ = __add__
 
@@ -328,16 +328,17 @@ class BivariatePolynomial:
         return self.scaled(-1)
 
     def __sub__(self, other):
-        other = _coerce_poly(other)
-        return BivariatePolynomial._raw(_p_iadd(dict(self.terms), other.terms, -1))
+        if not isinstance(other, _POLY_LIKE):
+            return NotImplemented
+        return BivariatePolynomial._raw(_p_iadd(dict(self.terms), _coerce_poly(other).terms, -1))
 
     def __rsub__(self, other):
-        return _coerce_poly(other) - self
+        return -self + other
 
     def __mul__(self, other):
-        if not isinstance(other, BivariatePolynomial):
-            other = _coerce_poly(other)
-        return BivariatePolynomial._raw(_p_mul(self.terms, other.terms))
+        if not isinstance(other, _POLY_LIKE):
+            return NotImplemented
+        return BivariatePolynomial._raw(_p_mul(self.terms, _coerce_poly(other).terms))
 
     __rmul__ = __mul__
 
@@ -462,6 +463,8 @@ class SignedMonomial:
         return "SignedMonomial(sign=%r, e_q=%r, e_T=%r)" % (self.sign, self.e_q, self.e_T)
 
     def __mul__(self, other: "SignedMonomial") -> "SignedMonomial":
+        if other.__class__ is not SignedMonomial:
+            return NotImplemented
         return SignedMonomial(self.sign * other.sign, self.e_q + other.e_q, self.e_T + other.e_T)
 
     def __pow__(self, k: int) -> "SignedMonomial":
@@ -474,6 +477,10 @@ class SignedMonomial:
 def mono(e_q: int = 0, e_T: int = 0, sign: int = 1) -> SignedMonomial:
     """Shorthand constructor for sign * q^e_q * T^e_T."""
     return SignedMonomial(sign, e_q, e_T)
+
+
+# the operands that _coerce_poly turns into a polynomial
+_POLY_LIKE = (int, BivariatePolynomial, SignedMonomial)
 
 
 # ---------------------------------------------------------------------------
@@ -556,12 +563,12 @@ FactorKey = tuple[int, int]  # (a, b) denoting 1 - q^a T^b
 class FactoredRational:
     """T^tshift * num / prod over den of (1 - q^a T^b)^mult.
 
-    ``den`` maps (a, b) to a positive multiplicity.  Factors are normalized at
-    insertion so that b >= 0, and a > 0 whenever b == 0 (the flipped unit is
-    folded into the numerator and tshift).  The represented value never
-    changes under normalization or :meth:`reduced`.  Immutable by
-    construction: ``den`` is a read-only view, and no attribute can be
-    rebound.
+    ``den`` maps (a, b) to a positive multiplicity.  The constructor
+    normalizes factors so that b >= 0, and a > 0 whenever b == 0, folding the
+    units of all flipped factors into the numerator and tshift in one pass.
+    The represented value never changes under normalization or
+    :meth:`reduced`.  Immutable by construction: ``den`` is a read-only view,
+    and no attribute can be rebound.
     """
 
     __slots__ = ("num", "den", "tshift")
@@ -579,12 +586,21 @@ class FactoredRational:
     ):
         num = _coerce_poly(num)
         clean_den: dict[FactorKey, int] = {}
-        if den:
-            for (a, b), m in den.items():
-                if m < 0:
-                    raise ValueError("negative factor multiplicity")
-                if m:
-                    num, tshift = _insert_factor(clean_den, a, b, m, num, tshift)
+        sign, dq = 1, 0
+        for (a, b), m in (den or {}).items():
+            if m < 0:
+                raise ValueError("negative factor multiplicity")
+            if not m:
+                continue
+            if (a, b) == (0, 0):
+                raise ValueError("denominator factor 1 - q^0 T^0 = 0")
+            if b < 0 or (b == 0 and a < 0):
+                # 1/(1 - q^a T^b) = -q^-a T^-b / (1 - q^-a T^-b)
+                sign, dq, tshift = sign * (-1) ** m, dq - a * m, tshift - b * m
+                a, b = -a, -b
+            clean_den[(a, b)] = clean_den.get((a, b), 0) + m
+        if sign != 1 or dq:
+            num = BivariatePolynomial._raw(_p_scale(num.terms, sign, dq))
         if num.is_zero():
             clean_den, tshift = {}, 0
         _set_fields(self, num=num, den=MappingProxyType(clean_den), tshift=tshift)
@@ -602,7 +618,7 @@ class FactoredRational:
     # -- arithmetic ---------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, (int, BivariatePolynomial, SignedMonomial)):
+        if isinstance(other, _POLY_LIKE):
             return FactoredRational(self.num * _coerce_poly(other), self.den, self.tshift)
         if not isinstance(other, FactoredRational):
             return NotImplemented
@@ -616,7 +632,7 @@ class FactoredRational:
         return FactoredRational(self.num.scaled(-1), self.den, self.tshift)
 
     def __add__(self, other):
-        if isinstance(other, (int, BivariatePolynomial, SignedMonomial)):
+        if isinstance(other, _POLY_LIKE):
             other = FactoredRational(_coerce_poly(other))
         if not isinstance(other, FactoredRational):
             return NotImplemented
@@ -625,9 +641,14 @@ class FactoredRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, BivariatePolynomial, SignedMonomial)):
+        if isinstance(other, _POLY_LIKE):
             other = FactoredRational(_coerce_poly(other))
+        if not isinstance(other, FactoredRational):
+            return NotImplemented
         return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
 
     @staticmethod
     def sum(items: Sequence["FactoredRational"]) -> "FactoredRational":
@@ -671,23 +692,20 @@ class FactoredRational:
             total = _kron_unpack(value, w, width, rows, q0, t0)
         return FactoredRational(BivariatePolynomial._raw(total), lcm, tmin)
 
-    # -- equality by cross-multiplication ------------------------------------
+    # -- equality through the sum ---------------------------------------------
 
     def __eq__(self, other):
-        """Exact equality: each side is multiplied only by the denominator
-        factors that the other side has and it lacks."""
-        if isinstance(other, (int, BivariatePolynomial, SignedMonomial)):
+        """Exact equality: the difference, by :meth:`sum`, is zero."""
+        if isinstance(other, _POLY_LIKE):
             other = FactoredRational(_coerce_poly(other))
         if not isinstance(other, FactoredRational):
             return NotImplemented
-        left = _times_missing(self.num.terms, _missing(self.den, other.den))
-        right = _times_missing(other.num.terms, _missing(other.den, self.den))
-        d = self.tshift - other.tshift
-        if d > 0:
-            left = _p_scale(left, 1, 0, d)
-        elif d < 0:
-            right = _p_scale(right, 1, 0, -d)
-        return left == right
+        if self.den == other.den and self.tshift == other.tshift:
+            # the same denominator needs no cofactor, and the sum would still
+            # pack both numerators and read the difference back (ten to fifteen
+            # times slower on the funeq and residue identities)
+            return self.num.terms == other.num.terms
+        return FactoredRational.sum([self, -other]).is_zero()
 
     __hash__ = None
 
@@ -723,16 +741,9 @@ class FactoredRational:
             return FactoredRational.zero()
         deg = self.num.t_degree()
         num = BivariatePolynomial({(-eq, deg - et): c for (eq, et), c in self.num.terms.items()})
-        tshift = -self.tshift - deg
-        sign, dq = 1, 0
-        for (a, b), m in self.den.items():
-            # 1/(1 - q^-a T^-b) = -q^a T^b / (1 - q^a T^b)
-            if m % 2:
-                sign = -sign
-            dq += a * m
-            tshift += b * m
-        num = num.scaled(sign).shift(dq=dq)
-        return FactoredRational(num, self.den, tshift)
+        # the constructor folds each flipped factor 1 - q^-a T^-b back
+        return FactoredRational(num, {(-a, -b): m for (a, b), m in self.den.items()},
+                                -self.tshift - deg)
 
     # -- series -------------------------------------------------------------
 
@@ -756,22 +767,6 @@ class FactoredRational:
 
     def __repr__(self):
         return "FactoredRational(%s)" % format_plain(self)
-
-
-def _insert_factor(
-    den: dict[FactorKey, int], a: int, b: int, mult: int, num: BivariatePolynomial, tshift: int
-) -> tuple[BivariatePolynomial, int]:
-    """Add (1 - q^a T^b)^mult to den in normalized form; returns adjusted (num, tshift)."""
-    if (a, b) == (0, 0):
-        raise ValueError("denominator factor 1 - q^0 T^0 = 0")
-    if b < 0 or (b == 0 and a < 0):
-        # 1/(1 - q^a T^b) = -q^-a T^-b / (1 - q^-a T^-b)
-        sign = -1 if mult % 2 else 1
-        num = num.scaled(sign).shift(dq=-a * mult)
-        tshift -= b * mult
-        a, b = -a, -b
-    den[(a, b)] = den.get((a, b), 0) + mult
-    return num, tshift
 
 
 def _missing(den: Mapping[FactorKey, int], target: Mapping[FactorKey, int]) -> dict:

@@ -356,7 +356,8 @@ def check_I_equals_K(n: int, k: int, r: int) -> dict:
         return {"n": n, "k": k, "r": r, "status": "pass", "empty": True}
     K = fibre_K(n, k, r, X_tail, T_arg)
     # prod (1 - X_j) goes into the right side's denominator, which lhs shares,
-    # so the cross-multiplication never expands it
+    # so the comparison's sum, which multiplies each side only by the factors
+    # it lacks, never expands it
     left = lhs * E_at_minus_T(k, r, T_arg)
     right = fibre_prefactor(k, r) * _over_slots(K, X_tail)
     if left != right:

@@ -91,6 +91,24 @@ def test_verify_fibre_residue_reduced(capsys):
     assert reports[0]["detail"] == {"pairs": pairs} and len(pairs) == 6
 
 
+def test_residue_check_builds_each_descent_sum_once(monkeypatch):
+    from heiszeta import cli, igusa
+
+    calls = []
+    descent_sum = igusa.signed_descent_sum
+
+    def counted(n, y_exponent, Z, X):
+        calls.append((n, y_exponent, Z, tuple(X)))
+        return descent_sum(n, y_exponent, Z, X)
+
+    monkeypatch.setattr(igusa, "signed_descent_sum", counted)
+    assert cli._check_residue(5)["status"] == "pass"
+    # degrees 0..4 for the factored residues, five of degree 5 with slot m set
+    # to 1, and one on the generic slots for the subset check
+    assert len(calls) == 11
+    assert len(set(calls)) == 11
+
+
 def test_verify_unknown_check(capsys):
     code = main(["verify", "--n", "2", "--checks", "bogus"])
     assert code == 2

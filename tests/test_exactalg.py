@@ -283,6 +283,37 @@ def test_field_axioms_random():
         assert (a * b) + (a * b) == a * (b + b)
 
 
+MIXED_F = FR(Poly({(1, 0): 2, (0, 1): -1}), {(1, 1): 1, (2, 0): 1}, -1)
+MIXED_P = Poly({(0, 0): 3, (-1, 2): 1})
+
+
+@pytest.mark.parametrize(
+    "got, want",
+    [
+        (lambda f, p: p + f, lambda f, p: f + p),
+        (lambda f, p: p * f, lambda f, p: f * p),
+        (lambda f, p: p - f, lambda f, p: -(f - p)),
+        (lambda f, p: 1 - f, lambda f, p: -(f - 1)),
+        (lambda f, p: mono(1, 0) * f, lambda f, p: f * mono(1, 0)),
+    ],
+    ids=["p + f", "p * f", "p - f", "1 - f", "mono * f"],
+)
+def test_mixed_arithmetic_in_either_order(got, want):
+    value = got(MIXED_F, MIXED_P)
+    assert isinstance(value, FR)
+    assert value == want(MIXED_F, MIXED_P)
+
+
+def test_operands_of_another_type_are_refused():
+    for x in (Poly.one(), mono(1, 0), FR(1)):
+        with pytest.raises(TypeError):
+            x + "1"
+        with pytest.raises(TypeError):
+            "1" - x
+        with pytest.raises(TypeError):
+            x * 1.5
+
+
 def test_divide_then_multiply_back_random():
     rng = random.Random(37)
     for _ in range(25):

@@ -6,7 +6,8 @@ against `sympy.cancel` as an independent oracle.  The packed sum and the
 one-pass `reduced` are checked term for term against the per-item sum and
 the factor-at-a-time reduction of tests/reference.py.  The term accumulator
 and the two division recurrences (`divide_out_factor` and
-`_vanishing_order`) are checked against sympy.  The ring laws, `reduced` and
+`_vanishing_order`), the constructor's folding of flipped factors and
+`subs_inverse` are checked against sympy.  The ring laws, `reduced` and
 the JSON round trip are checked on the same random rationals.  hypothesis
 and sympy are test-only dependencies.
 """
@@ -65,6 +66,20 @@ factor_keys = st.tuples(st.integers(-4, 4), st.integers(0, 3)).filter(
     lambda k: k != (0, 0)
 )
 dens = st.dictionaries(factor_keys, st.integers(1, 2), max_size=3)
+# keys the constructor must flip: b < 0, or b = 0 with a < 0
+flipped_keys = st.tuples(st.integers(-4, 4), st.integers(-3, 0)).filter(
+    lambda k: k[1] < 0 or k[0] < 0
+)
+
+
+@st.composite
+def unnormalized_dens(draw):
+    """Factors in either orientation, with one of them both as (a, b) and as (-a, -b)."""
+    den = draw(st.dictionaries(factor_keys | flipped_keys, st.integers(1, 3), max_size=3))
+    a, b = draw(factor_keys)
+    den[(a, b)] = den.get((a, b), 0) + draw(st.integers(1, 2))
+    den[(-a, -b)] = den.get((-a, -b), 0) + draw(st.integers(1, 2))
+    return den
 
 
 @st.composite
@@ -335,6 +350,32 @@ def test_a_dense_sum_is_one_packed_accumulation(monkeypatch):
     assert exact(total) == exact(sum_per_item(items))
 
 
+def test_a_comparison_over_other_denominators_is_one_packed_sum(monkeypatch):
+    # a 5 x 3 block over 1 - q against the same value over (1 - q)^3 (1 - q T):
+    # a box of 32 cells against 66 terms before collecting
+    block = Poly({(i, j): 1 for i in range(5) for j in range(3)})
+    f = FR(block * Poly.one_minus(1, 1), {(1, 0): 1, (1, 1): 1})
+    g = FR(block * Poly.one_minus(1, 0) ** 2, {(1, 0): 3})
+    h = FR(block * Poly.one_minus(1, 0) ** 2 + Poly.monomial(1, 1, 1), {(1, 0): 3})
+    reads = []
+    unpack = exactalg._kron_unpack
+    monkeypatch.setattr(exactalg, "_kron_unpack", lambda *args: reads.append(args) or unpack(*args))
+    monkeypatch.setattr(exactalg, "_times_missing", refuse("the per-item path ran"))
+    assert f == g
+    assert len(reads) == 1
+    assert f != h
+    assert len(reads) == 2
+
+
+def test_a_comparison_over_one_denominator_skips_the_sum(monkeypatch):
+    den = {(1, 0): 1, (2, 1): 2}
+    f = FR(Poly({(0, 0): 2, (1, 2): -1}), den, 1)
+    g = FR(Poly({(0, 0): 2, (1, 2): 1}), den, 1)
+    monkeypatch.setattr(FR, "sum", refuse("summed a comparison over one denominator"))
+    assert f == FR(Poly({(1, 2): -1, (0, 0): 2}), den, 1)
+    assert f != g
+
+
 @pytest.mark.parametrize("w", [1, 2, 4, 8])
 def test_packed_sums_carry_past_the_slot_bound(w, monkeypatch):
     # every coefficient is the largest that a w-byte slot holds, and they add
@@ -410,6 +451,23 @@ def test_equality_agrees_with_sympy(pair):
     assert (f == g) == sympy_zero(fr_expr(f) - fr_expr(g))
     assert (g == f) == (f == g)
     assert snapshot([f, g]) == before
+
+
+@sympy_examples
+@given(raw_polys(4, 3, 4, small | huge), unnormalized_dens(), st.integers(-2, 2))
+def test_the_constructor_folds_flipped_factors(num, den, tshift):
+    f = FR(Poly(num), den, tshift)
+    assert all(b >= 0 and (a > 0 or b > 0) for a, b in f.den)
+    assert sum(f.den.values()) == sum(den.values())
+    value = T**tshift * poly_expr(num) / sympy.Mul(*[(1 - q**a * T**b) ** m for (a, b), m in den.items()])
+    assert sympy_zero(fr_expr(f) - value)
+
+
+@sympy_examples
+@given(rationals())
+def test_subs_inverse_matches_sympy(f):
+    inverted = fr_expr(f).subs({q: 1 / q, T: 1 / T}, simultaneous=True)
+    assert sympy_zero(fr_expr(f.subs_inverse()) - inverted)
 
 
 # -- ring laws, reduction and serialization ---------------------------------------
