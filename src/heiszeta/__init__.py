@@ -32,7 +32,7 @@ _HOME = {
             "mono",
             "qpochhammer",
         ),
-        "igusa": ("igusa_A", "igusa_B", "igusa_B_subset"),
+        "igusa": ("igusa_A", "igusa_B"),
         "oracle": (
             "check_factorization",
             "enum_lagrangians",

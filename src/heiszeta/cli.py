@@ -23,7 +23,16 @@ import sys
 import time
 
 from . import __version__
-from .errors import BudgetExceeded, HeiszetaError, SizeGuard, UsageError, check_prime
+from .errors import (
+    MAX_ORDER_LIMIT,
+    N_RANGE,
+    PRIME_BOUND_LIMIT,
+    BudgetExceeded,
+    HeiszetaError,
+    SizeGuard,
+    UsageError,
+    check_prime,
+)
 
 
 def _zeta():
@@ -123,24 +132,23 @@ def _check_fibre(n: int) -> dict:
 
 def _check_residue(n: int) -> dict:
     """The residue of igusa_B at X_m -> 1 in factored form against the descent
-    sum with slot m set to 1, for m < n, then igusa_B against its subset
-    expansion.
+    sum with slot m set to 1, for m < n, then igusa_B's numerator against the
+    descent sum on the same slots, over the slot denominator both share.
 
-    At m = n both residues are igusa_B(n) on the same n slots (X_n is never a
-    descent slot), and the subset check reads that descent sum a third time,
-    so m = n would compare one computation with itself.
+    igusa_B, and the factored residue through it, is the subset expansion.
+    At m = n the two residues are igusa_B(n) on n slots and its descent sum
+    (X_n is never a descent slot), which the last comparison already checks.
     """
-    from .exactalg import mono
+    from .combinat import signed_descent_sum
+    from .igusa import GENERIC_Z as Z
     from .igusa import generic_slots, igusa_B, igusa_B_residue, igusa_B_residue_limit
-    from .igusa import igusa_B_subset
 
-    Z = mono(977, 2)
     for m in range(n):
         X = generic_slots(n)
         if igusa_B_residue(n, m, -1, Z, X) != igusa_B_residue_limit(n, m, -1, Z, X):
             return {"check": "residue", "n": n, "status": "fail", "detail": "m=%d" % m}
     X = generic_slots(n + 1)
-    if igusa_B(n, -1, Z, X) != igusa_B_subset(n, -1, Z, X):
+    if igusa_B(n, -1, Z, X).num != signed_descent_sum(n, -1, Z, X[:n]):
         return {"check": "residue", "n": n, "status": "fail", "detail": "subset"}
     return {"check": "residue", "n": n, "status": "pass"}
 
@@ -211,7 +219,12 @@ def cmd_verify(args) -> int:
     failed = None
     for name in args.checks:
         t0 = time.time()
-        rep = CHECKS[name](args.n)
+        try:
+            rep = CHECKS[name](args.n)
+        except (SizeGuard, BudgetExceeded, UsageError):
+            raise
+        except HeiszetaError as exc:  # a mismatch raised inside the check
+            rep = {"check": name, "n": args.n, "status": "fail", "detail": str(exc)}
         rep["seconds"] = round(time.time() - t0, 3)
         rep["version"] = __version__
         reports.append(rep)
@@ -311,12 +324,15 @@ def validate(args) -> None:
     reduced and ideal are defined at n = 0 (they give 1 / (1 - T)); form a,
     verify and the lattice oracles need n >= 1, and R_n needs n >= 2.
     verify's --checks becomes the list of check names; an empty list or an
-    unknown name is rejected.
+    unknown name is rejected.  --max-order and --prime-bound stop at
+    MAX_ORDER_LIMIT and PRIME_BOUND_LIMIT.
     """
     least, what = 0, args.command
     if args.command == "zeta" and args.form == "a":
-        least, what = 1, "form a"
+        least, what = N_RANGE["zeta_igusa_sum"][0], "form a"
     elif args.command == "verify":
+        # not a library least n: at n = 0 crossform raises ValueError and
+        # reduced fails 0 < c_0 < 1
         least = 1
         args.checks = [c.strip() for c in args.checks.split(",") if c.strip()]
         if not args.checks:
@@ -325,15 +341,18 @@ def validate(args) -> None:
             if name not in CHECKS:
                 raise UsageError("unknown check %r" % name)
     elif args.command == "oracle" and args.mode != "lagrangian":
-        least, what = 1, "oracle " + args.mode
+        least, what = N_RANGE["enum_sublattices"][0], "oracle " + args.mode
     elif args.command == "global" and args.rn:
-        least, what = 2, "global --rn"
+        least, what = N_RANGE["rn_numeric"][0], "global --rn"
     if args.n < least:
         raise UsageError("--n must be at least %d for %s, got %d" % (least, what, args.n))
     if args.command in ("coeffs", "oracle"):
         check_prime(args.prime)
     if args.command == "coeffs" and args.max_order < 0:
         raise UsageError("--max-order must be nonnegative, got %d" % args.max_order)
+    if args.command == "coeffs" and args.max_order > MAX_ORDER_LIMIT:
+        raise UsageError("--max-order must be at most %d, got %d"
+                         % (MAX_ORDER_LIMIT, args.max_order))
     if args.command == "oracle":
         from .combinat import Partition
 
@@ -345,6 +364,9 @@ def validate(args) -> None:
             raise UsageError("--mu %r is not a partition: %s" % (args.mu, exc)) from None
     if args.command == "global" and args.prime_bound < 2:
         raise UsageError("--prime-bound must be at least 2, got %d" % args.prime_bound)
+    if args.command == "global" and args.prime_bound > PRIME_BOUND_LIMIT:
+        raise UsageError("--prime-bound must be at most %d, got %d"
+                         % (PRIME_BOUND_LIMIT, args.prime_bound))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,6 +15,15 @@ class UsageError(HeiszetaError):
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_LIMIT = 3317044064679887385961981
 
+# Largest --prime-bound of `global --rn` and --max-order of `coeffs`: each
+# the largest power of ten at which its case finished inside 10 s on a
+# 2-vCPU VM.  `global --n 6 --rn`, the largest n, took 1.6 s at a prime
+# bound of 10^5 and 9.8 s at 10^6; `coeffs --n 1` took 1.8 s and 137 MB at
+# a max-order of 10^3 and 9.5 s and 549 MB at 2000 (`coeffs --n 2`, 5.2 s
+# and 301 MB at 10^3).  Far larger values end in a MemoryError.
+PRIME_BOUND_LIMIT = 10**6
+MAX_ORDER_LIMIT = 10**3
+
 
 def check_prime(p: int) -> None:
     """Raise UsageError unless p is a prime below PRIME_LIMIT."""
@@ -60,7 +69,6 @@ N_RANGE = {
     "signed_descent_sum": (0, 8),
     "brenti_B": (0, 8),
     "eulerian_A": (0, 10),
-    "igusa_B": (0, 6),
     "fibre_K": (0, 8),
     "zeta_igusa_sum": (1, 5),
     "zeta_compact": (0, 12),

@@ -1,11 +1,12 @@
 """Igusa-type generating functions and the fibre-sum machinery.
 
 Type-A Igusa functions (subset expansion with Gaussian multinomial
-weights), their type-B analogues over the hyperoctahedral group (descent
-form, subset expansion, residue factorization), and the fibre apparatus
-used to collapse the 2^n-term zeta formula to n+1 terms: coefficient
-families E_{k,r} / B_{k,r}^(t), fibre sums over the terminal-entry fibres
-of the w-vectors, and their coset model on S_n / S_k.
+weights), their type-B analogues over the hyperoctahedral group (subset
+expansion, and the residue at X_m -> 1 both factored and from the B_n
+descent sum), and the fibre apparatus used to collapse the 2^n-term zeta
+formula to n+1 terms: coefficient families E_{k,r} / B_{k,r}^(t), fibre
+sums over the terminal-entry fibres of the w-vectors, and their coset
+model on S_n / S_k.
 
 The slot count selects the variant.  Type A of degree n takes n - 1 slots
 X_1 .. X_{n-1} (truncated), n slots X_1 .. X_n (plain) or n + 1 slots
@@ -124,24 +125,7 @@ def igusa_B(
     Z: SignedMonomial,
     X: Sequence[SignedMonomial],
 ) -> FactoredRational:
-    """Type-B Igusa function on n or n + 1 slots, by its descent form.
-
-    The numerator, over B_n with Y^l Z^neg prod X_i, is the group sum of
-    :func:`~heiszeta.combinat.signed_descent_sum`, a dynamic program over
-    (absolute values placed, last entry); no group element is built.
-    """
-    check_n("igusa_B", n)
-    _check_slots("B", n, X, n)
-    return _over_slots(signed_descent_sum(n, y_exponent, Z, X[:n]), X)
-
-
-def igusa_B_subset(
-    n: int,
-    y_exponent: int,
-    Z: SignedMonomial,
-    X: Sequence[SignedMonomial],
-) -> FactoredRational:
-    """Subset expansion of the type-B Igusa function on n or n + 1 slots.
+    """Type-B Igusa function on n or n + 1 slots, by its subset expansion.
 
     Sum over I in [n-1]_0 of binom(n, I)_Y (-Y^n Z; Y^-1)_{n - min(I + {n})}
     prod_{i in I} X_i / (1 - X_i), over the denominators of all slots.
@@ -190,7 +174,8 @@ def igusa_B_residue_limit(
     syntactically, leaving the descent numerator with the X_m slot set to 1
     over the remaining denominator factors.  The numerator is
     :func:`~heiszeta.combinat.signed_descent_sum` with slot m set to 1.
-    Independent of the factored form above.
+    It shares no B_n code with the factored form above, whose type-B factor
+    is the subset expansion.
     """
     if not 0 <= m <= n:
         raise ValueError("m must lie in [n]_0")
@@ -368,6 +353,10 @@ def check_I_equals_K(n: int, k: int, r: int) -> dict:
 
 
 _GENERIC_PRIMES = (101, 211, 307, 401, 503, 601, 701, 809, 907, 1009)
+
+# The Z marker of the type-B checks: a prime q-exponent outside
+# _GENERIC_PRIMES, at T^2 where every generic slot is at T^1.
+GENERIC_Z = mono(977, 2)
 
 
 def generic_slots(count: int) -> list[SignedMonomial]:

@@ -132,9 +132,9 @@ def zeta_hyperoctahedral(n: int) -> FactoredRational:
 def _type_B_form(n: int, c: Sequence[int]) -> FactoredRational:
     """The type-B Igusa function at Y = q^-1, Z = -q^n T and slots
     q^{c_i} T^{n+1}, over (T;q)_{2n}."""
-    from .igusa import igusa_B_subset
+    from .igusa import igusa_B
 
-    f = igusa_B_subset(n, -1, mono(n, 1, -1), [mono(ci, n + 1) for ci in c])
+    f = igusa_B(n, -1, mono(n, 1, -1), [mono(ci, n + 1) for ci in c])
     return f * FactoredRational.one_over((i, 1) for i in range(2 * n))
 
 

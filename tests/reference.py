@@ -19,6 +19,7 @@ from heiszeta.combinat import (
     descent_set,
     partitions_up_to,
     perms,
+    signed_descent_sum,
 )
 from heiszeta.counts import birkhoff_alpha, nprime_closed
 from heiszeta.errors import ArityMismatch, HeiszetaError, IdentityMismatch, check_prime
@@ -32,7 +33,7 @@ from heiszeta.exactalg import (
     _unroll,
     gauss_multinom,
 )
-from heiszeta.igusa import _E_series, _over_slots, fibre_E, igusa_A
+from heiszeta.igusa import _E_series, _check_slots, _over_slots, fibre_E, igusa_A
 from heiszeta.oracle import (
     _check_lagrangian_budget,
     _gram,
@@ -189,6 +190,17 @@ def igusa_A_descent(n: int, y_exponent: int, X) -> FactoredRational:
             term = term * X[j].to_poly()
         num = num + term
     return FactoredRational(num) * FactoredRational.one_over((x.e_q, x.e_T) for x in X)
+
+
+def igusa_B_descent(n: int, y_exponent: int, Z, X) -> FactoredRational:
+    """Type-B Igusa function on n or n + 1 slots, by its descent form.
+
+    The numerator, over B_n with Y^l Z^neg prod X_i, is the group sum of
+    signed_descent_sum, a dynamic program over (absolute values placed,
+    last entry); no group element is built.
+    """
+    _check_slots("B", n, X, n)
+    return _over_slots(signed_descent_sum(n, y_exponent, Z, X[:n]), X)
 
 
 def subset_sum_by_masks(n: int, y_exponent: int, interior, X, weight=None) -> FactoredRational:

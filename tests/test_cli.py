@@ -4,7 +4,13 @@ import time
 import pytest
 
 from heiszeta.cli import main
-from heiszeta.errors import PRIME_LIMIT, UsageError, check_prime
+from heiszeta.errors import (
+    MAX_ORDER_LIMIT,
+    PRIME_BOUND_LIMIT,
+    PRIME_LIMIT,
+    UsageError,
+    check_prime,
+)
 
 
 def run(capsys, *argv):
@@ -92,21 +98,52 @@ def test_verify_fibre_residue_reduced(capsys):
 
 
 def test_residue_check_builds_each_descent_sum_once(monkeypatch):
-    from heiszeta import cli, igusa
+    from heiszeta import cli, combinat, igusa
 
     calls = []
-    descent_sum = igusa.signed_descent_sum
+    descent_sum = combinat.signed_descent_sum
 
     def counted(n, y_exponent, Z, X):
         calls.append((n, y_exponent, Z, tuple(X)))
         return descent_sum(n, y_exponent, Z, X)
 
+    # igusa's residue limit, and the check's own import from combinat
     monkeypatch.setattr(igusa, "signed_descent_sum", counted)
+    monkeypatch.setattr(combinat, "signed_descent_sum", counted)
     assert cli._check_residue(5)["status"] == "pass"
-    # degrees 0..4 for the factored residues, five of degree 5 with slot m set
-    # to 1, and one on the generic slots for the subset check
-    assert len(calls) == 11
-    assert len(set(calls)) == 11
+    # five of degree 5 with slot m set to 1 for m < 5, and one on the generic
+    # slots against igusa_B; the factored residues build their type-B factor
+    # by the subset expansion, with no descent sum
+    assert len(calls) == 6
+    assert len(set(calls)) == 6
+
+
+def test_verify_residue_past_the_descent_guard_exits_2(capsys):
+    code = main(["verify", "--n", "9", "--checks", "residue"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("guard: ")
+
+
+def test_verify_raised_mismatch_keeps_every_report(capsys, monkeypatch):
+    # a check that raises a mismatch reports "fail" with the message; the
+    # reports before and after it are still printed
+    from heiszeta import zeta
+    from heiszeta.errors import FunctionalEquationFailure
+
+    def failing(n):
+        raise FunctionalEquationFailure("functional equation failed at n = %d" % n)
+
+    monkeypatch.setattr(zeta, "funeq_check", failing)
+    code = main(["verify", "--n", "2", "--checks", "crossform,funeq,reduced"])
+    captured = capsys.readouterr()
+    assert code == 1
+    reports = json.loads(captured.out)
+    assert [(r["check"], r["status"]) for r in reports] == [
+        ("crossform", "pass"), ("funeq", "fail"), ("reduced", "pass")]
+    assert reports[1]["detail"] == "functional equation failed at n = 2"
+    assert captured.err.splitlines() == ["FAILED: funeq"]
 
 
 def test_verify_unknown_check(capsys):
@@ -244,6 +281,8 @@ BAD_INPUTS = [
     ("global", "--n", "1", "--rn"),
     ("global", "--n", "-1"),
     ("global", "--n", "2", "--rn", "--prime-bound", "1"),
+    ("global", "--n", "2", "--rn", "--prime-bound", "100000000000000"),
+    ("coeffs", "--n", "1", "--prime", "2", "--max-order", "1000000000"),
 ]
 
 
@@ -255,6 +294,18 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("usage: ")
+
+
+@pytest.mark.parametrize("head, flag, limit", [
+    (("coeffs", "--n", "1", "--prime", "2"), "--max-order", MAX_ORDER_LIMIT),
+    (("global", "--n", "2", "--rn"), "--prime-bound", PRIME_BOUND_LIMIT),
+], ids=["max-order", "prime-bound"])
+def test_size_limit_is_the_largest_value_accepted(head, flag, limit):
+    from heiszeta.cli import build_parser, validate
+
+    validate(build_parser().parse_args(head + (flag, str(limit))))
+    with pytest.raises(UsageError, match="must be at most %d" % limit):
+        validate(build_parser().parse_args(head + (flag, str(limit + 1))))
 
 
 @pytest.mark.parametrize("form", ["b", "c", "graded", "reduced", "ideal"])

@@ -22,6 +22,7 @@ from heiszeta.combinat import (
 )
 from heiszeta.errors import ArityMismatch, SizeGuard
 from heiszeta.exactalg import BivariatePolynomial as Poly, FactoredRational as FR, mono
+from heiszeta.igusa import GENERIC_Z
 from reference import SignedPermutation, brenti_B_by_enumeration, difference_vector
 from reference import inversions, is_w_vector, signed_perm_length_bfs, signed_perms
 
@@ -278,10 +279,10 @@ def test_signed_descent_sum_hyperoctahedral_slots(n, graded):
 @pytest.mark.parametrize("n", (5, 6))
 def test_signed_descent_sum_residue_limit_slots(n):
     # slot m set to 1, as in igusa_B_residue_limit
-    Z = mono(977, 2)
     for m in range(n + 1):
         X = [mono(0, 0) if i == m else mono(101 + 100 * i, 1) for i in range(n)]
-        assert signed_descent_sum(n, -1, Z, X) == _direct_signed_sum(n, -1, Z, X)
+        got = signed_descent_sum(n, -1, GENERIC_Z, X)
+        assert got == _direct_signed_sum(n, -1, GENERIC_Z, X)
 
 
 def test_signed_descent_sum_guard_and_arity():

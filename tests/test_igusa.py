@@ -11,6 +11,7 @@ from heiszeta.exactalg import (
 )
 from heiszeta.igusa import (
     E_at_minus_T,
+    GENERIC_Z,
     Y_slot,
     _subset_sum,
     check_I_equals_K,
@@ -23,20 +24,18 @@ from heiszeta.igusa import (
     igusa_B,
     igusa_B_residue,
     igusa_B_residue_limit,
-    igusa_B_subset,
 )
 from heiszeta.zeta import c_exponents, igusa_args
 from reference import (
     epsilon_kr,
     fibre_K_by_cosets,
     igusa_A_descent,
+    igusa_B_descent,
     inversions,
     qpochhammer_factors,
     signed_perms,
     subset_sum_by_masks,
 )
-
-Z_GENERIC = mono(977, 2)
 
 
 def one_over_slots(slots):
@@ -83,8 +82,8 @@ def test_repeated_slots_give_multiplicity_two(case):
             want = want * Poly.one_minus(x0.e_q, x0.e_T)
     else:
         X = [x, x, x3] if case == "B full" else [x, x]
-        got = igusa_B_subset(2, -1, Z_GENERIC, X)
-        want = FR(signed_descent_sum(2, -1, Z_GENERIC, X[:2])) * one_over_slots(X)
+        got = igusa_B(2, -1, GENERIC_Z, X)
+        want = FR(signed_descent_sum(2, -1, GENERIC_Z, X[:2])) * one_over_slots(X)
     assert got.den[(x.e_q, x.e_T)] == 2
     assert got == want
 
@@ -99,19 +98,19 @@ def test_igusa_arity_checks():
                     igusa_A(n, -2, X)
             if count not in (n, n + 1):
                 with pytest.raises(ArityMismatch):
-                    igusa_B(n, -1, Z_GENERIC, X)
+                    igusa_B_descent(n, -1, GENERIC_Z, X)
                 with pytest.raises(ArityMismatch):
-                    igusa_B_subset(n, -1, Z_GENERIC, X)
+                    igusa_B(n, -1, GENERIC_Z, X)
     with pytest.raises(ArityMismatch):
         igusa_A_descent(2, -2, generic_slots(2))
     with pytest.raises(ValueError):
         igusa_A(-1, -2, [])
     with pytest.raises(ValueError):
-        igusa_B_subset(-1, -1, Z_GENERIC, [])
+        igusa_B(-1, -1, GENERIC_Z, [])
 
 
 def _subset_sum_args(case, n):
-    """(n, y, interior, X, weight) of _subset_sum as igusa_A, igusa_B_subset,
+    """(n, y, interior, X, weight) of _subset_sum as igusa_A, igusa_B,
     form a (every w in W_n) and form c build them."""
     if case.startswith("A"):
         count = {"A truncated": n - 1, "A plain": n, "A augmented": n + 1}[case]
@@ -120,7 +119,7 @@ def _subset_sum_args(case, n):
     if case == "form a":
         return [(n, -2, list(zip(range(1, n), X[1:])), X, None)
                 for X in (igusa_args(n, w) for w in gen_W(n))]
-    y, Z, X = -1, Z_GENERIC, generic_slots(n + 1)
+    y, Z, X = -1, GENERIC_Z, generic_slots(n + 1)
     if case == "form c":
         Z, X = mono(n, 1, -1), [mono(c, n + 1) for c in c_exponents(n)]
     a0 = mono(y * n, 0, -1) * Z
@@ -164,10 +163,10 @@ def test_subset_sums_skip_the_free_slots(n, monkeypatch):
     assert {i for _, i, _ in calls} == set(range(1, n))
     assert igusa_A(n, -2, [other[0]] + X[1:n] + [other[1]]).num == f.num
     calls.clear()
-    f = igusa_B_subset(n, -1, Z_GENERIC, X)
+    f = igusa_B(n, -1, GENERIC_Z, X)
     assert len(calls) == n * (n + 1) // 2
     assert {i for _, i, _ in calls} == set(range(n))
-    assert igusa_B_subset(n, -1, Z_GENERIC, X[:n] + [other[1]]).num == f.num
+    assert igusa_B(n, -1, GENERIC_Z, X[:n] + [other[1]]).num == f.num
 
 
 def test_descent_numerators():
@@ -244,16 +243,18 @@ def test_igusa_B_degree_one_zeta_numerator():
 
 def test_igusa_B_monomial_count():
     X = generic_slots(3)
-    f = igusa_B(2, -1, Z_GENERIC, X)
+    f = igusa_B(2, -1, GENERIC_Z, X)
     # 8 group elements; generic slots keep all monomials distinct
     assert sum(abs(c) for c in f.num.terms.values()) == 8
 
 
 def test_igusa_B_guard():
+    # igusa_B has no guard of its own: past the descent sum's guard of 8 only
+    # the residue limit, which builds that sum, refuses
+    X = generic_slots(8)
+    assert igusa_B(7, -1, GENERIC_Z, X) == igusa_B_descent(7, -1, GENERIC_Z, X)
     with pytest.raises(SizeGuard):
-        igusa_B(7, -1, Z_GENERIC, generic_slots(8))
-    with pytest.raises(SizeGuard):
-        igusa_B_residue_limit(9, 0, -1, Z_GENERIC, generic_slots(9))
+        igusa_B_residue_limit(9, 0, -1, GENERIC_Z, generic_slots(9))
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
@@ -276,14 +277,14 @@ def test_sign_free_part_is_type_A_numerator(n):
 @pytest.mark.parametrize("n", range(1, 5))
 def test_subset_expansion_matches_descent_form(n):
     X = generic_slots(n + 1)
-    assert igusa_B(n, -1, Z_GENERIC, X) == igusa_B_subset(n, -1, Z_GENERIC, X)
+    assert igusa_B_descent(n, -1, GENERIC_Z, X) == igusa_B(n, -1, GENERIC_Z, X)
 
 
 @pytest.mark.parametrize("n", range(1, 4))
 def test_truncated_subset_matches(n):
     X = generic_slots(n)
-    lhs = igusa_B(n, -1, Z_GENERIC, X)
-    rhs = igusa_B_subset(n, -1, Z_GENERIC, X)
+    lhs = igusa_B_descent(n, -1, GENERIC_Z, X)
+    rhs = igusa_B(n, -1, GENERIC_Z, X)
     assert lhs == rhs
 
 
@@ -291,8 +292,8 @@ def test_truncated_subset_matches(n):
 def test_residue_factorization_vs_direct_limit(n):
     for m in range(n + 1):
         X = generic_slots(n)
-        lhs = igusa_B_residue(n, m, -1, Z_GENERIC, X)
-        rhs = igusa_B_residue_limit(n, m, -1, Z_GENERIC, X)
+        lhs = igusa_B_residue(n, m, -1, GENERIC_Z, X)
+        rhs = igusa_B_residue_limit(n, m, -1, GENERIC_Z, X)
         assert lhs == rhs
 
 
@@ -301,8 +302,8 @@ def test_residue_edge_cases():
     n = 2
     X = generic_slots(n)
     for m in (0, n):
-        assert igusa_B_residue(n, m, -1, Z_GENERIC, X) == igusa_B_residue_limit(
-            n, m, -1, Z_GENERIC, X
+        assert igusa_B_residue(n, m, -1, GENERIC_Z, X) == igusa_B_residue_limit(
+            n, m, -1, GENERIC_Z, X
         )
 
 
@@ -310,8 +311,8 @@ def test_residue_edge_cases():
 def test_type_B_triangular_specialization(k):
     # truncated-B_k(q^-1, Z; q^{(k(k+1)-r(r+1))/2}) = (-q^{1-k} Z; q^2)_k / (q; q^2)_k
     X = [mono((k * (k + 1) - r * (r + 1)) // 2, 0) for r in range(k)]
-    lhs = igusa_B(k, -1, Z_GENERIC, X)
-    num = qpochhammer(mono(1 - k, 0, -1) * Z_GENERIC, 2, k).num
+    lhs = igusa_B(k, -1, GENERIC_Z, X)
+    num = qpochhammer(mono(1 - k, 0, -1) * GENERIC_Z, 2, k).num
     den = qpochhammer_factors(mono(1, 0), 2, k)
     rhs = FR(num, {kk: den.count(kk) for kk in set(den)})
     assert lhs == rhs
