@@ -4,7 +4,10 @@ Subcommands: zeta (closed forms), verify (identity suites), coeffs
 (Dirichlet coefficients, optionally against the brute-force oracle), oracle
 (finite-ring enumerations), global (Euler-factor polynomial and numeric
 residue factor).  Exit codes: 0 success, 1 mathematical mismatch, 2 usage or
-guard violation.  All output is deterministic for fixed inputs and version.
+guard violation.  The library refuses each numeric input out of its range
+(errors.LIMITS): below the least value with one `usage:` line on stderr,
+above the largest with one `guard:` line, both before any computation.
+All output is deterministic for fixed inputs and version.
 
 Library names load on first use: each command imports the modules it runs
 inside its own function.  `--version` loads only this module and `errors`;
@@ -23,16 +26,7 @@ import sys
 import time
 
 from . import __version__
-from .errors import (
-    MAX_ORDER_LIMIT,
-    N_RANGE,
-    PRIME_BOUND_LIMIT,
-    BudgetExceeded,
-    HeiszetaError,
-    SizeGuard,
-    UsageError,
-    check_prime,
-)
+from .errors import HeiszetaError, SizeGuard, UsageError, check_limit, check_prime
 
 
 def _zeta():
@@ -56,8 +50,11 @@ FORMS = {
 
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError("cannot write --out %s: %s" % (out_path, exc.strerror or exc)) from None
     else:
         print(text)
 
@@ -221,7 +218,7 @@ def cmd_verify(args) -> int:
         t0 = time.time()
         try:
             rep = CHECKS[name](args.n)
-        except (SizeGuard, BudgetExceeded, UsageError):
+        except (UsageError, SizeGuard):
             raise
         except HeiszetaError as exc:  # a mismatch raised inside the check
             rep = {"check": name, "n": args.n, "status": "fail", "detail": str(exc)}
@@ -299,6 +296,8 @@ def cmd_global(args) -> int:
     from .exactalg import format_poly
     from .zeta import global_factor, global_factor_eval, rn_numeric
 
+    # R_n first, so that its refusals come before N_n is built
+    rn = rn_numeric(args.n, args.prime_bound) if args.rn else None
     lines = [
         "N_%d(X, Y) = %s"
         % (args.n, format_poly(global_factor(args.n), qvar="X", tvar="Y"))
@@ -308,65 +307,41 @@ def cmd_global(args) -> int:
             "N_%d(p, p^-%d) = %s"
             % (args.n, 2 * args.n, format_poly(global_factor_eval(args.n), qvar="p"))
         )
-    if args.rn:
-        rep = rn_numeric(args.n, args.prime_bound)
-        half = rn_numeric(args.n, max(2, args.prime_bound // 2))
-        rep["delta_vs_half_bound"] = abs(rep["value"] - half["value"])
-        lines.append(json.dumps(rep, sort_keys=True))
+    if rn:
+        lines.append(json.dumps(rn, sort_keys=True))
     _emit("\n".join(lines), args.out)
     return 0
 
 
 def validate(args) -> None:
-    """Reject out-of-range or malformed input before any computation.
+    """Parse what argparse leaves as text, and apply the command line's own
+    policies, before any computation.
 
-    Raises UsageError, which main maps to exit code 2.  Forms b, c, graded,
-    reduced and ideal are defined at n = 0 (they give 1 / (1 - T)); form a,
-    verify and the lattice oracles need n >= 1, and R_n needs n >= 2.
-    verify's --checks becomes the list of check names; an empty list or an
-    unknown name is rejected.  --max-order and --prime-bound stop at
-    MAX_ORDER_LIMIT and PRIME_BOUND_LIMIT.
+    Raises UsageError, which main maps to exit code 2.  verify's --checks
+    becomes the list of check names (an empty list or an unknown name is
+    rejected) and needs n >= 1; coeffs needs a prime --prime, though
+    dirichlet_coeffs takes any integer q; oracle's --mu becomes a Partition.
+    Every numeric range is the library's: each entry point refuses a value
+    below its least value with UsageError and above its largest with
+    SizeGuard (errors.LIMITS).
     """
-    least, what = 0, args.command
-    if args.command == "zeta" and args.form == "a":
-        least, what = N_RANGE["zeta_igusa_sum"][0], "form a"
-    elif args.command == "verify":
-        # not a library least n: at n = 0 crossform raises ValueError and
-        # reduced fails 0 < c_0 < 1
-        least = 1
+    if args.command == "verify":
+        check_limit("verify", "n", args.n)
         args.checks = [c.strip() for c in args.checks.split(",") if c.strip()]
         if not args.checks:
             raise UsageError("--checks names no check")
         for name in args.checks:
             if name not in CHECKS:
                 raise UsageError("unknown check %r" % name)
-    elif args.command == "oracle" and args.mode != "lagrangian":
-        least, what = N_RANGE["enum_sublattices"][0], "oracle " + args.mode
-    elif args.command == "global" and args.rn:
-        least, what = N_RANGE["rn_numeric"][0], "global --rn"
-    if args.n < least:
-        raise UsageError("--n must be at least %d for %s, got %d" % (least, what, args.n))
-    if args.command in ("coeffs", "oracle"):
+    elif args.command == "coeffs":
         check_prime(args.prime)
-    if args.command == "coeffs" and args.max_order < 0:
-        raise UsageError("--max-order must be nonnegative, got %d" % args.max_order)
-    if args.command == "coeffs" and args.max_order > MAX_ORDER_LIMIT:
-        raise UsageError("--max-order must be at most %d, got %d"
-                         % (MAX_ORDER_LIMIT, args.max_order))
-    if args.command == "oracle":
+    elif args.command == "oracle":
         from .combinat import Partition
 
-        if args.max_val < 0:
-            raise UsageError("--max-val must be nonnegative, got %d" % args.max_val)
         try:
             args.mu = Partition.from_string(args.mu)
         except ValueError as exc:
             raise UsageError("--mu %r is not a partition: %s" % (args.mu, exc)) from None
-    if args.command == "global" and args.prime_bound < 2:
-        raise UsageError("--prime-bound must be at least 2, got %d" % args.prime_bound)
-    if args.command == "global" and args.prime_bound > PRIME_BOUND_LIMIT:
-        raise UsageError("--prime-bound must be at most %d, got %d"
-                         % (PRIME_BOUND_LIMIT, args.prime_bound))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,7 +401,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print("usage: %s" % exc, file=sys.stderr)
         return 2
-    except (SizeGuard, BudgetExceeded) as exc:
+    except SizeGuard as exc:
         print("guard: %s" % exc, file=sys.stderr)
         return 2
     except HeiszetaError as exc:

@@ -13,7 +13,7 @@ import math
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .errors import ArityMismatch, check_n
+from .errors import ArityMismatch, check_limit
 
 if TYPE_CHECKING:  # the oracles load this module without the exact kernel
     from .exactalg import BivariatePolynomial, FactoredRational, SignedMonomial
@@ -229,7 +229,7 @@ def signed_descent_sum(
     """
     from .exactalg import BivariatePolynomial, _p_iadd
 
-    check_n("signed_descent_sum", n)
+    check_limit("signed_descent_sum", "n", n)
     if len(X) != n:
         raise ArityMismatch("need the %d descent slots X_0 .. X_%d" % (n, n - 1))
     y = y_exponent
@@ -274,7 +274,7 @@ def eulerian_A(d: int) -> tuple[int, ...]:
     For d >= 1 the polynomial is sum over S_d of X^{des+1}, returned as
     coefficients indexed by exponent.
     """
-    check_n("eulerian_A", d)
+    check_limit("eulerian_A", "d", d)
     if d == 0:
         return (1,)
     coeffs = [0] * (d + 1)
@@ -295,7 +295,7 @@ def brenti_B(n: int) -> BivariatePolynomial:
     """
     from .exactalg import BivariatePolynomial
 
-    check_n("brenti_B", n)
+    check_limit("brenti_B", "n", n)
     partial: dict = {}
     for i in range(n + 1):
         # (1 + (1+Y) i)^n = sum_k C(n,k) (1+i)^{n-k} i^k Y^k

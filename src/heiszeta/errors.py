@@ -5,7 +5,7 @@ class HeiszetaError(Exception):
     """Base class for all package-specific errors."""
 
 
-class UsageError(HeiszetaError):
+class UsageError(HeiszetaError, ValueError):
     """An input is out of range or malformed; rejected before any computation."""
 
 
@@ -14,15 +14,6 @@ class UsageError(HeiszetaError):
 # 2015).
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_LIMIT = 3317044064679887385961981
-
-# Largest --prime-bound of `global --rn` and --max-order of `coeffs`: each
-# the largest power of ten at which its case finished inside 10 s on a
-# 2-vCPU VM.  `global --n 6 --rn`, the largest n, took 1.6 s at a prime
-# bound of 10^5 and 9.8 s at 10^6; `coeffs --n 1` took 1.8 s and 137 MB at
-# a max-order of 10^3 and 9.5 s and 549 MB at 2000 (`coeffs --n 2`, 5.2 s
-# and 301 MB at 10^3).  Far larger values end in a MemoryError.
-PRIME_BOUND_LIMIT = 10**6
-MAX_ORDER_LIMIT = 10**3
 
 
 def check_prime(p: int) -> None:
@@ -61,41 +52,63 @@ class SizeGuard(HeiszetaError):
     """An input exceeds a combinatorial-explosion guard (2^n n! and friends)."""
 
 
-# Guarded entry point -> (least n, largest n).  Below the least n the object
-# is undefined; above the largest n the cost explodes.  A largest n of None
-# means no largest n: the cost stays small, or a budget bounds the
-# enumeration instead.
-N_RANGE = {
-    "signed_descent_sum": (0, 8),
-    "brenti_B": (0, 8),
-    "eulerian_A": (0, 10),
-    "fibre_K": (0, 8),
-    "zeta_igusa_sum": (1, 5),
-    "zeta_compact": (0, 12),
-    "zeta_hyperoctahedral": (0, 6),
-    "zeta_ideal": (0, None),
-    "zeta_graded": (0, 6),
-    "reduced_zeta": (0, 8),
-    "reduced_cone_series": (0, None),
-    "reduced_c": (0, 20),
-    "global_factor": (0, 6),
-    "rn_numeric": (2, 6),
-    "enum_sublattices": (1, None),
-    "enum_subalgebras": (0, None),
+class BudgetExceeded(SizeGuard):
+    """A brute-force enumeration would exceed its configured budget."""
+
+
+# Every numeric input limit: (entry point or budget, value) -> (least, largest).
+# Below the least value the object is undefined; above the largest the cost
+# explodes.  None means no bound on that side: no largest value means the
+# cost stays small, or a budget bounds the enumeration instead.  The rows of
+# "budget" bound the size of a brute-force enumeration, not an input.
+LIMITS = {
+    ("signed_descent_sum", "n"): (0, 8),
+    ("brenti_B", "n"): (0, 8),
+    ("eulerian_A", "d"): (0, 10),
+    ("fibre_K", "n"): (0, 8),
+    ("zeta_igusa_sum", "n"): (1, 5),
+    ("zeta_compact", "n"): (0, 12),
+    ("zeta_hyperoctahedral", "n"): (0, 6),
+    ("zeta_ideal", "n"): (0, None),
+    ("zeta_graded", "n"): (0, 6),
+    ("reduced_zeta", "n"): (0, 8),
+    ("reduced_cone_series", "n"): (0, None),
+    ("reduced_c", "n"): (0, 20),
+    ("global_factor", "n"): (0, 6),
+    ("rn_numeric", "n"): (2, 6),
+    ("enum_sublattices", "n"): (1, None),
+    ("enum_subalgebras", "n"): (0, None),
+    # not a library limit: at n = 0 crossform raises and reduced fails
+    # 0 < c_0 < 1
+    ("verify", "n"): (1, None),
+    # The largest prime bound and order: each the largest power of ten at
+    # which its case finished inside 10 s on a 2-vCPU VM.  `global --n 6
+    # --rn`, the largest n, took 1.6 s at a prime bound of 10^5 and 9.8 s at
+    # 10^6 (4.0-5.3 s since the half-bound value comes from the same pass);
+    # `coeffs --n 1` took 1.8 s and 137 MB at an order of 10^3 and
+    # 9.5 s and 549 MB at 2000 (`coeffs --n 2`, 5.2 s and 301 MB at 10^3).
+    # Far larger values end in a MemoryError.
+    ("rn_numeric", "prime_bound"): (2, 10**6),
+    ("dirichlet_coeffs", "order"): (0, 10**3),
+    # enum_sublattices, enum_subalgebras and check_factorization
+    ("lattice oracles", "max valuation"): (0, None),
+    # HNF bases enumerated up to the max valuation, counted before any is
+    # built, and the elements p^(2|mu|) of the module M_mu whose Lagrangians
+    # are grown
+    ("budget", "HNF bases"): (None, 2_000_000),
+    ("budget", "|M_mu|"): (None, 3**10),
 }
 
 
-def check_n(name: str, n: int) -> None:
-    """Raise ValueError below N_RANGE[name] and SizeGuard above it."""
-    least, largest = N_RANGE[name]
-    if n < least:
-        raise ValueError("%s needs n >= %d, got %d" % (name, least, n))
-    if largest is not None and n > largest:
-        raise SizeGuard("%s guard: n = %d exceeds %d" % (name, n, largest))
-
-
-class BudgetExceeded(HeiszetaError):
-    """A brute-force enumeration would exceed its configured budget."""
+def check_limit(owner: str, what: str, value: int) -> None:
+    """Raise UsageError below LIMITS[owner, what] and SizeGuard above it;
+    BudgetExceeded above a budget."""
+    least, largest = LIMITS[owner, what]
+    if least is not None and value < least:
+        raise UsageError("%s: %s must be >= %d, got %d" % (owner, what, least, value))
+    if largest is not None and value > largest:
+        refuse = BudgetExceeded if owner == "budget" else SizeGuard
+        raise refuse("%s: %s = %d exceeds %d" % (owner, what, value, largest))
 
 
 class RankMismatch(HeiszetaError):

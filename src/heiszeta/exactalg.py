@@ -26,9 +26,9 @@ Sums multiply by cofactors and never expand a common denominator only to
 divide it back.  A sum multiplies each numerator by the factors of the common
 denominator that its own lacks; under the size rule, applied to the whole
 sum, it is one packed accumulation read back once, and otherwise (sparse sums
-with wide spans) each product is added into a dict by ``_p_iadd``.  Equality
-compares the numerators of two sides over the same denominator and T-shift,
-and otherwise asks the sum whether their difference is zero.
+with wide spans) the same shifts and subtractions on dicts by ``_p_iadd``.
+Equality compares the numerators of two sides over the same denominator and
+T-shift, and otherwise asks the sum whether their difference is zero.
 
 Division by 1 - u is one recurrence, y = x + u y: ``_unroll`` on the T-rows
 of ``_p_tslices`` for T-factors and series in T, ``_divide_dense`` on dense
@@ -658,7 +658,9 @@ class FactoredRational:
         expanded and then divided back.  By the size rule of _p_mul applied to
         the whole sum, either each numerator is packed into the sum's (q, T)
         box, multiplied by its cofactor there and added into one integer that
-        is read back once, or each product is added into a dict.
+        is read back once, or each is multiplied by its cofactor in a dict and
+        added into one.  Either way a factor 1 - q^a T^b is a shift and a
+        subtraction.
         """
         items = [it for it in items if not it.num.is_zero()]
         if len(items) < 2:
@@ -679,7 +681,10 @@ class FactoredRational:
         if 2 * width * rows > pairs:
             total: dict = {}
             for terms, missing, _, dt in parts:
-                _p_iadd(total, _times_missing(terms, missing), 1, 0, dt)
+                for (a, b), m in missing.items():  # times 1 - q^a T^b, m times
+                    for _ in range(m):
+                        terms = _p_iadd(dict(terms), terms, -1, a, b)
+                _p_iadd(total, terms, 1, 0, dt)
         else:
             # each product's coefficients are below 2^(bits of num + sum of mult)
             bits = max(max(map(abs, t.values())).bit_length() + sum(m.values())
@@ -774,11 +779,6 @@ def _missing(den: Mapping[FactorKey, int], target: Mapping[FactorKey, int]) -> d
     return {k: m - den.get(k, 0) for k, m in target.items() if m > den.get(k, 0)}
 
 
-def _times_missing(terms: dict, missing: Mapping[FactorKey, int]) -> dict:
-    """terms times the expanded missing factors; terms itself if there are none."""
-    return _p_mul(terms, expand_factors(missing).terms) if missing else terms
-
-
 def _span(factors: Mapping[FactorKey, int]) -> tuple[int, int, int, int]:
     """(lowest e_q, highest e_q, T-degree, largest term count) of the expanded
     product of factors with b >= 0."""
@@ -790,31 +790,6 @@ def _span(factors: Mapping[FactorKey, int]) -> tuple[int, int, int, int]:
         top += b * m
         count *= m + 1
     return lo, hi, top, count
-
-
-def expand_factors(den: Mapping[FactorKey, int]) -> BivariatePolynomial:
-    """Expanded product of (1 - q^a T^b)^mult.
-
-    The product has at most prod (mult + 1) terms.  When its (q, T) box has no
-    more cells than that, it is built in one packed integer by _kron_times;
-    otherwise, as for factors with huge exponents, factor by factor.
-    """
-    factors = sorted(den.items())
-    if all(b > 0 or (b == 0 and a > 0) for (a, b), _ in factors):
-        lo, hi, top, bound = _span(den)
-        width = hi - lo + 1  # > |a| for every factor
-        if width * (top + 1) <= bound:
-            # every coefficient is at most 2^(sum of mult) in absolute value
-            w = _slot_bytes(sum(den.values()) + 2)
-            value = _kron_times(1 << (8 * w * -lo), den, w, width)
-            terms = _kron_unpack(value, w, width, top + 1, lo, 0)
-            return BivariatePolynomial._raw(terms)
-    out = BivariatePolynomial.one()
-    for (a, b), m in factors:
-        f = BivariatePolynomial.one_minus(a, b)
-        for _ in range(m):
-            out = out * f
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .combinat import (
     signed_descent_sum,
     weight_C,
 )
-from .errors import ArityMismatch, IdentityMismatch, SizeGuard, check_n
+from .errors import ArityMismatch, IdentityMismatch, SizeGuard, check_limit
 from .exactalg import (
     BivariatePolynomial,
     FactoredRational,
@@ -282,7 +282,7 @@ def fibre_K(
     signs summed into one multiplicity, and each B^(t_k) is added once per
     group.
     """
-    check_n("fibre_K", n)
+    check_limit("fibre_K", "n", n)
     if k > n:
         raise ValueError("k must be at most n")
     if len(X_tail) != n - k:

@@ -21,17 +21,13 @@ from typing import Iterator, Sequence
 
 from .combinat import Partition, partitions_up_to
 from .errors import (
-    BudgetExceeded,
     DegenerateForm,
     FactorizationMismatch,
     IdentityMismatch,
     SingularMatrix,
-    check_n,
+    check_limit,
     check_prime,
 )
-
-LAGRANGIAN_BUDGET = 3**10
-HNF_BUDGET = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +220,6 @@ def _comb(period: int, total: int) -> int:
     return bits & ((1 << total) - 1)
 
 
-def _check_lagrangian_budget(p: int, size: int) -> None:
-    if p ** (2 * size) > LAGRANGIAN_BUDGET:
-        raise BudgetExceeded("|M_mu| = %d^%d exceeds the budget %d"
-                             % (p, 2 * size, LAGRANGIAN_BUDGET))
-
-
 def enum_lagrangians(mu, p: int) -> dict[Partition, int]:
     """Count Lagrangian submodules of M_mu by module type.
 
@@ -243,7 +233,7 @@ def enum_lagrangians(mu, p: int) -> dict[Partition, int]:
     check_prime(p)
     mu = Partition(mu)
     m = mu.size()
-    _check_lagrangian_budget(p, m)
+    check_limit("budget", "|M_mu|", p ** (2 * m))
     if m == 0:
         return {Partition(()): 1}
     mod = AltModule(tuple(mu.parts), p)
@@ -348,15 +338,12 @@ def _nonunit_minor(H: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
 
 def _check_hnf_budget(rank: int, p: int, max_valuation: int) -> None:
     """Refuse a negative max valuation, then stop at the first valuation where
-    the running HNF count passes HNF_BUDGET."""
-    if max_valuation < 0:
-        raise ValueError("max valuation must be >= 0, got %d" % max_valuation)
+    the running HNF count passes its budget."""
+    check_limit("lattice oracles", "max valuation", max_valuation)
     total = 0
     for j in range(max_valuation + 1):
         total += hnf_count(rank, p, j)
-        if total > HNF_BUDGET:
-            raise BudgetExceeded("HNF enumeration size %d up to valuation %d exceeds %d"
-                                 % (total, j, HNF_BUDGET))
+        check_limit("budget", "HNF bases", total)
 
 
 def enum_sublattices(n: int, p: int, max_valuation: int) -> dict[tuple[Partition, Partition], int]:
@@ -370,7 +357,7 @@ def enum_sublattices(n: int, p: int, max_valuation: int) -> dict[tuple[Partition
     most j rows.  Each distinct minor and each distinct Gram matrix is
     eliminated once per call, and `_omega` runs once per distinct row pair.
     """
-    check_n("enum_sublattices", n)
+    check_limit("enum_sublattices", "n", n)
     check_prime(p)
     _check_hnf_budget(2 * n, p, max_valuation)
     out: dict[tuple[Partition, Partition], int] = {}
@@ -405,17 +392,17 @@ def check_factorization(n: int, p: int, max_valuation: int) -> list[dict]:
     at q = p, the integer `counts.birkhoff_number(mu, n, p * p)`, over every
     (lambda, mu) in range; raises FactorizationMismatch on any discrepancy
     (the factorization is a theorem, so a mismatch means an implementation
-    bug).  HNF_BUDGET bounds the lattice enumeration and LAGRANGIAN_BUDGET
-    each Lagrangian enumeration; both are checked before any enumeration,
-    the HNF one first, since every mu has |mu| <= max_valuation.
+    bug).  The HNF budget bounds the lattice enumeration and the |M_mu|
+    budget each Lagrangian enumeration; both are checked before any
+    enumeration, the HNF one first, since every mu has |mu| <= max_valuation.
     """
     from .counts import birkhoff_number
 
-    check_n("enum_sublattices", n)
+    check_limit("enum_sublattices", "n", n)
     check_prime(p)
     _check_hnf_budget(2 * n, p, max_valuation)
-    for size in range(max_valuation + 1):  # names the least |mu| over budget
-        _check_lagrangian_budget(p, size)
+    for size in range(max_valuation + 1):  # names the least |M_mu| over budget
+        check_limit("budget", "|M_mu|", p ** (2 * size))
     lattice = enum_sublattices(n, p, max_valuation)
     mus = sorted(
         {mu.parts for _, mu in lattice}
@@ -456,7 +443,7 @@ def enum_subalgebras(n: int, p: int, max_index_valuation: int) -> list[int]:
     is central, so it is closed iff p^e divides _omega on every pair of rows of L:
     only L is enumerated, and it counts p^{2n e} subalgebras of index p^{j+e}.
     """
-    check_n("enum_subalgebras", n)
+    check_limit("enum_subalgebras", "n", n)
     check_prime(p)
     _check_hnf_budget(2 * n, p, max_index_valuation)  # the x-part bases, which are built
     counts = [0] * (max_index_valuation + 1)

@@ -21,7 +21,7 @@ from .combinat import (
     w_partial_sums,
     weight_C,
 )
-from .errors import FunctionalEquationFailure, IdentityMismatch, check_n
+from .errors import FunctionalEquationFailure, IdentityMismatch, check_limit
 from .exactalg import (
     BivariatePolynomial,
     FactoredRational,
@@ -72,7 +72,7 @@ def zeta_igusa_sum(n: int) -> FactoredRational:
     """2^n-term form: sum over w of C(w) times an augmented Igusa function."""
     from .igusa import igusa_A
 
-    check_n("zeta_igusa_sum", n)
+    check_limit("zeta_igusa_sum", "n", n)
     terms = [
         weight_C(w) * igusa_A(n, -2, igusa_args(n, w))
         for w in gen_W(n)
@@ -88,7 +88,7 @@ def zeta_compact(n: int) -> FactoredRational:
     (-q)^r (1 - q^{2n-2r+1}) (q^2;q^2)_n over
     (q;q)_{2n-r+1} (q;q)_r (q^r T; q^2)_{n-r} (q^{2n-r} T; q)_r.
     """
-    check_n("zeta_compact", n)
+    check_limit("zeta_compact", "n", n)
     terms = []
     for r in range(n + 1):
         num = BivariatePolynomial.monomial((-1) ** r, r, 0)
@@ -125,7 +125,7 @@ def zeta_hyperoctahedral(n: int) -> FactoredRational:
     :func:`hyperoctahedral_numerator`, an independent derivation that
     ``verify --checks crossform`` compares with it.
     """
-    check_n("zeta_hyperoctahedral", n)
+    check_limit("zeta_hyperoctahedral", "n", n)
     return _type_B_form(n, c_exponents(n))
 
 
@@ -147,7 +147,7 @@ def zeta_ideal(n: int) -> FactoredRational:
     ideal enumeration (for n = 1 this is the classical
     zeta(s) zeta(s-1) zeta(3s-2) local factor).
     """
-    check_n("zeta_ideal", n)
+    check_limit("zeta_ideal", "n", n)
     den = {(i, 1): 1 for i in range(2 * n)}
     den[(2 * n, 2 * n + 1)] = 1
     return FactoredRational.one_over(den)
@@ -161,7 +161,7 @@ def zeta_graded(n: int) -> FactoredRational:
     is the B_n group sum :func:`hyperoctahedral_numerator` at the c_i' (the
     tests compare the two); no count outside the package is compared with it.
     """
-    check_n("zeta_graded", n)
+    check_limit("zeta_graded", "n", n)
     return _type_B_form(n, c_exponents_graded(n))
 
 
@@ -172,6 +172,7 @@ def zeta_graded(n: int) -> FactoredRational:
 
 def dirichlet_coeffs(n: int, p: int, order: int) -> list[int]:
     """Subalgebra counts a_{p^i} for i <= order, from the compact form."""
+    check_limit("dirichlet_coeffs", "order", order)
     return [_constant_at(c, p) for c in zeta_compact(n).series_in_T(order)]
 
 
@@ -350,7 +351,7 @@ def reduced_zeta(n: int) -> FactoredRational:
     ``verify --checks reduced`` compares it with the classical Eulerian-sum
     form, the lattice-point oracle and self-reciprocity.
     """
-    check_n("reduced_zeta", n)
+    check_limit("reduced_zeta", "n", n)
     P = _brenti_substituted(n)
     for _ in range(n):
         quot = divide_out_factor(P, 0, 1)
@@ -363,7 +364,7 @@ def reduced_zeta(n: int) -> FactoredRational:
 def reduced_cone_series(n: int, order: int) -> list[int]:
     """Lattice-point transform oracle: counts of (e_0, ..., e_{2n}) with
     e_0 <= e_{2i-1} + e_{2i} for all i, graded by coordinate sum."""
-    check_n("reduced_cone_series", n)
+    check_limit("reduced_cone_series", "n", n)
     out = []
     for m in range(order + 1):
         total = 0
@@ -394,7 +395,7 @@ def reduced_c(n: int) -> Fraction:
     """
     from fractions import Fraction
 
-    check_n("reduced_c", n)
+    check_limit("reduced_c", "n", n)
     return sum(
         Fraction(math.comb(n, k) * math.factorial(k), (n + 1) ** (k + 1))
         for k in range(n + 1)
@@ -415,7 +416,7 @@ def global_factor(n: int) -> BivariatePolynomial:
     ``verify --checks crossform`` compares with the group sum
     :func:`hyperoctahedral_numerator`; no group element is built.
     """
-    check_n("global_factor", n)
+    check_limit("global_factor", "n", n)
     return zeta_hyperoctahedral(n).num
 
 
@@ -441,11 +442,15 @@ def _primes_up_to(bound: int) -> list[int]:
     return [i for i in range(bound + 1) if sieve[i]]
 
 
-def _euler_zeta(s: int, primes: Sequence[int]) -> float:
-    out = 1.0
-    for p in primes:
-        out /= 1.0 - float(p) ** (-s)
-    return out
+def _scan(primes: Sequence[int], cut: int, step) -> tuple[float, float]:
+    """x = step(x, p) from x = 1.0 over primes: (x after primes[:cut], x at the end)."""
+    x = 1.0
+    for p in primes[:cut]:
+        x = step(x, p)
+    head = x
+    for p in primes[cut:]:
+        x = step(x, p)
+    return head, x
 
 
 def rn_numeric(n: int, prime_bound: int = 1000) -> dict:
@@ -455,30 +460,40 @@ def rn_numeric(n: int, prime_bound: int = 1000) -> dict:
     Product over primes <= prime_bound of N_n(p, p^{-2n}), times truncated
     Euler products for the Riemann zeta values at the integer arguments
     dictated by the denominator.  APPROXIMATE by construction; the report
-    echoes the truncation parameters.
+    echoes the truncation parameters, and `delta_vs_half_bound` is the
+    change from the same product over the primes <= max(2, prime_bound // 2),
+    which each product passes through on the way.
     """
-    check_n("rn_numeric", n)
+    from bisect import bisect_right
+
+    check_limit("rn_numeric", "n", n)
+    check_limit("rn_numeric", "prime_bound", prime_bound)
     primes = _primes_up_to(prime_bound)
+    cut = bisect_right(primes, max(2, prime_bound // 2))
     # summed in exponent order, so the float result does not depend on the
     # order in which N_n's terms were built
     terms = sorted((e, coeff) for (e, _), coeff in global_factor_eval(n).terms.items())
-    nprod = 1.0
-    for p in primes:
+
+    def times_N(x, p):
         val = 0.0
         for e, coeff in terms:
             val += coeff * float(p) ** e
-        nprod *= val
+        return x * val
+
     zargs = [2 * n - i for i in range(2 * n - 1)]
     zargs += [
         2 * n * n - n * (n + 1) // 2 + i * (i + 1) // 2 for i in range(n + 1)
     ]
-    value = nprod
+    half, value = _scan(primes, cut, times_N)
     for s in zargs:
-        value *= _euler_zeta(s, primes)
+        zeta_half, zeta_s = _scan(primes, cut, lambda x, p: x / (1.0 - float(p) ** (-s)))
+        half *= zeta_half
+        value *= zeta_s
     return {
         "n": n,
         "value": value,
         "prime_bound": prime_bound,
         "zeta_arguments": sorted(zargs),
         "label": "APPROXIMATE",
+        "delta_vs_half_bound": abs(value - half),
     }

@@ -22,7 +22,7 @@ from heiszeta.combinat import (
     signed_descent_sum,
 )
 from heiszeta.counts import birkhoff_alpha, nprime_closed
-from heiszeta.errors import ArityMismatch, HeiszetaError, IdentityMismatch, check_prime
+from heiszeta.errors import ArityMismatch, HeiszetaError, IdentityMismatch, check_limit, check_prime
 from heiszeta.exactalg import (
     BivariatePolynomial as Poly,
     FactoredRational,
@@ -35,7 +35,6 @@ from heiszeta.exactalg import (
 )
 from heiszeta.igusa import _E_series, _check_slots, _over_slots, fibre_E, igusa_A
 from heiszeta.oracle import (
-    _check_lagrangian_budget,
     _gram,
     _omega,
     _span,
@@ -419,7 +418,7 @@ def enum_lagrangians_by_tuples(mu, p: int) -> dict[Partition, int]:
     check_prime(p)
     mu = Partition(mu)
     m = mu.size()
-    _check_lagrangian_budget(p, m)
+    check_limit("budget", "|M_mu|", p ** (2 * m))
     if m == 0:
         return {Partition(()): 1}
     mod = TupleAltModule(tuple(mu.parts), p)

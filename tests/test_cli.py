@@ -4,13 +4,8 @@ import time
 import pytest
 
 from heiszeta.cli import main
-from heiszeta.errors import (
-    MAX_ORDER_LIMIT,
-    PRIME_BOUND_LIMIT,
-    PRIME_LIMIT,
-    UsageError,
-    check_prime,
-)
+from heiszeta import zeta
+from heiszeta.errors import LIMITS, PRIME_LIMIT, SizeGuard, UsageError, check_prime
 
 
 def run(capsys, *argv):
@@ -262,7 +257,17 @@ def test_out_file(tmp_path, capsys):
     assert path.read_text().startswith("(1 - q^3 T^3)")
 
 
-# Each bad input exits 2 with one line on stderr and no traceback.
+@pytest.mark.parametrize("where", ["missing/x", "."], ids=["no directory", "a directory"])
+def test_out_that_cannot_be_written_exits_2(tmp_path, capsys, where):
+    code = main(["zeta", "--n", "3", "--form", "b", "--out", str(tmp_path / where)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage: cannot write --out ")
+
+
+# Each bad input exits 2 with one line on stderr and no traceback: `usage:`
+# below a least value or on malformed input, `guard:` above a largest value.
 BAD_INPUTS = [
     ("zeta", "--n", "-1"),
     ("zeta", "--n", "-1", "--form", "c"),
@@ -281,31 +286,41 @@ BAD_INPUTS = [
     ("global", "--n", "1", "--rn"),
     ("global", "--n", "-1"),
     ("global", "--n", "2", "--rn", "--prime-bound", "1"),
+]
+GUARD_INPUTS = [
     ("global", "--n", "2", "--rn", "--prime-bound", "100000000000000"),
     ("coeffs", "--n", "1", "--prime", "2", "--max-order", "1000000000"),
 ]
 
 
-@pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
+@pytest.mark.parametrize("argv", BAD_INPUTS + GUARD_INPUTS, ids=" ".join)
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("usage: ")
+    prefix = "guard: " if argv in GUARD_INPUTS else "usage: "
+    assert len(lines) == 1 and lines[0].startswith(prefix)
 
 
-@pytest.mark.parametrize("head, flag, limit", [
-    (("coeffs", "--n", "1", "--prime", "2"), "--max-order", MAX_ORDER_LIMIT),
-    (("global", "--n", "2", "--rn"), "--prime-bound", PRIME_BOUND_LIMIT),
+def _stop(*args):
+    raise RuntimeError("past the check")
+
+
+# the largest value gets past the entry point's check to its first step of
+# work, and one more is refused there
+@pytest.mark.parametrize("row, call, work", [
+    (("dirichlet_coeffs", "order"), lambda v: zeta.dirichlet_coeffs(1, 2, v), "zeta_compact"),
+    (("rn_numeric", "prime_bound"), lambda v: zeta.rn_numeric(2, v), "_primes_up_to"),
 ], ids=["max-order", "prime-bound"])
-def test_size_limit_is_the_largest_value_accepted(head, flag, limit):
-    from heiszeta.cli import build_parser, validate
-
-    validate(build_parser().parse_args(head + (flag, str(limit))))
-    with pytest.raises(UsageError, match="must be at most %d" % limit):
-        validate(build_parser().parse_args(head + (flag, str(limit + 1))))
+def test_size_limit_is_the_largest_value_accepted(monkeypatch, row, call, work):
+    largest = LIMITS[row][1]
+    monkeypatch.setattr(zeta, work, _stop)
+    with pytest.raises(RuntimeError, match="past the check"):
+        call(largest)
+    with pytest.raises(SizeGuard, match="exceeds %d" % largest):
+        call(largest + 1)
 
 
 @pytest.mark.parametrize("form", ["b", "c", "graded", "reduced", "ideal"])

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from heiszeta.errors import N_RANGE
+from heiszeta.errors import LIMITS
 from heiszeta.exactalg import poly_to_json, rational_dumps
 from heiszeta.zeta import (
     global_factor,
@@ -33,7 +33,7 @@ def _poly_dumps(p):
 
 
 def _top(fn, cap):
-    return min(cap, N_RANGE[fn.__name__][1])
+    return min(cap, LIMITS[fn.__name__, "n"][1])
 
 
 # file stem -> (function, serializer, largest n)

@@ -32,12 +32,16 @@ from heiszeta.exactalg import (  # noqa: E402
     _p_mul_kronecker,
     _p_mul_schoolbook,
     divide_out_factor,
-    expand_factors,
     rational_dumps,
     rational_loads,
 )
 from heiszeta.zeta import _vanishing_order  # noqa: E402
-from reference import divide_one_factor, reduced_factor_at_a_time, sum_per_item  # noqa: E402
+from reference import (  # noqa: E402
+    divide_one_factor,
+    expand_factor_by_factor,
+    reduced_factor_at_a_time,
+    sum_per_item,
+)
 
 settings.register_profile("kernel", database=None, deadline=None, max_examples=40)
 settings.load_profile("kernel")
@@ -154,13 +158,16 @@ wide_dens = st.dictionaries(
 )
 
 
+def expand_factors(den):
+    return Poly(expand_factor_by_factor(den))
+
+
 @given(dens | deep_dens | wide_dens)
-def test_expand_factors_matches_factor_by_factor(den):
-    expected = {(0, 0): 1}
-    for (a, b), m in den.items():
-        for _ in range(m):
-            expected = _p_mul_schoolbook({(0, 0): 1, (a, b): -1}, expected)
-    assert expand_factors(den).terms == expected
+def test_sum_multiplies_by_each_missing_factor(den):
+    # the product over den, over den, compares with 1 through the sum, which
+    # multiplies the 1 by every factor of den: packed for the deep
+    # denominators, in a dict for the wide ones
+    assert FR(expand_factors(den), den) == 1
 
 
 # -- the accumulator and the division recurrences ---------------------------------
@@ -338,14 +345,15 @@ def test_a_dense_sum_is_one_packed_accumulation(monkeypatch):
     reads = []
     unpack = exactalg._kron_unpack
     monkeypatch.setattr(exactalg, "_kron_unpack", lambda *args: reads.append(args) or unpack(*args))
-    monkeypatch.setattr(exactalg, "_times_missing", refuse("the per-item path ran"))
     # a box of 76 cells against 196 terms before collecting
     num = Poly.one_minus(1, 0) ** 3
     items = [
         FR(num * Poly.monomial((-1) ** r, r), Counter([(1 + i, 0) for i in range(r + 2)] + [(1, 1)] * r))
         for r in range(4)
     ]
-    total = FR.sum(items)
+    with monkeypatch.context() as mp:
+        mp.setattr(exactalg, "_p_iadd", refuse("the per-item path ran"))
+        total = FR.sum(items)
     assert len(reads) == 1
     assert exact(total) == exact(sum_per_item(items))
 
@@ -360,7 +368,7 @@ def test_a_comparison_over_other_denominators_is_one_packed_sum(monkeypatch):
     reads = []
     unpack = exactalg._kron_unpack
     monkeypatch.setattr(exactalg, "_kron_unpack", lambda *args: reads.append(args) or unpack(*args))
-    monkeypatch.setattr(exactalg, "_times_missing", refuse("the per-item path ran"))
+    monkeypatch.setattr(exactalg, "_p_iadd", refuse("the per-item path ran"))
     assert f == g
     assert len(reads) == 1
     assert f != h
@@ -380,11 +388,12 @@ def test_a_comparison_over_one_denominator_skips_the_sum(monkeypatch):
 def test_packed_sums_carry_past_the_slot_bound(w, monkeypatch):
     # every coefficient is the largest that a w-byte slot holds, and they add
     # up in every cell, so the packed sum needs slots wider than w bytes
-    monkeypatch.setattr(exactalg, "_times_missing", refuse("the per-item path ran"))
     c = 2 ** (8 * w - 1) - 1
     block = Poly({(i, j): c for i in range(3) for j in range(3)})
     items = [FR(block), FR(block), FR(block.scaled(-1), {(1, 0): 1}, 1)]
-    total = FR.sum(items)
+    with monkeypatch.context() as mp:
+        mp.setattr(exactalg, "_p_iadd", refuse("the per-item path ran"))
+        total = FR.sum(items)
     assert max(map(abs, total.num.terms.values())) > c
     assert exact(total) == exact(sum_per_item(items))
 

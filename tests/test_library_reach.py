@@ -5,7 +5,7 @@ own body names it (an ast.Name or ast.Attribute), and a non-dunder method
 when such code reads it as an attribute (`obj.method`); that code must be
 module-level or inside a live definition.  A bare local of the same name
 does not reach a method.  Docstrings, `__init__` and the string keys of
-`errors.N_RANGE` name nothing.  What only the tests call is a second
+`errors.LIMITS` name nothing.  What only the tests call is a second
 derivation and belongs in tests/reference.py.  The public API in PUBLIC is
 live by definition.
 """

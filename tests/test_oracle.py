@@ -16,6 +16,7 @@ from heiszeta.counts import birkhoff_alpha, nprime_closed
 from heiszeta.errors import (
     BudgetExceeded,
     DegenerateForm,
+    LIMITS,
     FactorizationMismatch,
     SingularMatrix,
     UsageError,
@@ -275,7 +276,7 @@ def test_slots_keep_their_top_bit_free(mu, p):
     # coordinate k is digit k of the index, of radix m_k, so a rotation that
     # adds c to it stays inside the block of r_{k+1} = m_k r_k indices that
     # shares the other digits; checked on the layout alone, without building
-    # a bitset, so the module may be past LAGRANGIAN_BUDGET
+    # a bitset, so the module may be past the |M_mu| budget
     mod = AltModule(mu, p)
     assert mod.radix[0] == 1
     assert all(mod.radix[k + 1] == mod.radix[k] * m for k, m in enumerate(mod.mods[:-1]))
@@ -355,8 +356,9 @@ def test_lagrangian_total_of_four_parts():
 
 @pytest.mark.parametrize("mu, p", [((7,), 2), ((5,), 3), ((3,), 5), ((2,), 7)])
 def test_widest_slots_under_the_budget(mu, p):
-    # the largest exponent p^{mu_1} whose module fits LAGRANGIAN_BUDGET
-    assert p ** (2 * mu[0]) <= oracle.LAGRANGIAN_BUDGET < p ** (2 * mu[0] + 2)
+    # the largest exponent p^{mu_1} whose module fits the |M_mu| budget
+    budget = LIMITS["budget", "|M_mu|"][1]
+    assert p ** (2 * mu[0]) <= budget < p ** (2 * mu[0] + 2)
     assert sum(enum_lagrangians(mu, p).values()) == eval_at(nprime_closed(mu), p)
 
 
@@ -512,7 +514,7 @@ def test_factorization_keeps_the_lagrangian_budget(monkeypatch):
         raise AssertionError("enum_sublattices ran before the budget check")
 
     monkeypatch.setattr(oracle, "enum_sublattices", refuse)
-    with pytest.raises(BudgetExceeded, match=r"2\^16"):
+    with pytest.raises(BudgetExceeded, match=r"\|M_mu\| = 65536 exceeds"):
         check_factorization(1, 2, 8)
 
 

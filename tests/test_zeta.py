@@ -6,7 +6,6 @@ import pytest
 from heiszeta import cli, zeta
 from heiszeta.combinat import gen_W, weight_C
 from heiszeta.counts import nprime_closed
-from heiszeta.errors import SizeGuard
 from heiszeta.exactalg import (
     BivariatePolynomial as Poly,
     FactoredRational as FR,
@@ -199,19 +198,6 @@ def test_compact_n2_first_summand():
         1, {(1, 0): 1, (3, 0): 1, (0, 1): 1, (2, 1): 1, (4, 3): 1}
     )
     assert summand == expect
-
-
-def test_guards():
-    with pytest.raises(SizeGuard):
-        zeta_igusa_sum(6)
-    with pytest.raises(SizeGuard):
-        zeta_hyperoctahedral(7)
-    with pytest.raises(SizeGuard):
-        zeta_graded(7)
-    with pytest.raises(SizeGuard):
-        global_factor(7)
-    with pytest.raises(SizeGuard):
-        hyperoctahedral_numerator(9, c_exponents(9))
 
 
 @pytest.mark.parametrize(
@@ -596,3 +582,12 @@ def test_rn_numeric_monotone_refinement():
 def test_rn_numeric_rejects_n1():
     with pytest.raises(ValueError):
         rn_numeric(1, 10)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+@pytest.mark.parametrize("bound", (2, 3, 1000, 10**4))
+def test_rn_numeric_half_bound_delta_is_the_second_run(n, bound):
+    # the half-bound value is read on the way through the same products,
+    # so it is the value of a separate run bit for bit
+    rep, half = rn_numeric(n, bound), rn_numeric(n, max(2, bound // 2))["value"]
+    assert rep["delta_vs_half_bound"] == abs(rep["value"] - half)
