@@ -238,26 +238,28 @@ def cmd_coeffs(args) -> int:
     from .zeta import dirichlet_coeffs
 
     formula = dirichlet_coeffs(args.n, args.prime, args.max_order)
-    rows = []
-    oracle_counts = None
+    header = ["index", "formula"]
+    columns = [["%d^%d" % (args.prime, i) for i in range(len(formula))], formula]
+    agree = []
     if args.oracle:
         from .oracle import enum_subalgebras
 
-        oracle_counts = enum_subalgebras(args.n, args.prime, args.max_order)
-    ok = True
-    for i, val in enumerate(formula):
-        row = {"index": "%d^%d" % (args.prime, i), "formula": val}
-        if oracle_counts is not None:
-            row["oracle"] = oracle_counts[i]
-            row["agree"] = oracle_counts[i] == val
-            ok = ok and row["agree"]
-        rows.append(row)
-    header = ["index", "formula"] + (["oracle", "agree"] if args.oracle else [])
-    lines = ["\t".join(header)]
-    for row in rows:
-        lines.append("\t".join(str(row[h]) for h in header))
+        counts = enum_subalgebras(args.n, args.prime, args.max_order)
+        agree = [c == f for c, f in zip(counts, formula)]
+        header += ["oracle", "agree"]
+        columns += [counts, agree]
+    # a count may pass the interpreter's limit on the digits of an int turned
+    # into text (4300, where it has one): lifted for this table only
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        lines = ["\t".join(header)] + ["\t".join(map(str, row)) for row in zip(*columns)]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     _emit("\n".join(lines), args.out)
-    return 0 if ok else 1
+    return 0 if all(agree) else 1
 
 
 def cmd_oracle(args) -> int:
@@ -320,7 +322,8 @@ def validate(args) -> None:
     Raises UsageError, which main maps to exit code 2.  verify's --checks
     becomes the list of check names (an empty list or an unknown name is
     rejected) and needs n >= 1; coeffs needs a prime --prime, though
-    dirichlet_coeffs takes any integer q; oracle's --mu becomes a Partition.
+    dirichlet_coeffs takes any integer q; oracle lagrangian's --mu becomes a
+    Partition, and each oracle mode refuses the options of the others.
     Every numeric range is the library's: each entry point refuses a value
     below its least value with UsageError and above its largest with
     SizeGuard (errors.LIMITS).
@@ -335,13 +338,20 @@ def validate(args) -> None:
                 raise UsageError("unknown check %r" % name)
     elif args.command == "coeffs":
         check_prime(args.prime)
-    elif args.command == "oracle":
+    elif args.command == "oracle" and args.mode == "lagrangian":
         from .combinat import Partition
 
+        if args.n is not None or args.max_val is not None:
+            raise UsageError("oracle lagrangian takes no --n or --max-val")
         try:
-            args.mu = Partition.from_string(args.mu)
+            args.mu = Partition.from_string(args.mu or "")
         except ValueError as exc:
             raise UsageError("--mu %r is not a partition: %s" % (args.mu, exc)) from None
+    elif args.command == "oracle":
+        if args.mu is not None:
+            raise UsageError("oracle %s takes no --mu" % args.mode)
+        args.n = 1 if args.n is None else args.n
+        args.max_val = 2 if args.max_val is None else args.max_val
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,10 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("oracle", help="finite-ring brute-force counts")
     o.add_argument("mode", choices=["lagrangian", "sublattice", "factorization"])
-    o.add_argument("--mu", default="")
-    o.add_argument("--n", type=int, default=1)
+    o.add_argument("--mu")
+    o.add_argument("--n", type=int)
     o.add_argument("--prime", type=int, required=True)
-    o.add_argument("--max-val", type=int, default=2)
+    o.add_argument("--max-val", type=int)
     o.add_argument("--out")
     o.set_defaults(func=cmd_oracle)
 

@@ -17,10 +17,8 @@ PRIME_LIMIT = 3317044064679887385961981
 
 
 def check_prime(p: int) -> None:
-    """Raise UsageError unless p is a prime below PRIME_LIMIT."""
-    if p >= PRIME_LIMIT:
-        raise UsageError("--prime must be below %d, the limit of the primality test, got %d"
-                         % (PRIME_LIMIT, p))
+    """Raise UsageError unless p is a prime, and SizeGuard from PRIME_LIMIT on."""
+    check_limit("check_prime", "p", p)
     if p < 2 or not _is_prime(p):
         raise UsageError("--prime must be a prime, got %d" % p)
 
@@ -85,11 +83,14 @@ LIMITS = {
     # which its case finished inside 10 s on a 2-vCPU VM.  `global --n 6
     # --rn`, the largest n, took 1.6 s at a prime bound of 10^5 and 9.8 s at
     # 10^6 (4.0-5.3 s since the half-bound value comes from the same pass);
-    # `coeffs --n 1` took 1.8 s and 137 MB at an order of 10^3 and
-    # 9.5 s and 549 MB at 2000 (`coeffs --n 2`, 5.2 s and 301 MB at 10^3).
-    # Far larger values end in a MemoryError.
+    # far larger bounds end in a MemoryError.  `coeffs --n 12 --prime 2`,
+    # the largest n, takes 1.05 s and 43 MB at an order of 10^3; at 10^4 its
+    # integer recurrence takes 3.7 s and 192 MB, but printing its counts of
+    # up to 69,000 digits did not end inside 30 s.
     ("rn_numeric", "prime_bound"): (2, 10**6),
     ("dirichlet_coeffs", "order"): (0, 10**3),
+    # the primality test is exact below PRIME_LIMIT; below 2 is no prime
+    ("check_prime", "p"): (None, PRIME_LIMIT - 1),
     # enum_sublattices, enum_subalgebras and check_factorization
     ("lattice oracles", "max valuation"): (0, None),
     # HNF bases enumerated up to the max valuation, counted before any is

@@ -31,10 +31,10 @@ Equality compares the numerators of two sides over the same denominator and
 T-shift, and otherwise asks the sum whether their difference is zero.
 
 Division by 1 - u is one recurrence, y = x + u y: ``_unroll`` on the T-rows
-of ``_p_tslices`` for T-factors and series in T, ``_divide_dense`` on dense
-lists for constant factors and pole orders at q = p.  ``reduced`` cancels
-factors in one row pass (``_cancel``), of which ``divide_out_factor`` is the
-one-factor case.
+of ``_p_tslices`` for T-factors and series in T, ``_unroll_dense`` on dense
+lists for constant factors and for series and pole orders at q = p.
+``reduced`` cancels factors in one row pass (``_cancel``), of which
+``divide_out_factor`` is the one-factor case.
 
 The module also provides q-Pochhammer symbols, Gaussian binomial and
 multinomial coefficients, the substitution ``(q,T) -> (q^-1,T^-1)``, and the
@@ -50,7 +50,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import IdentityMismatch, NotRegularAtZero
+from .errors import NotRegularAtZero
 
 Term = tuple[int, int]  # (e_q, e_T)
 
@@ -238,14 +238,18 @@ def _unroll(rows: list[dict[int, int]], a: int, b: int, top: int) -> list[dict[i
     return rows
 
 
-def _divide_dense(xs: list[int], step: int, mult: int = 1) -> Optional[list[int]]:
-    """Quotient of sum x_j u^j by 1 - mult u^step (step >= 1), or None.
-
-    Unrolls y_j = x_j + mult y_{j-step} in place; the factor divides exactly
-    when the top step entries of y vanish, and y without them is the quotient.
-    """
+def _unroll_dense(xs: list[int], step: int, mult: int) -> list[int]:
+    """y_j = x_j + mult y_{j-step} in place (step >= 1): the series of
+    sum x_j u^j / (1 - mult u^step), cut after u^(len(xs) - 1)."""
     for j in range(step, len(xs)):
         xs[j] += mult * xs[j - step]
+    return xs
+
+
+def _divide_dense(xs: list[int], step: int, mult: int = 1) -> Optional[list[int]]:
+    """Quotient of sum x_j u^j by 1 - mult u^step (step >= 1), or None: the
+    series unrolled in place, if its top step entries vanish, without them."""
+    _unroll_dense(xs, step, mult)
     top = max(len(xs) - step, 0)
     if any(xs[top:]):
         return None
@@ -415,14 +419,6 @@ class BivariatePolynomial:
 
     def __repr__(self):
         return "BivariatePolynomial(%s)" % format_poly(self)
-
-
-def _constant_at(p: BivariatePolynomial, q: int) -> int:
-    """The value at an integer q of a polynomial that must be constant in T."""
-    vals = p.eval_q(q)
-    if any(et != 0 for et in vals):
-        raise IdentityMismatch("polynomial is not constant in T")
-    return vals.get(0, 0)
 
 
 def _coerce_poly(x) -> BivariatePolynomial:
@@ -719,21 +715,19 @@ class FactoredRational:
 
     # -- normalization -------------------------------------------------------
 
-    def reduced(self, constants_only: bool = False) -> "FactoredRational":
+    def reduced(self) -> "FactoredRational":
         """Cancel denominator factors that exactly divide the numerator.
 
-        Factors with b == 0 are attempted first (the zeta sums must clear all
-        of them), then the T-positive factors; finally the numerator's
-        T-content is folded into tshift.  With constants_only the T-positive
-        factors are left untouched even when they would cancel, which is what
-        keeps the zeta functions in their conventional displayed shape.
+        Factors with b == 0 are attempted first, then the T-positive factors;
+        finally the numerator's T-content is folded into tshift.  To cancel
+        only some factors, reduce a value over those alone, as zeta_compact
+        does with (q;q^2)_{n+1}.
         """
         if self.num.is_zero():
             return FactoredRational.zero()
-        factors = [f for f in sorted_factors(self.den) if f[1] == 0 or not constants_only]
+        factors = sorted_factors(self.den)
         terms, tv, left = _cancel(self.num.terms, factors)
-        left = {(a, b): m for (a, b, _), m in zip(factors, left)}
-        den = {k: left.get(k, m) for k, m in self.den.items() if left.get(k, m)}
+        den = {(a, b): m for (a, b, _), m in zip(factors, left) if m}
         num = BivariatePolynomial._raw(terms)
         out = FactoredRational.__new__(FactoredRational)
         return _set_fields(out, num=num, den=MappingProxyType(den), tshift=self.tshift + tv)

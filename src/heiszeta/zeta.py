@@ -26,9 +26,11 @@ from .exactalg import (
     BivariatePolynomial,
     FactoredRational,
     SignedMonomial,
-    _constant_at,
     _divide_dense,
+    _p_iadd,
+    _unroll_dense,
     divide_out_factor,
+    gauss_binom,
     mono,
 )
 
@@ -84,24 +86,26 @@ def zeta_igusa_sum(n: int) -> FactoredRational:
 def zeta_compact(n: int) -> FactoredRational:
     """(n+1)-term compact form, the reference implementation.
 
-    Summand r: special factor (1 - q^{a_{n,r}} T^{n+1}) times
-    (-q)^r (1 - q^{2n-2r+1}) (q^2;q^2)_n over
-    (q;q)_{2n-r+1} (q;q)_r (q^r T; q^2)_{n-r} (q^{2n-r} T; q)_r.
+    By (q;q)_{2n+1} = (q;q^2)_{n+1} (q^2;q^2)_n, the paper's
+    (q^2;q^2)_n / ((q;q)_{2n-r+1} (q;q)_r) in summand r is
+    [2n+1 choose r]_q / (q;q^2)_{n+1}: the summands share that one constant
+    denominator, which is divided out of their sum's numerator.
     """
     check_limit("zeta_compact", "n", n)
-    terms = []
-    for r in range(n + 1):
-        num = BivariatePolynomial.monomial((-1) ** r, r, 0)
-        num = num * BivariatePolynomial.one_minus(2 * n - 2 * r + 1, 0)
-        for i in range(n):
-            num = num * BivariatePolynomial.one_minus(2 * i + 2, 0)
-        factors = [(special_exponent(n, r), n + 1)]
-        factors += [(1 + i, 0) for i in range(2 * n - r + 1)]
-        factors += [(1 + i, 0) for i in range(r)]
-        factors += [(r + 2 * i, 1) for i in range(n - r)]
-        factors += [(2 * n - r + i, 1) for i in range(r)]
-        terms.append(FactoredRational(num, Counter(factors)))
-    return FactoredRational.sum(terms).reduced(constants_only=True)
+    total = FactoredRational.sum([_compact_summand(n, r) for r in range(n + 1)])
+    odd = FactoredRational(total.num, {(2 * i + 1, 0): 1 for i in range(n + 1)}).reduced()
+    return odd * FactoredRational(1, total.den, total.tshift)
+
+
+def _compact_summand(n: int, r: int) -> FactoredRational:
+    """Summand r of form b times (q;q^2)_{n+1}: (-q)^r (1 - q^{2n-2r+1}) [2n+1 choose r]_q
+    over (1 - q^{a_{n,r}} T^{n+1}) (q^r T; q^2)_{n-r} (q^{2n-r} T; q)_r."""
+    num = gauss_binom(2 * n + 1, r, 1) * BivariatePolynomial.monomial((-1) ** r, r, 0)
+    num = num * BivariatePolynomial.one_minus(2 * n - 2 * r + 1, 0)
+    factors = [(special_exponent(n, r), n + 1)]
+    factors += [(r + 2 * i, 1) for i in range(n - r)]
+    factors += [(2 * n - r + i, 1) for i in range(r)]
+    return FactoredRational(num, Counter(factors))
 
 
 def hyperoctahedral_numerator(n: int, c: Sequence[int]) -> BivariatePolynomial:
@@ -171,9 +175,16 @@ def zeta_graded(n: int) -> FactoredRational:
 
 
 def dirichlet_coeffs(n: int, p: int, order: int) -> list[int]:
-    """Subalgebra counts a_{p^i} for i <= order, from the compact form."""
+    """Subalgebra counts a_{p^i} for i <= order: form b's numerator at q = p
+    over each denominator factor 1 - p^a T^b, in integers."""
     check_limit("dirichlet_coeffs", "order", order)
-    return [_constant_at(c, p) for c in zeta_compact(n).series_in_T(order)]
+    f = zeta_compact(n)
+    at_p = f.num.eval_q(p)
+    xs = [at_p.get(k - f.tshift, 0) for k in range(order + 1)]
+    for (a, b), m in f.den.items():
+        for _ in range(m):
+            _unroll_dense(xs, b, p**a)
+    return xs
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +253,7 @@ class PoleReport:
         from fractions import Fraction
 
         s = Fraction(s)
-        for loc, order in self.integral_poles:
-            if loc == s:
-                return order
-        for loc, order in self.fractional_poles:
+        for loc, order in self.integral_poles + self.fractional_poles:
             if loc == s:
                 return order
         return 0
@@ -288,34 +296,27 @@ def pole_analysis(n: int, test_primes: Sequence[int] = (2, 3, 5)) -> PoleReport:
 
     f = zeta_compact(n)
     integral, fractional = pole_candidates(n)
-    candidates = sorted({Fraction(s) for s in integral} | set(fractional))
-    for (a, b) in f.den:
+    candidates = {Fraction(s) for s in integral} | set(fractional)
+    mults = Counter()  # factor multiplicity over each location
+    for (a, b), m in f.den.items():
         if b == 0:
             raise IdentityMismatch("unreduced constant factor in denominator")
         if Fraction(a, b) not in candidates:
             raise IdentityMismatch(
                 "denominator factor (1 - q^%d T^%d) off the candidate list" % (a, b)
             )
+        mults[Fraction(a, b)] += m
     report = PoleReport(n=n, tested_at_q=list(test_primes))
-    per_location: dict[Fraction, dict[int, int]] = {}
-    for p in test_primes:
-        coeffs = f.num.eval_q(p)
-        for s in candidates:
-            mult = sum(
-                m for (a, b), m in f.den.items() if Fraction(a, b) == s
-            )
-            if mult == 0:
-                continue
-            van = _vanishing_order(coeffs, p, s.numerator, s.denominator)
-            per_location.setdefault(s, {})[p] = mult - van
-    for s in sorted(per_location):
-        orders = per_location[s]
+    at_p = {p: f.num.eval_q(p) for p in test_primes}
+    for s in sorted(mults):
+        orders = {p: mults[s] - _vanishing_order(coeffs, p, s.numerator, s.denominator)
+                  for p, coeffs in at_p.items()}
         vals = set(orders.values())
         if len(vals) > 1:
             report.discrepancies.append(
                 "order at s = %s varies with q: %s" % (s, orders)
             )
-        order = max(vals)
+        order = max(vals, default=0)
         if order <= 0:
             continue
         if s.denominator == 1:
@@ -336,10 +337,7 @@ def _brenti_substituted(n: int) -> BivariatePolynomial:
     """B_n(T^{n+1}, -T) as a polynomial in T."""
     terms: dict = {}
     for (i, j), coeff in brenti_B(n).terms.items():
-        e = (n + 1) * i + j
-        c = coeff * ((-1) ** j)
-        key = (0, e)
-        terms[key] = terms.get(key, 0) + c
+        _p_iadd(terms, {(0, (n + 1) * i + j): coeff * (-1) ** j})
     return BivariatePolynomial(terms)
 
 
@@ -424,12 +422,7 @@ def global_factor_eval(n: int) -> BivariatePolynomial:
     """N_n(p, p^{-2n}) as an exact Laurent polynomial in p (variable q)."""
     out: dict = {}
     for (C, D), coeff in global_factor(n).terms.items():
-        key = (C - 2 * n * D, 0)
-        s = out.get(key, 0) + coeff
-        if s:
-            out[key] = s
-        else:
-            del out[key]
+        _p_iadd(out, {(C - 2 * n * D, 0): coeff})
     return BivariatePolynomial(out)
 
 

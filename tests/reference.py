@@ -8,6 +8,7 @@ They carry no size guard; the tests call them at small n only.
 """
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
@@ -43,7 +44,7 @@ from heiszeta.oracle import (
     hnf_enumerate,
     smith_type,
 )
-from heiszeta.zeta import c_exponents, igusa_args
+from heiszeta.zeta import c_exponents, igusa_args, special_exponent, zeta_compact
 
 
 def is_w_vector(w) -> bool:
@@ -272,6 +273,33 @@ def Z_of_w_partition_sum(w, n: int, max_size: int) -> FactoredRational:
 def zeta_series_oracle(n: int, truncation: int) -> list[Poly]:
     """T-series through T^truncation from the partition sum with weight N'(mu)."""
     return _partition_sum(n, truncation, nprime_closed).series_in_T(truncation)
+
+
+def compact_summand_by_pochhammers(n: int, r: int) -> FactoredRational:
+    """Summand r of form b as the paper writes it: (-q)^r (1 - q^{2n-2r+1})
+    (q^2;q^2)_n over (1 - q^{a_{n,r}} T^{n+1}) (q;q)_{2n-r+1} (q;q)_r
+    (q^r T; q^2)_{n-r} (q^{2n-r} T; q)_r, each q-Pochhammer built factor by factor."""
+    num = Poly.monomial((-1) ** r, r, 0) * Poly.one_minus(2 * n - 2 * r + 1, 0)
+    for i in range(n):
+        num = num * Poly.one_minus(2 * i + 2, 0)
+    factors = [(special_exponent(n, r), n + 1)]
+    factors += [(1 + i, 0) for i in range(2 * n - r + 1)]
+    factors += [(1 + i, 0) for i in range(r)]
+    factors += [(r + 2 * i, 1) for i in range(n - r)]
+    factors += [(2 * n - r + i, 1) for i in range(r)]
+    return FactoredRational(num, Counter(factors))
+
+
+def dirichlet_coeffs_by_series(n: int, p: int, order: int) -> list[int]:
+    """a_{p^i} for i <= order: form b's T-series with coefficients in q, each
+    coefficient then evaluated at q = p."""
+    out = []
+    for c in zeta_compact(n).series_in_T(order):
+        vals = c.eval_q(p)
+        if set(vals) - {0}:
+            raise IdentityMismatch("series coefficient is not constant in T")
+        out.append(vals.get(0, 0))
+    return out
 
 
 def lemma_global_bound(n: int) -> tuple[int, tuple[int, ...]]:
@@ -589,14 +617,14 @@ def divide_one_factor(p: Poly, a: int, b: int):
     return Poly({(eq, et): c for et, row in enumerate(rows) for eq, c in row.items()})
 
 
-def reduced_factor_at_a_time(f: FactoredRational, constants_only: bool = False) -> FactoredRational:
+def reduced_factor_at_a_time(f: FactoredRational) -> FactoredRational:
     """FactoredRational.reduced by one divide_one_factor call per copy of each
     factor, constant factors first, then the T-content folded into tshift."""
     if f.num.is_zero():
         return FactoredRational.zero()
     num, den = f.num, dict(f.den)
     for a, b in sorted(den, key=lambda k: (k[1], k[0])):
-        while den.get((a, b)) and not (constants_only and b):
+        while den.get((a, b)):
             quot = divide_one_factor(num, a, b)
             if quot is None:
                 break

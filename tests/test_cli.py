@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -188,6 +189,16 @@ def test_coeffs_oracle_agrees_at_3_to_the_7(capsys):
     assert all(r[3] == "True" for r in rows)
 
 
+def test_coeffs_prints_counts_past_the_interpreter_digit_limit(capsys):
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    limit = digit_limit()
+    code, out = run(capsys, "coeffs", "--n", "2", "--prime", "1000003", "--max-order", "250")
+    assert code == 0
+    assert max(len(line.split("\t")[1]) for line in out.splitlines()[1:]) > 4300
+    # the limit is lifted for the table only
+    assert digit_limit() == limit
+
+
 def test_oracle_lagrangian(capsys):
     code, out = run(capsys, "oracle", "lagrangian", "--mu", "1", "--prime", "2")
     assert code == 0
@@ -200,6 +211,20 @@ def test_oracle_lagrangian_empty_mu(capsys):
     assert code == 0
     rows = json.loads(out)
     assert rows[-1]["count"] == "1"
+
+
+def test_oracle_modes_keep_their_defaults(capsys):
+    # sublattice and factorization at n = 1 and max-val 2, lagrangian at mu = ()
+    _, out = run(capsys, "oracle", "sublattice", "--prime", "2")
+    _, expect = run(capsys, "oracle", "sublattice", "--n", "1", "--prime", "2", "--max-val", "2")
+    assert out == expect
+    _, out = run(capsys, "oracle", "lagrangian", "--prime", "3")
+    assert json.loads(out)[-1] == {"lambda": "*", "mu": "", "p": 3, "count": "1"}
+
+
+def test_oracle_names_the_option_it_does_not_read(capsys):
+    assert main(["oracle", "sublattice", "--mu", "x", "--prime", "2"]) == 2
+    assert capsys.readouterr().err == "usage: oracle sublattice takes no --mu\n"
 
 
 def test_oracle_factorization(capsys):
@@ -277,10 +302,15 @@ BAD_INPUTS = [
     ("coeffs", "--n", "1", "--prime", "1", "--max-order", "2"),
     ("coeffs", "--n", "1", "--prime", "4", "--max-order", "2"),
     ("coeffs", "--n", "1", "--prime", "561", "--max-order", "2"),
-    ("coeffs", "--n", "1", "--prime", "3317044064679887385961981", "--max-order", "1"),
     ("coeffs", "--n", "1", "--prime", "2", "--max-order", "-1"),
     ("oracle", "lagrangian", "--mu", "1,2", "--prime", "2"),
     ("oracle", "lagrangian", "--mu", "x", "--prime", "2"),
+    # each oracle mode refuses the options it does not read
+    ("oracle", "lagrangian", "--mu", "1", "--prime", "2", "--n", "-5", "--max-val", "-3"),
+    ("oracle", "lagrangian", "--mu", "1", "--prime", "2", "--n", "1"),
+    ("oracle", "lagrangian", "--prime", "2", "--max-val", "2"),
+    ("oracle", "sublattice", "--mu", "x", "--prime", "2"),
+    ("oracle", "factorization", "--mu", "1", "--prime", "2"),
     ("oracle", "sublattice", "--n", "0", "--prime", "2"),
     ("oracle", "factorization", "--n", "1", "--prime", "2", "--max-val", "-1"),
     ("global", "--n", "1", "--rn"),
@@ -290,6 +320,7 @@ BAD_INPUTS = [
 GUARD_INPUTS = [
     ("global", "--n", "2", "--rn", "--prime-bound", "100000000000000"),
     ("coeffs", "--n", "1", "--prime", "2", "--max-order", "1000000000"),
+    ("coeffs", "--n", "1", "--prime", "3317044064679887385961981", "--max-order", "1"),
 ]
 
 
@@ -356,8 +387,9 @@ def test_check_prime_refuses_pseudoprimes(n):
 
 def test_check_prime_refuses_at_its_limit():
     # the limit itself is a strong pseudoprime to all 13 bases
+    assert LIMITS["check_prime", "p"][1] == PRIME_LIMIT - 1
     for p in (PRIME_LIMIT, PRIME_LIMIT + 2, 10**30 + 57):
-        with pytest.raises(UsageError, match="must be below %d" % PRIME_LIMIT):
+        with pytest.raises(SizeGuard, match="exceeds %d" % (PRIME_LIMIT - 1)):
             check_prime(p)
 
 

@@ -420,9 +420,9 @@ def reducible(draw):
 
 
 @settings(max_examples=80)
-@given(reducible(), st.booleans())
-def test_reduced_matches_the_factor_at_a_time_reference(f, constants_only):
-    assert exact(f.reduced(constants_only)) == exact(reduced_factor_at_a_time(f, constants_only))
+@given(reducible())
+def test_reduced_matches_the_factor_at_a_time_reference(f):
+    assert exact(f.reduced()) == exact(reduced_factor_at_a_time(f))
 
 
 @given(operands, st.tuples(st.integers(-4, 4), st.integers(0, 3)).filter(lambda k: k != (0, 0)),

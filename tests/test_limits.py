@@ -17,7 +17,7 @@ import pytest
 from heiszeta import oracle
 from heiszeta.cli import build_parser, validate
 from heiszeta.combinat import brenti_B, eulerian_A, signed_descent_sum
-from heiszeta.errors import LIMITS, BudgetExceeded, SizeGuard, UsageError
+from heiszeta.errors import LIMITS, BudgetExceeded, SizeGuard, UsageError, check_prime
 from heiszeta.exactalg import mono
 from heiszeta.igusa import fibre_K
 from heiszeta.oracle import enum_lagrangians, enum_subalgebras, enum_sublattices
@@ -73,6 +73,7 @@ CASES = {
     ("verify", "n"): lambda v: validate(build_parser().parse_args(["verify", "--n", str(v)])),
     ("rn_numeric", "prime_bound"): lambda v: rn_numeric(2, v),
     ("dirichlet_coeffs", "order"): lambda v: dirichlet_coeffs(1, 2, v),
+    ("check_prime", "p"): check_prime,
     ("lattice oracles", "max valuation"): lambda v: enum_sublattices(1, 2, v),
     ("budget", "HNF bases"): _hnf_bases,
     ("budget", "|M_mu|"): _module_size,

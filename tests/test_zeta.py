@@ -33,7 +33,6 @@ from heiszeta.zeta import (
     reduced_cone_series,
     reduced_zeta,
     rn_numeric,
-    special_exponent,
     zeta_graded,
     zeta_ideal,
     zeta_igusa_sum,
@@ -41,6 +40,7 @@ from heiszeta.zeta import (
     zeta_hyperoctahedral,
 )
 from reference import Z_of_w, Z_of_w_partition_sum, lemma_global_bound, subs_q_one
+from reference import compact_summand_by_pochhammers, dirichlet_coeffs_by_series
 from reference import zeta_series_oracle
 
 N1_FORM = FR(
@@ -183,21 +183,30 @@ def test_igusa_sum_n3_second_summand():
 
 def test_compact_n2_first_summand():
     # the r=0 summand equals 1/((1-q)(1-q^3)(1-T)(1-q^2 T)(1-q^4 T^3))
-    n, r = 2, 0
-    num = Poly.monomial(1, r, 0) * Poly.one_minus(2 * n - 2 * r + 1, 0)
-    for i in range(n):
-        num = num * Poly.one_minus(2 * i + 2, 0)
-    den = {}
-    den[(special_exponent(n, r), n + 1)] = 1
-    for i in range(2 * n - r + 1):
-        den[(1 + i, 0)] = den.get((1 + i, 0), 0) + 1
-    for i in range(n - r):
-        den[(r + 2 * i, 1)] = den.get((r + 2 * i, 1), 0) + 1
-    summand = FR(num, den)
     expect = FR(
         1, {(1, 0): 1, (3, 0): 1, (0, 1): 1, (2, 1): 1, (4, 3): 1}
     )
-    assert summand == expect
+    assert compact_summand_by_pochhammers(2, 0) == expect
+
+
+def _odd_factors(n):
+    """1 / (q;q^2)_{n+1}, the constant denominator the compact summands share."""
+    return FR.one_over((2 * i + 1, 0) for i in range(n + 1))
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_compact_summand_is_the_pochhammer_summand(n):
+    # (q^2;q^2)_n / ((q;q)_{2n-r+1} (q;q)_r) = [2n+1 choose r]_q / (q;q^2)_{n+1}
+    for r in range(n + 1):
+        assert zeta._compact_summand(n, r) * _odd_factors(n) == compact_summand_by_pochhammers(n, r)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_compact_form_is_the_pochhammer_sum(n):
+    total = FR.sum([compact_summand_by_pochhammers(n, r) for r in range(n + 1)])
+    assert total == zeta_compact(n)
+    # (q;q^2)_{n+1} divides the sum's numerator: no constant factor is left
+    assert all(b for _, b in zeta_compact(n).den)
 
 
 @pytest.mark.parametrize(
@@ -375,6 +384,15 @@ def test_series_oracle_matches(n):
 
 def test_series_oracle_order_zero():
     assert zeta_series_oracle(2, 0) == [Poly.one()]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_dirichlet_coeffs_match_the_series_at_q_equal_p(n):
+    for p in (2, 3, 5, 7):
+        for order in (0, 1, 5, 12):
+            assert dirichlet_coeffs(n, p, order) == dirichlet_coeffs_by_series(n, p, order)
+    if n <= 2:
+        assert dirichlet_coeffs(n, 2, 60) == dirichlet_coeffs_by_series(n, 2, 60)
 
 
 def test_dirichlet_coeffs_fixtures():
