@@ -84,33 +84,31 @@ def _check_crossform(n: int) -> dict:
 
     a, b, c = zeta_igusa_sum(n), zeta_compact(n), zeta_hyperoctahedral(n)
     ok = a == b and b == c and c.num == hyperoctahedral_numerator(n, c_exponents(n))
-    return {"check": "crossform", "n": n, "status": "pass" if ok else "fail"}
+    return {"status": "pass" if ok else "fail"}
 
 
 def _check_funeq(n: int) -> dict:
     from .zeta import funeq_check
 
-    rep = funeq_check(n)
-    return {"check": "funeq", "n": n, "status": rep["status"], "detail": rep["factor"]}
+    return {"status": "pass", "detail": funeq_check(n)}
 
 
 def _check_poles(n: int) -> dict:
+    """The pole orders of form b, and the double-pole law: the poles of order
+    2 or more are exactly the s = m with m(m+1) = 4n (s = 3 at n = 3, s = 4
+    at n = 5).  The law is observed, not proved: it holds for every n <= 12,
+    the n up to which verify runs this check."""
     from .zeta import pole_analysis
 
-    rep = pole_analysis(n)
+    orders = pole_analysis(n)
+    double = [s for s, o in orders.items() if o >= 2]
+    ok = double == [m for m in range(1, n + 1) if m * (m + 1) == 4 * n]
     detail = {
-        "integral": [[s, o] for s, o in rep.integral_poles],
-        "fractional": [[str(s), o] for s, o in rep.fractional_poles],
-        "double": [str(s) for s in rep.double_poles],
+        "integral": [[int(s), o] for s, o in orders.items() if s.denominator == 1],
+        "fractional": [[str(s), o] for s, o in orders.items() if s.denominator > 1],
+        "double": [str(s) for s in double],
     }
-    expected_double = [m for m in range(1, n + 1) if m * (m + 1) == 4 * n]
-    ok = not rep.discrepancies and [int(s) for s in rep.double_poles] == expected_double
-    return {
-        "check": "poles",
-        "n": n,
-        "status": "pass" if ok else "fail",
-        "detail": detail,
-    }
+    return {"status": "pass" if ok else "fail", "detail": detail}
 
 
 def _check_fibre(n: int) -> dict:
@@ -121,33 +119,38 @@ def _check_fibre(n: int) -> dict:
     """
     from .igusa import check_I_equals_K
 
-    pairs = [[k, r] for k in range(n + 1) for r in range(k + 1)]
-    for k, r in pairs:
-        check_I_equals_K(n, k, r)
-    return {"check": "fibre", "n": n, "status": "pass", "detail": {"pairs": pairs}}
+    pairs = []
+    for k in range(n + 1):
+        for r in range(k + 1):
+            check_I_equals_K(n, k, r)
+            pairs.append([k, r])
+    return {"status": "pass", "detail": {"pairs": pairs}}
 
 
 def _check_residue(n: int) -> dict:
-    """The residue of igusa_B at X_m -> 1 in factored form against the descent
-    sum with slot m set to 1, for m < n, then igusa_B's numerator against the
-    descent sum on the same slots, over the slot denominator both share.
+    """igusa_B's numerator against the descent sum on the same slots, over the
+    slot denominator both share, then the residue of igusa_B at X_m -> 1 in
+    factored form against the descent sum with slot m set to 1, for m < n.
+    Each comparison builds its descent sum first, so that the descent sum's
+    size guard refuses before any other work.
 
     igusa_B, and the factored residue through it, is the subset expansion.
     At m = n the two residues are igusa_B(n) on n slots and its descent sum
-    (X_n is never a descent slot), which the last comparison already checks.
+    (X_n is never a descent slot), which the first comparison already checks.
     """
     from .combinat import signed_descent_sum
     from .igusa import GENERIC_Z as Z
     from .igusa import generic_slots, igusa_B, igusa_B_residue, igusa_B_residue_limit
 
+    X = generic_slots(n)
+    descent = signed_descent_sum(n, -1, Z, X)
+    if igusa_B(n, -1, Z, generic_slots(n + 1)).num != descent:
+        return {"status": "fail", "detail": "subset"}
     for m in range(n):
-        X = generic_slots(n)
-        if igusa_B_residue(n, m, -1, Z, X) != igusa_B_residue_limit(n, m, -1, Z, X):
-            return {"check": "residue", "n": n, "status": "fail", "detail": "m=%d" % m}
-    X = generic_slots(n + 1)
-    if igusa_B(n, -1, Z, X).num != signed_descent_sum(n, -1, Z, X[:n]):
-        return {"check": "residue", "n": n, "status": "fail", "detail": "subset"}
-    return {"check": "residue", "n": n, "status": "pass"}
+        limit = igusa_B_residue_limit(n, m, -1, Z, X)
+        if igusa_B_residue(n, m, -1, Z, X) != limit:
+            return {"status": "fail", "detail": "m=%d" % m}
+    return {"status": "pass"}
 
 
 def _reduced_eulerian(n: int):
@@ -186,21 +189,20 @@ def _check_reduced(n: int) -> dict:
     P_n(1) / (n+1)^{n+1} of the normalized numerator, and inside (0, 1)."""
     from fractions import Fraction
 
-    from .exactalg import FactoredRational
-    from .zeta import reduced_c, reduced_cone_series, reduced_zeta
+    from .zeta import is_self_reciprocal, reduced_c, reduced_cone_series, reduced_zeta
 
     f = reduced_zeta(n)
     series = [c.coefficient(0, 0) for c in f.series_in_T(10)]
     ok = series == reduced_cone_series(n, 10)
-    lhs = f.subs_inverse()
-    rhs = FactoredRational(f.num.scaled(-1), f.den, f.tshift + 2 * n + 1)
-    ok = ok and lhs == rhs and f == _reduced_eulerian(n)
+    ok = ok and is_self_reciprocal(f, 0, 2 * n + 1) and f == _reduced_eulerian(n)
     cn = reduced_c(n)
     limit = Fraction(sum(f.num.terms.values()), (n + 1) ** (n + 1))
     ok = ok and cn == _reduced_c_telescoped(n) == limit and 0 < cn < 1
-    return {"check": "reduced", "n": n, "status": "pass" if ok else "fail"}
+    return {"status": "pass" if ok else "fail"}
 
 
+# Each check returns the status of its report, and its detail where it has
+# one; cmd_verify adds the rest.
 CHECKS = {
     "crossform": _check_crossform,
     "funeq": _check_funeq,
@@ -212,16 +214,21 @@ CHECKS = {
 
 
 def cmd_verify(args) -> int:
+    """Run each check and print its report: the check's name and n, the
+    status and detail the check returns, its seconds and the version.  A
+    mismatch raised inside a check is its "fail" status, with the message as
+    detail; a refusal ends the command."""
     reports = []
     failed = None
     for name in args.checks:
         t0 = time.time()
+        rep = {"check": name, "n": args.n}
         try:
-            rep = CHECKS[name](args.n)
+            rep.update(CHECKS[name](args.n))
         except (UsageError, SizeGuard):
             raise
-        except HeiszetaError as exc:  # a mismatch raised inside the check
-            rep = {"check": name, "n": args.n, "status": "fail", "detail": str(exc)}
+        except HeiszetaError as exc:
+            rep.update(status="fail", detail=str(exc))
         rep["seconds"] = round(time.time() - t0, 3)
         rep["version"] = __version__
         reports.append(rep)
@@ -330,7 +337,7 @@ def validate(args) -> None:
     """
     if args.command == "verify":
         check_limit("verify", "n", args.n)
-        args.checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+        args.checks = list(filter(None, map(str.strip, args.checks.split(","))))
         if not args.checks:
             raise UsageError("--checks names no check")
         for name in args.checks:

@@ -463,9 +463,6 @@ class SignedMonomial:
             return NotImplemented
         return SignedMonomial(self.sign * other.sign, self.e_q + other.e_q, self.e_T + other.e_T)
 
-    def __pow__(self, k: int) -> "SignedMonomial":
-        return SignedMonomial(self.sign if k % 2 else 1, self.e_q * k, self.e_T * k)
-
     def to_poly(self) -> BivariatePolynomial:
         return BivariatePolynomial.monomial(self.sign, self.e_q, self.e_T)
 

@@ -41,6 +41,7 @@ from .exactalg import (
     SignedMonomial,
     _p_iadd,
     _p_mul,
+    _p_tslices,
     gauss_binom,
     gauss_multinom,
     mono,
@@ -191,36 +192,18 @@ def igusa_B_residue_limit(
 # ---------------------------------------------------------------------------
 
 
-def fibre_F(s: int, x: SignedMonomial) -> FactoredRational:
-    """F_s(x) = (-q^{1-s} x; q^2)_{floor(s/2)}; rational for negative s."""
-    a = mono(1 - s, 0, -1) * x
-    return qpochhammer(a, 2, s // 2)
+def fibre_E(k: int, r: int) -> BivariatePolynomial:
+    """E_{k,r}(T) = F_r(T) F_{2k+1-r}(T), F_s(T) = (-q^{1-s} T; q^2)_{floor(s/2)}.
 
-
-def _E_series(k: int, r: int, order: int) -> list[BivariatePolynomial]:
-    """Power-series coefficients of E_{k,r}(x) = F_r(x) F_{2k+1-r}(x) in x."""
-    f = fibre_F(r, mono(0, 1)) * fibre_F(2 * k + 1 - r, mono(0, 1))
-    return f.series_in_T(order)
-
-
-def fibre_E(k: int, r: int) -> tuple[list[BivariatePolynomial], list[BivariatePolynomial]]:
-    """Coefficients e_{k,r}^(t) for t in [k]_0, and B_{k,r}^(t).
-
-    e is zero outside r in [2k+1]_0; B^(t) = q^{-t(t-1)} [t]_{q^2}!
-    [k-t]_{q^2}! e^(t).
+    A polynomial of T-degree k for r in [2k+1]_0, whose T^t row is
+    e_{k,r}^(t); zero outside that range.
     """
     if r < 0 or r > 2 * k + 1:
-        zero = [BivariatePolynomial.zero()] * (k + 1)
-        return zero, list(zero)
-    e = _E_series(k, r, k)
-    B = []
-    for t in range(k + 1):
-        B.append(
-            (_qsquare_factorial(t) * _qsquare_factorial(k - t) * e[t]).shift(
-                dq=-t * (t - 1)
-            )
-        )
-    return e, B
+        return BivariatePolynomial.zero()
+    E = BivariatePolynomial.one()
+    for s in (r, 2 * k + 1 - r):
+        E = E * qpochhammer(mono(1 - s, 1, -1), 2, s // 2).num
+    return E
 
 
 @lru_cache(maxsize=None)
@@ -232,21 +215,15 @@ def _qsquare_factorial(t: int) -> BivariatePolynomial:
     return out
 
 
-def Y_slot(j: int, r: int, T_arg: SignedMonomial) -> SignedMonomial:
-    """The slot Y_j(r, T) = q^{r(2j+1-r)/2 - 2 j^2} T^j evaluated at T = T_arg."""
+def Y_slot(j: int, r: int) -> SignedMonomial:
+    """The slot Y_j(r, T) = q^{r(2j+1-r)/2 - 2 j^2} T^j."""
     num = r * (2 * j + 1 - r)
     if num % 2:
         raise ValueError("r(2j+1-r) must be even")
-    return mono(num // 2 - 2 * j * j, 0) * (T_arg**j)
+    return mono(num // 2 - 2 * j * j, j)
 
 
-def fibre_I(
-    n: int,
-    k: int,
-    r: int,
-    X_tail: Sequence[SignedMonomial],
-    T_arg: SignedMonomial,
-) -> FactoredRational:
+def fibre_I(n: int, k: int, r: int, X_tail: Sequence[SignedMonomial]) -> FactoredRational:
     """Fibre sum over the w-vectors with terminal entry in {r, 2k+1-r}.
 
     Sum of C_k(w) times the plain degree-n Igusa function at
@@ -259,21 +236,14 @@ def fibre_I(
         raise ArityMismatch("need the %d trailing slots" % (n - k))
     terms = []
     for w in fibre_W(k, r):
-        slots = [Y_slot(j, wj, T_arg) for j, wj in enumerate(w, start=1)]
-        terms.append(
-            weight_C(w) * igusa_A(n, -2, slots + list(X_tail))
-        )
+        slots = [Y_slot(j, wj) for j, wj in enumerate(w, start=1)]
+        terms.append(weight_C(w) * igusa_A(n, -2, slots + list(X_tail)))
     return FactoredRational.sum(terms)
 
 
-def fibre_K(
-    n: int,
-    k: int,
-    r: int,
-    X_tail: Sequence[SignedMonomial],
-    T_arg: SignedMonomial,
-) -> BivariatePolynomial:
-    """Coset model: sum over S_n / S_k of B^(t_k) q^{-2 l_k^+} X^{Des_>k} T^{t_k}.
+def fibre_K(n: int, k: int, r: int, X_tail: Sequence[SignedMonomial]) -> BivariatePolynomial:
+    """Coset model: sum over S_n / S_k of B^(t_k) q^{-2 l_k^+} X^{Des_>k} T^{t_k},
+    with B^(t) = q^{-t(t-1)} [t]_{q^2}! [k-t]_{q^2}! e_{k,r}^(t).
 
     X_tail supplies X_{k+1} .. X_n (the last slot is never used by descents
     beyond position n - 1 but is accepted for signature symmetry with the
@@ -288,12 +258,14 @@ def fibre_K(
     if len(X_tail) != n - k:
         raise ArityMismatch("need the %d trailing slots" % (n - k))
     slots = dict(zip(range(k + 1, n + 1), X_tail))
-    _, B = fibre_E(k, r)
+    B = []
+    for t, row in enumerate(_p_tslices(fibre_E(k, r).terms, top=k)):
+        e = BivariatePolynomial({(eq, 0): c for eq, c in row.items()})
+        B.append((_qsquare_factorial(t) * _qsquare_factorial(k - t) * e).shift(dq=-t * (t - 1)))
     groups: Counter = Counter()
     for g in coset_reps(n, k):
         t_k, ell, des = coset_stats(g, k)
-        sign = T_arg.sign**t_k
-        dq, dt = T_arg.e_q * t_k - 2 * ell, T_arg.e_T * t_k
+        sign, dq, dt = 1, -2 * ell, t_k
         for j in des:
             x = slots[j]
             sign, dq, dt = sign * x.sign, dq + x.e_q, dt + x.e_T
@@ -314,45 +286,32 @@ def fibre_prefactor(k: int, r: int) -> FactoredRational:
     return FactoredRational(num, Counter(factors))
 
 
-def E_at_minus_T(k: int, r: int, T_arg: SignedMonomial) -> BivariatePolynomial:
-    """E_{k,r}(-T) as a polynomial; requires r in [2k+1]_0."""
-    if r < 0 or r > 2 * k + 1:
-        raise ValueError("E_{k,r}(-T) is polynomial only for r in [2k+1]_0")
-    minus = SignedMonomial(-T_arg.sign, T_arg.e_q, T_arg.e_T)
-    f = fibre_F(r, minus) * fibre_F(2 * k + 1 - r, minus)
-    if f.den:
-        raise IdentityMismatch("E_{%d,%d}(-T) kept a denominator" % (k, r))
-    return f.num.shift(dt=f.tshift) if f.tshift else f.num
-
-
-def check_I_equals_K(n: int, k: int, r: int) -> dict:
-    """Verify the fibre-sum identity I = P * K / (E(-T) prod (1 - X_j)).
+def check_I_equals_K(n: int, k: int, r: int) -> None:
+    """Prove the fibre-sum identity I E(-T) = P K / prod (1 - X_j).
 
     The slots are generic independent monomials (large distinct prime
-    exponents).  Raises IdentityMismatch on failure; returns a report dict.
+    exponents).  K is built first, so that its size guard refuses before the
+    fibre sum runs.  Outside r in [2k+1]_0, E and with it both sides are
+    zero.  Raises IdentityMismatch on failure.
     """
     X_tail = generic_slots(n - k)
-    T_arg = mono(0, 1)
-    lhs = fibre_I(n, k, r, X_tail, T_arg)
-    if r < 0 or r > 2 * k + 1:
-        ok = lhs.is_zero() and fibre_K(n, k, r, X_tail, T_arg).is_zero()
-        if not ok:
-            raise IdentityMismatch("empty fibre (k=%d, r=%d) not zero" % (k, r))
-        return {"n": n, "k": k, "r": r, "status": "pass", "empty": True}
-    K = fibre_K(n, k, r, X_tail, T_arg)
-    # prod (1 - X_j) goes into the right side's denominator, which lhs shares,
-    # so the comparison's sum, which multiplies each side only by the factors
-    # it lacks, never expands it
-    left = lhs * E_at_minus_T(k, r, T_arg)
+    K = fibre_K(n, k, r, X_tail)
+    # E(-T): E with its odd T-rows negated
+    E = {(eq, et): -c if et % 2 else c for (eq, et), c in fibre_E(k, r).terms.items()}
+    # prod (1 - X_j) goes into the right side's denominator, which the fibre
+    # sum shares, so the comparison's sum, which multiplies each side only by
+    # the factors it lacks, never expands it
+    left = fibre_I(n, k, r, X_tail) * BivariatePolynomial(E)
     right = fibre_prefactor(k, r) * _over_slots(K, X_tail)
     if left != right:
         raise IdentityMismatch(
             "fibre identity failed at (n, k, r) = (%d, %d, %d)" % (n, k, r)
         )
-    return {"n": n, "k": k, "r": r, "status": "pass", "empty": False}
 
 
 _GENERIC_PRIMES = (101, 211, 307, 401, 503, 601, 701, 809, 907, 1009)
+# built once: generic_slots only slices it
+_GENERIC_SLOTS = tuple(mono(p, 1) for p in _GENERIC_PRIMES)
 
 # The Z marker of the type-B checks: a prime q-exponent outside
 # _GENERIC_PRIMES, at T^2 where every generic slot is at T^1.
@@ -367,6 +326,6 @@ def generic_slots(count: int) -> list[SignedMonomial]:
     q^312 T^2.  Two sides that agree on these slots are strong evidence of
     an identity in free slots, not a proof.
     """
-    if count > len(_GENERIC_PRIMES):
+    if count > len(_GENERIC_SLOTS):
         raise SizeGuard("not enough generic markers")
-    return [mono(_GENERIC_PRIMES[i], 1) for i in range(count)]
+    return list(_GENERIC_SLOTS[:count])

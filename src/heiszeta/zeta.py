@@ -192,71 +192,22 @@ def dirichlet_coeffs(n: int, p: int, order: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def funeq_check(n: int) -> dict:
-    """Verify the local functional equation.
+def is_self_reciprocal(f: FactoredRational, a: int, b: int) -> bool:
+    """Whether f(1/q, 1/T) = -q^a T^b f(q, T)."""
+    return f.subs_inverse() == FactoredRational(f.num.scaled(-1).shift(dq=a), f.den, f.tshift + b)
+
+
+def funeq_check(n: int) -> str:
+    """Verify the local functional equation; return its factor.
 
     Substituting q -> q^-1 (hence T = q^-s -> T^-1) multiplies the zeta
     function by -q^{binom(2n+1,2) - (2n+1)s}, i.e. by
     -q^{binom(2n+1,2)} T^{2n+1}.  Raises FunctionalEquationFailure.
     """
-    f = zeta_compact(n)
-    lhs = f.subs_inverse()
-    binom = (2 * n + 1) * n  # binom(2n+1, 2)
-    rhs = FactoredRational(
-        f.num.scaled(-1).shift(dq=binom), f.den, f.tshift + (2 * n + 1)
-    )
-    if lhs != rhs:
+    a, b = (2 * n + 1) * n, 2 * n + 1  # binom(2n+1, 2), 2n+1
+    if not is_self_reciprocal(zeta_compact(n), a, b):
         raise FunctionalEquationFailure("functional equation failed at n = %d" % n)
-    return {"n": n, "factor": "-q^%d T^%d" % (binom, 2 * n + 1), "status": "pass"}
-
-
-class PoleReport:
-    """Pole locations and orders of the local zeta function at tested primes.
-
-    ``double_poles`` lists the locations whose order is at least 2.  For
-    n <= 6 these are exactly the s = m with m(m+1) = 4n (s = 3 for n = 3,
-    s = 4 for n = 5), as found by exact computation at the tested primes;
-    no proof of that law is in this package.  Reports are equal when all
-    their fields are.
-    """
-
-    _FIELDS = ("n", "tested_at_q", "integral_poles", "fractional_poles",
-              "double_poles", "discrepancies")
-
-    def __init__(
-        self,
-        n: int,
-        tested_at_q: list[int],
-        integral_poles: list[tuple[int, int]] | None = None,
-        fractional_poles: list[tuple[Fraction, int]] | None = None,
-        double_poles: list[Fraction] | None = None,
-        discrepancies: list[str] | None = None,
-    ):
-        self.n = n
-        self.tested_at_q = tested_at_q
-        self.integral_poles = [] if integral_poles is None else integral_poles
-        self.fractional_poles = [] if fractional_poles is None else fractional_poles
-        self.double_poles = [] if double_poles is None else double_poles
-        self.discrepancies = [] if discrepancies is None else discrepancies
-
-    def __eq__(self, other):
-        if other.__class__ is not PoleReport:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
-
-    __hash__ = None  # mutable: pole_analysis appends to the lists
-
-    def __repr__(self):
-        return "PoleReport(%s)" % ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._FIELDS)
-
-    def order_at(self, s) -> int:
-        from fractions import Fraction
-
-        s = Fraction(s)
-        for loc, order in self.integral_poles + self.fractional_poles:
-            if loc == s:
-                return order
-        return 0
+    return "-q^%d T^%d" % (a, b)
 
 
 def pole_candidates(n: int) -> tuple[list[int], list[Fraction]]:
@@ -268,6 +219,10 @@ def pole_candidates(n: int) -> tuple[list[int], list[Fraction]]:
         {Fraction(special_exponent(n, r), n + 1) for r in range(n + 1)}
     )
     return integral, fractional
+
+
+# the primes at which pole_analysis specializes q
+POLE_PRIMES = (2, 3, 5)
 
 
 def _vanishing_order(coeffs: dict[int, int], p: int, c: int, d: int) -> int:
@@ -282,15 +237,14 @@ def _vanishing_order(coeffs: dict[int, int], p: int, c: int, d: int) -> int:
     return order
 
 
-def pole_analysis(n: int, test_primes: Sequence[int] = (2, 3, 5)) -> PoleReport:
-    """Exact pole orders at specialized primes q = p.
+def pole_analysis(n: int) -> dict[Fraction, int]:
+    """Exact pole orders, {s: order} for every pole s in increasing order.
 
     Every denominator factor of the reduced compact form must sit over a
     candidate location; the order at s = c/d is the matching factor
-    multiplicity minus the numerator's vanishing order at T = p^{-c/d}.
-    ``double_poles`` lists the locations of order at least 2; for n <= 6
-    exact computation at the tested primes finds exactly the s = m with
-    m(m+1) = 4n, which is observed here, not proved.
+    multiplicity minus the numerator's vanishing order at T = p^{-c/d},
+    for q specialized to each prime p of POLE_PRIMES.  Raises
+    IdentityMismatch when an order differs between the primes.
     """
     from fractions import Fraction
 
@@ -306,26 +260,17 @@ def pole_analysis(n: int, test_primes: Sequence[int] = (2, 3, 5)) -> PoleReport:
                 "denominator factor (1 - q^%d T^%d) off the candidate list" % (a, b)
             )
         mults[Fraction(a, b)] += m
-    report = PoleReport(n=n, tested_at_q=list(test_primes))
-    at_p = {p: f.num.eval_q(p) for p in test_primes}
+    at_p = {p: f.num.eval_q(p) for p in POLE_PRIMES}
+    orders = {}
     for s in sorted(mults):
-        orders = {p: mults[s] - _vanishing_order(coeffs, p, s.numerator, s.denominator)
-                  for p, coeffs in at_p.items()}
-        vals = set(orders.values())
-        if len(vals) > 1:
-            report.discrepancies.append(
-                "order at s = %s varies with q: %s" % (s, orders)
-            )
-        order = max(vals, default=0)
-        if order <= 0:
-            continue
-        if s.denominator == 1:
-            report.integral_poles.append((int(s), order))
-        else:
-            report.fractional_poles.append((s, order))
-        if order >= 2:
-            report.double_poles.append(s)
-    return report
+        by_p = {p: mults[s] - _vanishing_order(coeffs, p, s.numerator, s.denominator)
+                for p, coeffs in at_p.items()}
+        order = by_p[POLE_PRIMES[0]]
+        if any(o != order for o in by_p.values()):
+            raise IdentityMismatch("order at s = %s varies with q: %s" % (s, by_p))
+        if order > 0:
+            orders[s] = order
+    return orders
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,10 @@ from heiszeta.exactalg import (
     _p_tslices,
     _unroll,
     gauss_multinom,
+    mono,
+    qpochhammer,
 )
-from heiszeta.igusa import _E_series, _check_slots, _over_slots, fibre_E, igusa_A
+from heiszeta.igusa import _check_slots, _over_slots, fibre_E, igusa_A
 from heiszeta.oracle import (
     _gram,
     _omega,
@@ -221,15 +223,30 @@ def subset_sum_by_masks(n: int, y_exponent: int, interior, X, weight=None) -> Fa
     return _over_slots(Poly(num), X)
 
 
-def fibre_K_by_cosets(n: int, k: int, r: int, X_tail, T_arg) -> Poly:
-    """igusa.fibre_K coset by coset: B^(t_k) shifted by q^{-2 l_k^+}, times
-    T_arg^{t_k} and each descent slot, built as polynomial products."""
+def _qsquare_int(m: int) -> Poly:
+    """[m]_{q^2} = 1 + q^2 + ... + q^{2(m-1)}."""
+    return Poly({(2 * i, 0): 1 for i in range(m)})
+
+
+def fibre_K_by_cosets(n: int, k: int, r: int, X_tail) -> Poly:
+    """igusa.fibre_K coset by coset: B^(t_k) T^(t_k) shifted by q^{-2 l_k^+},
+    times each descent slot, built as polynomial products.
+
+    B^(t) T^t = q^{-t(t-1)} [t]_{q^2}! [k-t]_{q^2}! times the T^t terms of
+    E_{k,r}, each q-factorial a product of q^2-integers.
+    """
     slots = dict(zip(range(k + 1, n + 1), X_tail))
-    _, B = fibre_E(k, r)
+    E = fibre_E(k, r)
+    B = []
+    for t in range(k + 1):
+        b = Poly({key: c for key, c in E.terms.items() if key[1] == t}).shift(dq=-t * (t - 1))
+        for m in list(range(1, t + 1)) + list(range(1, k - t + 1)):
+            b = b * _qsquare_int(m)
+        B.append(b)
     out: dict = {}
     for g in coset_reps(n, k):
         t_k, ell, des = coset_stats(g, k)
-        term = B[t_k].shift(dq=-2 * ell) * (T_arg**t_k).to_poly()
+        term = B[t_k].shift(dq=-2 * ell)
         for j in des:
             term = term * slots[j].to_poly()
         _p_iadd(out, term.terms)
@@ -237,8 +254,13 @@ def fibre_K_by_cosets(n: int, k: int, r: int, X_tail, T_arg) -> Poly:
 
 
 def epsilon_kr(k: int, r: int, t: int) -> Poly:
-    """Series coefficient [x^t] E_{k,r}(x) for any integer r (no support cut)."""
-    return _E_series(k, r, t)[t] if t >= 0 else Poly.zero()
+    """Series coefficient [x^t] E_{k,r}(x) for any integer r (no support cut):
+    F_r(x) F_{2k+1-r}(x), F_s(x) = (-q^{1-s} x; q^2)_{floor(s/2)}, a
+    reciprocal product for negative s, expanded as a series in x."""
+    if t < 0:
+        return Poly.zero()
+    F = [qpochhammer(mono(1 - s, 1, -1), 2, s // 2) for s in (r, 2 * k + 1 - r)]
+    return (F[0] * F[1]).series_in_T(t)[t]
 
 
 def Z_of_w(w, n: int) -> FactoredRational:

@@ -4,9 +4,14 @@ import time
 
 import pytest
 
+from pathlib import Path
+
 from heiszeta.cli import main
 from heiszeta import zeta
 from heiszeta.errors import LIMITS, PRIME_LIMIT, SizeGuard, UsageError, check_prime
+
+
+PACKAGE = str(Path(zeta.__file__).parent)
 
 
 def run(capsys, *argv):
@@ -115,11 +120,29 @@ def test_residue_check_builds_each_descent_sum_once(monkeypatch):
 
 
 def test_verify_residue_past_the_descent_guard_exits_2(capsys):
-    code = main(["verify", "--n", "9", "--checks", "residue"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("guard: ")
+    # each check builds its guarded side first, so the refusal enters at most
+    # 10 package functions, as each refusal of tests/test_limits.py does; the
+    # fibre check's guard is fibre_K's
+    from heiszeta import combinat, igusa  # noqa: F401 (loaded before the count)
+
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(PACKAGE):
+            entered.append(frame.f_code.co_name)
+
+    for n, check in [(9, "residue"), (10, "residue"), (9, "fibre")]:
+        entered.clear()
+        sys.setprofile(profile)
+        try:
+            code = main(["verify", "--n", str(n), "--checks", check])
+        finally:
+            sys.setprofile(None)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", (n, check)
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("guard: "), (n, check)
+        assert "check_limit" in entered and len(entered) <= 10, (n, check, entered)
 
 
 def test_verify_raised_mismatch_keeps_every_report(capsys, monkeypatch):

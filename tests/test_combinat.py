@@ -241,7 +241,9 @@ def _direct_signed_sum(n, y, Z, X):
     """Sum over B_n of q^{y l(g)} Z^neg(g) prod_{i in Des_B(g)} X_i, term by term."""
     terms = {}
     for (length, neg, des), count in _group_statistics(n).items():
-        m = mono(y * length, 0) * Z**neg
+        m = mono(y * length, 0)
+        for _ in range(neg):
+            m = m * Z
         for i in des:
             m = m * X[i]
         key = (m.e_q, m.e_T)

@@ -14,7 +14,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).parent.parent / "src" / "heiszeta"
-PUBLIC = {"n_aggregate", "rational_dumps", "rational_loads", "PoleReport.order_at"}
+PUBLIC = {"n_aggregate", "rational_dumps", "rational_loads"}
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 

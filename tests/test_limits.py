@@ -37,7 +37,7 @@ from heiszeta.zeta import (
 
 PACKAGE = str(Path(oracle.__file__).parent)
 SLOTS = [mono(101, 1)] * 10  # built here, so that the refusals do not count them
-Z, T = mono(977, 2), mono(0, 1)
+Z = mono(977, 2)
 
 
 def _hnf_bases(v):
@@ -57,7 +57,7 @@ CASES = {
     ("signed_descent_sum", "n"): lambda v: signed_descent_sum(v, -1, Z, SLOTS[:max(v, 0)]),
     ("brenti_B", "n"): brenti_B,
     ("eulerian_A", "d"): eulerian_A,
-    ("fibre_K", "n"): lambda v: fibre_K(v, 0, 0, SLOTS[:max(v, 0)], T),
+    ("fibre_K", "n"): lambda v: fibre_K(v, 0, 0, SLOTS[:max(v, 0)]),
     ("zeta_igusa_sum", "n"): zeta_igusa_sum,
     ("zeta_compact", "n"): zeta_compact,
     ("zeta_hyperoctahedral", "n"): zeta_hyperoctahedral,

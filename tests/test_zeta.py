@@ -6,6 +6,7 @@ import pytest
 from heiszeta import cli, zeta
 from heiszeta.combinat import gen_W, weight_C
 from heiszeta.counts import nprime_closed
+from heiszeta.errors import FunctionalEquationFailure, IdentityMismatch
 from heiszeta.exactalg import (
     BivariatePolynomial as Poly,
     FactoredRational as FR,
@@ -27,6 +28,7 @@ from heiszeta.zeta import (
     global_factor,
     global_factor_eval,
     hyperoctahedral_numerator,
+    is_self_reciprocal,
     pole_analysis,
     pole_candidates,
     reduced_c,
@@ -440,13 +442,25 @@ def test_series_nonnegativity(n):
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
 def test_functional_equation(n):
-    rep = funeq_check(n)
-    assert rep["status"] == "pass"
+    assert funeq_check(n) == "-q^%d T^%d" % ((2 * n + 1) * n, 2 * n + 1)
 
 
 def test_functional_equation_factors():
-    assert funeq_check(1)["factor"] == "-q^3 T^3"
-    assert funeq_check(2)["factor"] == "-q^10 T^5"
+    assert funeq_check(1) == "-q^3 T^3"
+    assert funeq_check(2) == "-q^10 T^5"
+
+
+def test_self_reciprocity_needs_the_right_factor():
+    f = zeta_compact(1)
+    assert is_self_reciprocal(f, 3, 3)
+    assert not is_self_reciprocal(f, 3, 2)
+    assert not is_self_reciprocal(f, 2, 3)
+
+
+def test_functional_equation_failure_raises(monkeypatch):
+    monkeypatch.setattr(zeta, "is_self_reciprocal", lambda f, a, b: False)
+    with pytest.raises(FunctionalEquationFailure, match="n = 2"):
+        funeq_check(2)
 
 
 def test_pole_candidates_n1():
@@ -456,34 +470,45 @@ def test_pole_candidates_n1():
 
 
 def test_pole_analysis_n1():
-    rep = pole_analysis(1)
-    assert rep.integral_poles == [(0, 1), (1, 1)]
-    assert rep.fractional_poles == [(Fraction(3, 2), 1)]
-    assert not rep.double_poles
-    assert not rep.discrepancies
+    orders = pole_analysis(1)
+    assert orders == {0: 1, 1: 1, Fraction(3, 2): 1}
+    assert list(orders) == sorted(orders)
 
 
 def test_pole_analysis_n2_simple():
-    rep = pole_analysis(2)
-    assert not rep.double_poles
-    assert rep.order_at(Fraction(7, 3)) == 1
+    orders = pole_analysis(2)
+    assert orders == {0: 1, 1: 1, Fraction(4, 3): 1, 2: 1, Fraction(7, 3): 1, 3: 1}
+    assert list(orders) == sorted(orders)
 
 
 def test_pole_analysis_n3_double():
-    rep = pole_analysis(3)
-    assert rep.double_poles == [Fraction(3)]
-    assert rep.order_at(3) == 2
-    others = [o for s, o in rep.integral_poles if s != 3]
-    assert set(others) == {1}
+    orders = pole_analysis(3)
+    assert orders[3] == 2
+    assert {o for s, o in orders.items() if s != 3} == {1}
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
 def test_pole_locations_within_candidates_and_criterion(n):
     # the double-pole law m(m+1) = 4n: n = 3 gives s = 3, n = 5 gives s = 4
-    rep = pole_analysis(n)
+    orders = pole_analysis(n)
     expected = [Fraction(m) for m in range(1, n + 1) if m * (m + 1) == 4 * n]
-    assert rep.double_poles == expected
-    assert not rep.discrepancies
+    assert [s for s, o in orders.items() if o >= 2] == expected
+    integral, fractional = pole_candidates(n)
+    assert set(orders) <= set(integral) | set(fractional)
+
+
+def test_pole_order_that_varies_with_q_raises(monkeypatch, capsys):
+    # the orders at the primes of POLE_PRIMES must agree; verify reports a
+    # disagreement as a failed poles check with the message
+    real = zeta._vanishing_order
+    monkeypatch.setattr(
+        zeta, "_vanishing_order", lambda coeffs, p, c, d: real(coeffs, p, c, d) + (p == 5)
+    )
+    with pytest.raises(IdentityMismatch, match="varies with q"):
+        pole_analysis(1)
+    assert cli.main(["verify", "--n", "1", "--checks", "poles"]) == 1
+    rep = json.loads(capsys.readouterr().out)[0]
+    assert rep["status"] == "fail" and "varies with q" in rep["detail"]
 
 
 # ---------------------------------------------------------------------------
