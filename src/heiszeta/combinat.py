@@ -3,13 +3,13 @@
 Partitions, the two-choice vectors w indexing the Lagrangian-count closed
 formula, permutations of [n] with descent/coset statistics, the statistic
 sum over the hyperoctahedral group B_n (a dynamic program; no group element
-is built), and the Eulerian polynomials of types A and B.
+is built), and the type-A Eulerian polynomials (the type-B one is the
+numerator of ``igusa.igusa_B`` at Y = 1).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -263,7 +263,7 @@ def signed_descent_sum(
 
 
 # ---------------------------------------------------------------------------
-# Eulerian polynomials
+# type-A Eulerian polynomials
 # ---------------------------------------------------------------------------
 
 
@@ -282,30 +282,3 @@ def eulerian_A(d: int) -> tuple[int, ...]:
         coeffs[len(descent_set(g)) + 1] += 1
     return tuple(coeffs)
 
-
-def brenti_B(n: int) -> BivariatePolynomial:
-    """Type-B Eulerian polynomial B_n(X, Y) = sum Y^neg X^des_B.
-
-    Computed from the generating identity
-    sum_i (1 + (1+Y) i)^n X^i = B_n(X, Y) / (1 - X)^{n+1}:
-    since B_n has X-degree at most n, it is the X-truncation of
-    (1 - X)^{n+1} times the partial sum through X^n.  The direct sum over
-    the group is kept as a cross-check in the tests.  Returned as a
-    BivariatePolynomial with (e_q, e_T) read as (X-, Y-) exponents.
-    """
-    from .exactalg import BivariatePolynomial
-
-    check_limit("brenti_B", "n", n)
-    partial: dict = {}
-    for i in range(n + 1):
-        # (1 + (1+Y) i)^n = sum_k C(n,k) (1+i)^{n-k} i^k Y^k
-        for k in range(n + 1):
-            c = math.comb(n, k) * (1 + i) ** (n - k) * i**k
-            if c:
-                partial[(i, k)] = c
-    out = BivariatePolynomial(partial)
-    for _ in range(n + 1):  # multiply by (1 - X)^{n+1}
-        out = out - out.shift(dq=1)
-    return BivariatePolynomial(
-        {(i, k): c for (i, k), c in out.terms.items() if i <= n}
-    )

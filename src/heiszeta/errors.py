@@ -61,7 +61,6 @@ class BudgetExceeded(SizeGuard):
 # "budget" bound the size of a brute-force enumeration, not an input.
 LIMITS = {
     ("signed_descent_sum", "n"): (0, 8),
-    ("brenti_B", "n"): (0, 8),
     ("eulerian_A", "d"): (0, 10),
     ("fibre_K", "n"): (0, 8),
     ("zeta_igusa_sum", "n"): (1, 5),

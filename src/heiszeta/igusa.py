@@ -278,7 +278,7 @@ def fibre_K(n: int, k: int, r: int, X_tail: Sequence[SignedMonomial]) -> Bivaria
 
 def fibre_prefactor(k: int, r: int) -> FactoredRational:
     """P_{k,r}(q) = (-q)^r (1-q^2)^k (1-q^{2k-2r+1}) / ((q;q)_{2k-r+1} (q;q)_r)."""
-    num = BivariatePolynomial.monomial((-1) ** r, r, 0)
+    num = BivariatePolynomial.monomial(-1 if r % 2 else 1, r, 0)
     num = num * BivariatePolynomial.one_minus(2, 0) ** k
     num = num * BivariatePolynomial.one_minus(2 * k - 2 * r + 1, 0)
     factors = [(1 + i, 0) for i in range(2 * k - r + 1)]

@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from .combinat import (
-    brenti_B,
     gen_W,
     signed_descent_sum,
     w_partial_sums,
@@ -45,8 +44,7 @@ def c_exponents(n: int) -> list[int]:
 
 def c_exponents_graded(n: int) -> list[int]:
     """c_i' = binom(n+1, 2) - binom(i+1, 2); equals c_i - 2n."""
-    top = n * (n + 1) // 2
-    return [top - i * (i + 1) // 2 for i in range(n + 1)]
+    return [c - 2 * n for c in c_exponents(n)]
 
 
 def special_exponent(n: int, r: int) -> int:
@@ -278,24 +276,19 @@ def pole_analysis(n: int) -> dict[Fraction, int]:
 # ---------------------------------------------------------------------------
 
 
-def _brenti_substituted(n: int) -> BivariatePolynomial:
-    """B_n(T^{n+1}, -T) as a polynomial in T."""
-    terms: dict = {}
-    for (i, j), coeff in brenti_B(n).terms.items():
-        _p_iadd(terms, {(0, (n + 1) * i + j): coeff * (-1) ** j})
-    return BivariatePolynomial(terms)
-
-
 def reduced_zeta(n: int) -> FactoredRational:
     """The q -> 1 degeneration, normalized over (1-T)^n (1-T^{n+1})^{n+1}.
 
-    B_n(T^{n+1}, -T) / ((1-T)^{2n} (1-T^{n+1})^{n+1}) from the type-B
-    Eulerian polynomial, with (1-T)^n divided out of the numerator.
-    ``verify --checks reduced`` compares it with the classical Eulerian-sum
-    form, the lattice-point oracle and self-reciprocity.
+    Form c's construction at q = 1: the type-B Igusa function at Y = 1,
+    Z = -T and slots T^{n+1}, whose numerator is B_n(T^{n+1}, -T), over
+    (1-T)^{2n}; (1-T)^n is divided out of the numerator.  ``verify --checks
+    reduced`` compares it with the classical Eulerian-sum form, the
+    lattice-point oracle and self-reciprocity.
     """
+    from .igusa import igusa_B
+
     check_limit("reduced_zeta", "n", n)
-    P = _brenti_substituted(n)
+    P = igusa_B(n, 0, mono(0, 1, -1), [mono(0, n + 1)] * (n + 1)).num
     for _ in range(n):
         quot = divide_out_factor(P, 0, 1)
         if quot is None:
@@ -419,9 +412,7 @@ def rn_numeric(n: int, prime_bound: int = 1000) -> dict:
         return x * val
 
     zargs = [2 * n - i for i in range(2 * n - 1)]
-    zargs += [
-        2 * n * n - n * (n + 1) // 2 + i * (i + 1) // 2 for i in range(n + 1)
-    ]
+    zargs += [2 * n * (n + 1) - c for c in c_exponents(n)]
     half, value = _scan(primes, cut, times_N)
     for s in zargs:
         zeta_half, zeta_s = _scan(primes, cut, lambda x, p: x / (1.0 - float(p) ** (-s)))

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from functools import lru_cache
@@ -7,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from heiszeta.combinat import (
     Partition,
-    brenti_B,
     coset_reps,
     coset_stats,
     descent_set,
@@ -22,7 +22,8 @@ from heiszeta.combinat import (
 )
 from heiszeta.errors import ArityMismatch, SizeGuard
 from heiszeta.exactalg import BivariatePolynomial as Poly, FactoredRational as FR, mono
-from heiszeta.igusa import GENERIC_Z
+from heiszeta.igusa import GENERIC_Z, igusa_B
+from heiszeta.zeta import reduced_zeta
 from reference import SignedPermutation, brenti_B_by_enumeration, difference_vector
 from reference import inversions, is_w_vector, signed_perm_length_bfs, signed_perms
 
@@ -217,7 +218,7 @@ def test_signed_perm_rejects_bad_window():
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_length_formula_matches_bfs(n):
     dist = signed_perm_length_bfs(n)
-    assert len(dist) == 2**n * __import__("math").factorial(n)
+    assert len(dist) == 2**n * math.factorial(n)
     for g in signed_perms(n):
         assert g.length() == dist[g.window]
 
@@ -321,26 +322,33 @@ def test_eulerian_identity(d):
     assert [c.coefficient(0, 0) for c in series] == lhs
 
 
+def _brenti_B(n):
+    # B_n(X, Y) = sum over B_n of Y^neg X^des_B, as the type-B Igusa function's
+    # numerator at Y = 1: slots q mark descents and Z = T marks negatives
+    f = igusa_B(n, 0, mono(0, 1), [mono(1, 0)] * n)
+    assert Counter(f.den) == Counter({(1, 0): n}) and f.tshift == 0
+    return f.num
+
+
 def test_brenti_B_fixtures():
-    b1 = brenti_B(1)
-    assert b1 == Poly({(0, 0): 1, (1, 1): 1})  # 1 + XY
+    assert _brenti_B(1) == Poly({(0, 0): 1, (1, 1): 1})  # 1 + XY
     for n in (1, 2, 3, 8):
-        total = sum(brenti_B(n).terms.values())
-        assert total == 2**n * __import__("math").factorial(n)
+        assert sum(_brenti_B(n).terms.values()) == 2**n * math.factorial(n)
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(7))
 def test_brenti_B_matches_group_enumeration(n):
-    assert brenti_B(n) == brenti_B_by_enumeration(n)
+    # the engine at Y = 1 against the group sum, and reduced_zeta's numerator
+    # times (1 - T)^n against B_n(T^{n+1}, -T) from the same sum
+    B = brenti_B_by_enumeration(n)
+    assert _brenti_B(n) == B
+    substituted = Poly({(0, (n + 1) * i + j): (-1) ** j * c for (i, j), c in B.terms.items()})
+    assert reduced_zeta(n).num * Poly.one_minus(0, 1) ** n == substituted
 
 
 def test_brenti_B_reduced_numerator_fixture():
     # B_1(T^2, -T) = 1 - T^3
-    b1 = brenti_B(1)
-    val = Poly.zero()
-    for (i, j), c in b1.terms.items():
-        val = val + Poly.monomial(c * (-1) ** j, 0, 2 * i + j)
-    assert val == Poly.one_minus(0, 3)
+    assert reduced_zeta(1).num * Poly.one_minus(0, 1) == Poly.one_minus(0, 3)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -349,7 +357,7 @@ def test_brenti_generating_identity(n):
     y = 2
     order = 6
     lhs = [(1 + (1 + y) * i) ** n for i in range(order + 1)]
-    bn = brenti_B(n)
+    bn = _brenti_B(n)
     num = Poly({(0, i): sum(c * y**j for (ii, j), c in bn.terms.items() if ii == i)
                 for i in range(n + 1)})
     series = FR(num, {(0, 1): n + 1}).series_in_T(order)

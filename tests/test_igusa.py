@@ -457,6 +457,15 @@ def test_fibre_prefactor_example():
     )
 
 
+@pytest.mark.parametrize("k", (0, 1, 2))
+def test_fibre_prefactor_outside_the_fibres_is_integral(k):
+    # (-q)^r keeps integer coefficients at r < 0, and P stays nonzero outside
+    # [2k+1]_0, where the empty-fibre check relies on it
+    for r in (-1, 2 * k + 2):
+        P = fibre_prefactor(k, r)
+        assert P.num.terms and all(type(c) is int for c in P.num.terms.values())
+
+
 def test_fibre_example_422_full():
     X3, X4 = generic_slots(2)
     lhs = fibre_I(4, 2, 2, [X3, X4])

@@ -16,7 +16,7 @@ import pytest
 
 from heiszeta import oracle
 from heiszeta.cli import build_parser, validate
-from heiszeta.combinat import brenti_B, eulerian_A, signed_descent_sum
+from heiszeta.combinat import eulerian_A, signed_descent_sum
 from heiszeta.errors import LIMITS, BudgetExceeded, SizeGuard, UsageError, check_prime
 from heiszeta.exactalg import mono
 from heiszeta.igusa import fibre_K
@@ -55,7 +55,6 @@ def _module_size(v):
 # row of LIMITS -> a call of its entry point with the checked value v
 CASES = {
     ("signed_descent_sum", "n"): lambda v: signed_descent_sum(v, -1, Z, SLOTS[:max(v, 0)]),
-    ("brenti_B", "n"): brenti_B,
     ("eulerian_A", "d"): eulerian_A,
     ("fibre_K", "n"): lambda v: fibre_K(v, 0, 0, SLOTS[:max(v, 0)]),
     ("zeta_igusa_sum", "n"): zeta_igusa_sum,

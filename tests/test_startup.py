@@ -38,7 +38,7 @@ print(json.dumps([loaded, bare, {m: m in sys.modules for m in WATCHED}]))
 
 BASE = {"heiszeta", "heiszeta.cli", "heiszeta.errors"}
 CLOSED_FORMS = BASE | {"heiszeta.combinat", "heiszeta.exactalg", "heiszeta.zeta"}
-# forms a, c and graded, global, and the checks that build them
+# forms a, c, graded and reduced, global, and the checks that build them
 IGUSA_FORMS = CLOSED_FORMS | {"heiszeta.igusa"}
 ORACLE = BASE | {"heiszeta.combinat", "heiszeta.oracle"}  # lagrangian and sublattice
 # alpha_n(mu; q^2) at q = p as an integer, without the exact kernel
@@ -62,6 +62,7 @@ def _run(code, *argv):
         (["zeta", "--n", "3", "--form", "b"], CLOSED_FORMS),
         (["zeta", "--n", "2", "--form", "a"], IGUSA_FORMS),
         (["zeta", "--n", "3", "--form", "graded"], IGUSA_FORMS),
+        (["zeta", "--n", "3", "--form", "reduced"], IGUSA_FORMS),
         (["global", "--n", "2"], IGUSA_FORMS),
         (["verify", "--n", "2", "--checks", "funeq"], CLOSED_FORMS),
         (["verify", "--n", "2", "--checks", "crossform"], IGUSA_FORMS),
@@ -70,7 +71,7 @@ def _run(code, *argv):
         (["oracle", "factorization", "--n", "1", "--prime", "2", "--max-val", "1"],
          FACTORIZATION),
     ],
-    ids=["version", "zeta", "zeta-igusa", "zeta-graded", "global", "verify",
+    ids=["version", "zeta", "zeta-igusa", "zeta-graded", "zeta-reduced", "global", "verify",
          "verify-crossform", "oracle", "oracle-sublattice", "oracle-factorization"],
 )
 def test_each_command_loads_only_what_it_runs(argv, modules):
