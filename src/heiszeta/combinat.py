@@ -13,7 +13,7 @@ import itertools
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .errors import ArityMismatch, check_limit
+from .errors import UsageError, check_limit
 
 if TYPE_CHECKING:  # the oracles load this module without the exact kernel
     from .exactalg import BivariatePolynomial, FactoredRational, SignedMonomial
@@ -37,9 +37,9 @@ class Partition:
     def __init__(self, parts: Sequence[int] = ()):
         parts = tuple(parts)
         if any(p < 0 for p in parts):
-            raise ValueError("negative part")
+            raise UsageError("negative part")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError("parts must be weakly decreasing")
+            raise UsageError("parts must be weakly decreasing")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         self.parts = parts
@@ -59,7 +59,7 @@ class Partition:
 
     def padded(self, n: int) -> tuple[int, ...]:
         if len(self.parts) > n:
-            raise ValueError("partition has more than %d parts" % n)
+            raise UsageError("partition has more than %d parts" % n)
         return self.parts + (0,) * (n - len(self.parts))
 
     def __eq__(self, other):
@@ -118,8 +118,7 @@ def partitions_up_to(max_size: int, max_parts: int) -> list[Partition]:
 @lru_cache(maxsize=None)
 def gen_W(n: int) -> tuple[tuple[int, ...], ...]:
     """All 2^n admissible vectors (w_1, ..., w_n), sorted lexicographically."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_limit("gen_W", "n", n)
     vecs = [()]
     for i in range(1, n + 1):
         nxt = []
@@ -182,7 +181,7 @@ def coset_stats(g: Sequence[int], k: int) -> tuple[int, int, frozenset[int]]:
     """
     n = len(g)
     if k > n:
-        raise ValueError("k must be at most n")
+        raise UsageError("k must be at most n")
     nxt = g[k] if k < n else n + 1
     t_k = sum(1 for i in range(k) if g[i] > nxt)
     ell = sum(
@@ -231,7 +230,7 @@ def signed_descent_sum(
 
     check_limit("signed_descent_sum", "n", n)
     if len(X) != n:
-        raise ArityMismatch("need the %d descent slots X_0 .. X_%d" % (n, n - 1))
+        raise UsageError("need the %d descent slots X_0 .. X_%d" % (n, n - 1))
     y = y_exponent
     layer: dict = {(0, 0): {(0, 0): 1}}
     for k in range(n):

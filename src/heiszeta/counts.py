@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .combinat import Partition, gen_W, weight_C
-from .errors import NonPolynomialReduction, RankMismatch
+from .errors import IdentityMismatch, UsageError, check_limit
 
 if TYPE_CHECKING:
     from .exactalg import BivariatePolynomial
@@ -23,11 +23,11 @@ def _multiplicity_form(mu, n: int) -> tuple[int, list[tuple[int, int]]]:
 
     m_j is the number of parts j of mu padded to n parts, N_j the parts not
     yet chosen: [n]!/prod_j [m_j]! = prod_j binom(N_j, m_j).  Raises
-    RankMismatch when mu has more than n parts.
+    UsageError when mu has more than n parts.
     """
     mu = Partition(mu)
     if mu.num_parts() > n:
-        raise RankMismatch(
+        raise UsageError(
             "partition %s has more than n = %d parts" % (mu, n)
         )
     padded = mu.padded(n)
@@ -69,10 +69,9 @@ def birkhoff_number(mu, n: int, big_q: int) -> int:
     quotient of integer products, so alpha_n(mu) = Q^e prod_j binom(N_j, m_j)_Q
     with e = <mu, 2 rho> - sum_j m_j (N_j - m_j).  An inexact quotient or a
     negative e would mean a wrong multiplicity form, and raises
-    NonPolynomialReduction.
+    IdentityMismatch.
     """
-    if big_q < 2:
-        raise ValueError("need Q >= 2, got Q = %d" % big_q)
+    check_limit("birkhoff_number", "Q", big_q)
     pairing, binoms = _multiplicity_form(mu, n)
     value, exponent = 1, pairing
     for upper, m in binoms:
@@ -83,7 +82,7 @@ def birkhoff_number(mu, n: int, big_q: int) -> int:
         value *= _exact_quotient(num, den)
         exponent -= m * (upper - m)
     if exponent < 0:
-        raise NonPolynomialReduction(
+        raise IdentityMismatch(
             "alpha_%d(%s) has the negative q-exponent %d" % (n, Partition(mu), exponent)
         )
     return value * big_q**exponent
@@ -93,7 +92,7 @@ def _exact_quotient(num: int, den: int) -> int:
     """num / den, which must be an integer."""
     quot, rem = divmod(num, den)
     if rem:
-        raise NonPolynomialReduction("%d is not a multiple of %d" % (num, den))
+        raise IdentityMismatch("%d is not a multiple of %d" % (num, den))
     return quot
 
 
@@ -107,7 +106,7 @@ def nprime_closed(mu) -> BivariatePolynomial:
     from .exactalg import BivariatePolynomial, FactoredRational
 
     mu = tuple(mu)
-    Partition(mu)  # ValueError on a negative or increasing part
+    Partition(mu)  # UsageError on a negative or increasing part
     n = len(mu)
     terms = []
     for w in gen_W(n):
@@ -115,7 +114,7 @@ def nprime_closed(mu) -> BivariatePolynomial:
         terms.append(weight_C(w) * BivariatePolynomial.monomial(1, dot, 0))
     total = FactoredRational.sum(terms).reduced()
     if total.den or total.tshift:
-        raise NonPolynomialReduction(
+        raise IdentityMismatch(
             "N'(%s) did not reduce to a polynomial" % (mu,)
         )
     return total.num

@@ -6,7 +6,7 @@ class HeiszetaError(Exception):
 
 
 class UsageError(HeiszetaError, ValueError):
-    """An input is out of range or malformed; rejected before any computation."""
+    """An argument is out of range, malformed or outside a function's domain."""
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound,
@@ -75,6 +75,15 @@ LIMITS = {
     ("rn_numeric", "n"): (2, 6),
     ("enum_sublattices", "n"): (1, None),
     ("enum_subalgebras", "n"): (0, None),
+    ("gen_W", "n"): (0, None),
+    ("gauss_binom", "n"): (0, None),
+    # igusa_A and igusa_B
+    ("Igusa functions", "degree n"): (0, None),
+    # hnf_count and hnf_enumerate
+    ("HNF enumeration", "rank"): (0, None),
+    # Q and q are sizes of residue fields
+    ("birkhoff_number", "Q"): (2, None),
+    ("dirichlet_coeffs", "q"): (2, None),
     # not a library limit: at n = 0 crossform raises and reduced fails
     # 0 < c_0 < 1
     ("verify", "n"): (1, None),
@@ -111,39 +120,5 @@ def check_limit(owner: str, what: str, value: int) -> None:
         raise refuse("%s: %s = %d exceeds %d" % (owner, what, value, largest))
 
 
-class RankMismatch(HeiszetaError):
-    """A partition has more parts than the ambient rank allows."""
-
-
-class NonPolynomialReduction(HeiszetaError):
-    """A rational sum that is provably a polynomial failed to clear its
-    denominator; this always indicates an arithmetic bug."""
-
-
-class NotRegularAtZero(HeiszetaError):
-    """Series expansion requested for a function with a pole at T = 0."""
-
-
-class ArityMismatch(HeiszetaError):
-    """Wrong number of slot arguments for a generating function."""
-
-
 class IdentityMismatch(HeiszetaError):
-    """A proved rational identity failed to verify; indicates a bug."""
-
-
-class FactorizationMismatch(HeiszetaError):
-    """Oracle lattice counts contradict the Lagrangian-times-Birkhoff
-    factorization; indicates a bug."""
-
-
-class FunctionalEquationFailure(HeiszetaError):
-    """The local functional equation failed to verify; indicates a bug."""
-
-
-class DegenerateForm(HeiszetaError):
-    """An alternating form is degenerate over the fraction field."""
-
-
-class SingularMatrix(HeiszetaError):
-    """A matrix required to be nonsingular has determinant zero."""
+    """A proved identity failed to verify; indicates a bug."""

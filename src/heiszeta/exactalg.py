@@ -50,7 +50,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import NotRegularAtZero
+from .errors import UsageError, check_limit
 
 Term = tuple[int, int]  # (e_q, e_T)
 
@@ -288,7 +288,7 @@ class BivariatePolynomial:
                 if c == 0:
                     continue
                 if et < 0:
-                    raise ValueError("negative T-exponent in polynomial term")
+                    raise UsageError("negative T-exponent in polynomial term")
                 t[(eq, et)] = c
         _set_fields(self, terms=MappingProxyType(t))
 
@@ -305,7 +305,7 @@ class BivariatePolynomial:
     @classmethod
     def monomial(cls, coeff: int, e_q: int = 0, e_T: int = 0) -> "BivariatePolynomial":
         if e_T < 0:
-            raise ValueError("negative T-exponent in polynomial term")
+            raise UsageError("negative T-exponent in polynomial term")
         return cls._raw({(e_q, e_T): coeff} if coeff else {})
 
     @classmethod
@@ -348,7 +348,7 @@ class BivariatePolynomial:
 
     def __pow__(self, k: int):
         if k < 0:
-            raise ValueError("negative power of a polynomial")
+            raise UsageError("negative power of a polynomial")
         out = BivariatePolynomial.one()
         base = self
         while k:
@@ -402,6 +402,8 @@ class BivariatePolynomial:
         Negative q-exponents must cancel; raises if the result is not an
         integer polynomial in T.
         """
+        if not q:
+            raise UsageError("evaluation needs q != 0")
         out = {}
         for et, row in enumerate(_p_tslices(self.terms)):
             if not row:
@@ -411,7 +413,7 @@ class BivariatePolynomial:
             for eq, c in row.items():
                 num += c * q ** (eq + neg)
             if num % (q**neg):
-                raise ValueError("evaluation at q=%d is not integral" % q)
+                raise UsageError("evaluation at q=%d is not integral" % q)
             val = num // (q**neg)
             if val:
                 out[et] = val
@@ -441,7 +443,7 @@ class SignedMonomial:
 
     def __init__(self, sign: int, e_q: int, e_T: int):
         if sign not in (1, -1):
-            raise ValueError("sign must be +-1")
+            raise UsageError("sign must be +-1")
         _set_fields(self, sign=sign, e_q=e_q, e_T=e_T)
 
     def __reduce__(self):
@@ -484,11 +486,11 @@ _POLY_LIKE = (int, BivariatePolynomial, SignedMonomial)
 def divide_out_factor(p: BivariatePolynomial, a: int, b: int) -> Optional[BivariatePolynomial]:
     """Exact quotient p / (1 - q^a T^b), or None when the factor does not divide."""
     if (a, b) == (0, 0):
-        raise ValueError("1 - q^0 T^0 = 0 is not a divisor")
+        raise UsageError("1 - q^0 T^0 = 0 is not a divisor")
     if p.is_zero():
         return BivariatePolynomial.zero()
     if b < 0:
-        raise ValueError("factor must have b >= 0")
+        raise UsageError("factor must have b >= 0")
     terms, tv, left = _cancel(p.terms, [(a, b, 1)])
     return None if left[0] else BivariatePolynomial._raw(_p_scale(terms, 1, 0, tv))
 
@@ -582,11 +584,11 @@ class FactoredRational:
         sign, dq = 1, 0
         for (a, b), m in (den or {}).items():
             if m < 0:
-                raise ValueError("negative factor multiplicity")
+                raise UsageError("negative factor multiplicity")
             if not m:
                 continue
             if (a, b) == (0, 0):
-                raise ValueError("denominator factor 1 - q^0 T^0 = 0")
+                raise UsageError("denominator factor 1 - q^0 T^0 = 0")
             if b < 0 or (b == 0 and a < 0):
                 # 1/(1 - q^a T^b) = -q^-a T^-b / (1 - q^-a T^-b)
                 sign, dq, tshift = sign * (-1) ** m, dq - a * m, tshift - b * m
@@ -749,12 +751,10 @@ class FactoredRational:
         if f.num.is_zero():
             return [BivariatePolynomial.zero()] * (order + 1)
         if f.tshift < 0:
-            raise NotRegularAtZero("pole of order %d at T = 0" % -f.tshift)
+            raise UsageError("pole of order %d at T = 0" % -f.tshift)
         for (a, b) in f.den:
             if b == 0:
-                raise NotRegularAtZero(
-                    "denominator factor 1 - q^%d does not divide the numerator" % a
-                )
+                raise UsageError("denominator factor 1 - q^%d does not divide the numerator" % a)
         rows = _p_tslices(f.num.terms, f.tshift, order)
         for (a, b), m in sorted(f.den.items()):
             for _ in range(m):
@@ -800,7 +800,7 @@ def qpochhammer(a: SignedMonomial, step_exponent: int, m: int) -> FactoredRation
     # (a;q)_m = ((a q^m; q)_{-m})^-1
     exps = [a.e_q + step_exponent * (m + i) for i in range(-m)]
     if a.e_T == 0 and 0 in exps:
-        raise ValueError("(a; q^%d)_%d has the constant factor %s, whose reciprocal is not "
+        raise UsageError("(a; q^%d)_%d has the constant factor %s, whose reciprocal is not "
                          "a product of factors 1 - q^a T^b"
                          % (step_exponent, m, "1 - 1 = 0" if a.sign == 1 else "1 + 1 = 2"))
     if a.sign == 1:
@@ -820,8 +820,7 @@ def gauss_binom(n: int, r: int, y_exponent: int) -> BivariatePolynomial:
     binom(n,r) = binom(n-1,r) + Y^{n-r} binom(n-1,r-1), which keeps every
     intermediate value a Laurent polynomial.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_limit("gauss_binom", "n", n)
     if r < 0 or r > n:
         return BivariatePolynomial.zero()
     if r == 0 or r == n:
@@ -835,7 +834,7 @@ def gauss_multinom(n: int, I: Iterable[int], y_exponent: int) -> BivariatePolyno
     """binom(n, I)_Y = binom(n,i_l) binom(i_l,i_{l-1}) ... for I = {i_1<...<i_l}."""
     idx = sorted(set(I))
     if any(i < 0 or i > n for i in idx):
-        raise ValueError("subset must lie in {0,...,n}")
+        raise UsageError("subset must lie in {0,...,n}")
     out = BivariatePolynomial.one()
     upper = n
     for i in reversed(idx):

@@ -34,7 +34,7 @@ from .combinat import (
     signed_descent_sum,
     weight_C,
 )
-from .errors import ArityMismatch, IdentityMismatch, SizeGuard, check_limit
+from .errors import IdentityMismatch, SizeGuard, UsageError, check_limit
 from .exactalg import (
     BivariatePolynomial,
     FactoredRational,
@@ -51,15 +51,14 @@ from .exactalg import (
 
 def _check_slots(kind: str, n: int, X: Sequence[SignedMonomial], least: int):
     """n >= 0, and X has least .. n + 1 slots, all positive monomials."""
-    if n < 0:
-        raise ValueError("type %s Igusa functions need degree n >= 0, got %d" % (kind, n))
+    check_limit("Igusa functions", "degree n", n)
     if not least <= len(X) <= n + 1:
-        raise ArityMismatch(
+        raise UsageError(
             "type %s of degree %d takes %d to %d slots, got %d"
             % (kind, n, least, n + 1, len(X))
         )
     if any(x.sign != 1 for x in X):
-        raise ValueError("Igusa slot arguments must be positive monomials")
+        raise UsageError("Igusa slot arguments must be positive monomials")
 
 
 def _over_slots(num: BivariatePolynomial, X: Sequence[SignedMonomial]) -> FactoredRational:
@@ -151,9 +150,9 @@ def igusa_B_residue(
     function of degree m times the plain type-A function of degree n - m.
     """
     if not 0 <= m <= n:
-        raise ValueError("m must lie in [n]_0")
+        raise UsageError("m must lie in [n]_0")
     if len(X) != n:
-        raise ArityMismatch("need the n slots other than X_m")
+        raise UsageError("need the n slots other than X_m")
     head, tail = list(X[:m]), list(X[m:])
     a0 = mono(y_exponent * n, 0, -1) * Z
     pref = gauss_multinom(n, [m], y_exponent) * qpochhammer(a0, -y_exponent, n - m).num
@@ -179,9 +178,9 @@ def igusa_B_residue_limit(
     is the subset expansion.
     """
     if not 0 <= m <= n:
-        raise ValueError("m must lie in [n]_0")
+        raise UsageError("m must lie in [n]_0")
     if len(X) != n:
-        raise ArityMismatch("need the n slots other than X_m")
+        raise UsageError("need the n slots other than X_m")
     slots = {i: x for i, x in zip([i for i in range(n + 1) if i != m], X)}
     descent_slots = [slots.get(i, mono(0, 0)) for i in range(n)]
     return _over_slots(signed_descent_sum(n, y_exponent, Z, descent_slots), X)
@@ -217,10 +216,7 @@ def _qsquare_factorial(t: int) -> BivariatePolynomial:
 
 def Y_slot(j: int, r: int) -> SignedMonomial:
     """The slot Y_j(r, T) = q^{r(2j+1-r)/2 - 2 j^2} T^j."""
-    num = r * (2 * j + 1 - r)
-    if num % 2:
-        raise ValueError("r(2j+1-r) must be even")
-    return mono(num // 2 - 2 * j * j, j)
+    return mono(r * (2 * j + 1 - r) // 2 - 2 * j * j, j)
 
 
 def fibre_I(n: int, k: int, r: int, X_tail: Sequence[SignedMonomial]) -> FactoredRational:
@@ -231,9 +227,9 @@ def fibre_I(n: int, k: int, r: int, X_tail: Sequence[SignedMonomial]) -> Factore
     trailing n - k arguments.
     """
     if k > n:
-        raise ValueError("k must be at most n")
+        raise UsageError("k must be at most n")
     if len(X_tail) != n - k:
-        raise ArityMismatch("need the %d trailing slots" % (n - k))
+        raise UsageError("need the %d trailing slots" % (n - k))
     terms = []
     for w in fibre_W(k, r):
         slots = [Y_slot(j, wj) for j, wj in enumerate(w, start=1)]
@@ -254,9 +250,9 @@ def fibre_K(n: int, k: int, r: int, X_tail: Sequence[SignedMonomial]) -> Bivaria
     """
     check_limit("fibre_K", "n", n)
     if k > n:
-        raise ValueError("k must be at most n")
+        raise UsageError("k must be at most n")
     if len(X_tail) != n - k:
-        raise ArityMismatch("need the %d trailing slots" % (n - k))
+        raise UsageError("need the %d trailing slots" % (n - k))
     slots = dict(zip(range(k + 1, n + 1), X_tail))
     B = []
     for t, row in enumerate(_p_tslices(fibre_E(k, r).terms, top=k)):

@@ -20,14 +20,7 @@ import math
 from typing import Iterator, Sequence
 
 from .combinat import Partition, partitions_up_to
-from .errors import (
-    DegenerateForm,
-    FactorizationMismatch,
-    IdentityMismatch,
-    SingularMatrix,
-    check_limit,
-    check_prime,
-)
+from .errors import IdentityMismatch, UsageError, check_limit, check_prime
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +71,7 @@ def _least_pivot(rows: list[list[int]], p: int) -> tuple[int, int, int] | None:
 
 def _valuation(x: int, p: int) -> int:
     if x == 0:
-        raise ValueError("0 has no finite %d-adic valuation" % p)
+        raise UsageError("0 has no finite %d-adic valuation" % p)
     v = 0
     while x % p == 0:
         x //= p
@@ -90,10 +83,10 @@ def smith_type(mat: Sequence[Sequence[int]], p: int) -> Partition:
     """Quotient type of Z^r / M Z^r at p: p-valuations of the SNF diagonal."""
     n = len(mat)
     if any(len(row) != n for row in mat):
-        raise ValueError("matrix must be square")
+        raise UsageError("matrix must be square")
     vals = _smith_diagonal(mat, p)
     if len(vals) < n:
-        raise SingularMatrix("matrix has determinant zero")
+        raise UsageError("matrix has determinant zero")
     return Partition(sorted(vals, reverse=True))
 
 
@@ -105,16 +98,16 @@ def alt_type(gram: Sequence[Sequence[int]], p: int) -> Partition:
     """
     n = len(gram)
     if n % 2:
-        raise DegenerateForm("alternating matrix of odd size is degenerate")
+        raise UsageError("alternating matrix of odd size is degenerate")
     for i in range(n):
         if gram[i][i] != 0:
-            raise DegenerateForm("nonzero diagonal entry")
+            raise UsageError("nonzero diagonal entry")
         for j in range(i + 1, n):  # the check is symmetric in (i, j)
             if gram[i][j] != -gram[j][i]:
-                raise DegenerateForm("matrix is not alternating")
+                raise UsageError("matrix is not alternating")
     vals = sorted(_smith_diagonal(gram, p), reverse=True)
     if len(vals) < n:
-        raise DegenerateForm("form is degenerate over the fraction field")
+        raise UsageError("form is degenerate over the fraction field")
     if vals[0::2] != vals[1::2]:
         raise IdentityMismatch("alternating divisors failed to pair up")
     return Partition(tuple(vals[0::2]))
@@ -275,9 +268,8 @@ def enum_lagrangians(mu, p: int) -> dict[Partition, int]:
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Diagonal valuations of the HNFs of rank `parts` and index p^total."""
-    if parts < 0:
-        raise ValueError("HNF rank must be >= 0, got %d" % parts)
-    if parts == 0:
+    if parts <= 0:
+        check_limit("HNF enumeration", "rank", parts)
         if total == 0:
             yield ()
         return
@@ -390,7 +382,7 @@ def check_factorization(n: int, p: int, max_valuation: int) -> list[dict]:
 
     Compares enum_sublattices against enum_lagrangians * alpha_n(mu; q^2)
     at q = p, the integer `counts.birkhoff_number(mu, n, p * p)`, over every
-    (lambda, mu) in range; raises FactorizationMismatch on any discrepancy
+    (lambda, mu) in range; raises IdentityMismatch on any discrepancy
     (the factorization is a theorem, so a mismatch means an implementation
     bug).  The HNF budget bounds the lattice enumeration and the |M_mu|
     budget each Lagrangian enumeration; both are checked before any
@@ -422,7 +414,7 @@ def check_factorization(n: int, p: int, max_valuation: int) -> list[dict]:
             rows.append({"lambda": str(lam), "mu": str(mu), "p": p, "lattice": got,
                          "lagrangian": lagr.get(lam, 0), "birkhoff": alpha, "ok": got == expect})
             if got != expect:
-                raise FactorizationMismatch(
+                raise IdentityMismatch(
                     "N(%s; %s) = %d but N'(%s; %s) * alpha = %d at p = %d"
                     % (lam, mu, got, lam, mu, expect, p)
                 )

@@ -20,7 +20,7 @@ from .combinat import (
     w_partial_sums,
     weight_C,
 )
-from .errors import FunctionalEquationFailure, IdentityMismatch, check_limit
+from .errors import IdentityMismatch, check_limit
 from .exactalg import (
     BivariatePolynomial,
     FactoredRational,
@@ -175,6 +175,7 @@ def zeta_graded(n: int) -> FactoredRational:
 def dirichlet_coeffs(n: int, p: int, order: int) -> list[int]:
     """Subalgebra counts a_{p^i} for i <= order: form b's numerator at q = p
     over each denominator factor 1 - p^a T^b, in integers."""
+    check_limit("dirichlet_coeffs", "q", p)
     check_limit("dirichlet_coeffs", "order", order)
     f = zeta_compact(n)
     at_p = f.num.eval_q(p)
@@ -200,11 +201,11 @@ def funeq_check(n: int) -> str:
 
     Substituting q -> q^-1 (hence T = q^-s -> T^-1) multiplies the zeta
     function by -q^{binom(2n+1,2) - (2n+1)s}, i.e. by
-    -q^{binom(2n+1,2)} T^{2n+1}.  Raises FunctionalEquationFailure.
+    -q^{binom(2n+1,2)} T^{2n+1}.  Raises IdentityMismatch.
     """
     a, b = (2 * n + 1) * n, 2 * n + 1  # binom(2n+1, 2), 2n+1
     if not is_self_reciprocal(zeta_compact(n), a, b):
-        raise FunctionalEquationFailure("functional equation failed at n = %d" % n)
+        raise IdentityMismatch("functional equation failed at n = %d" % n)
     return "-q^%d T^%d" % (a, b)
 
 

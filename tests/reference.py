@@ -23,7 +23,7 @@ from heiszeta.combinat import (
     signed_descent_sum,
 )
 from heiszeta.counts import birkhoff_alpha, nprime_closed
-from heiszeta.errors import ArityMismatch, HeiszetaError, IdentityMismatch, check_limit, check_prime
+from heiszeta.errors import HeiszetaError, IdentityMismatch, UsageError, check_limit, check_prime
 from heiszeta.exactalg import (
     BivariatePolynomial as Poly,
     FactoredRational,
@@ -184,7 +184,7 @@ def igusa_A_descent(n: int, y_exponent: int, X) -> FactoredRational:
     denominators, divided out one slot at a time.
     """
     if len(X) != n + 1:
-        raise ArityMismatch("need n + 1 slots X_0 .. X_n")
+        raise UsageError("need n + 1 slots X_0 .. X_n")
     num = Poly.zero()
     for g in perms(n):
         term = Poly.monomial(1, y_exponent * inversions(g), 0)

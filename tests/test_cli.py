@@ -149,10 +149,10 @@ def test_verify_raised_mismatch_keeps_every_report(capsys, monkeypatch):
     # a check that raises a mismatch reports "fail" with the message; the
     # reports before and after it are still printed
     from heiszeta import zeta
-    from heiszeta.errors import FunctionalEquationFailure
+    from heiszeta.errors import IdentityMismatch
 
     def failing(n):
-        raise FunctionalEquationFailure("functional equation failed at n = %d" % n)
+        raise IdentityMismatch("functional equation failed at n = %d" % n)
 
     monkeypatch.setattr(zeta, "funeq_check", failing)
     code = main(["verify", "--n", "2", "--checks", "crossform,funeq,reduced"])

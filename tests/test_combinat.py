@@ -20,7 +20,7 @@ from heiszeta.combinat import (
     w_partial_sums,
     weight_C,
 )
-from heiszeta.errors import ArityMismatch, SizeGuard
+from heiszeta.errors import SizeGuard, UsageError
 from heiszeta.exactalg import BivariatePolynomial as Poly, FactoredRational as FR, mono
 from heiszeta.igusa import GENERIC_Z, igusa_B
 from heiszeta.zeta import reduced_zeta
@@ -39,9 +39,9 @@ def test_partition_normalizes_trailing_zeros():
 
 
 def test_partition_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         Partition((1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         Partition((1, -1))
 
 
@@ -291,9 +291,9 @@ def test_signed_descent_sum_residue_limit_slots(n):
 def test_signed_descent_sum_guard_and_arity():
     with pytest.raises(SizeGuard):
         signed_descent_sum(9, -1, mono(0, 1), [mono(1, 1)] * 9)
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(UsageError):
         signed_descent_sum(3, -1, mono(0, 1), [mono(1, 1)] * 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         signed_descent_sum(-1, -1, mono(0, 1), [])
     assert signed_descent_sum(0, -1, mono(0, 1), []) == Poly.one()
 

@@ -16,11 +16,12 @@ import pytest
 
 from heiszeta import oracle
 from heiszeta.cli import build_parser, validate
-from heiszeta.combinat import eulerian_A, signed_descent_sum
+from heiszeta.combinat import eulerian_A, gen_W, signed_descent_sum
 from heiszeta.errors import LIMITS, BudgetExceeded, SizeGuard, UsageError, check_prime
-from heiszeta.exactalg import mono
-from heiszeta.igusa import fibre_K
-from heiszeta.oracle import enum_lagrangians, enum_subalgebras, enum_sublattices
+from heiszeta.counts import birkhoff_number
+from heiszeta.exactalg import gauss_binom, mono
+from heiszeta.igusa import fibre_K, igusa_A
+from heiszeta.oracle import enum_lagrangians, enum_subalgebras, enum_sublattices, hnf_enumerate
 from heiszeta.zeta import (
     dirichlet_coeffs,
     global_factor,
@@ -69,6 +70,12 @@ CASES = {
     ("rn_numeric", "n"): rn_numeric,
     ("enum_sublattices", "n"): lambda v: enum_sublattices(v, 2, 1),
     ("enum_subalgebras", "n"): lambda v: enum_subalgebras(v, 2, 1),
+    ("gen_W", "n"): gen_W,
+    ("gauss_binom", "n"): lambda v: gauss_binom(v, 0, 1),
+    ("Igusa functions", "degree n"): lambda v: igusa_A(v, 1, []),
+    ("HNF enumeration", "rank"): lambda v: list(hnf_enumerate(v, 2, 1)),
+    ("birkhoff_number", "Q"): lambda v: birkhoff_number((1,), 1, v),
+    ("dirichlet_coeffs", "q"): lambda v: dirichlet_coeffs(1, v, 3),
     ("verify", "n"): lambda v: validate(build_parser().parse_args(["verify", "--n", str(v)])),
     ("rn_numeric", "prime_bound"): lambda v: rn_numeric(2, v),
     ("dirichlet_coeffs", "order"): lambda v: dirichlet_coeffs(1, 2, v),

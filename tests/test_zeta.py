@@ -6,7 +6,7 @@ import pytest
 from heiszeta import cli, zeta
 from heiszeta.combinat import gen_W, weight_C
 from heiszeta.counts import nprime_closed
-from heiszeta.errors import FunctionalEquationFailure, IdentityMismatch
+from heiszeta.errors import IdentityMismatch, UsageError
 from heiszeta.exactalg import (
     BivariatePolynomial as Poly,
     FactoredRational as FR,
@@ -450,6 +450,29 @@ def test_functional_equation_factors():
     assert funeq_check(2) == "-q^10 T^5"
 
 
+def _summand_funeq_factor(n):
+    # -q^{n(2n+1)} T^{2n+1} times the unit (-1)^{n+1} q^{-(n+1)^2} that
+    # (q;q^2)_{n+1}, the factor every summand carries, takes under q -> 1/q
+    return FR(Poly.monomial((-1) ** n, n * (2 * n + 1) - (n + 1) ** 2, 2 * n + 1))
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_functional_equation_summand_by_summand(n):
+    factor = _summand_funeq_factor(n)
+    for r in range(n + 1):
+        summand = zeta._compact_summand(n, r)
+        assert summand.subs_inverse() == factor * summand, r
+
+
+def test_functional_equation_pairs_no_two_summands():
+    n = 4
+    factor = _summand_funeq_factor(n)
+    summands = [zeta._compact_summand(n, r) for r in range(n + 1)]
+    for r, s in enumerate(summands):
+        for r2, s2 in enumerate(summands):
+            assert (s.subs_inverse() == factor * s2) == (r == r2), (r, r2)
+
+
 def test_self_reciprocity_needs_the_right_factor():
     f = zeta_compact(1)
     assert is_self_reciprocal(f, 3, 3)
@@ -459,7 +482,7 @@ def test_self_reciprocity_needs_the_right_factor():
 
 def test_functional_equation_failure_raises(monkeypatch):
     monkeypatch.setattr(zeta, "is_self_reciprocal", lambda f, a, b: False)
-    with pytest.raises(FunctionalEquationFailure, match="n = 2"):
+    with pytest.raises(IdentityMismatch, match="n = 2"):
         funeq_check(2)
 
 
@@ -623,7 +646,7 @@ def test_rn_numeric_monotone_refinement():
 
 
 def test_rn_numeric_rejects_n1():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         rn_numeric(1, 10)
 
 
