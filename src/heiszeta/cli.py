@@ -14,13 +14,14 @@ inside its own function.  `--version` loads only this module and `errors`;
 zeta, verify and global never load the oracles.  `oracle lagrangian` and
 `oracle sublattice` load `oracle` and `combinat`, and `oracle factorization`
 also `counts`, for its integer Birkhoff numbers; no oracle mode loads the
-exact kernel `exactalg`, the closed forms or `igusa`.
+exact kernel `exactalg`, the closed forms or `igusa`.  Only the functions
+that write JSON import `json`, and the parser that main builds holds the
+arguments of the named command only.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -66,6 +67,8 @@ def _render(f, fmt: str) -> str:
         return format_plain(f)
     if fmt == "latex":
         return format_latex(f)
+    import json
+
     data = rational_to_json(f)
     data["version"] = __version__
     return json.dumps(data, sort_keys=True)
@@ -234,6 +237,8 @@ def cmd_verify(args) -> int:
         reports.append(rep)
         if rep["status"] != "pass" and failed is None:
             failed = name
+    import json
+
     _emit(json.dumps(reports, sort_keys=True, indent=2), args.out)
     if failed:
         print("FAILED: %s" % failed, file=sys.stderr)
@@ -297,6 +302,8 @@ def cmd_oracle(args) -> int:
         ]
     else:  # factorization
         rows = check_factorization(args.n, args.prime, args.max_val)
+    import json
+
     _emit(json.dumps(rows, sort_keys=True, indent=2), args.out)
     return 0
 
@@ -317,6 +324,8 @@ def cmd_global(args) -> int:
             % (args.n, 2 * args.n, format_poly(global_factor_eval(args.n), qvar="p"))
         )
     if rn:
+        import json
+
         lines.append(json.dumps(rn, sort_keys=True))
     _emit("\n".join(lines), args.out)
     return 0
@@ -361,7 +370,9 @@ def validate(args) -> None:
         args.max_val = 2 if args.max_val is None else args.max_val
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, with the arguments of the named command
+    only, or of every command when none is named."""
     ap = argparse.ArgumentParser(
         prog="heiszeta",
         description="Exact subalgebra zeta functions of higher Heisenberg Lie algebras",
@@ -370,48 +381,60 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     z = sub.add_parser("zeta", help="print a closed form")
-    z.add_argument("--n", type=int, required=True)
-    z.add_argument("--form", choices=sorted(FORMS), default="b")
-    z.add_argument("--output", choices=["plain", "json", "latex"], default="plain")
-    z.add_argument("--out", help="write to file instead of stdout")
     z.set_defaults(func=cmd_zeta)
+    if command in (None, "zeta"):
+        z.add_argument("--n", type=int, required=True)
+        z.add_argument("--form", choices=sorted(FORMS), default="b")
+        z.add_argument("--output", choices=["plain", "json", "latex"], default="plain")
+        z.add_argument("--out", help="write to file instead of stdout")
 
     v = sub.add_parser("verify", help="run identity checks")
-    v.add_argument("--n", type=int, required=True)
-    v.add_argument("--checks", default="crossform,funeq")
-    v.add_argument("--out")
     v.set_defaults(func=cmd_verify)
+    if command in (None, "verify"):
+        v.add_argument("--n", type=int, required=True)
+        v.add_argument("--checks", default="crossform,funeq")
+        v.add_argument("--out")
 
     c = sub.add_parser("coeffs", help="Dirichlet coefficients a_{p^i}")
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--prime", type=int, required=True)
-    c.add_argument("--max-order", type=int, required=True)
-    c.add_argument("--oracle", action="store_true")
-    c.add_argument("--out")
     c.set_defaults(func=cmd_coeffs)
+    if command in (None, "coeffs"):
+        c.add_argument("--n", type=int, required=True)
+        c.add_argument("--prime", type=int, required=True)
+        c.add_argument("--max-order", type=int, required=True)
+        c.add_argument("--oracle", action="store_true")
+        c.add_argument("--out")
 
     o = sub.add_parser("oracle", help="finite-ring brute-force counts")
-    o.add_argument("mode", choices=["lagrangian", "sublattice", "factorization"])
-    o.add_argument("--mu")
-    o.add_argument("--n", type=int)
-    o.add_argument("--prime", type=int, required=True)
-    o.add_argument("--max-val", type=int)
-    o.add_argument("--out")
     o.set_defaults(func=cmd_oracle)
+    if command in (None, "oracle"):
+        o.add_argument("mode", choices=["lagrangian", "sublattice", "factorization"])
+        o.add_argument("--mu")
+        o.add_argument("--n", type=int)
+        o.add_argument("--prime", type=int, required=True)
+        o.add_argument("--max-val", type=int)
+        o.add_argument("--out")
 
     g = sub.add_parser("global", help="global Euler-factor polynomial N_n")
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--eval", action="store_true")
-    g.add_argument("--rn", action="store_true")
-    g.add_argument("--prime-bound", type=int, default=1000)
-    g.add_argument("--out")
     g.set_defaults(func=cmd_global)
+    if command in (None, "global"):
+        g.add_argument("--n", type=int, required=True)
+        g.add_argument("--eval", action="store_true")
+        g.add_argument("--rn", action="store_true")
+        g.add_argument("--prime-bound", type=int, default=1000)
+        g.add_argument("--out")
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the command is the first word that is not an option, since no option
+    # before it takes a value: only its arguments are added to the parser
+    command = None
+    for word in argv:
+        if not word.startswith("-"):
+            command = word
+            break
+    args = build_parser(command).parse_args(argv)
     try:
         validate(args)
         return args.func(args)

@@ -34,7 +34,10 @@ Division by 1 - u is one recurrence, y = x + u y: ``_unroll`` on the T-rows
 of ``_p_tslices`` for T-factors and series in T, ``_unroll_dense`` on dense
 lists for constant factors and for series and pole orders at q = p.
 ``reduced`` cancels factors in one row pass (``_cancel``), of which
-``divide_out_factor`` is the one-factor case.
+``divide_out_factor`` is the one-factor case.  A copy of 1 - q^a T^b is
+unrolled there only if 1 - 2^a T^b divides the values at q = 2, an integer
+recurrence on one list: a copy that divides exactly divides at q = 2, so the
+one-sided test skips only copies the unroll would refuse.
 
 The module also provides q-Pochhammer symbols, Gaussian binomial and
 multinomial coefficients, the substitution ``(q,T) -> (q^-1,T^-1)``, and the
@@ -43,7 +46,6 @@ plain and LaTeX renderings.
 
 from __future__ import annotations
 
-import json
 import sys
 from collections import Counter
 from functools import lru_cache
@@ -125,11 +127,8 @@ _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" el
 
 def _kron_unpack(value: int, w: int, width: int, rows: int, q0: int, t0: int) -> dict:
     """Raw dict of a packed polynomial whose slot (e_T - t0) * width + (e_q - q0)
-    holds a signed coefficient of |c| < 2^(8w-1).
-
-    Adding a bias of 2^(8w-1) to every slot makes each slot nonnegative, so
-    the slots are read back independently.
-    """
+    holds a signed coefficient of |c| < 2^(8w-1).  A bias of 2^(8w-1) added to
+    every slot makes each slot nonnegative, so each is read back on its own."""
     cells = width * rows
     half = 1 << (8 * w - 1)
     bias = int.from_bytes(half.to_bytes(w, "little") * cells, "little")
@@ -350,12 +349,8 @@ class BivariatePolynomial:
         if k < 0:
             raise UsageError("negative power of a polynomial")
         out = BivariatePolynomial.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
+        for _ in range(k):
+            out = out * self
         return out
 
     def __eq__(self, other):
@@ -406,15 +401,10 @@ class BivariatePolynomial:
             raise UsageError("evaluation needs q != 0")
         out = {}
         for et, row in enumerate(_p_tslices(self.terms)):
-            if not row:
-                continue
-            num = 0
-            neg = -min(0, min(row))
-            for eq, c in row.items():
-                num += c * q ** (eq + neg)
-            if num % (q**neg):
+            neg = -min(0, min(row, default=0))
+            val, rem = divmod(sum(c * q ** (eq + neg) for eq, c in row.items()), q**neg)
+            if rem:
                 raise UsageError("evaluation at q=%d is not integral" % q)
-            val = num // (q**neg)
             if val:
                 out[et] = val
         return out
@@ -487,10 +477,10 @@ def divide_out_factor(p: BivariatePolynomial, a: int, b: int) -> Optional[Bivari
     """Exact quotient p / (1 - q^a T^b), or None when the factor does not divide."""
     if (a, b) == (0, 0):
         raise UsageError("1 - q^0 T^0 = 0 is not a divisor")
-    if p.is_zero():
-        return BivariatePolynomial.zero()
     if b < 0:
         raise UsageError("factor must have b >= 0")
+    if p.is_zero():
+        return BivariatePolynomial.zero()
     terms, tv, left = _cancel(p.terms, [(a, b, 1)])
     return None if left[0] else BivariatePolynomial._raw(_p_scale(terms, 1, 0, tv))
 
@@ -498,16 +488,24 @@ def divide_out_factor(p: BivariatePolynomial, a: int, b: int) -> Optional[Bivari
 def _cancel(terms: Mapping, factors: Sequence[tuple[int, int, int]]) -> tuple[dict, int, list]:
     """Divide terms by each (1 - q^a T^b)^m of factors in order, one copy at a
     time while a copy divides exactly: constant factors on dense row lists kept
-    from one factor to the next, T-factors on the sparse rows.  Returns the
-    quotient's terms without their T-content, that T-content, and the copies
-    of each factor that did not divide."""
-    rows, dense, left = _p_tslices(terms), False, []
+    from one factor to the next, T-factors on the sparse rows once the copy
+    divides at q = 2.  Returns the quotient's terms without their T-content,
+    that T-content, and the copies of each factor that did not divide."""
+    rows, dense, left, at2 = _p_tslices(terms), False, [], None
     for a, b, m in factors:
         if dense != (b == 0):
             rows, dense = [_dense_row(r) if b == 0 else _sparse_row(r) for r in rows], b == 0
+        if b and at2 is None:
+            # 2^-lo times the rows at q = 2; a constant factor divides them by a constant
+            lo = min((min(row) for row in rows if row), default=0)
+            at2 = [sum(c << (eq - lo) for eq, c in row.items()) for row in rows]
+        # for a < 0, 1 - 2^a T^b divides x(T) iff 1 - 2^-a T^b divides T^top x(1/T)
+        step = -1 if a < 0 else 1
         while m:
             if dense:
                 quot = _divide_dense_rows(rows, a)
+            elif (at2_quot := _divide_dense(at2[::step], b, 1 << abs(a))) is None:
+                break
             else:
                 keep = max(len(rows) - b, 0)
                 # the series of the quotient in T must stop at T^(top - b)
@@ -516,6 +514,8 @@ def _cancel(terms: Mapping, factors: Sequence[tuple[int, int, int]]) -> tuple[di
             if quot is None:
                 break
             rows, m = quot, m - 1
+            if not dense:
+                at2 = at2_quot[::step]
         left.append(m)
     if dense:
         rows = [_sparse_row(r) for r in rows]
@@ -649,13 +649,10 @@ class FactoredRational:
     def sum(items: Sequence["FactoredRational"]) -> "FactoredRational":
         """Exact sum over the least common factor multiset.
 
-        Each numerator is multiplied by its cofactor lcm / den; nothing is
-        expanded and then divided back.  By the size rule of _p_mul applied to
-        the whole sum, either each numerator is packed into the sum's (q, T)
-        box, multiplied by its cofactor there and added into one integer that
-        is read back once, or each is multiplied by its cofactor in a dict and
-        added into one.  Either way a factor 1 - q^a T^b is a shift and a
-        subtraction.
+        Each numerator times its cofactor lcm / den, a shift and a subtraction
+        per factor 1 - q^a T^b, is added into one packed integer read back
+        once or, when _p_mul's size rule applied to the whole sum declines the
+        packing, into one dict; nothing is expanded and then divided back.
         """
         items = [it for it in items if not it.num.is_zero()]
         if len(items) < 2:
@@ -717,10 +714,12 @@ class FactoredRational:
     def reduced(self) -> "FactoredRational":
         """Cancel denominator factors that exactly divide the numerator.
 
-        Factors with b == 0 are attempted first, then the T-positive factors;
-        finally the numerator's T-content is folded into tshift.  To cancel
-        only some factors, reduce a value over those alone, as zeta_compact
-        does with (q;q^2)_{n+1}.
+        Factors with b == 0 are attempted first, then the T-positive factors,
+        each copy unrolled only if it divides the numerator at q = 2, as every
+        copy that divides exactly does (a one-sided test: the result is the
+        same).  Finally the numerator's T-content is folded into tshift.  To
+        cancel only some factors, reduce a value over those alone, as
+        zeta_compact does with (q;q^2)_{n+1}.
         """
         if self.num.is_zero():
             return FactoredRational.zero()
@@ -852,10 +851,6 @@ def poly_to_json(p: BivariatePolynomial) -> list[list]:
     return [[str(c), eq, et] for (c, eq, et) in p.sorted_terms()]
 
 
-def poly_from_json(data: Sequence[Sequence]) -> BivariatePolynomial:
-    return BivariatePolynomial({(int(eq), int(et)): int(c) for c, eq, et in data})
-
-
 def rational_to_json(f: FactoredRational) -> dict:
     return {
         "num": poly_to_json(f.num),
@@ -866,16 +861,21 @@ def rational_to_json(f: FactoredRational) -> dict:
 
 def rational_from_json(data: Mapping) -> FactoredRational:
     sign, e_q, e_T = data["unit"]
-    num = poly_from_json(data["num"]).scaled(int(sign)).shift(dq=int(e_q))
+    num = BivariatePolynomial({(int(eq), int(et)): int(c) for c, eq, et in data["num"]})
+    num = num.scaled(int(sign)).shift(dq=int(e_q))
     den = {(int(a), int(b)): int(m) for a, b, m in data["den"]}
     return FactoredRational(num, den, int(e_T))
 
 
 def rational_dumps(f: FactoredRational) -> str:
+    import json
+
     return json.dumps(rational_to_json(f), separators=(",", ":"), sort_keys=True)
 
 
 def rational_loads(s: str) -> FactoredRational:
+    import json
+
     return rational_from_json(json.loads(s))
 
 

@@ -245,6 +245,49 @@ def test_divide_out_q_only_factor():
     assert divide_out_factor(Poly.one_minus(3, 0), 2, 0) is None
 
 
+def test_divide_out_factor_refuses_b_below_zero_even_for_zero():
+    with pytest.raises(UsageError, match="b >= 0"):
+        divide_out_factor(Poly.zero(), 1, -1)
+    with pytest.raises(UsageError, match="b >= 0"):
+        divide_out_factor(Poly.one_minus(1, 1), 1, -1)
+
+
+def test_a_factor_that_divides_only_at_q_2_is_refused():
+    # 1 - 2T is 1 - qT at q = 2, and 2 - T is 2 (1 - q^-1 T) there: each passes
+    # the test at q = 2, and the exact division still refuses it
+    assert divide_out_factor(Poly({(0, 0): 1, (0, 1): -2}), 1, 1) is None
+    assert divide_out_factor(Poly({(0, 0): 2, (0, 1): -1}), -1, 1) is None
+    decoy = Poly({(0, 0): 1, (0, 1): -2}) * Poly.one_minus(-1, 1)
+    f = FR(decoy, {(1, 1): 1, (-1, 1): 1}).reduced()
+    assert f.num == Poly({(0, 0): 1, (0, 1): -2}) and dict(f.den) == {(1, 1): 1}
+
+
+def test_form_a_unrolls_only_the_copies_that_divide(monkeypatch):
+    # zeta_igusa_sum(4)'s reduce: of its 19 copies of T-factors, the 12 that
+    # do not divide fail at q = 2, so only the 7 that divide are unrolled
+    from heiszeta import exactalg, zeta
+
+    unrolls, cancels = [], []
+
+    def unroll(*args):
+        unrolls.append(args[1:3])
+        return real_unroll(*args)
+
+    def cancel(terms, factors):
+        out = real_cancel(terms, factors)
+        cancels.append([(b, m, left) for (_, b, m), left in zip(factors, out[2])])
+        return out
+
+    real_unroll, real_cancel = exactalg._unroll, exactalg._cancel
+    monkeypatch.setattr(exactalg, "_unroll", unroll)
+    monkeypatch.setattr(exactalg, "_cancel", cancel)
+    zeta.zeta_igusa_sum.__wrapped__(4)
+    (copies,) = cancels
+    assert sum(m for b, m, _ in copies if b) == 19
+    assert sum(left for b, _, left in copies if b) == 12
+    assert len(unrolls) == sum(m - left for b, m, left in copies if b) == 7
+
+
 def test_divide_out_factor_roundtrip_random():
     rng = random.Random(11)
     for _ in range(60):

@@ -407,16 +407,26 @@ def test_a_sum_with_a_huge_exponent_stays_per_item(monkeypatch):
     assert exact(total) == exact(sum_per_item(items))
 
 
+t_factor_keys = st.tuples(st.integers(-4, 4), st.integers(1, 3))
+
+
 @st.composite
 def reducible(draw):
     """A rational whose numerator is a multiple of some of its factors, with
-    extra factors that may not divide, a possible remainder and T-content."""
+    extra factors that may not divide, constant or with a < 0 or a >= 0,
+    some of them 1 - q^a T^b whose 1 - 2^a T^b divides the numerator (so
+    they divide at q = 2 only), a possible remainder and T-content."""
     divides = Counter(draw(st.lists(st.sampled_from(factor_pool), max_size=5)))
-    extra = Counter(draw(st.lists(st.sampled_from(factor_pool), max_size=3)))
+    extra = Counter(draw(st.lists(st.sampled_from(factor_pool) | factor_keys, max_size=3)))
+    decoys = Counter(draw(st.lists(t_factor_keys, max_size=2)))
     num = Poly(draw(raw_polys(4, 3, 5, small | huge | slot_bounds))) * expand_factors(divides)
+    for a, b in decoys.elements():
+        # 2^max(-a, 0) (1 - 2^a T^b), with integer coefficients
+        num = num * Poly({(0, 0): 2 ** max(-a, 0), (0, b): -(2 ** max(a, 0))})
     if draw(st.booleans()):
         num = num + Poly(draw(raw_polys(3, 2, 2, small)))
-    return FR(num.shift(dt=draw(st.integers(0, 2))), divides + extra, draw(st.integers(-2, 2)))
+    den = divides + extra + decoys
+    return FR(num.shift(dt=draw(st.integers(0, 2))), den, draw(st.integers(-2, 2)))
 
 
 @settings(max_examples=80)

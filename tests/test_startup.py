@@ -3,9 +3,9 @@
 The package resolves its public names on first use, and each command imports
 only the library modules it runs.  No module imports `dataclasses`, whose
 import pulls in inspect, dis and tokenize, and only the functions that use
-`fractions` (with decimal and numbers behind it) import it.  Import sets are
-read in a fresh interpreter per case, since this process has loaded every
-module.
+`fractions` (with decimal and numbers behind it) or that write JSON import
+them.  Import sets are read in a fresh interpreter per case, since this
+process has loaded every module.
 """
 
 import json
@@ -21,11 +21,11 @@ import heiszeta
 SRC = str(Path(__file__).parent.parent / "src")
 
 # Runs cli.main on its arguments, then prints the heiszeta modules loaded,
-# and which of dataclasses and fractions were loaded before heiszeta and
-# after the command.
+# and which of dataclasses, fractions and json were loaded before heiszeta
+# and after the command.
 PROBE = """\
-import json, sys
-WATCHED = ("dataclasses", "fractions")
+import sys
+WATCHED = ("dataclasses", "fractions", "json")
 bare = {m: m in sys.modules for m in WATCHED}
 from heiszeta.cli import main
 try:
@@ -33,7 +33,9 @@ try:
 except SystemExit:
     pass
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "heiszeta")
-print(json.dumps([loaded, bare, {m: m in sys.modules for m in WATCHED}]))
+after = {m: m in sys.modules for m in WATCHED}
+import json
+print(json.dumps([loaded, bare, after]))
 """
 
 BASE = {"heiszeta", "heiszeta.cli", "heiszeta.errors"}
@@ -93,6 +95,22 @@ def test_fractions_loads_only_where_it_is_used(argv, expected):
     _, bare, after = _run(PROBE, *argv)
     if not bare["fractions"]:
         assert after["fractions"] is expected
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--version"], False),
+        (["zeta", "--n", "3", "--form", "b"], False),
+        (["zeta", "--n", "2", "--output", "json"], True),
+        (["verify", "--n", "1", "--checks", "funeq"], True),
+    ],
+    ids=["version", "zeta-plain", "zeta-json", "verify"],
+)
+def test_json_loads_only_where_json_is_written(argv, expected):
+    _, bare, after = _run(PROBE, *argv)
+    if not bare["json"]:
+        assert after["json"] is expected
 
 
 def test_import_heiszeta_loads_no_submodule():
