@@ -39,12 +39,10 @@ _HOME = {
             "enum_subalgebras",
             "enum_sublattices",
         ),
+        "verify": ("funeq_check", "pole_analysis", "reduced_c"),
         "zeta": (
             "dirichlet_coeffs",
-            "funeq_check",
             "global_factor",
-            "pole_analysis",
-            "reduced_c",
             "reduced_zeta",
             "zeta_graded",
             "zeta_ideal",

@@ -11,18 +11,18 @@ All output is deterministic for fixed inputs and version.
 
 Library names load on first use: each command imports the modules it runs
 inside its own function.  `--version` loads only this module and `errors`;
-zeta, verify and global never load the oracles.  `oracle lagrangian` and
-`oracle sublattice` load `oracle` and `combinat`, and `oracle factorization`
-also `counts`, for its integer Birkhoff numbers; no oracle mode loads the
-exact kernel `exactalg`, the closed forms or `igusa`.  Only the functions
-that write JSON import `json`, and the parser that main builds holds the
-arguments of the named command only.
+zeta, verify and global never load the oracles, and only the verify checks
+load `verify`, the second derivations they compare with.  `oracle
+lagrangian` and `oracle sublattice` load `oracle` and `combinat`, and
+`oracle factorization` also `counts`, for its integer Birkhoff numbers; no
+oracle mode loads the exact kernel `exactalg`, the closed forms or `igusa`.
+Only the functions that write JSON import `json`, and the parser that main
+builds holds the arguments of the named command only.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 
@@ -82,8 +82,8 @@ def cmd_zeta(args) -> int:
 
 def _check_crossform(n: int) -> dict:
     """Forms a, b and c agree, and form c's numerator is the B_n group sum."""
-    from .zeta import c_exponents, hyperoctahedral_numerator
-    from .zeta import zeta_compact, zeta_hyperoctahedral, zeta_igusa_sum
+    from .verify import hyperoctahedral_numerator
+    from .zeta import c_exponents, zeta_compact, zeta_hyperoctahedral, zeta_igusa_sum
 
     a, b, c = zeta_igusa_sum(n), zeta_compact(n), zeta_hyperoctahedral(n)
     ok = a == b and b == c and c.num == hyperoctahedral_numerator(n, c_exponents(n))
@@ -91,7 +91,7 @@ def _check_crossform(n: int) -> dict:
 
 
 def _check_funeq(n: int) -> dict:
-    from .zeta import funeq_check
+    from .verify import funeq_check
 
     return {"status": "pass", "detail": funeq_check(n)}
 
@@ -101,7 +101,7 @@ def _check_poles(n: int) -> dict:
     2 or more are exactly the s = m with m(m+1) = 4n (s = 3 at n = 3, s = 4
     at n = 5).  The law is observed, not proved: it holds for every n <= 12,
     the n up to which verify runs this check."""
-    from .zeta import pole_analysis
+    from .verify import pole_analysis
 
     orders = pole_analysis(n)
     double = [s for s, o in orders.items() if o >= 2]
@@ -120,7 +120,7 @@ def _check_fibre(n: int) -> dict:
     r and 2k+1-r name the same fibre, with the same E, P and K, so each
     pair is proved once, at r <= k; the detail lists the (k, r) proved.
     """
-    from .igusa import check_I_equals_K
+    from .verify import check_I_equals_K
 
     pairs = []
     for k in range(n + 1):
@@ -134,56 +134,25 @@ def _check_residue(n: int) -> dict:
     """igusa_B's numerator against the descent sum on the same slots, over the
     slot denominator both share, then the residue of igusa_B at X_m -> 1 in
     factored form against the descent sum with slot m set to 1, for m < n.
-    Each comparison builds its descent sum first, so that the descent sum's
-    size guard refuses before any other work.
+    The descent sums all come from one run of the dynamic program, made
+    first, so that its size guard refuses before any other work.
 
     igusa_B, and the factored residue through it, is the subset expansion.
     At m = n the two residues are igusa_B(n) on n slots and its descent sum
     (X_n is never a descent slot), which the first comparison already checks.
     """
-    from .combinat import signed_descent_sum
-    from .igusa import GENERIC_Z as Z
-    from .igusa import generic_slots, igusa_B, igusa_B_residue, igusa_B_residue_limit
+    from .igusa import igusa_B
+    from .verify import GENERIC_Z as Z
+    from .verify import generic_slots, igusa_B_residue, residue_limits
 
     X = generic_slots(n)
-    descent = signed_descent_sum(n, -1, Z, X)
+    descent, limits = residue_limits(n, -1, Z, X)
     if igusa_B(n, -1, Z, generic_slots(n + 1)).num != descent:
         return {"status": "fail", "detail": "subset"}
-    for m in range(n):
-        limit = igusa_B_residue_limit(n, m, -1, Z, X)
+    for m, limit in enumerate(limits):
         if igusa_B_residue(n, m, -1, Z, X) != limit:
             return {"status": "fail", "detail": "m=%d" % m}
     return {"status": "pass"}
-
-
-def _reduced_eulerian(n: int):
-    """The reduced zeta function as the classical Eulerian sum
-    sum_d binom(n, d) A_d(T^{n+1}) / ((1-T)^{2n-d} (1-T^{n+1})^{d+1})."""
-    from .combinat import eulerian_A
-    from .exactalg import BivariatePolynomial, FactoredRational
-
-    return FactoredRational.sum(
-        [
-            FactoredRational(
-                BivariatePolynomial(
-                    {(0, (n + 1) * k): c * math.comb(n, d)
-                     for k, c in enumerate(eulerian_A(d)) if c}
-                ),
-                {(0, 1): 2 * n - d, (0, n + 1): d + 1},
-            )
-            for d in range(n + 1)
-        ]
-    )
-
-
-def _reduced_c_telescoped(n: int):
-    """c_n as the complement 1 - n sum_k binom(n-1, k-1) k! / (n+1)^{k+1}, a Fraction."""
-    from fractions import Fraction
-
-    return 1 - n * sum(
-        Fraction(math.comb(n - 1, k - 1) * math.factorial(k), (n + 1) ** (k + 1))
-        for k in range(1, n + 1)
-    )
 
 
 def _check_reduced(n: int) -> dict:
@@ -192,7 +161,9 @@ def _check_reduced(n: int) -> dict:
     P_n(1) / (n+1)^{n+1} of the normalized numerator, and inside (0, 1)."""
     from fractions import Fraction
 
-    from .zeta import is_self_reciprocal, reduced_c, reduced_cone_series, reduced_zeta
+    from .verify import _reduced_c_telescoped, _reduced_eulerian, is_self_reciprocal
+    from .verify import reduced_c, reduced_cone_series
+    from .zeta import reduced_zeta
 
     f = reduced_zeta(n)
     series = [c.coefficient(0, 0) for c in f.series_in_T(10)]

@@ -2,39 +2,30 @@
 
 Three closed forms of the same rational function (the 2^n-term augmented
 Igusa sum, the (n+1)-term compact sum, and the hyperoctahedral form), the
-ideal and graded variants, series/Dirichlet-coefficient extraction, the
-functional equation and pole analysis, the q -> 1 reduced zeta functions,
-and the global Euler-factor polynomials.
+ideal and graded variants, Dirichlet-coefficient extraction, the q -> 1
+reduced zeta functions, and the global Euler-factor polynomials.  The
+B_n group sum behind form c, the functional equation, the pole orders and
+c_n are second derivations, in ``heiszeta.verify``.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-from .combinat import (
-    gen_W,
-    signed_descent_sum,
-    w_partial_sums,
-    weight_C,
-)
+from .combinat import gen_W, w_partial_sums, weight_C
 from .errors import IdentityMismatch, check_limit
 from .exactalg import (
     BivariatePolynomial,
     FactoredRational,
     SignedMonomial,
-    _divide_dense,
     _p_iadd,
     _unroll_dense,
     divide_out_factor,
     gauss_binom,
     mono,
 )
-
-if TYPE_CHECKING:  # Fraction is imported by the pole and c_n functions that use it
-    from fractions import Fraction
 
 
 def c_exponents(n: int) -> list[int]:
@@ -106,16 +97,6 @@ def _compact_summand(n: int, r: int) -> FactoredRational:
     return FactoredRational(num, Counter(factors))
 
 
-def hyperoctahedral_numerator(n: int, c: Sequence[int]) -> BivariatePolynomial:
-    """Sum over B_n of (-1)^neg q^{C(g)} T^{(n+1) des_B(g) + neg(g)}.
-
-    With C(g) = n neg - l + sum of c_i over Des_B(g) this is the group sum
-    of :func:`signed_descent_sum` at Y = q^-1, Z = -q^n T and descent
-    slots X_i = q^{c_i} T^{n+1}, computed by its dynamic program.
-    """
-    return signed_descent_sum(n, -1, mono(n, 1, -1), [mono(ci, n + 1) for ci in c[:n]])
-
-
 @lru_cache(maxsize=None)
 def zeta_hyperoctahedral(n: int) -> FactoredRational:
     """Hyperoctahedral form: type-B Igusa specialization over (T;q)_{2n}.
@@ -124,8 +105,8 @@ def zeta_hyperoctahedral(n: int) -> FactoredRational:
     Y = q^-1, Z = -q^n T and slots q^{c_i} T^{n+1}; the recurrence of
     ``igusa._subset_sum`` sums its 2^n subsets in O(n^2) products.  Its
     numerator equals the statistic sum over B_n of
-    :func:`hyperoctahedral_numerator`, an independent derivation that
-    ``verify --checks crossform`` compares with it.
+    :func:`~heiszeta.verify.hyperoctahedral_numerator`, an independent
+    derivation that ``verify --checks crossform`` compares with it.
     """
     check_limit("zeta_hyperoctahedral", "n", n)
     return _type_B_form(n, c_exponents(n))
@@ -160,8 +141,9 @@ def zeta_graded(n: int) -> FactoredRational:
 
     The substitution is applied both in the Igusa slots and inside the
     statistic C: the hyperoctahedral form built at the c_i'.  Its numerator
-    is the B_n group sum :func:`hyperoctahedral_numerator` at the c_i' (the
-    tests compare the two); no count outside the package is compared with it.
+    is the B_n group sum :func:`~heiszeta.verify.hyperoctahedral_numerator`
+    at the c_i' (the tests compare the two); no count outside the package is
+    compared with it.
     """
     check_limit("zeta_graded", "n", n)
     return _type_B_form(n, c_exponents_graded(n))
@@ -184,92 +166,6 @@ def dirichlet_coeffs(n: int, p: int, order: int) -> list[int]:
         for _ in range(m):
             _unroll_dense(xs, b, p**a)
     return xs
-
-
-# ---------------------------------------------------------------------------
-# functional equation and poles
-# ---------------------------------------------------------------------------
-
-
-def is_self_reciprocal(f: FactoredRational, a: int, b: int) -> bool:
-    """Whether f(1/q, 1/T) = -q^a T^b f(q, T)."""
-    return f.subs_inverse() == FactoredRational(f.num.scaled(-1).shift(dq=a), f.den, f.tshift + b)
-
-
-def funeq_check(n: int) -> str:
-    """Verify the local functional equation; return its factor.
-
-    Substituting q -> q^-1 (hence T = q^-s -> T^-1) multiplies the zeta
-    function by -q^{binom(2n+1,2) - (2n+1)s}, i.e. by
-    -q^{binom(2n+1,2)} T^{2n+1}.  Raises IdentityMismatch.
-    """
-    a, b = (2 * n + 1) * n, 2 * n + 1  # binom(2n+1, 2), 2n+1
-    if not is_self_reciprocal(zeta_compact(n), a, b):
-        raise IdentityMismatch("functional equation failed at n = %d" % n)
-    return "-q^%d T^%d" % (a, b)
-
-
-def pole_candidates(n: int) -> tuple[list[int], list[Fraction]]:
-    """Integral candidates [2n-1]_0 and fractional candidates a_{n,r}/(n+1)."""
-    from fractions import Fraction
-
-    integral = list(range(2 * n))
-    fractional = sorted(
-        {Fraction(special_exponent(n, r), n + 1) for r in range(n + 1)}
-    )
-    return integral, fractional
-
-
-# the primes at which pole_analysis specializes q
-POLE_PRIMES = (2, 3, 5)
-
-
-def _vanishing_order(coeffs: dict[int, int], p: int, c: int, d: int) -> int:
-    """Largest k with (1 - p^c T^d)^k dividing the integer polynomial."""
-    xs = [coeffs.get(k, 0) for k in range(max(coeffs, default=-1) + 1)]
-    order = 0
-    while xs:
-        xs = _divide_dense(xs, d, p**c)
-        if xs is None:
-            break
-        order += 1
-    return order
-
-
-def pole_analysis(n: int) -> dict[Fraction, int]:
-    """Exact pole orders, {s: order} for every pole s in increasing order.
-
-    Every denominator factor of the reduced compact form must sit over a
-    candidate location; the order at s = c/d is the matching factor
-    multiplicity minus the numerator's vanishing order at T = p^{-c/d},
-    for q specialized to each prime p of POLE_PRIMES.  Raises
-    IdentityMismatch when an order differs between the primes.
-    """
-    from fractions import Fraction
-
-    f = zeta_compact(n)
-    integral, fractional = pole_candidates(n)
-    candidates = {Fraction(s) for s in integral} | set(fractional)
-    mults = Counter()  # factor multiplicity over each location
-    for (a, b), m in f.den.items():
-        if b == 0:
-            raise IdentityMismatch("unreduced constant factor in denominator")
-        if Fraction(a, b) not in candidates:
-            raise IdentityMismatch(
-                "denominator factor (1 - q^%d T^%d) off the candidate list" % (a, b)
-            )
-        mults[Fraction(a, b)] += m
-    at_p = {p: f.num.eval_q(p) for p in POLE_PRIMES}
-    orders = {}
-    for s in sorted(mults):
-        by_p = {p: mults[s] - _vanishing_order(coeffs, p, s.numerator, s.denominator)
-                for p, coeffs in at_p.items()}
-        order = by_p[POLE_PRIMES[0]]
-        if any(o != order for o in by_p.values()):
-            raise IdentityMismatch("order at s = %s varies with q: %s" % (s, by_p))
-        if order > 0:
-            orders[s] = order
-    return orders
 
 
 # ---------------------------------------------------------------------------
@@ -298,47 +194,6 @@ def reduced_zeta(n: int) -> FactoredRational:
     return FactoredRational(P, {(0, 1): n, (0, n + 1): n + 1})
 
 
-def reduced_cone_series(n: int, order: int) -> list[int]:
-    """Lattice-point transform oracle: counts of (e_0, ..., e_{2n}) with
-    e_0 <= e_{2i-1} + e_{2i} for all i, graded by coordinate sum."""
-    check_limit("reduced_cone_series", "n", n)
-    out = []
-    for m in range(order + 1):
-        total = 0
-        for e0 in range(m + 1):
-            total += _pair_count(n, m - e0, e0)
-        out.append(total)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _pair_count(pairs: int, rem: int, floor: int) -> int:
-    # number of (s_1..s_pairs), s_i >= floor, sum rem, weighted by prod (s_i + 1)
-    if pairs == 0:
-        return 1 if rem == 0 else 0
-    total = 0
-    for s in range(floor, rem + 1):
-        total += (s + 1) * _pair_count(pairs - 1, rem - s, floor)
-    return total
-
-
-def reduced_c(n: int) -> Fraction:
-    """Leading coefficient c_n = lim (1-T)^{2n+1} Z_red(T) at T = 1.
-
-    The binomial sum sum_k binom(n, k) k! / (n+1)^{k+1}; c_0 = 1.
-    ``verify --checks reduced`` compares it with the telescoped sum and
-    with P_n(1) / (n+1)^{n+1} from the normalized form, and checks
-    0 < c_n < 1.
-    """
-    from fractions import Fraction
-
-    check_limit("reduced_c", "n", n)
-    return sum(
-        Fraction(math.comb(n, k) * math.factorial(k), (n + 1) ** (k + 1))
-        for k in range(n + 1)
-    )
-
-
 # ---------------------------------------------------------------------------
 # global Euler factor
 # ---------------------------------------------------------------------------
@@ -351,7 +206,8 @@ def global_factor(n: int) -> BivariatePolynomial:
     compact-form numerator after T^{(n+1) des + neg} is regrouped by D.
     This is the numerator of the cached :func:`zeta_hyperoctahedral`, which
     ``verify --checks crossform`` compares with the group sum
-    :func:`hyperoctahedral_numerator`; no group element is built.
+    :func:`~heiszeta.verify.hyperoctahedral_numerator`; no group element is
+    built.
     """
     check_limit("global_factor", "n", n)
     return zeta_hyperoctahedral(n).num

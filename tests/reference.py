@@ -13,15 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from heiszeta.combinat import (
-    Partition,
-    coset_reps,
-    coset_stats,
-    descent_set,
-    partitions_up_to,
-    perms,
-    signed_descent_sum,
-)
+from heiszeta.combinat import Partition, partitions_up_to
 from heiszeta.counts import birkhoff_alpha, nprime_closed
 from heiszeta.errors import HeiszetaError, IdentityMismatch, UsageError, check_limit, check_prime
 from heiszeta.exactalg import (
@@ -36,7 +28,7 @@ from heiszeta.exactalg import (
     mono,
     qpochhammer,
 )
-from heiszeta.igusa import _check_slots, _over_slots, fibre_E, igusa_A
+from heiszeta.igusa import _check_slots, _over_slots, igusa_A
 from heiszeta.oracle import (
     _gram,
     _omega,
@@ -45,6 +37,14 @@ from heiszeta.oracle import (
     alt_type,
     hnf_enumerate,
     smith_type,
+)
+from heiszeta.verify import (
+    coset_reps,
+    coset_stats,
+    descent_set,
+    fibre_E,
+    perms,
+    signed_descent_sum,
 )
 from heiszeta.zeta import c_exponents, igusa_args, special_exponent, zeta_compact
 
@@ -203,6 +203,24 @@ def igusa_B_descent(n: int, y_exponent: int, Z, X) -> FactoredRational:
     """
     _check_slots("B", n, X, n)
     return _over_slots(signed_descent_sum(n, y_exponent, Z, X[:n]), X)
+
+
+def igusa_B_residue_limit(n: int, m: int, y_exponent: int, Z, X) -> FactoredRational:
+    """Residue at X_m -> 1 straight from the descent sum, one sum per m.
+
+    (1 - X_m) * Ig_Bn is regular at X_m = 1: the singular factor cancels
+    syntactically, leaving the descent numerator with the X_m slot set to 1
+    over the remaining denominator factors.  The numerator is
+    signed_descent_sum with slot m set to 1; verify.residue_limits reads
+    every m off one run of it.
+    """
+    if not 0 <= m <= n:
+        raise UsageError("m must lie in [n]_0")
+    if len(X) != n:
+        raise UsageError("need the n slots other than X_m")
+    slots = {i: x for i, x in zip([i for i in range(n + 1) if i != m], X)}
+    descent_slots = [slots.get(i, mono(0, 0)) for i in range(n)]
+    return _over_slots(signed_descent_sum(n, y_exponent, Z, descent_slots), X)
 
 
 def subset_sum_by_masks(n: int, y_exponent: int, interior, X, weight=None) -> FactoredRational:

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import pytest
 
-from heiszeta.cli import _reduced_eulerian
 from heiszeta.combinat import partitions_up_to
 from heiszeta.counts import birkhoff_alpha, nprime_closed
 from heiszeta.exactalg import (
@@ -24,38 +23,38 @@ from heiszeta.exactalg import (
     mono,
     qpochhammer,
 )
-from heiszeta.igusa import (
-    GENERIC_Z,
-    check_I_equals_K,
-    fibre_E,
-    fibre_K,
-    generic_slots,
-    igusa_A,
-    igusa_B,
-    igusa_B_residue,
-    igusa_B_residue_limit,
-)
+from heiszeta.igusa import igusa_A, igusa_B
 from heiszeta.oracle import (
     check_factorization,
     enum_lagrangians,
     enum_subalgebras,
     enum_sublattices,
 )
-from heiszeta.zeta import (
+from heiszeta.verify import (
+    GENERIC_Z,
     POLE_PRIMES,
-    c_exponents,
-    dirichlet_coeffs,
+    _reduced_eulerian,
+    check_I_equals_K,
+    fibre_E,
+    fibre_K,
     funeq_check,
-    global_factor_eval,
+    generic_slots,
+    igusa_B_residue,
     pole_analysis,
     reduced_c,
     reduced_cone_series,
+)
+from heiszeta.zeta import (
+    c_exponents,
+    dirichlet_coeffs,
+    global_factor_eval,
     reduced_zeta,
     zeta_igusa_sum,
     zeta_compact,
     zeta_hyperoctahedral,
 )
-from reference import igusa_B_descent, lemma_global_bound, qpochhammer_factors
+from reference import igusa_B_descent, igusa_B_residue_limit, lemma_global_bound
+from reference import qpochhammer_factors
 
 
 class Criterion:

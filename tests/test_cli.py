@@ -99,31 +99,28 @@ def test_verify_fibre_residue_reduced(capsys):
 
 
 def test_residue_check_builds_each_descent_sum_once(monkeypatch):
-    from heiszeta import cli, combinat, igusa
+    from heiszeta import cli, verify
 
     calls = []
-    descent_sum = combinat.signed_descent_sum
+    descent_sum = verify.signed_descent_sum
 
     def counted(n, y_exponent, Z, X):
         calls.append((n, y_exponent, Z, tuple(X)))
         return descent_sum(n, y_exponent, Z, X)
 
-    # igusa's residue limit, and the check's own import from combinat
-    monkeypatch.setattr(igusa, "signed_descent_sum", counted)
-    monkeypatch.setattr(combinat, "signed_descent_sum", counted)
+    monkeypatch.setattr(verify, "signed_descent_sum", counted)
     assert cli._check_residue(5)["status"] == "pass"
-    # five of degree 5 with slot m set to 1 for m < 5, and one on the generic
-    # slots against igusa_B; the factored residues build their type-B factor
-    # by the subset expansion, with no descent sum
-    assert len(calls) == 6
-    assert len(set(calls)) == 6
+    # one run on marker slots gives the sum on the generic slots and every
+    # residue limit; the factored residues build their type-B factor by the
+    # subset expansion, with no descent sum
+    assert len(calls) == 1
 
 
 def test_verify_residue_past_the_descent_guard_exits_2(capsys):
     # each check builds its guarded side first, so the refusal enters at most
     # 10 package functions, as each refusal of tests/test_limits.py does; the
     # fibre check's guard is fibre_K's
-    from heiszeta import combinat, igusa  # noqa: F401 (loaded before the count)
+    from heiszeta import combinat, igusa, verify  # noqa: F401 (loaded before the count)
 
     entered = []
 
@@ -148,13 +145,13 @@ def test_verify_residue_past_the_descent_guard_exits_2(capsys):
 def test_verify_raised_mismatch_keeps_every_report(capsys, monkeypatch):
     # a check that raises a mismatch reports "fail" with the message; the
     # reports before and after it are still printed
-    from heiszeta import zeta
+    from heiszeta import verify
     from heiszeta.errors import IdentityMismatch
 
     def failing(n):
         raise IdentityMismatch("functional equation failed at n = %d" % n)
 
-    monkeypatch.setattr(zeta, "funeq_check", failing)
+    monkeypatch.setattr(verify, "funeq_check", failing)
     code = main(["verify", "--n", "2", "--checks", "crossform,funeq,reduced"])
     captured = capsys.readouterr()
     assert code == 1

@@ -6,23 +6,20 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heiszeta.combinat import (
-    Partition,
+from heiszeta.combinat import Partition, gen_W, partitions_up_to, w_partial_sums, weight_C
+from heiszeta.errors import SizeGuard, UsageError
+from heiszeta.exactalg import BivariatePolynomial as Poly, FactoredRational as FR, mono
+from heiszeta.igusa import igusa_B
+from heiszeta.verify import (
+    GENERIC_Z,
     coset_reps,
     coset_stats,
     descent_set,
     eulerian_A,
     fibre_W,
-    gen_W,
-    partitions_up_to,
     perms,
     signed_descent_sum,
-    w_partial_sums,
-    weight_C,
 )
-from heiszeta.errors import SizeGuard, UsageError
-from heiszeta.exactalg import BivariatePolynomial as Poly, FactoredRational as FR, mono
-from heiszeta.igusa import GENERIC_Z, igusa_B
 from heiszeta.zeta import reduced_zeta
 from reference import SignedPermutation, brenti_B_by_enumeration, difference_vector
 from reference import inversions, is_w_vector, signed_perm_length_bfs, signed_perms
@@ -281,7 +278,7 @@ def test_signed_descent_sum_hyperoctahedral_slots(n, graded):
 
 @pytest.mark.parametrize("n", (5, 6))
 def test_signed_descent_sum_residue_limit_slots(n):
-    # slot m set to 1, as in igusa_B_residue_limit
+    # slot m set to 1, as in the residue limits
     for m in range(n + 1):
         X = [mono(0, 0) if i == m else mono(101 + 100 * i, 1) for i in range(n)]
         got = signed_descent_sum(n, -1, GENERIC_Z, X)

@@ -1,6 +1,6 @@
 import pytest
 
-from heiszeta.combinat import gen_W, signed_descent_sum
+from heiszeta.combinat import gen_W
 from heiszeta.errors import IdentityMismatch, SizeGuard, UsageError
 from heiszeta.exactalg import (
     BivariatePolynomial as Poly,
@@ -9,20 +9,19 @@ from heiszeta.exactalg import (
     mono,
     qpochhammer,
 )
-from heiszeta.igusa import (
+from heiszeta.igusa import _subset_sum, igusa_A, igusa_B
+from heiszeta.verify import (
     GENERIC_Z,
     Y_slot,
-    _subset_sum,
     check_I_equals_K,
     fibre_E,
     fibre_I,
     fibre_K,
     fibre_prefactor,
     generic_slots,
-    igusa_A,
-    igusa_B,
     igusa_B_residue,
-    igusa_B_residue_limit,
+    residue_limits,
+    signed_descent_sum,
 )
 from heiszeta.zeta import c_exponents, igusa_args
 from reference import (
@@ -30,6 +29,7 @@ from reference import (
     fibre_K_by_cosets,
     igusa_A_descent,
     igusa_B_descent,
+    igusa_B_residue_limit,
     inversions,
     qpochhammer_factors,
     signed_perms,
@@ -306,6 +306,46 @@ def test_residue_edge_cases():
         )
 
 
+@pytest.mark.parametrize("n", range(0, 6))
+@pytest.mark.parametrize(
+    "y, Z, sign",
+    [(-1, GENERIC_Z, 1), (2, mono(-5, 1, -1), -1), (0, mono(0, 3), 1)],
+    ids=["generic", "negative", "flat"],
+)
+def test_residue_limits_from_one_run_match_each_per_m_sum(n, y, Z, sign):
+    # one descent sum on marker slots, read back at n + 1 slot substitutions,
+    # against one descent sum per substitution; slots of either sign
+    X = [mono(x.e_q, x.e_T, sign ** i) for i, x in enumerate(generic_slots(n))]
+    descent, limits = residue_limits(n, y, Z, X)
+    assert descent == signed_descent_sum(n, y, Z, X)
+    assert len(limits) == n
+    for m, limit in enumerate(limits):
+        want = igusa_B_residue_limit(n, m, y, Z, X)
+        assert dict(limit.num.terms) == dict(want.num.terms), m
+        assert (dict(limit.den), limit.tshift) == (dict(want.den), want.tshift), m
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_descent_markers_decode_inside_the_base_bounds(n):
+    # every term's base y l + e_q(Z) neg, read off the marker exponent, lies
+    # in [lo, hi], so that no base spills into the mask bits
+    from heiszeta.verify import _base_bounds, _descent_by_mask
+
+    for y, Z in [(-1, GENERIC_Z), (1, mono(-7, 1))]:
+        lo, hi = _base_bounds(n, y, Z)
+        by_mask = _descent_by_mask(n, y, Z)
+        assert 0 in by_mask and max(by_mask) < 1 << n
+        bases = [base for terms in by_mask.values() for base, _ in terms]
+        assert lo <= min(bases) and max(bases) <= hi, (lo, hi)
+
+
+def test_residue_limits_guard_and_arity():
+    with pytest.raises(SizeGuard):
+        residue_limits(9, -1, GENERIC_Z, generic_slots(9))
+    with pytest.raises(UsageError):
+        residue_limits(3, -1, GENERIC_Z, generic_slots(4))
+
+
 @pytest.mark.parametrize("k", range(5))
 def test_type_B_triangular_specialization(k):
     # truncated-B_k(q^-1, Z; q^{(k(k+1)-r(r+1))/2}) = (-q^{1-k} Z; q^2)_k / (q; q^2)_k
@@ -415,7 +455,7 @@ def test_fibre_I_base_cases():
 
 def test_fibre_K_terminal_case():
     # K_n^{n,r} = [n]_{q^2}!
-    from heiszeta.igusa import _qsquare_factorial
+    from heiszeta.verify import _qsquare_factorial
 
     for n in (1, 2, 3):
         for r in range(n + 1):
@@ -424,7 +464,7 @@ def test_fibre_K_terminal_case():
 
 def test_fibre_K_base_is_descent_sum():
     # K_n^{0,0} = sum over S_n of q^{-2 l(g)} X^{Des(g)}
-    from heiszeta.combinat import descent_set, perms
+    from heiszeta.verify import descent_set, perms
 
     n = 3
     X = generic_slots(n)
@@ -528,12 +568,12 @@ def test_I_equals_K_fails_on_a_perturbed_K(r, monkeypatch):
     # one extra monomial in the coset model must break the identity, both
     # where the slot factors sit in the right side's denominator and where
     # the fibre is empty (k = 2 has fibres r = 0 .. 5)
-    from heiszeta import igusa
+    from heiszeta import verify
 
-    real = igusa.fibre_K
+    real = verify.fibre_K
     check_I_equals_K(4, 2, r)
     monkeypatch.setattr(
-        igusa, "fibre_K", lambda *args: real(*args) + Poly.monomial(1, 3, 2)
+        verify, "fibre_K", lambda *args: real(*args) + Poly.monomial(1, 3, 2)
     )
     with pytest.raises(IdentityMismatch):
         check_I_equals_K(4, 2, r)

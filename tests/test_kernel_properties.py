@@ -35,7 +35,7 @@ from heiszeta.exactalg import (  # noqa: E402
     rational_dumps,
     rational_loads,
 )
-from heiszeta.zeta import _vanishing_order  # noqa: E402
+from heiszeta.verify import _vanishing_order  # noqa: E402
 from reference import (  # noqa: E402
     divide_one_factor,
     expand_factor_by_factor,

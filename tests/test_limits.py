@@ -16,17 +16,17 @@ import pytest
 
 from heiszeta import oracle
 from heiszeta.cli import build_parser, validate
-from heiszeta.combinat import eulerian_A, gen_W, signed_descent_sum
+from heiszeta.combinat import gen_W
 from heiszeta.errors import LIMITS, BudgetExceeded, SizeGuard, UsageError, check_prime
 from heiszeta.counts import birkhoff_number
 from heiszeta.exactalg import gauss_binom, mono
-from heiszeta.igusa import fibre_K, igusa_A
+from heiszeta.igusa import igusa_A
 from heiszeta.oracle import enum_lagrangians, enum_subalgebras, enum_sublattices, hnf_enumerate
+from heiszeta.verify import eulerian_A, fibre_K, reduced_c, reduced_cone_series
+from heiszeta.verify import signed_descent_sum
 from heiszeta.zeta import (
     dirichlet_coeffs,
     global_factor,
-    reduced_c,
-    reduced_cone_series,
     reduced_zeta,
     rn_numeric,
     zeta_compact,

@@ -1,7 +1,8 @@
 """What `import heiszeta` and each CLI command load.
 
 The package resolves its public names on first use, and each command imports
-only the library modules it runs.  No module imports `dataclasses`, whose
+only the library modules it runs: the second derivations in `heiszeta.verify`
+load with the verify checks only.  No module imports `dataclasses`, whose
 import pulls in inspect, dis and tokenize, and only the functions that use
 `fractions` (with decimal and numbers behind it) or that write JSON import
 them.  Import sets are read in a fresh interpreter per case, since this
@@ -40,8 +41,12 @@ print(json.dumps([loaded, bare, after]))
 
 BASE = {"heiszeta", "heiszeta.cli", "heiszeta.errors"}
 CLOSED_FORMS = BASE | {"heiszeta.combinat", "heiszeta.exactalg", "heiszeta.zeta"}
-# forms a, c, graded and reduced, global, and the checks that build them
+# forms a, c, graded and reduced, and global
 IGUSA_FORMS = CLOSED_FORMS | {"heiszeta.igusa"}
+# every verify check; the second derivations build on the Igusa functions
+VERIFY = IGUSA_FORMS | {"heiszeta.verify"}
+# the fibre and residue checks, which build no closed form
+PROOFS = VERIFY - {"heiszeta.zeta"}
 ORACLE = BASE | {"heiszeta.combinat", "heiszeta.oracle"}  # lagrangian and sublattice
 # alpha_n(mu; q^2) at q = p as an integer, without the exact kernel
 FACTORIZATION = ORACLE | {"heiszeta.counts"}
@@ -62,19 +67,30 @@ def _run(code, *argv):
     [
         (["--version"], BASE),
         (["zeta", "--n", "3", "--form", "b"], CLOSED_FORMS),
+        (["zeta", "--n", "3", "--form", "ideal"], CLOSED_FORMS),
         (["zeta", "--n", "2", "--form", "a"], IGUSA_FORMS),
+        (["zeta", "--n", "2", "--form", "c"], IGUSA_FORMS),
         (["zeta", "--n", "3", "--form", "graded"], IGUSA_FORMS),
         (["zeta", "--n", "3", "--form", "reduced"], IGUSA_FORMS),
-        (["global", "--n", "2"], IGUSA_FORMS),
-        (["verify", "--n", "2", "--checks", "funeq"], CLOSED_FORMS),
-        (["verify", "--n", "2", "--checks", "crossform"], IGUSA_FORMS),
+        (["global", "--n", "2", "--eval", "--rn", "--prime-bound", "10"], IGUSA_FORMS),
+        (["coeffs", "--n", "1", "--prime", "2", "--max-order", "2"], CLOSED_FORMS),
+        (["coeffs", "--n", "1", "--prime", "2", "--max-order", "2", "--oracle"],
+         CLOSED_FORMS | {"heiszeta.oracle"}),
+        (["verify", "--n", "2", "--checks", "funeq"], VERIFY),
+        (["verify", "--n", "2", "--checks", "crossform"], VERIFY),
+        (["verify", "--n", "2", "--checks", "poles"], VERIFY),
+        (["verify", "--n", "2", "--checks", "fibre"], PROOFS),
+        (["verify", "--n", "2", "--checks", "residue"], PROOFS),
+        (["verify", "--n", "2", "--checks", "reduced"], VERIFY),
         (["oracle", "lagrangian", "--mu", "1", "--prime", "2"], ORACLE),
         (["oracle", "sublattice", "--n", "1", "--prime", "2", "--max-val", "1"], ORACLE),
         (["oracle", "factorization", "--n", "1", "--prime", "2", "--max-val", "1"],
          FACTORIZATION),
     ],
-    ids=["version", "zeta", "zeta-igusa", "zeta-graded", "zeta-reduced", "global", "verify",
-         "verify-crossform", "oracle", "oracle-sublattice", "oracle-factorization"],
+    ids=["version", "zeta", "zeta-ideal", "zeta-igusa", "zeta-c", "zeta-graded", "zeta-reduced",
+         "global", "coeffs", "coeffs-oracle", "verify", "verify-crossform", "verify-poles",
+         "verify-fibre", "verify-residue", "verify-reduced", "oracle", "oracle-sublattice",
+         "oracle-factorization"],
 )
 def test_each_command_loads_only_what_it_runs(argv, modules):
     loaded, bare, after = _run(PROBE, *argv)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from heiszeta import cli, zeta
+from heiszeta import cli, verify, zeta
 from heiszeta.combinat import gen_W, weight_C
 from heiszeta.counts import nprime_closed
 from heiszeta.errors import IdentityMismatch, UsageError
@@ -20,19 +20,22 @@ from heiszeta.oracle import (
     hnf_count,
     hnf_enumerate,
 )
-from heiszeta.zeta import (
-    c_exponents,
-    c_exponents_graded,
-    dirichlet_coeffs,
+from heiszeta.verify import (
+    _reduced_c_telescoped,
     funeq_check,
-    global_factor,
-    global_factor_eval,
     hyperoctahedral_numerator,
     is_self_reciprocal,
     pole_analysis,
     pole_candidates,
     reduced_c,
     reduced_cone_series,
+)
+from heiszeta.zeta import (
+    c_exponents,
+    c_exponents_graded,
+    dirichlet_coeffs,
+    global_factor,
+    global_factor_eval,
     reduced_zeta,
     rn_numeric,
     zeta_graded,
@@ -250,10 +253,10 @@ def test_below_range_raises_value_error(call):
 def test_hyperoctahedral_cross_check_bites(monkeypatch, capsys):
     # verify --checks crossform compares form c's numerator, from the subset
     # expansion, with the group sum; a perturbed group sum must be caught
-    # (the check reads the group sum from heiszeta.zeta when it runs)
+    # (the check reads the group sum from heiszeta.verify when it runs)
     assert zeta_hyperoctahedral(4).num == hyperoctahedral_numerator(4, c_exponents(4))
     monkeypatch.setattr(
-        zeta,
+        verify,
         "hyperoctahedral_numerator",
         lambda n, c: hyperoctahedral_numerator(n, c) + Poly.monomial(1, c[0], n + 1),
     )
@@ -481,7 +484,7 @@ def test_self_reciprocity_needs_the_right_factor():
 
 
 def test_functional_equation_failure_raises(monkeypatch):
-    monkeypatch.setattr(zeta, "is_self_reciprocal", lambda f, a, b: False)
+    monkeypatch.setattr(verify, "is_self_reciprocal", lambda f, a, b: False)
     with pytest.raises(IdentityMismatch, match="n = 2"):
         funeq_check(2)
 
@@ -523,9 +526,9 @@ def test_pole_locations_within_candidates_and_criterion(n):
 def test_pole_order_that_varies_with_q_raises(monkeypatch, capsys):
     # the orders at the primes of POLE_PRIMES must agree; verify reports a
     # disagreement as a failed poles check with the message
-    real = zeta._vanishing_order
+    real = verify._vanishing_order
     monkeypatch.setattr(
-        zeta, "_vanishing_order", lambda coeffs, p, c, d: real(coeffs, p, c, d) + (p == 5)
+        verify, "_vanishing_order", lambda coeffs, p, c, d: real(coeffs, p, c, d) + (p == 5)
     )
     with pytest.raises(IdentityMismatch, match="varies with q"):
         pole_analysis(1)
@@ -578,7 +581,7 @@ def test_reduced_c_values():
     assert reduced_c(2) == Fraction(17, 27)
     assert reduced_c(3) == Fraction(71, 128)
     for n in range(1, 21):
-        assert reduced_c(n) == cli._reduced_c_telescoped(n)
+        assert reduced_c(n) == _reduced_c_telescoped(n)
         assert 0 < reduced_c(n) < 1
     # the limit P_n(1) / (n+1)^(n+1), with the other checks of verify
     for n in range(1, 9):
