@@ -4,30 +4,41 @@ Subcommands: zeta (closed forms), verify (identity suites), coeffs
 (Dirichlet coefficients, optionally against the brute-force oracle), oracle
 (finite-ring enumerations), global (Euler-factor polynomial and numeric
 residue factor).  Exit codes: 0 success, 1 mathematical mismatch, 2 usage or
-guard violation.  The library refuses each numeric input out of its range
-(errors.LIMITS): below the least value with one `usage:` line on stderr,
-above the largest with one `guard:` line, both before any computation.
-All output is deterministic for fixed inputs and version.
+guard violation, 141 stdout closed by its reader before the output was
+written (as by `| head`).  The library refuses each numeric input out of its
+range (errors.LIMITS): below the least value with one `usage:` line on
+stderr, above the largest with one `guard:` line, both before any
+computation.  All output is deterministic for fixed inputs and version.
 
 Library names load on first use: each command imports the modules it runs
 inside its own function.  `--version` loads only this module and `errors`;
-zeta, verify and global never load the oracles, and only the verify checks
-load `verify`, the second derivations they compare with.  `oracle
-lagrangian` and `oracle sublattice` load `oracle` and `combinat`, and
-`oracle factorization` also `counts`, for its integer Birkhoff numbers; no
-oracle mode loads the exact kernel `exactalg`, the closed forms or `igusa`.
-Only the functions that write JSON import `json`, and the parser that main
-builds holds the arguments of the named command only.
+zeta, verify and global never load the oracles.  The verify checks, and the
+second derivations they compare with, are in `verify`, which only the verify
+command loads; of the closed forms only form a loads `combinat`, and only
+`global --rn` loads the float code of `numeric`.  `oracle lagrangian` and `oracle sublattice`
+load `oracle` and `combinat`, and `oracle factorization` also `counts`, for
+its integer Birkhoff numbers; no oracle mode loads the exact kernel
+`exactalg`, the closed forms or `igusa`.  Only the functions that write JSON
+import `json`, and when the command line starts with a command, main builds
+the parser of that command only.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
 from . import __version__
 from .errors import HeiszetaError, SizeGuard, UsageError, check_limit, check_prime
+
+# The exit code when the reader of stdout closes it before the output is
+# written, 128 + SIGPIPE as a shell reports a process killed by SIGPIPE.
+EXIT_PIPE = 141
+
+# The commands, in the order in which the parser lists them.
+COMMANDS = ("zeta", "verify", "coeffs", "oracle", "global")
 
 
 def _zeta():
@@ -80,122 +91,17 @@ def cmd_zeta(args) -> int:
     return 0
 
 
-def _check_crossform(n: int) -> dict:
-    """Forms a, b and c agree, and form c's numerator is the B_n group sum."""
-    from .verify import hyperoctahedral_numerator
-    from .zeta import c_exponents, zeta_compact, zeta_hyperoctahedral, zeta_igusa_sum
-
-    a, b, c = zeta_igusa_sum(n), zeta_compact(n), zeta_hyperoctahedral(n)
-    ok = a == b and b == c and c.num == hyperoctahedral_numerator(n, c_exponents(n))
-    return {"status": "pass" if ok else "fail"}
-
-
-def _check_funeq(n: int) -> dict:
-    from .verify import funeq_check
-
-    return {"status": "pass", "detail": funeq_check(n)}
-
-
-def _check_poles(n: int) -> dict:
-    """The pole orders of form b, and the double-pole law: the poles of order
-    2 or more are exactly the s = m with m(m+1) = 4n (s = 3 at n = 3, s = 4
-    at n = 5).  The law is observed, not proved: it holds for every n <= 12,
-    the n up to which verify runs this check."""
-    from .verify import pole_analysis
-
-    orders = pole_analysis(n)
-    double = [s for s, o in orders.items() if o >= 2]
-    ok = double == [m for m in range(1, n + 1) if m * (m + 1) == 4 * n]
-    detail = {
-        "integral": [[int(s), o] for s, o in orders.items() if s.denominator == 1],
-        "fractional": [[str(s), o] for s, o in orders.items() if s.denominator > 1],
-        "double": [str(s) for s in double],
-    }
-    return {"status": "pass" if ok else "fail", "detail": detail}
-
-
-def _check_fibre(n: int) -> dict:
-    """The fibre identity I = P K / (E(-T) prod (1 - X_j)) for every k <= n.
-
-    r and 2k+1-r name the same fibre, with the same E, P and K, so each
-    pair is proved once, at r <= k; the detail lists the (k, r) proved.
-    """
-    from .verify import check_I_equals_K
-
-    pairs = []
-    for k in range(n + 1):
-        for r in range(k + 1):
-            check_I_equals_K(n, k, r)
-            pairs.append([k, r])
-    return {"status": "pass", "detail": {"pairs": pairs}}
-
-
-def _check_residue(n: int) -> dict:
-    """igusa_B's numerator against the descent sum on the same slots, over the
-    slot denominator both share, then the residue of igusa_B at X_m -> 1 in
-    factored form against the descent sum with slot m set to 1, for m < n.
-    The descent sums all come from one run of the dynamic program, made
-    first, so that its size guard refuses before any other work.
-
-    igusa_B, and the factored residue through it, is the subset expansion.
-    At m = n the two residues are igusa_B(n) on n slots and its descent sum
-    (X_n is never a descent slot), which the first comparison already checks.
-    """
-    from .igusa import igusa_B
-    from .verify import GENERIC_Z as Z
-    from .verify import generic_slots, igusa_B_residue, residue_limits
-
-    X = generic_slots(n)
-    descent, limits = residue_limits(n, -1, Z, X)
-    if igusa_B(n, -1, Z, generic_slots(n + 1)).num != descent:
-        return {"status": "fail", "detail": "subset"}
-    for m, limit in enumerate(limits):
-        if igusa_B_residue(n, m, -1, Z, X) != limit:
-            return {"status": "fail", "detail": "m=%d" % m}
-    return {"status": "pass"}
-
-
-def _check_reduced(n: int) -> dict:
-    """reduced_zeta against the Eulerian form, the lattice-point oracle and
-    self-reciprocity; reduced_c against its telescoped form and the limit
-    P_n(1) / (n+1)^{n+1} of the normalized numerator, and inside (0, 1)."""
-    from fractions import Fraction
-
-    from .verify import _reduced_c_telescoped, _reduced_eulerian, is_self_reciprocal
-    from .verify import reduced_c, reduced_cone_series
-    from .zeta import reduced_zeta
-
-    f = reduced_zeta(n)
-    series = [c.coefficient(0, 0) for c in f.series_in_T(10)]
-    ok = series == reduced_cone_series(n, 10)
-    ok = ok and is_self_reciprocal(f, 0, 2 * n + 1) and f == _reduced_eulerian(n)
-    cn = reduced_c(n)
-    limit = Fraction(sum(f.num.terms.values()), (n + 1) ** (n + 1))
-    ok = ok and cn == _reduced_c_telescoped(n) == limit and 0 < cn < 1
-    return {"status": "pass" if ok else "fail"}
-
-
-# Each check returns the status of its report, and its detail where it has
-# one; cmd_verify adds the rest.
-CHECKS = {
-    "crossform": _check_crossform,
-    "funeq": _check_funeq,
-    "poles": _check_poles,
-    "fibre": _check_fibre,
-    "residue": _check_residue,
-    "reduced": _check_reduced,
-}
-
-
 def cmd_verify(args) -> int:
     """Run each check and print its report: the check's name and n, the
     status and detail the check returns, its seconds and the version.  A
     mismatch raised inside a check is its "fail" status, with the message as
     detail; a refusal ends the command."""
+    from .verify import CHECKS
+
     reports = []
     failed = None
     for name in args.checks:
-        t0 = time.time()
+        t0 = time.perf_counter()
         rep = {"check": name, "n": args.n}
         try:
             rep.update(CHECKS[name](args.n))
@@ -203,7 +109,7 @@ def cmd_verify(args) -> int:
             raise
         except HeiszetaError as exc:
             rep.update(status="fail", detail=str(exc))
-        rep["seconds"] = round(time.time() - t0, 3)
+        rep["seconds"] = round(time.perf_counter() - t0, 3)
         rep["version"] = __version__
         reports.append(rep)
         if rep["status"] != "pass" and failed is None:
@@ -281,10 +187,14 @@ def cmd_oracle(args) -> int:
 
 def cmd_global(args) -> int:
     from .exactalg import format_poly
-    from .zeta import global_factor, global_factor_eval, rn_numeric
+    from .zeta import global_factor, global_factor_eval
 
-    # R_n first, so that its refusals come before N_n is built
-    rn = rn_numeric(args.n, args.prime_bound) if args.rn else None
+    rn = None
+    if args.rn:
+        from .numeric import rn_numeric
+
+        # R_n first, so that its refusals come before N_n is built
+        rn = rn_numeric(args.n, args.prime_bound)
     lines = [
         "N_%d(X, Y) = %s"
         % (args.n, format_poly(global_factor(args.n), qvar="X", tvar="Y"))
@@ -320,6 +230,8 @@ def validate(args) -> None:
         args.checks = list(filter(None, map(str.strip, args.checks.split(","))))
         if not args.checks:
             raise UsageError("--checks names no check")
+        from .verify import CHECKS
+
         for name in args.checks:
             if name not in CHECKS:
                 raise UsageError("unknown check %r" % name)
@@ -342,42 +254,45 @@ def validate(args) -> None:
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, with the arguments of the named command
-    only, or of every command when none is named."""
+    """The parser of the named command, or of every command when none is
+    named.  Each usage line lists every command either way."""
     ap = argparse.ArgumentParser(
         prog="heiszeta",
         description="Exact subalgebra zeta functions of higher Heisenberg Lie algebras",
     )
     ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
+    # the metavar only where the parser lacks commands: with every command,
+    # argparse names the command argument "command" in its errors
+    metavar = "{%s}" % ",".join(COMMANDS) if command else None
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    z = sub.add_parser("zeta", help="print a closed form")
-    z.set_defaults(func=cmd_zeta)
     if command in (None, "zeta"):
+        z = sub.add_parser("zeta", help="print a closed form")
+        z.set_defaults(func=cmd_zeta)
         z.add_argument("--n", type=int, required=True)
         z.add_argument("--form", choices=sorted(FORMS), default="b")
         z.add_argument("--output", choices=["plain", "json", "latex"], default="plain")
         z.add_argument("--out", help="write to file instead of stdout")
 
-    v = sub.add_parser("verify", help="run identity checks")
-    v.set_defaults(func=cmd_verify)
     if command in (None, "verify"):
+        v = sub.add_parser("verify", help="run identity checks")
+        v.set_defaults(func=cmd_verify)
         v.add_argument("--n", type=int, required=True)
         v.add_argument("--checks", default="crossform,funeq")
         v.add_argument("--out")
 
-    c = sub.add_parser("coeffs", help="Dirichlet coefficients a_{p^i}")
-    c.set_defaults(func=cmd_coeffs)
     if command in (None, "coeffs"):
+        c = sub.add_parser("coeffs", help="Dirichlet coefficients a_{p^i}")
+        c.set_defaults(func=cmd_coeffs)
         c.add_argument("--n", type=int, required=True)
         c.add_argument("--prime", type=int, required=True)
         c.add_argument("--max-order", type=int, required=True)
         c.add_argument("--oracle", action="store_true")
         c.add_argument("--out")
 
-    o = sub.add_parser("oracle", help="finite-ring brute-force counts")
-    o.set_defaults(func=cmd_oracle)
     if command in (None, "oracle"):
+        o = sub.add_parser("oracle", help="finite-ring brute-force counts")
+        o.set_defaults(func=cmd_oracle)
         o.add_argument("mode", choices=["lagrangian", "sublattice", "factorization"])
         o.add_argument("--mu")
         o.add_argument("--n", type=int)
@@ -385,9 +300,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         o.add_argument("--max-val", type=int)
         o.add_argument("--out")
 
-    g = sub.add_parser("global", help="global Euler-factor polynomial N_n")
-    g.set_defaults(func=cmd_global)
     if command in (None, "global"):
+        g = sub.add_parser("global", help="global Euler-factor polynomial N_n")
+        g.set_defaults(func=cmd_global)
         g.add_argument("--n", type=int, required=True)
         g.add_argument("--eval", action="store_true")
         g.add_argument("--rn", action="store_true")
@@ -398,15 +313,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # the command is the first word that is not an option, since no option
-    # before it takes a value: only its arguments are added to the parser
-    command = None
-    for word in argv:
-        if not word.startswith("-"):
-            command = word
-            break
-    args = build_parser(command).parse_args(argv)
+    # a command line that starts with a command needs that command's parser
+    # only; any other (-h, --version, an unknown command) needs them all
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
+        args = build_parser(command).parse_args(argv)
         validate(args)
         return args.func(args)
     except UsageError as exc:
@@ -418,6 +329,24 @@ def main(argv=None) -> int:
     except HeiszetaError as exc:
         print("mismatch: %s" % exc, file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # stdout now writes to devnull, so that its flush at exit, of what is
+        # still buffered, does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
+
+
+def __getattr__(name):
+    """`cli.CHECKS`, the table of the verify checks, read from its home in
+    heiszeta.verify on first use (PEP 562), for the code that wraps the
+    checks by that name, such as bench/tracing.py."""
+    if name == "CHECKS":
+        from .verify import CHECKS
+
+        return CHECKS
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 if __name__ == "__main__":

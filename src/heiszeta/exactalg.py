@@ -23,10 +23,8 @@ has at most half as many cells as there are pairs of terms.  In the packed
 layout a product with 1 - q^a T^b is a shift and a subtraction.
 
 Sums multiply by cofactors and never expand a common denominator only to
-divide it back.  A sum multiplies each numerator by the factors of the common
-denominator that its own lacks; under the size rule, applied to the whole
-sum, it is one packed accumulation read back once, and otherwise (sparse sums
-with wide spans) the same shifts and subtractions on dicts by ``_p_iadd``.
+divide it back: on dicts by ``_p_iadd``, or, under the size rule applied to the
+whole sum, in one packed accumulation read back once, folded over the growing lcm.
 Equality compares the numerators of two sides over the same denominator and
 T-shift, and otherwise asks the sum whether their difference is zero.
 
@@ -647,13 +645,11 @@ class FactoredRational:
 
     @staticmethod
     def sum(items: Sequence["FactoredRational"]) -> "FactoredRational":
-        """Exact sum over the least common factor multiset.
-
-        Each numerator times its cofactor lcm / den, a shift and a subtraction
-        per factor 1 - q^a T^b, is added into one packed integer read back
-        once or, when _p_mul's size rule applied to the whole sum declines the
-        packing, into one dict; nothing is expanded and then divided back.
-        """
+        """Exact sum over the least common factor multiset: each numerator times
+        its cofactor lcm / den (a shift and a subtraction per factor 1 - q^a T^b)
+        into one dict or, under _p_mul's size rule for the whole sum, one packed
+        integer read back once, the total so far times the factors each item
+        adds to the lcm.  Nothing is expanded and then divided back."""
         items = [it for it in items if not it.num.is_zero()]
         if len(items) < 2:
             return items[0] if items else FactoredRational.zero()
@@ -665,14 +661,14 @@ class FactoredRational:
         for it in items:
             terms, missing, dt = it.num.terms, _missing(it.den, lcm), it.tshift - tmin
             (lo, hi, top, count), box = _span(missing), _p_box(terms)
-            parts.append((terms, missing, box, dt))
+            parts.append((terms, missing, box, dt, it.den))
             spans.append((box[0] + lo, box[1] + hi, box[2] + dt, box[3] + top + dt))
             pairs += len(terms) * count
         q0, q1, t0, t1 = (f(s[i] for s in spans) for i, f in enumerate((min, max, min, max)))
         width, rows = q1 - q0 + 1, t1 - t0 + 1
         if 2 * width * rows > pairs:
             total: dict = {}
-            for terms, missing, _, dt in parts:
+            for terms, missing, _, dt, _ in parts:
                 for (a, b), m in missing.items():  # times 1 - q^a T^b, m times
                     for _ in range(m):
                         terms = _p_iadd(dict(terms), terms, -1, a, b)
@@ -680,11 +676,15 @@ class FactoredRational:
         else:
             # each product's coefficients are below 2^(bits of num + sum of mult)
             bits = max(max(map(abs, t.values())).bit_length() + sum(m.values())
-                       for t, m, _, _ in parts)
+                       for t, m, _, _, _ in parts)
             w = _slot_bytes(bits + len(parts).bit_length() + 1)
-            value = 0
-            for terms, missing, box, dt in parts:
-                packed = _kron_times(_kron_pack(terms, box, width, w), missing, w, width)
+            # seen, the lcm of the items so far, starts at the first item's factors:
+            # a factor of every item may shift by <= 0, and is never applied
+            value, seen = 0, dict(parts[0][4])
+            for terms, _, box, dt, den in parts:
+                value = _kron_times(value, _missing(seen, den), w, width)
+                seen.update((k, m) for k, m in den.items() if m > seen.get(k, 0))
+                packed = _kron_times(_kron_pack(terms, box, width, w), _missing(den, seen), w, width)
                 value += packed << 8 * w * ((box[2] + dt - t0) * width + box[0] - q0)
             total = _kron_unpack(value, w, width, rows, q0, t0)
         return FactoredRational(BivariatePolynomial._raw(total), lcm, tmin)

@@ -1,17 +1,18 @@
-"""The second derivations that the `verify` checks compare the library with.
+"""The checks of `heiszeta verify`, and the second derivations they compare
+the library with.
 
-Each check of ``heiszeta.cli`` proves a closed form or a building block of
-one equal to an independent derivation, and those derivations live here:
+Each check in ``CHECKS`` proves a closed form or a building block of one
+equal to an independent derivation, and those derivations live here too:
 the permutation and coset statistics of S_n, the statistic sum over the
 hyperoctahedral group B_n (a dynamic program; no group element is built)
 and the type-A Eulerian polynomials; the residues of the type-B Igusa
 functions and the fibre-sum/coset-model machinery; the B_n group sum behind
 form c, the functional equation and the pole orders of form b; and the
 lattice-point oracle and the leading coefficient c_n of the reduced zeta
-functions.  Only the checks import this module, so no closed form, `global`,
-`coeffs` or `oracle` command compiles it; the functional-equation and pole
-functions import the closed forms when they run, so the fibre and residue
-checks do not compile them.
+functions.  Only the verify command imports this module, so no other
+command, `--version` included, compiles it; the checks, the
+functional-equation and the pole functions import the closed forms when they
+run, so the fibre and residue checks do not compile them.
 """
 
 from __future__ import annotations
@@ -564,3 +565,102 @@ def _reduced_c_telescoped(n: int):
         Fraction(math.comb(n - 1, k - 1) * math.factorial(k), (n + 1) ** (k + 1))
         for k in range(1, n + 1)
     )
+
+
+# ---------------------------------------------------------------------------
+# the checks of `heiszeta verify`
+# ---------------------------------------------------------------------------
+
+
+def _check_crossform(n: int) -> dict:
+    """Forms a, b and c agree, and form c's numerator is the B_n group sum."""
+    from .zeta import c_exponents, zeta_compact, zeta_hyperoctahedral, zeta_igusa_sum
+
+    a, b, c = zeta_igusa_sum(n), zeta_compact(n), zeta_hyperoctahedral(n)
+    ok = a == b and b == c and c.num == hyperoctahedral_numerator(n, c_exponents(n))
+    return {"status": "pass" if ok else "fail"}
+
+
+def _check_funeq(n: int) -> dict:
+    return {"status": "pass", "detail": funeq_check(n)}
+
+
+def _check_poles(n: int) -> dict:
+    """The pole orders of form b, and the double-pole law: the poles of order
+    2 or more are exactly the s = m with m(m+1) = 4n (s = 3 at n = 3, s = 4
+    at n = 5).  The law is observed, not proved: it holds for every n <= 12,
+    the n up to which verify runs this check."""
+    orders = pole_analysis(n)
+    double = [s for s, o in orders.items() if o >= 2]
+    ok = double == [m for m in range(1, n + 1) if m * (m + 1) == 4 * n]
+    detail = {
+        "integral": [[int(s), o] for s, o in orders.items() if s.denominator == 1],
+        "fractional": [[str(s), o] for s, o in orders.items() if s.denominator > 1],
+        "double": [str(s) for s in double],
+    }
+    return {"status": "pass" if ok else "fail", "detail": detail}
+
+
+def _check_fibre(n: int) -> dict:
+    """The fibre identity I = P K / (E(-T) prod (1 - X_j)) for every k <= n.
+
+    r and 2k+1-r name the same fibre, with the same E, P and K, so each
+    pair is proved once, at r <= k; the detail lists the (k, r) proved.
+    """
+    pairs = []
+    for k in range(n + 1):
+        for r in range(k + 1):
+            check_I_equals_K(n, k, r)
+            pairs.append([k, r])
+    return {"status": "pass", "detail": {"pairs": pairs}}
+
+
+def _check_residue(n: int) -> dict:
+    """igusa_B's numerator against the descent sum on the same slots, over the
+    slot denominator both share, then the residue of igusa_B at X_m -> 1 in
+    factored form against the descent sum with slot m set to 1, for m < n.
+    The descent sums all come from one run of the dynamic program, made
+    first, so that its size guard refuses before any other work.
+
+    igusa_B, and the factored residue through it, is the subset expansion.
+    At m = n the two residues are igusa_B(n) on n slots and its descent sum
+    (X_n is never a descent slot), which the first comparison already checks.
+    """
+    Z, X = GENERIC_Z, generic_slots(n)
+    descent, limits = residue_limits(n, -1, Z, X)
+    if igusa_B(n, -1, Z, generic_slots(n + 1)).num != descent:
+        return {"status": "fail", "detail": "subset"}
+    for m, limit in enumerate(limits):
+        if igusa_B_residue(n, m, -1, Z, X) != limit:
+            return {"status": "fail", "detail": "m=%d" % m}
+    return {"status": "pass"}
+
+
+def _check_reduced(n: int) -> dict:
+    """reduced_zeta against the Eulerian form, the lattice-point oracle and
+    self-reciprocity; reduced_c against its telescoped form and the limit
+    P_n(1) / (n+1)^{n+1} of the normalized numerator, and inside (0, 1)."""
+    from fractions import Fraction
+
+    from .zeta import reduced_zeta
+
+    f = reduced_zeta(n)
+    series = [c.coefficient(0, 0) for c in f.series_in_T(10)]
+    ok = series == reduced_cone_series(n, 10)
+    ok = ok and is_self_reciprocal(f, 0, 2 * n + 1) and f == _reduced_eulerian(n)
+    cn = reduced_c(n)
+    limit = Fraction(sum(f.num.terms.values()), (n + 1) ** (n + 1))
+    ok = ok and cn == _reduced_c_telescoped(n) == limit and 0 < cn < 1
+    return {"status": "pass" if ok else "fail"}
+
+
+# Each check returns the status of its report, and its detail where it has
+# one; the verify command adds the rest.
+CHECKS = {
+    "crossform": _check_crossform,
+    "funeq": _check_funeq,
+    "poles": _check_poles,
+    "fibre": _check_fibre,
+    "residue": _check_residue,
+    "reduced": _check_reduced,
+}

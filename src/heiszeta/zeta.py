@@ -5,7 +5,9 @@ Igusa sum, the (n+1)-term compact sum, and the hyperoctahedral form), the
 ideal and graded variants, Dirichlet-coefficient extraction, the q -> 1
 reduced zeta functions, and the global Euler-factor polynomials.  The
 B_n group sum behind form c, the functional equation, the pole orders and
-c_n are second derivations, in ``heiszeta.verify``.
+c_n are second derivations, in ``heiszeta.verify``; the float residue factor
+R_n is in ``heiszeta.numeric``.  Only form a imports ``heiszeta.combinat``,
+for its w-vectors and weights, so the other forms do not compile it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from collections import Counter
 from functools import lru_cache
 from typing import Sequence
 
-from .combinat import gen_W, w_partial_sums, weight_C
 from .errors import IdentityMismatch, check_limit
 from .exactalg import (
     BivariatePolynomial,
@@ -53,6 +54,8 @@ def igusa_args(n: int, w: Sequence[int]) -> list[SignedMonomial]:
 
     X_k = q^{(partial sum) + 2k(n-k)} T^k and X_0 = q^{2n} T * X_n.
     """
+    from .combinat import w_partial_sums
+
     ps = w_partial_sums(w)
     X = [mono(ps[k - 1] + 2 * k * (n - k), k) for k in range(1, n + 1)]
     return [mono(2 * n, 1) * X[-1]] + X
@@ -61,6 +64,7 @@ def igusa_args(n: int, w: Sequence[int]) -> list[SignedMonomial]:
 @lru_cache(maxsize=None)
 def zeta_igusa_sum(n: int) -> FactoredRational:
     """2^n-term form: sum over w of C(w) times an augmented Igusa function."""
+    from .combinat import gen_W, weight_C
     from .igusa import igusa_A
 
     check_limit("zeta_igusa_sum", "n", n)
@@ -219,67 +223,3 @@ def global_factor_eval(n: int) -> BivariatePolynomial:
     for (C, D), coeff in global_factor(n).terms.items():
         _p_iadd(out, {(C - 2 * n * D, 0): coeff})
     return BivariatePolynomial(out)
-
-
-def _primes_up_to(bound: int) -> list[int]:
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[:2] = b"\x00\x00"
-    for i in range(2, int(bound**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-    return [i for i in range(bound + 1) if sieve[i]]
-
-
-def _scan(primes: Sequence[int], cut: int, step) -> tuple[float, float]:
-    """x = step(x, p) from x = 1.0 over primes: (x after primes[:cut], x at the end)."""
-    x = 1.0
-    for p in primes[:cut]:
-        x = step(x, p)
-    head = x
-    for p in primes[cut:]:
-        x = step(x, p)
-    return head, x
-
-
-def rn_numeric(n: int, prime_bound: int = 1000) -> dict:
-    """Truncated numeric approximation of the residue factor R_n (n >= 2;
-    n = 1 has a double pole).
-
-    Product over primes <= prime_bound of N_n(p, p^{-2n}), times truncated
-    Euler products for the Riemann zeta values at the integer arguments
-    dictated by the denominator.  APPROXIMATE by construction; the report
-    echoes the truncation parameters, and `delta_vs_half_bound` is the
-    change from the same product over the primes <= max(2, prime_bound // 2),
-    which each product passes through on the way.
-    """
-    from bisect import bisect_right
-
-    check_limit("rn_numeric", "n", n)
-    check_limit("rn_numeric", "prime_bound", prime_bound)
-    primes = _primes_up_to(prime_bound)
-    cut = bisect_right(primes, max(2, prime_bound // 2))
-    # summed in exponent order, so the float result does not depend on the
-    # order in which N_n's terms were built
-    terms = sorted((e, coeff) for (e, _), coeff in global_factor_eval(n).terms.items())
-
-    def times_N(x, p):
-        val = 0.0
-        for e, coeff in terms:
-            val += coeff * float(p) ** e
-        return x * val
-
-    zargs = [2 * n - i for i in range(2 * n - 1)]
-    zargs += [2 * n * (n + 1) - c for c in c_exponents(n)]
-    half, value = _scan(primes, cut, times_N)
-    for s in zargs:
-        zeta_half, zeta_s = _scan(primes, cut, lambda x, p: x / (1.0 - float(p) ** (-s)))
-        half *= zeta_half
-        value *= zeta_s
-    return {
-        "n": n,
-        "value": value,
-        "prime_bound": prime_bound,
-        "zeta_arguments": sorted(zargs),
-        "label": "APPROXIMATE",
-        "delta_vs_half_bound": abs(value - half),
-    }

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 import time
 
@@ -6,8 +8,8 @@ import pytest
 
 from pathlib import Path
 
-from heiszeta.cli import main
-from heiszeta import zeta
+from heiszeta.cli import build_parser, main
+from heiszeta import numeric, zeta
 from heiszeta.errors import LIMITS, PRIME_LIMIT, SizeGuard, UsageError, check_prime
 
 
@@ -99,7 +101,7 @@ def test_verify_fibre_residue_reduced(capsys):
 
 
 def test_residue_check_builds_each_descent_sum_once(monkeypatch):
-    from heiszeta import cli, verify
+    from heiszeta import verify
 
     calls = []
     descent_sum = verify.signed_descent_sum
@@ -109,7 +111,7 @@ def test_residue_check_builds_each_descent_sum_once(monkeypatch):
         return descent_sum(n, y_exponent, Z, X)
 
     monkeypatch.setattr(verify, "signed_descent_sum", counted)
-    assert cli._check_residue(5)["status"] == "pass"
+    assert verify._check_residue(5)["status"] == "pass"
     # one run on marker slots gives the sum on the generic slots and every
     # residue limit; the factored residues build their type-B factor by the
     # subset expansion, with no descent sum
@@ -311,6 +313,71 @@ def test_out_that_cannot_be_written_exits_2(tmp_path, capsys, where):
     assert len(lines) == 1 and lines[0].startswith("usage: cannot write --out ")
 
 
+def test_stdout_closed_early_exits_141_without_a_traceback():
+    # the reader takes one byte of a 219 KB output and closes the pipe, as
+    # `| head -c 1` does: the write fails with EPIPE, which is no mismatch
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(Path(PACKAGE).parent),
+                                                    env.get("PYTHONPATH")) if p)
+    code = "import sys\nfrom heiszeta.cli import main\nsys.exit(main())"
+    argv = ["zeta", "--n", "10", "--form", "b", "--output", "json"]
+    proc = subprocess.Popen([sys.executable, "-c", code, *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141 and err == b"", err.decode()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+
+
+def test_verify_seconds_do_not_follow_the_wall_clock(capsys, monkeypatch):
+    # the wall clock may be set back while a check runs
+    clock = iter(range(10**6, 0, -1000))
+    monkeypatch.setattr(time, "time", lambda: next(clock))
+    code, out = run(capsys, "verify", "--n", "2", "--checks", "funeq,poles")
+    assert code == 0
+    assert all(0 <= rep["seconds"] < 60 for rep in json.loads(out))
+
+
+# One command line of each kind that argparse itself answers, with help, usage
+# or an error: each command's help, a missing, an invalid and an unknown
+# option, an extra trailing word, a missing and an unknown command.
+PARSER_ARGV = [
+    ["-h"], ["--version"], ["zeta", "--help"], ["verify", "--help"], ["coeffs", "-h"],
+    ["oracle", "--help"], ["global", "--help"], ["-h", "zeta"],
+    ["zeta"], ["oracle", "--prime", "2"], ["zeta", "--n", "x"],
+    ["zeta", "--n", "3", "--form", "d"], ["oracle", "bogus", "--prime", "2"],
+    ["verify", "--n", "2", "--bogus"], ["zeta", "--n", "3", "extra"],
+    ["global", "--n", "2", "--eval", "2"], [], ["bogus"], ["--n", "3"],
+]
+
+
+def _parsed(capsys, parse, argv):
+    try:
+        parse(argv)
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr()
+    raise AssertionError("argparse did not end %r" % argv)
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGV, ids=lambda argv: " ".join(argv) or "no words")
+def test_the_parser_of_one_command_answers_as_the_parser_of_all(capsys, argv):
+    # main builds the parser of the command that starts the command line; its
+    # usage lines must still list every command
+    full = _parsed(capsys, build_parser(None).parse_args, argv)
+    assert _parsed(capsys, main, argv) == full
+
+
+def test_a_missing_command_is_named_command(capsys):
+    code, captured = _parsed(capsys, main, [])
+    assert code == 2
+    assert captured.err.endswith("error: the following arguments are required: command\n")
+
+
 # Each bad input exits 2 with one line on stderr and no traceback: `usage:`
 # below a least value or on malformed input, `guard:` above a largest value.
 BAD_INPUTS = [
@@ -361,13 +428,15 @@ def _stop(*args):
 
 # the largest value gets past the entry point's check to its first step of
 # work, and one more is refused there
-@pytest.mark.parametrize("row, call, work", [
-    (("dirichlet_coeffs", "order"), lambda v: zeta.dirichlet_coeffs(1, 2, v), "zeta_compact"),
-    (("rn_numeric", "prime_bound"), lambda v: zeta.rn_numeric(2, v), "_primes_up_to"),
+@pytest.mark.parametrize("row, call, module, work", [
+    (("dirichlet_coeffs", "order"), lambda v: zeta.dirichlet_coeffs(1, 2, v), zeta,
+     "zeta_compact"),
+    (("rn_numeric", "prime_bound"), lambda v: numeric.rn_numeric(2, v), numeric,
+     "_primes_up_to"),
 ], ids=["max-order", "prime-bound"])
-def test_size_limit_is_the_largest_value_accepted(monkeypatch, row, call, work):
+def test_size_limit_is_the_largest_value_accepted(monkeypatch, row, call, module, work):
     largest = LIMITS[row][1]
-    monkeypatch.setattr(zeta, work, _stop)
+    monkeypatch.setattr(module, work, _stop)
     with pytest.raises(RuntimeError, match="past the check"):
         call(largest)
     with pytest.raises(SizeGuard, match="exceeds %d" % largest):
@@ -419,3 +488,13 @@ def test_large_prime_is_checked_at_once(capsys):
     code, out = run(capsys, *argv)
     assert code == 0 and time.perf_counter() - t0 < 1.0
     assert out.splitlines()[-1] == "1000000000000000003^1\t1000000000000000004"
+
+
+def test_cli_checks_is_the_table_of_verify():
+    # code that wraps the checks by name reads them as cli.CHECKS
+    from heiszeta import cli, verify
+
+    assert cli.CHECKS is verify.CHECKS
+    assert list(cli.CHECKS) == ["crossform", "funeq", "poles", "fibre", "residue", "reduced"]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name

@@ -19,9 +19,10 @@ from pathlib import Path
 
 import pytest
 
-from heiszeta.cli import CHECKS, main
+from heiszeta.cli import main
 from heiszeta.errors import LIMITS
 from heiszeta.exactalg import poly_to_json, rational_dumps
+from heiszeta.verify import CHECKS
 from heiszeta.zeta import (
     global_factor,
     reduced_zeta,

@@ -398,6 +398,24 @@ def test_packed_sums_carry_past_the_slot_bound(w, monkeypatch):
     assert exact(total) == exact(sum_per_item(items))
 
 
+def test_a_packed_sum_never_applies_a_factor_that_every_item_has(monkeypatch):
+    # 1 - q^-5 T is in every denominator and the box is 4 columns wide, so its
+    # shift in the packed layout, -5 + 4 cells, is negative: the fold over the
+    # growing lcm starts from the first item's factors and never applies it,
+    # while it multiplies the total so far by the factors the later items add
+    block = Poly({(i, j): 1 + i + j for i in range(3) for j in range(3)})
+    items = [FR(block, {(-5, 1): 1}), FR(block.scaled(-2), {(-5, 1): 1, (1, 0): 1}),
+             FR(block, {(-5, 1): 1, (0, 1): 1}, 1), FR(block, {(-5, 1): 1, (1, 0): 1})]
+    reads = []
+    unpack = exactalg._kron_unpack
+    monkeypatch.setattr(exactalg, "_kron_unpack", lambda *args: reads.append(args) or unpack(*args))
+    with monkeypatch.context() as mp:
+        mp.setattr(exactalg, "_p_iadd", refuse("the per-item path ran"))
+        total = FR.sum(items)
+    assert len(reads) == 1 and reads[0][2] == 4  # the width of the box
+    assert exact(total) == exact(sum_per_item(items))
+
+
 def test_a_sum_with_a_huge_exponent_stays_per_item(monkeypatch):
     monkeypatch.setattr(exactalg, "_kron_pack", refuse("packed a sum whose box is 10^9 columns wide"))
     items = [FR.one_over([(10**9, 1)]), FR(Poly({(0, 0): 3, (1, 1): -2}), {(1, 0): 2}, 1)]

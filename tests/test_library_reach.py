@@ -7,7 +7,9 @@ module-level or inside a live definition.  A bare local of the same name
 does not reach a method.  Docstrings, `__init__` and the string keys of
 `errors.LIMITS` name nothing.  What only the tests call is a second
 derivation and belongs in tests/reference.py.  The public API in PUBLIC is
-live by definition.
+live by definition, and so is a module-level dunder function such as a PEP
+562 `__getattr__`: the interpreter calls it, as it calls a class's dunder
+methods, so its body counts as module-level code.
 """
 
 import ast
@@ -39,7 +41,7 @@ def _units():
         if path.name == "__init__.py":
             continue
         for top in ast.parse(path.read_text()).body:
-            if not isinstance(top, FUNCTIONS + (ast.ClassDef,)):
+            if not isinstance(top, FUNCTIONS + (ast.ClassDef,)) or top.name.startswith("__"):
                 root |= _names(ast.walk(top))
                 continue
             inner = set()

@@ -21,6 +21,7 @@ from heiszeta.errors import LIMITS, BudgetExceeded, SizeGuard, UsageError, check
 from heiszeta.counts import birkhoff_number
 from heiszeta.exactalg import gauss_binom, mono
 from heiszeta.igusa import igusa_A
+from heiszeta.numeric import rn_numeric
 from heiszeta.oracle import enum_lagrangians, enum_subalgebras, enum_sublattices, hnf_enumerate
 from heiszeta.verify import eulerian_A, fibre_K, reduced_c, reduced_cone_series
 from heiszeta.verify import signed_descent_sum
@@ -28,7 +29,6 @@ from heiszeta.zeta import (
     dirichlet_coeffs,
     global_factor,
     reduced_zeta,
-    rn_numeric,
     zeta_compact,
     zeta_graded,
     zeta_hyperoctahedral,

@@ -1,8 +1,10 @@
 """What `import heiszeta` and each CLI command load.
 
 The package resolves its public names on first use, and each command imports
-only the library modules it runs: the second derivations in `heiszeta.verify`
-load with the verify checks only.  No module imports `dataclasses`, whose
+only the library modules it runs: the verify checks and their second
+derivations in `heiszeta.verify` load with the verify command only, the
+enumerators of `heiszeta.combinat` with form a (and the oracles and checks)
+only, and the float code of `heiszeta.numeric` with `global --rn` only.  No module imports `dataclasses`, whose
 import pulls in inspect, dis and tokenize, and only the functions that use
 `fractions` (with decimal and numbers behind it) or that write JSON import
 them.  Import sets are read in a fresh interpreter per case, since this
@@ -40,11 +42,16 @@ print(json.dumps([loaded, bare, after]))
 """
 
 BASE = {"heiszeta", "heiszeta.cli", "heiszeta.errors"}
-CLOSED_FORMS = BASE | {"heiszeta.combinat", "heiszeta.exactalg", "heiszeta.zeta"}
-# forms a, c, graded and reduced, and global
+# forms b and ideal, and coeffs
+CLOSED_FORMS = BASE | {"heiszeta.exactalg", "heiszeta.zeta"}
+# forms c, graded and reduced, and global
 IGUSA_FORMS = CLOSED_FORMS | {"heiszeta.igusa"}
+# form a, the only form that sums over the w-vectors of combinat
+FORM_A = IGUSA_FORMS | {"heiszeta.combinat"}
+# global --rn, the only command that runs the float code
+GLOBAL_RN = IGUSA_FORMS | {"heiszeta.numeric"}
 # every verify check; the second derivations build on the Igusa functions
-VERIFY = IGUSA_FORMS | {"heiszeta.verify"}
+VERIFY = FORM_A | {"heiszeta.verify"}
 # the fibre and residue checks, which build no closed form
 PROOFS = VERIFY - {"heiszeta.zeta"}
 ORACLE = BASE | {"heiszeta.combinat", "heiszeta.oracle"}  # lagrangian and sublattice
@@ -68,14 +75,15 @@ def _run(code, *argv):
         (["--version"], BASE),
         (["zeta", "--n", "3", "--form", "b"], CLOSED_FORMS),
         (["zeta", "--n", "3", "--form", "ideal"], CLOSED_FORMS),
-        (["zeta", "--n", "2", "--form", "a"], IGUSA_FORMS),
+        (["zeta", "--n", "2", "--form", "a"], FORM_A),
         (["zeta", "--n", "2", "--form", "c"], IGUSA_FORMS),
         (["zeta", "--n", "3", "--form", "graded"], IGUSA_FORMS),
         (["zeta", "--n", "3", "--form", "reduced"], IGUSA_FORMS),
-        (["global", "--n", "2", "--eval", "--rn", "--prime-bound", "10"], IGUSA_FORMS),
+        (["global", "--n", "2", "--eval"], IGUSA_FORMS),
+        (["global", "--n", "2", "--eval", "--rn", "--prime-bound", "10"], GLOBAL_RN),
         (["coeffs", "--n", "1", "--prime", "2", "--max-order", "2"], CLOSED_FORMS),
         (["coeffs", "--n", "1", "--prime", "2", "--max-order", "2", "--oracle"],
-         CLOSED_FORMS | {"heiszeta.oracle"}),
+         CLOSED_FORMS | {"heiszeta.combinat", "heiszeta.oracle"}),
         (["verify", "--n", "2", "--checks", "funeq"], VERIFY),
         (["verify", "--n", "2", "--checks", "crossform"], VERIFY),
         (["verify", "--n", "2", "--checks", "poles"], VERIFY),
@@ -88,7 +96,7 @@ def _run(code, *argv):
          FACTORIZATION),
     ],
     ids=["version", "zeta", "zeta-ideal", "zeta-igusa", "zeta-c", "zeta-graded", "zeta-reduced",
-         "global", "coeffs", "coeffs-oracle", "verify", "verify-crossform", "verify-poles",
+         "global", "global-rn", "coeffs", "coeffs-oracle", "verify", "verify-crossform", "verify-poles",
          "verify-fibre", "verify-residue", "verify-reduced", "oracle", "oracle-sublattice",
          "oracle-factorization"],
 )

@@ -6,6 +6,7 @@ import pytest
 from heiszeta import cli, verify, zeta
 from heiszeta.combinat import gen_W, weight_C
 from heiszeta.counts import nprime_closed
+from heiszeta.numeric import rn_numeric
 from heiszeta.errors import IdentityMismatch, UsageError
 from heiszeta.exactalg import (
     BivariatePolynomial as Poly,
@@ -37,7 +38,6 @@ from heiszeta.zeta import (
     global_factor,
     global_factor_eval,
     reduced_zeta,
-    rn_numeric,
     zeta_graded,
     zeta_ideal,
     zeta_igusa_sum,
@@ -585,7 +585,7 @@ def test_reduced_c_values():
         assert 0 < reduced_c(n) < 1
     # the limit P_n(1) / (n+1)^(n+1), with the other checks of verify
     for n in range(1, 9):
-        assert cli._check_reduced(n)["status"] == "pass", n
+        assert verify._check_reduced(n)["status"] == "pass", n
 
 
 # ---------------------------------------------------------------------------
