@@ -28,7 +28,6 @@ _HOME = {
             "SignedMonomial",
             "divide_out_factor",
             "gauss_binom",
-            "gauss_multinom",
             "mono",
             "qpochhammer",
         ),

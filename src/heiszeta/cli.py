@@ -154,25 +154,18 @@ def cmd_coeffs(args) -> int:
 def cmd_oracle(args) -> int:
     from .oracle import check_factorization, enum_lagrangians, enum_sublattices
 
+    def row(lam, mu, count):
+        return {"lambda": str(lam), "mu": str(mu), "p": args.prime, "count": str(count)}
+
     if args.mode == "lagrangian":
         mu = args.mu
         counts = enum_lagrangians(mu, args.prime)
-        rows = [
-            {"lambda": str(lam), "mu": str(mu), "p": args.prime, "count": str(c)}
-            for lam, c in sorted(counts.items(), key=lambda kv: kv[0].parts)
-        ]
-        rows.append(
-            {
-                "lambda": "*",
-                "mu": str(mu),
-                "p": args.prime,
-                "count": str(sum(counts.values())),
-            }
-        )
+        rows = [row(lam, mu, c) for lam, c in sorted(counts.items(), key=lambda kv: kv[0].parts)]
+        rows.append(row("*", mu, sum(counts.values())))
     elif args.mode == "sublattice":
         table = enum_sublattices(args.n, args.prime, args.max_val)
         rows = [
-            {"lambda": str(lam), "mu": str(mu), "p": args.prime, "count": str(c)}
+            row(lam, mu, c)
             for (lam, mu), c in sorted(
                 table.items(), key=lambda kv: (kv[0][0].parts, kv[0][1].parts)
             )
@@ -218,9 +211,12 @@ def validate(args) -> None:
 
     Raises UsageError, which main maps to exit code 2.  verify's --checks
     becomes the list of check names (an empty list or an unknown name is
-    rejected) and needs n >= 1; coeffs needs a prime --prime, though
-    dirichlet_coeffs takes any integer q; oracle lagrangian's --mu becomes a
-    Partition, and each oracle mode refuses the options of the others.
+    rejected) and needs n >= 1, and the size rows (verify.GUARDS) of every
+    check after the first are applied at its n before the first runs, so they
+    raise SizeGuard here (the first check refuses by itself, as it does
+    alone); coeffs needs a prime --prime, though dirichlet_coeffs takes any
+    integer q; oracle lagrangian's --mu becomes a Partition, and each oracle
+    mode refuses the options of the others.
     Every numeric range is the library's: each entry point refuses a value
     below its least value with UsageError and above its largest with
     SizeGuard (errors.LIMITS).
@@ -230,11 +226,14 @@ def validate(args) -> None:
         args.checks = list(filter(None, map(str.strip, args.checks.split(","))))
         if not args.checks:
             raise UsageError("--checks names no check")
-        from .verify import CHECKS
+        from .verify import CHECKS, GUARDS
 
         for name in args.checks:
             if name not in CHECKS:
                 raise UsageError("unknown check %r" % name)
+        for name in args.checks[1:]:
+            for owner, what in GUARDS[name]:
+                check_limit(owner, what, args.n)
     elif args.command == "coeffs":
         check_prime(args.prime)
     elif args.command == "oracle" and args.mode == "lagrangian":

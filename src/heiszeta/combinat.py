@@ -8,7 +8,6 @@ polynomials are second derivations, in ``heiszeta.verify``.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
@@ -52,9 +51,6 @@ class Partition:
 
     def size(self) -> int:
         return sum(self.parts)
-
-    def num_parts(self) -> int:
-        return len(self.parts)
 
     def padded(self, n: int) -> tuple[int, ...]:
         if len(self.parts) > n:
@@ -129,11 +125,6 @@ def gen_W(n: int) -> tuple[tuple[int, ...], ...]:
                 nxt.append(w + (other,))
         vecs = nxt
     return tuple(sorted(vecs))
-
-
-def w_partial_sums(w: Sequence[int]) -> tuple[int, ...]:
-    """(sum_{i<=1} w_i, ..., sum_{i<=n} w_i)."""
-    return tuple(itertools.accumulate(w))
 
 
 def weight_C(w: Sequence[int]) -> FactoredRational:

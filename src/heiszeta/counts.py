@@ -26,7 +26,7 @@ def _multiplicity_form(mu, n: int) -> tuple[int, list[tuple[int, int]]]:
     UsageError when mu has more than n parts.
     """
     mu = Partition(mu)
-    if mu.num_parts() > n:
+    if len(mu) > n:
         raise UsageError(
             "partition %s has more than n = %d parts" % (mu, n)
         )

@@ -77,6 +77,7 @@ LIMITS = {
     ("enum_subalgebras", "n"): (0, None),
     ("gen_W", "n"): (0, None),
     ("gauss_binom", "n"): (0, None),
+    ("qpochhammer", "m"): (0, None),
     # igusa_A and igusa_B
     ("Igusa functions", "degree n"): (0, None),
     # hnf_count and hnf_enumerate

@@ -37,8 +37,8 @@ unrolled there only if 1 - 2^a T^b divides the values at q = 2, an integer
 recurrence on one list: a copy that divides exactly divides at q = 2, so the
 one-sided test skips only copies the unroll would refuse.
 
-The module also provides q-Pochhammer symbols, Gaussian binomial and
-multinomial coefficients, the substitution ``(q,T) -> (q^-1,T^-1)``, and the
+The module also provides the finite q-Pochhammer products, the Gaussian
+binomial coefficients, the substitution ``(q,T) -> (q^-1,T^-1)``, and the
 plain and LaTeX renderings.
 """
 
@@ -787,28 +787,15 @@ def _span(factors: Mapping[FactorKey, int]) -> tuple[int, int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-def qpochhammer(a: SignedMonomial, step_exponent: int, m: int) -> FactoredRational:
-    """(a; q^step)_m = prod_{i=0}^{m-1} (1 - a q^{step*i}), reciprocal for m < 0."""
-    if m >= 0:
-        num = BivariatePolynomial.one()
-        for i in range(m):
-            # a constant factor 1 - a q^0 T^0 is 0 or 2: the 1 and the monomial add
-            u = {(a.e_q + step_exponent * i, a.e_T): 1}
-            num = num * BivariatePolynomial._raw(_p_iadd({(0, 0): 1}, u, -a.sign))
-        return FactoredRational(num)
-    # (a;q)_m = ((a q^m; q)_{-m})^-1
-    exps = [a.e_q + step_exponent * (m + i) for i in range(-m)]
-    if a.e_T == 0 and 0 in exps:
-        raise UsageError("(a; q^%d)_%d has the constant factor %s, whose reciprocal is not "
-                         "a product of factors 1 - q^a T^b"
-                         % (step_exponent, m, "1 - 1 = 0" if a.sign == 1 else "1 + 1 = 2"))
-    if a.sign == 1:
-        return FactoredRational.one_over((eq, a.e_T) for eq in exps)
-    # negative monomial: 1/(1 + u) = (1 - u)/(1 - u^2)
+def qpochhammer(a: SignedMonomial, step_exponent: int, m: int) -> BivariatePolynomial:
+    """(a; q^step)_m = prod_{i=0}^{m-1} (1 - a q^{step*i}), for m >= 0."""
+    check_limit("qpochhammer", "m", m)
     num = BivariatePolynomial.one()
-    for eq in exps:
-        num = num * BivariatePolynomial.one_minus(eq, a.e_T)
-    return FactoredRational(num, Counter((2 * eq, 2 * a.e_T) for eq in exps))
+    for i in range(m):
+        # a constant factor 1 - a q^0 T^0 is 0 or 2: the 1 and the monomial add
+        u = {(a.e_q + step_exponent * i, a.e_T): 1}
+        num = num * BivariatePolynomial._raw(_p_iadd({(0, 0): 1}, u, -a.sign))
+    return num
 
 
 @lru_cache(maxsize=None)
@@ -827,19 +814,6 @@ def gauss_binom(n: int, r: int, y_exponent: int) -> BivariatePolynomial:
     return gauss_binom(n - 1, r, y_exponent) + gauss_binom(
         n - 1, r - 1, y_exponent
     ).shift(dq=y_exponent * (n - r))
-
-
-def gauss_multinom(n: int, I: Iterable[int], y_exponent: int) -> BivariatePolynomial:
-    """binom(n, I)_Y = binom(n,i_l) binom(i_l,i_{l-1}) ... for I = {i_1<...<i_l}."""
-    idx = sorted(set(I))
-    if any(i < 0 or i > n for i in idx):
-        raise UsageError("subset must lie in {0,...,n}")
-    out = BivariatePolynomial.one()
-    upper = n
-    for i in reversed(idx):
-        out = out * gauss_binom(upper, i, y_exponent)
-        upper = i
-    return out
 
 
 # ---------------------------------------------------------------------------

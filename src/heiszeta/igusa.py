@@ -120,5 +120,5 @@ def igusa_B(
     """
     _check_slots("B", n, X, n)
     a0 = mono(y_exponent * n, 0, -1) * Z  # -Y^n Z
-    weight = [qpochhammer(a0, -y_exponent, d).num for d in range(n + 1)]
+    weight = [qpochhammer(a0, -y_exponent, d) for d in range(n + 1)]
     return _subset_sum(n, y_exponent, list(enumerate(X[:n])), X, weight)

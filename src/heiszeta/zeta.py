@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import IdentityMismatch, check_limit
@@ -21,7 +22,6 @@ from .exactalg import (
     BivariatePolynomial,
     FactoredRational,
     SignedMonomial,
-    _p_iadd,
     _unroll_dense,
     divide_out_factor,
     gauss_binom,
@@ -54,9 +54,7 @@ def igusa_args(n: int, w: Sequence[int]) -> list[SignedMonomial]:
 
     X_k = q^{(partial sum) + 2k(n-k)} T^k and X_0 = q^{2n} T * X_n.
     """
-    from .combinat import w_partial_sums
-
-    ps = w_partial_sums(w)
+    ps = list(accumulate(w))
     X = [mono(ps[k - 1] + 2 * k * (n - k), k) for k in range(1, n + 1)]
     return [mono(2 * n, 1) * X[-1]] + X
 
@@ -219,7 +217,7 @@ def global_factor(n: int) -> BivariatePolynomial:
 
 def global_factor_eval(n: int) -> BivariatePolynomial:
     """N_n(p, p^{-2n}) as an exact Laurent polynomial in p (variable q)."""
-    out: dict = {}
+    out: Counter = Counter()
     for (C, D), coeff in global_factor(n).terms.items():
-        _p_iadd(out, {(C - 2 * n * D, 0): coeff})
+        out[C - 2 * n * D, 0] += coeff
     return BivariatePolynomial(out)

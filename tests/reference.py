@@ -24,7 +24,7 @@ from heiszeta.exactalg import (
     _p_mul_schoolbook,
     _p_tslices,
     _unroll,
-    gauss_multinom,
+    gauss_binom,
     mono,
     qpochhammer,
 )
@@ -43,7 +43,6 @@ from heiszeta.verify import (
     coset_stats,
     descent_set,
     fibre_E,
-    perms,
     signed_descent_sum,
 )
 from heiszeta.zeta import c_exponents, igusa_args, special_exponent, zeta_compact
@@ -151,6 +150,44 @@ def nprime_recursive(mu: tuple[int, ...]) -> Poly:
         return Poly.one()
     head = (key[0] - 1,) + key[1:]
     return nprime_recursive(head) + nprime_recursive(key[1:]).shift(dq=sum(key))
+
+
+def perms(n: int):
+    """All one-line windows (g(1), ..., g(n)) on values 1..n."""
+    return itertools.permutations(range(1, n + 1))
+
+
+def gauss_multinom(n: int, I, y_exponent: int) -> Poly:
+    """binom(n, I)_Y = binom(n,i_l) binom(i_l,i_{l-1}) ... for I = {i_1<...<i_l}."""
+    idx = sorted(set(I))
+    if any(i < 0 or i > n for i in idx):
+        raise UsageError("subset must lie in {0,...,n}")
+    out = Poly.one()
+    upper = n
+    for i in reversed(idx):
+        out = out * gauss_binom(upper, i, y_exponent)
+        upper = i
+    return out
+
+
+def qpochhammer_rational(a, step_exponent: int, m: int) -> FactoredRational:
+    """(a; q^step)_m for every integer m: the library's finite product for
+    m >= 0, its reciprocal ((a q^{step m}; q^step)_{-m})^-1 for m < 0."""
+    if m >= 0:
+        return FactoredRational(qpochhammer(a, step_exponent, m))
+    # (a;q)_m = ((a q^m; q)_{-m})^-1
+    exps = [a.e_q + step_exponent * (m + i) for i in range(-m)]
+    if a.e_T == 0 and 0 in exps:
+        raise UsageError("(a; q^%d)_%d has the constant factor %s, whose reciprocal is not "
+                         "a product of factors 1 - q^a T^b"
+                         % (step_exponent, m, "1 - 1 = 0" if a.sign == 1 else "1 + 1 = 2"))
+    if a.sign == 1:
+        return FactoredRational.one_over((eq, a.e_T) for eq in exps)
+    # negative monomial: 1/(1 + u) = (1 - u)/(1 - u^2)
+    num = Poly.one()
+    for eq in exps:
+        num = num * Poly.one_minus(eq, a.e_T)
+    return FactoredRational(num, Counter((2 * eq, 2 * a.e_T) for eq in exps))
 
 
 def qpochhammer_factors(a, step_exponent: int, m: int) -> list[tuple[int, int]]:
@@ -277,7 +314,7 @@ def epsilon_kr(k: int, r: int, t: int) -> Poly:
     reciprocal product for negative s, expanded as a series in x."""
     if t < 0:
         return Poly.zero()
-    F = [qpochhammer(mono(1 - s, 1, -1), 2, s // 2) for s in (r, 2 * k + 1 - r)]
+    F = [qpochhammer_rational(mono(1 - s, 1, -1), 2, s // 2) for s in (r, 2 * k + 1 - r)]
     return (F[0] * F[1]).series_in_T(t)[t]
 
 

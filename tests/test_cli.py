@@ -62,6 +62,15 @@ def test_zeta_json_round_trips_to_equal_value(capsys):
         assert back == zeta_compact(n)
 
 
+def test_json_and_plain_order_the_factors_differently(capsys):
+    # json lists [a, b, mult] by ascending a, then b; plain writes the factors
+    # by ascending b, then a
+    _, out = run(capsys, "zeta", "--n", "1", "--form", "graded", "--output", "json")
+    assert json.loads(out)["den"] == [[0, 1, 1], [0, 2, 1], [1, 1, 1], [1, 2, 1]]
+    _, out = run(capsys, "zeta", "--n", "1", "--form", "graded")
+    assert out == "(1 - q T^3) / ((1 - T)(1 - q T)(1 - T^2)(1 - q T^2))\n"
+
+
 def test_zeta_deterministic(capsys):
     _, out1 = run(capsys, "zeta", "--n", "2", "--form", "c")
     _, out2 = run(capsys, "zeta", "--n", "2", "--form", "c")
@@ -121,7 +130,9 @@ def test_residue_check_builds_each_descent_sum_once(monkeypatch):
 def test_verify_residue_past_the_descent_guard_exits_2(capsys):
     # each check builds its guarded side first, so the refusal enters at most
     # 10 package functions, as each refusal of tests/test_limits.py does; the
-    # fibre check's guard is fibre_K's
+    # fibre check's guard is fibre_K's.  The guards of a later check are
+    # applied before the first one runs: crossform refuses n = 7 before the
+    # seconds-long fibre proof
     from heiszeta import combinat, igusa, verify  # noqa: F401 (loaded before the count)
 
     entered = []
@@ -130,7 +141,7 @@ def test_verify_residue_past_the_descent_guard_exits_2(capsys):
         if event == "call" and frame.f_code.co_filename.startswith(PACKAGE):
             entered.append(frame.f_code.co_name)
 
-    for n, check in [(9, "residue"), (10, "residue"), (9, "fibre")]:
+    for n, check in [(9, "residue"), (10, "residue"), (9, "fibre"), (7, "fibre,crossform")]:
         entered.clear()
         sys.setprofile(profile)
         try:
@@ -142,6 +153,40 @@ def test_verify_residue_past_the_descent_guard_exits_2(capsys):
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("guard: "), (n, check)
         assert "check_limit" in entered and len(entered) <= 10, (n, check, entered)
+
+
+@pytest.mark.parametrize("check", ["crossform", "funeq", "poles", "fibre", "residue", "reduced"])
+def test_guards_are_the_rows_each_check_reads(monkeypatch, check):
+    # run at n = 3 with every cache cold, a check reads the rows of
+    # errors.LIMITS that have a largest value in the order of verify.GUARDS
+    from heiszeta import errors, verify
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("heiszeta."):
+            for obj in list(vars(module).values()):
+                if hasattr(obj, "cache_info"):
+                    obj.cache_clear()
+    read = []
+
+    class Recording(dict):
+        def __getitem__(self, row):
+            read.append(row)
+            return dict.__getitem__(self, row)
+
+    monkeypatch.setattr(errors, "LIMITS", Recording(LIMITS))
+    assert verify.CHECKS[check](3)["status"] == "pass"
+    rows = tuple(row for row in dict.fromkeys(read) if LIMITS[row][1] is not None)
+    assert rows == verify.GUARDS[check]
+
+
+def test_the_first_check_refuses_by_itself(capsys):
+    # past n = 10 residue runs out of generic markers before it reads
+    # signed_descent_sum's row; named first, it prints what it prints alone
+    for checks in ("residue", "residue,funeq"):
+        code = main(["verify", "--n", "11", "--checks", checks])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), checks
+        assert captured.err == "guard: not enough generic markers\n", checks
 
 
 def test_verify_raised_mismatch_keeps_every_report(capsys, monkeypatch):

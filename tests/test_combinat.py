@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -6,7 +7,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heiszeta.combinat import Partition, gen_W, partitions_up_to, w_partial_sums, weight_C
+from heiszeta.combinat import Partition, gen_W, partitions_up_to, weight_C
 from heiszeta.errors import SizeGuard, UsageError
 from heiszeta.exactalg import BivariatePolynomial as Poly, FactoredRational as FR, mono
 from heiszeta.igusa import igusa_B
@@ -17,12 +18,11 @@ from heiszeta.verify import (
     descent_set,
     eulerian_A,
     fibre_W,
-    perms,
     signed_descent_sum,
 )
 from heiszeta.zeta import reduced_zeta
 from reference import SignedPermutation, brenti_B_by_enumeration, difference_vector
-from reference import inversions, is_w_vector, signed_perm_length_bfs, signed_perms
+from reference import inversions, is_w_vector, perms, signed_perm_length_bfs, signed_perms
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +64,7 @@ def test_partitions_up_to_small():
 
 def test_partitions_up_to_respects_bounds():
     for p in partitions_up_to(6, 3):
-        assert p.size() <= 6 and p.num_parts() <= 3
+        assert p.size() <= 6 and len(p) <= 3
     seen = set(p.parts for p in partitions_up_to(6, 3))
     assert len(seen) == len(partitions_up_to(6, 3))
 
@@ -100,7 +100,7 @@ def test_gen_W_cardinality_and_membership(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_partial_sum_law(n):
     for w in gen_W(n):
-        ps = w_partial_sums(w)
+        ps = list(itertools.accumulate(w))
         for j in range(1, n + 1):
             assert ps[j - 1] == w[j - 1] * (2 * j + 1 - w[j - 1]) // 2
 
@@ -304,6 +304,15 @@ def test_eulerian_A_fixtures():
     assert eulerian_A(0) == (1,)
     assert eulerian_A(2) == (0, 1, 1)
     assert sum(eulerian_A(3)) == 6
+    assert eulerian_A(10) == (
+        0, 1, 1013, 47840, 455192, 1310354, 1310354, 455192, 47840, 1013, 1)
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_eulerian_A_counts_descents(d):
+    # the recurrence gives the number of permutations of S_d with des + 1 = k
+    counts = Counter(len(descent_set(g)) + 1 for g in perms(d)) if d else Counter({0: 1})
+    assert eulerian_A(d) == tuple(counts[k] for k in range(d + 1))
 
 
 @pytest.mark.parametrize("d", range(1, 6))

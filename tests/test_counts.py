@@ -5,8 +5,7 @@ from heiszeta.combinat import Partition, partitions_up_to
 from heiszeta.counts import birkhoff_alpha, birkhoff_number, n_aggregate, nprime_closed
 from heiszeta.errors import HeiszetaError, IdentityMismatch, UsageError
 from heiszeta.exactalg import BivariatePolynomial as Poly
-from heiszeta.exactalg import gauss_multinom
-from reference import difference_vector, nprime_recursive
+from reference import difference_vector, gauss_multinom, nprime_recursive
 
 
 def eval_at(poly, q):

@@ -122,7 +122,7 @@ def _subset_sum_args(case, n):
     if case == "form c":
         Z, X = mono(n, 1, -1), [mono(c, n + 1) for c in c_exponents(n)]
     a0 = mono(y * n, 0, -1) * Z
-    weight = [qpochhammer(a0, -y, d).num for d in range(n + 1)]
+    weight = [qpochhammer(a0, -y, d) for d in range(n + 1)]
     return [(n, y, list(enumerate(X[:n])), X, weight)]
 
 
@@ -224,7 +224,7 @@ def test_triangular_specialization(n):
     uq, ut = 97, 2
     X = [mono(-(r * (r + 1) // 2) + uq * r, ut * r) for r in range(1, n + 1)]
     lhs = igusa_A(n, -1, X)
-    num = qpochhammer(mono(uq - 1, ut, -1), -1, n).num
+    num = qpochhammer(mono(uq - 1, ut, -1), -1, n)
     den = qpochhammer_factors(mono(2 * uq - 2, 2 * ut), -1, n)
     rhs = FR(num, {k: den.count(k) for k in set(den)})
     assert lhs == rhs
@@ -351,7 +351,7 @@ def test_type_B_triangular_specialization(k):
     # truncated-B_k(q^-1, Z; q^{(k(k+1)-r(r+1))/2}) = (-q^{1-k} Z; q^2)_k / (q; q^2)_k
     X = [mono((k * (k + 1) - r * (r + 1)) // 2, 0) for r in range(k)]
     lhs = igusa_B(k, -1, GENERIC_Z, X)
-    num = qpochhammer(mono(1 - k, 0, -1) * GENERIC_Z, 2, k).num
+    num = qpochhammer(mono(1 - k, 0, -1) * GENERIC_Z, 2, k)
     den = qpochhammer_factors(mono(1, 0), 2, k)
     rhs = FR(num, {kk: den.count(kk) for kk in set(den)})
     assert lhs == rhs
@@ -464,7 +464,8 @@ def test_fibre_K_terminal_case():
 
 def test_fibre_K_base_is_descent_sum():
     # K_n^{0,0} = sum over S_n of q^{-2 l(g)} X^{Des(g)}
-    from heiszeta.verify import descent_set, perms
+    from heiszeta.verify import descent_set
+    from reference import perms
 
     n = 3
     X = generic_slots(n)
@@ -618,8 +619,8 @@ def test_terminal_E_product(n):
     # E_{n,r}(T) = (-q^{r-2n} T; q^2)_{n-r} (-q^{-r} T; q)_r
     for r in range(n + 1):
         rhs = (
-            qpochhammer(mono(r - 2 * n, 1, -1), 2, n - r).num
-            * qpochhammer(mono(-r, 1, -1), 1, r).num
+            qpochhammer(mono(r - 2 * n, 1, -1), 2, n - r)
+            * qpochhammer(mono(-r, 1, -1), 1, r)
         )
         assert fibre_E(n, r) == rhs
 

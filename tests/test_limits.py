@@ -19,7 +19,7 @@ from heiszeta.cli import build_parser, validate
 from heiszeta.combinat import gen_W
 from heiszeta.errors import LIMITS, BudgetExceeded, SizeGuard, UsageError, check_prime
 from heiszeta.counts import birkhoff_number
-from heiszeta.exactalg import gauss_binom, mono
+from heiszeta.exactalg import gauss_binom, mono, qpochhammer
 from heiszeta.igusa import igusa_A
 from heiszeta.numeric import rn_numeric
 from heiszeta.oracle import enum_lagrangians, enum_subalgebras, enum_sublattices, hnf_enumerate
@@ -72,6 +72,7 @@ CASES = {
     ("enum_subalgebras", "n"): lambda v: enum_subalgebras(v, 2, 1),
     ("gen_W", "n"): gen_W,
     ("gauss_binom", "n"): lambda v: gauss_binom(v, 0, 1),
+    ("qpochhammer", "m"): lambda v: qpochhammer(mono(1, 1), 1, v),
     ("Igusa functions", "degree n"): lambda v: igusa_A(v, 1, []),
     ("HNF enumeration", "rank"): lambda v: list(hnf_enumerate(v, 2, 1)),
     ("birkhoff_number", "Q"): lambda v: birkhoff_number((1,), 1, v),
