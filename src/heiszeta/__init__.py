@@ -25,10 +25,8 @@ _HOME = {
         "exactalg": (
             "BivariatePolynomial",
             "FactoredRational",
-            "SignedMonomial",
             "divide_out_factor",
             "gauss_binom",
-            "mono",
             "qpochhammer",
         ),
         "igusa": ("igusa_A", "igusa_B"),

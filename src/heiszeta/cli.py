@@ -212,11 +212,10 @@ def validate(args) -> None:
     Raises UsageError, which main maps to exit code 2.  verify's --checks
     becomes the list of check names (an empty list or an unknown name is
     rejected) and needs n >= 1, and the size rows (verify.GUARDS) of every
-    check after the first are applied at its n before the first runs, so they
-    raise SizeGuard here (the first check refuses by itself, as it does
-    alone); coeffs needs a prime --prime, though dirichlet_coeffs takes any
-    integer q; oracle lagrangian's --mu becomes a Partition, and each oracle
-    mode refuses the options of the others.
+    named check are applied at its n before the first runs, so they raise
+    SizeGuard here; coeffs needs a prime --prime, though dirichlet_coeffs
+    takes any integer q; oracle lagrangian's --mu becomes a Partition, and
+    each oracle mode refuses the options of the others.
     Every numeric range is the library's: each entry point refuses a value
     below its least value with UsageError and above its largest with
     SizeGuard (errors.LIMITS).
@@ -231,7 +230,7 @@ def validate(args) -> None:
         for name in args.checks:
             if name not in CHECKS:
                 raise UsageError("unknown check %r" % name)
-        for name in args.checks[1:]:
+        for name in args.checks:
             for owner, what in GUARDS[name]:
                 check_limit(owner, what, args.n)
     elif args.command == "coeffs":

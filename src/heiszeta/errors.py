@@ -61,8 +61,10 @@ class BudgetExceeded(SizeGuard):
 # "budget" bound the size of a brute-force enumeration, not an input.
 LIMITS = {
     ("signed_descent_sum", "n"): (0, 8),
-    ("eulerian_A", "d"): (0, 10),
+    ("eulerian_A", "d"): (0, None),
     ("fibre_K", "n"): (0, 8),
+    # the number of generic marker slots of the fibre and residue checks
+    ("generic_slots", "count"): (0, 10),
     ("zeta_igusa_sum", "n"): (1, 5),
     ("zeta_compact", "n"): (0, 12),
     ("zeta_hyperoctahedral", "n"): (0, 6),

@@ -13,6 +13,9 @@ immutable by construction:
   generating functions and zeta functions in this package are values of
   this type.
 
+A monomial c q^a T^b is a one-term polynomial, and the monomial q^a T^b of
+a factor 1 - q^a T^b, an Igusa slot among them, is its key (a, b).
+
 Products go through ``_p_mul``: two single terms multiply directly, the
 schoolbook loop costs one dict update per pair of terms, and Kronecker
 substitution packs each operand into one Python int (term (e_q, e_T) in slot
@@ -416,54 +419,11 @@ def _coerce_poly(x) -> BivariatePolynomial:
         return x
     if isinstance(x, int):
         return BivariatePolynomial.monomial(x)
-    if isinstance(x, SignedMonomial):
-        return x.to_poly()
     raise TypeError("cannot coerce %r to BivariatePolynomial" % (x,))
 
 
-class SignedMonomial:
-    """The monomial sign * q^e_q * T^e_T (sign in {1, -1}); immutable, and
-    equal and hashed by (sign, e_q, e_T)."""
-
-    __slots__ = ("sign", "e_q", "e_T")
-
-    __setattr__ = __delattr__ = BivariatePolynomial.__setattr__
-
-    def __init__(self, sign: int, e_q: int, e_T: int):
-        if sign not in (1, -1):
-            raise UsageError("sign must be +-1")
-        _set_fields(self, sign=sign, e_q=e_q, e_T=e_T)
-
-    def __reduce__(self):
-        return SignedMonomial, (self.sign, self.e_q, self.e_T)
-
-    def __eq__(self, other):
-        if other.__class__ is not SignedMonomial:
-            return NotImplemented
-        return (self.sign, self.e_q, self.e_T) == (other.sign, other.e_q, other.e_T)
-
-    def __hash__(self):
-        return hash((self.sign, self.e_q, self.e_T))
-
-    def __repr__(self):
-        return "SignedMonomial(sign=%r, e_q=%r, e_T=%r)" % (self.sign, self.e_q, self.e_T)
-
-    def __mul__(self, other: "SignedMonomial") -> "SignedMonomial":
-        if other.__class__ is not SignedMonomial:
-            return NotImplemented
-        return SignedMonomial(self.sign * other.sign, self.e_q + other.e_q, self.e_T + other.e_T)
-
-    def to_poly(self) -> BivariatePolynomial:
-        return BivariatePolynomial.monomial(self.sign, self.e_q, self.e_T)
-
-
-def mono(e_q: int = 0, e_T: int = 0, sign: int = 1) -> SignedMonomial:
-    """Shorthand constructor for sign * q^e_q * T^e_T."""
-    return SignedMonomial(sign, e_q, e_T)
-
-
 # the operands that _coerce_poly turns into a polynomial
-_POLY_LIKE = (int, BivariatePolynomial, SignedMonomial)
+_POLY_LIKE = (int, BivariatePolynomial)
 
 
 # ---------------------------------------------------------------------------
@@ -787,14 +747,14 @@ def _span(factors: Mapping[FactorKey, int]) -> tuple[int, int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-def qpochhammer(a: SignedMonomial, step_exponent: int, m: int) -> BivariatePolynomial:
+def qpochhammer(a: BivariatePolynomial, step_exponent: int, m: int) -> BivariatePolynomial:
     """(a; q^step)_m = prod_{i=0}^{m-1} (1 - a q^{step*i}), for m >= 0."""
     check_limit("qpochhammer", "m", m)
     num = BivariatePolynomial.one()
     for i in range(m):
-        # a constant factor 1 - a q^0 T^0 is 0 or 2: the 1 and the monomial add
-        u = {(a.e_q + step_exponent * i, a.e_T): 1}
-        num = num * BivariatePolynomial._raw(_p_iadd({(0, 0): 1}, u, -a.sign))
+        # a constant term of a adds to the 1: 1 - q^0 T^0 is 0, 1 + q^0 T^0 is 2
+        factor = _p_iadd({(0, 0): 1}, a.terms, -1, step_exponent * i)
+        num = num * BivariatePolynomial._raw(factor)
     return num
 
 

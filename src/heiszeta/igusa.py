@@ -17,6 +17,10 @@ denominator prod (1 - X_i) over all of them serves every function here.
 That subset sum is a recurrence over the least index chosen so far, O(m^2)
 polynomial products for m slots; expanded term by term, each of the 2^m
 subsets would cost one Gaussian multinomial and m products.
+
+A slot X_i = q^a T^b is given as the key (a, b) of its factor 1 - X_i, so
+the slot denominator is ``Counter(X)``; the Z of type B is a one-term
+polynomial.
 """
 
 from __future__ import annotations
@@ -28,37 +32,29 @@ from .errors import UsageError, check_limit
 from .exactalg import (
     BivariatePolynomial,
     FactoredRational,
-    SignedMonomial,
+    FactorKey,
     _p_iadd,
     _p_mul,
     gauss_binom,
-    mono,
     qpochhammer,
 )
 
 
-def _check_slots(kind: str, n: int, X: Sequence[SignedMonomial], least: int):
-    """n >= 0, and X has least .. n + 1 slots, all positive monomials."""
+def _check_slots(kind: str, n: int, X: Sequence[FactorKey], least: int):
+    """n >= 0, and X has least .. n + 1 slots."""
     check_limit("Igusa functions", "degree n", n)
     if not least <= len(X) <= n + 1:
         raise UsageError(
             "type %s of degree %d takes %d to %d slots, got %d"
             % (kind, n, least, n + 1, len(X))
         )
-    if any(x.sign != 1 for x in X):
-        raise UsageError("Igusa slot arguments must be positive monomials")
-
-
-def _over_slots(num: BivariatePolynomial, X: Sequence[SignedMonomial]) -> FactoredRational:
-    """num / prod (1 - X_i); k equal slots give one factor of multiplicity k."""
-    return FactoredRational(num, Counter((x.e_q, x.e_T) for x in X))
 
 
 def _subset_sum(
     n: int,
     y_exponent: int,
-    interior: Sequence[tuple[int, SignedMonomial]],
-    X: Sequence[SignedMonomial],
+    interior: Sequence[tuple[int, FactorKey]],
+    X: Sequence[FactorKey],
     weight: Sequence[BivariatePolynomial] | None = None,
 ) -> FactoredRational:
     """Sum over I of binom(n, I)_Y w_d prod_{i in I} X_i / (1 - X_i).
@@ -76,22 +72,23 @@ def _subset_sum(
     That is O(m^2) products for m interior slots, not 2^m subsets.
     """
     states: dict[int, dict] = {n: {(0, 0): 1}}
-    for i, x in reversed(interior):
+    for i, (a, b) in reversed(interior):
         chosen: dict = {}
         for u, num in states.items():
             binom = gauss_binom(u, i, y_exponent).terms
-            _p_iadd(chosen, _p_mul(binom, num), 1, x.e_q, x.e_T)  # choose i
-            _p_iadd(num, dict(num), -1, x.e_q, x.e_T)  # skip i: times 1 - X_i
+            _p_iadd(chosen, _p_mul(binom, num), 1, a, b)  # choose i
+            _p_iadd(num, dict(num), -1, a, b)  # skip i: times 1 - X_i
         states[i] = chosen
     num: dict = {}
     for u, terms in states.items():
         if weight is not None:
             terms = _p_mul(weight[n - u].terms, terms)
         _p_iadd(num, terms)
-    return _over_slots(BivariatePolynomial(num), X)
+    # k equal slots give one factor of multiplicity k
+    return FactoredRational(BivariatePolynomial(num), Counter(X))
 
 
-def igusa_A(n: int, y_exponent: int, X: Sequence[SignedMonomial]) -> FactoredRational:
+def igusa_A(n: int, y_exponent: int, X: Sequence[FactorKey]) -> FactoredRational:
     """Type-A Igusa function of degree n on n - 1, n or n + 1 slots.
 
     Sum over I in [n-1] of binom(n, I)_Y prod_{i in I} X_i / (1 - X_i),
@@ -110,8 +107,8 @@ def igusa_A(n: int, y_exponent: int, X: Sequence[SignedMonomial]) -> FactoredRat
 def igusa_B(
     n: int,
     y_exponent: int,
-    Z: SignedMonomial,
-    X: Sequence[SignedMonomial],
+    Z: BivariatePolynomial,
+    X: Sequence[FactorKey],
 ) -> FactoredRational:
     """Type-B Igusa function on n or n + 1 slots, by its subset expansion.
 
@@ -119,6 +116,6 @@ def igusa_B(
     prod_{i in I} X_i / (1 - X_i), over the denominators of all slots.
     """
     _check_slots("B", n, X, n)
-    a0 = mono(y_exponent * n, 0, -1) * Z  # -Y^n Z
+    a0 = BivariatePolynomial.monomial(-1, y_exponent * n) * Z  # -Y^n Z
     weight = [qpochhammer(a0, -y_exponent, d) for d in range(n + 1)]
     return _subset_sum(n, y_exponent, list(enumerate(X[:n])), X, weight)

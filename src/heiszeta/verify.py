@@ -24,19 +24,18 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .combinat import gen_W, weight_C
-from .errors import IdentityMismatch, SizeGuard, UsageError, check_limit
+from .errors import IdentityMismatch, UsageError, check_limit
 from .exactalg import (
     BivariatePolynomial,
     FactoredRational,
-    SignedMonomial,
+    FactorKey,
     _divide_dense,
     _p_iadd,
     _p_tslices,
     gauss_binom,
-    mono,
     qpochhammer,
 )
-from .igusa import _over_slots, igusa_A, igusa_B
+from .igusa import igusa_A, igusa_B
 
 if TYPE_CHECKING:  # Fraction is imported by the pole and c_n functions that use it
     from fractions import Fraction
@@ -97,15 +96,15 @@ def fibre_W(k: int, r: int) -> tuple[tuple[int, ...], ...]:
 def signed_descent_sum(
     n: int,
     y_exponent: int,
-    Z: SignedMonomial,
-    X: Sequence[SignedMonomial],
+    Z: BivariatePolynomial,
+    X: Sequence[FactorKey],
 ) -> BivariatePolynomial:
     """Sum over B_n of Y^l(g) Z^neg(g) prod_{i in Des_B(g)} X_i, Y = q^y_exponent.
 
-    X lists the descent slots X_0 .. X_{n-1}.  A dynamic program fills the
-    window left to right; its state is the set U of absolute values placed
-    so far and the last signed entry (0 before the first), at most
-    2^n * 2n states against 2^n n! group elements.  It uses
+    Z is one term, and X lists the descent slots X_0 .. X_{n-1}.  A dynamic
+    program fills the window left to right; its state is the set U of
+    absolute values placed so far and the last signed entry (0 before the
+    first), at most 2^n * 2n states against 2^n n! group elements.  It uses
     l(g) = sum_j L_j + sum_{g(j) < 0} (1 + 2 E_j), with L_j and E_j the
     numbers of smaller absolute values after and before position j; this
     equals inv(window) + sum of |g(j)| over the negative entries.  Placing
@@ -115,10 +114,10 @@ def signed_descent_sum(
     check_limit("signed_descent_sum", "n", n)
     if len(X) != n:
         raise UsageError("need the %d descent slots X_0 .. X_%d" % (n, n - 1))
-    y = y_exponent
+    y, ((z_q, z_T), z) = y_exponent, _one_term(Z)
     layer: dict = {(0, 0): {(0, 0): 1}}
     for k in range(n):
-        x = X[k]
+        x_q, x_T = X[k]
         nxt: dict = {}
         for (used, last), poly in layer.items():
             below = 0
@@ -128,21 +127,27 @@ def signed_descent_sum(
                     below += 1
                     continue
                 for v in (b, -b):
-                    dq, dt, sign = y * (b - 1 - below), 0, 1
+                    dq, dt, c = y * (b - 1 - below), 0, 1
                     if v < 0:
-                        dq += y * (1 + 2 * below) + Z.e_q
-                        dt += Z.e_T
-                        sign = Z.sign
+                        dq += y * (1 + 2 * below) + z_q
+                        dt += z_T
+                        c = z
                     if last > v:
-                        dq += x.e_q
-                        dt += x.e_T
-                        sign *= x.sign
-                    _p_iadd(nxt.setdefault((used | bit, v), {}), poly, sign, dq, dt)
+                        dq += x_q
+                        dt += x_T
+                    _p_iadd(nxt.setdefault((used | bit, v), {}), poly, c, dq, dt)
         layer = nxt
     total: dict = {}
     for poly in layer.values():
         _p_iadd(total, poly)
     return BivariatePolynomial(total)
+
+
+def _one_term(Z: BivariatePolynomial) -> tuple[FactorKey, int]:
+    """((e_q, e_T), coefficient) of the one term of Z."""
+    if len(Z.terms) != 1:
+        raise UsageError("Z must be one term c q^a T^b, got %r" % Z)
+    return next(iter(Z.terms.items()))
 
 
 @lru_cache(maxsize=None)
@@ -169,23 +174,23 @@ def eulerian_A(d: int) -> tuple[int, ...]:
 _GENERIC_PRIMES = (101, 211, 307, 401, 503, 601, 701, 809, 907, 1009)
 
 # built once: generic_slots only slices it
-_GENERIC_SLOTS = tuple(mono(p, 1) for p in _GENERIC_PRIMES)
+_GENERIC_SLOTS = tuple((p, 1) for p in _GENERIC_PRIMES)
 
 # The Z marker of the type-B checks: a prime q-exponent outside
 # _GENERIC_PRIMES, at T^2 where every generic slot is at T^1.
-GENERIC_Z = mono(977, 2)
+GENERIC_Z = BivariatePolynomial.monomial(1, 977, 2)
 
 
-def generic_slots(count: int) -> list[SignedMonomial]:
-    """Monomial slots q^P T with large distinct prime q-exponents.
+def generic_slots(count: int) -> list[FactorKey]:
+    """The first count of the slots q^P T with large distinct prime
+    q-exponents P, as factor keys (P, 1); errors.LIMITS holds their number.
 
     Markers for identity testing.  The substitution is not injective on
     monomials: 101 + 211 = 307 + 5, so X_1 X_2 and q^5 T X_3 both become
     q^312 T^2.  Two sides that agree on these slots are strong evidence of
     an identity in free slots, not a proof.
     """
-    if count > len(_GENERIC_SLOTS):
-        raise SizeGuard("not enough generic markers")
+    check_limit("generic_slots", "count", count)
     return list(_GENERIC_SLOTS[:count])
 
 
@@ -193,8 +198,8 @@ def igusa_B_residue(
     n: int,
     m: int,
     y_exponent: int,
-    Z: SignedMonomial,
-    X: Sequence[SignedMonomial],
+    Z: BivariatePolynomial,
+    X: Sequence[FactorKey],
 ) -> FactoredRational:
     """Residue of the full type-B Igusa function at X_m -> 1, factored form.
 
@@ -207,20 +212,20 @@ def igusa_B_residue(
     if len(X) != n:
         raise UsageError("need the n slots other than X_m")
     head, tail = list(X[:m]), list(X[m:])
-    a0 = mono(y_exponent * n, 0, -1) * Z
+    a0 = BivariatePolynomial.monomial(-1, y_exponent * n) * Z  # -Y^n Z
     pref = gauss_binom(n, m, y_exponent) * qpochhammer(a0, -y_exponent, n - m)
     left = igusa_B(m, y_exponent, Z, head)
     right = igusa_A(n - m, y_exponent, tail)
     return left * right * pref
 
 
-def _base_bounds(n: int, y_exponent: int, Z: SignedMonomial) -> tuple[int, int]:
+def _base_bounds(n: int, y_exponent: int, Z: BivariatePolynomial) -> tuple[int, int]:
     """(lo, hi) bounding y l(g) + e_q(Z) neg(g) over B_n: l <= n^2, neg <= n."""
-    y, z = y_exponent, Z.e_q
+    y, z = y_exponent, _one_term(Z)[0][0]
     return min(0, y) * n * n + min(0, z) * n, max(0, y) * n * n + max(0, z) * n
 
 
-def _descent_by_mask(n: int, y_exponent: int, Z: SignedMonomial) -> dict[int, dict]:
+def _descent_by_mask(n: int, y_exponent: int, Z: BivariatePolynomial) -> dict[int, dict]:
     """The terms Y^l(g) Z^neg(g) of :func:`signed_descent_sum` summed by
     descent set, {mask: raw terms}.
 
@@ -232,7 +237,7 @@ def _descent_by_mask(n: int, y_exponent: int, Z: SignedMonomial) -> dict[int, di
     check_limit("signed_descent_sum", "n", n)
     lo, hi = _base_bounds(n, y_exponent, Z)
     M = 1 << (hi - lo).bit_length()
-    markers = [mono(M << i, 0) for i in range(n)]
+    markers = [(M << i, 0) for i in range(n)]
     by_mask: dict[int, dict] = {}
     for (eq, et), c in signed_descent_sum(n, y_exponent, Z, markers).terms.items():
         mask, base = divmod(eq - lo, M)
@@ -243,8 +248,8 @@ def _descent_by_mask(n: int, y_exponent: int, Z: SignedMonomial) -> dict[int, di
 def residue_limits(
     n: int,
     y_exponent: int,
-    Z: SignedMonomial,
-    X: Sequence[SignedMonomial],
+    Z: BivariatePolynomial,
+    X: Sequence[FactorKey],
 ) -> tuple[BivariatePolynomial, list[FactoredRational]]:
     """The descent sum on the n slots X and, for each m < n, the residue of
     the full type-B Igusa function at X_m -> 1 from it.
@@ -258,19 +263,18 @@ def residue_limits(
     if len(X) != n:
         raise UsageError("need %d slots" % n)
     by_mask = _descent_by_mask(n, y_exponent, Z)
-    one = mono(0, 0)
     sums = []
-    for slots in [list(X)] + [[*X[:m], one, *X[m:n - 1]] for m in range(n)]:
-        shift = [(1, 0, 0)]  # (sign, dq, dt) of prod X_i over mask's bits
+    for slots in [list(X)] + [[*X[:m], (0, 0), *X[m:n - 1]] for m in range(n)]:
+        shift = [(0, 0)]  # (dq, dt) of prod X_i over mask's bits
         for mask in range(1, 1 << n):
-            sign, dq, dt = shift[mask & (mask - 1)]
-            x = slots[(mask & -mask).bit_length() - 1]
-            shift.append((sign * x.sign, dq + x.e_q, dt + x.e_T))
+            dq, dt = shift[mask & (mask - 1)]
+            a, b = slots[(mask & -mask).bit_length() - 1]
+            shift.append((dq + a, dt + b))
         out: dict = {}
         for mask, terms in by_mask.items():
-            _p_iadd(out, terms, *shift[mask])
+            _p_iadd(out, terms, 1, *shift[mask])
         sums.append(BivariatePolynomial(out))
-    return sums[0], [_over_slots(s, X) for s in sums[1:]]
+    return sums[0], [FactoredRational(s, Counter(X)) for s in sums[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +292,7 @@ def fibre_E(k: int, r: int) -> BivariatePolynomial:
         return BivariatePolynomial.zero()
     E = BivariatePolynomial.one()
     for s in (r, 2 * k + 1 - r):
-        E = E * qpochhammer(mono(1 - s, 1, -1), 2, s // 2)
+        E = E * qpochhammer(BivariatePolynomial.monomial(-1, 1 - s, 1), 2, s // 2)
     return E
 
 
@@ -301,12 +305,12 @@ def _qsquare_factorial(t: int) -> BivariatePolynomial:
     return out
 
 
-def Y_slot(j: int, r: int) -> SignedMonomial:
+def Y_slot(j: int, r: int) -> FactorKey:
     """The slot Y_j(r, T) = q^{r(2j+1-r)/2 - 2 j^2} T^j."""
-    return mono(r * (2 * j + 1 - r) // 2 - 2 * j * j, j)
+    return r * (2 * j + 1 - r) // 2 - 2 * j * j, j
 
 
-def fibre_I(n: int, k: int, r: int, X_tail: Sequence[SignedMonomial]) -> FactoredRational:
+def fibre_I(n: int, k: int, r: int, X_tail: Sequence[FactorKey]) -> FactoredRational:
     """Fibre sum over the w-vectors with terminal entry in {r, 2k+1-r}.
 
     Sum of C_k(w) times the plain degree-n Igusa function at
@@ -324,16 +328,15 @@ def fibre_I(n: int, k: int, r: int, X_tail: Sequence[SignedMonomial]) -> Factore
     return FactoredRational.sum(terms)
 
 
-def fibre_K(n: int, k: int, r: int, X_tail: Sequence[SignedMonomial]) -> BivariatePolynomial:
+def fibre_K(n: int, k: int, r: int, X_tail: Sequence[FactorKey]) -> BivariatePolynomial:
     """Coset model: sum over S_n / S_k of B^(t_k) q^{-2 l_k^+} X^{Des_>k} T^{t_k},
     with B^(t) = q^{-t(t-1)} [t]_{q^2}! [k-t]_{q^2}! e_{k,r}^(t).
 
     X_tail supplies X_{k+1} .. X_n (the last slot is never used by descents
     beyond position n - 1 but is accepted for signature symmetry with the
-    fibre sum).  Each coset adds B^(t_k) times one signed monomial, so the
-    cosets are grouped by t_k and the exponents of that monomial, with their
-    signs summed into one multiplicity, and each B^(t_k) is added once per
-    group.
+    fibre sum).  Each coset adds B^(t_k) times one monomial, so the cosets
+    are grouped by t_k and the exponents of that monomial, counted, and each
+    B^(t_k) is added once per group, times its count.
     """
     check_limit("fibre_K", "n", n)
     if k > n:
@@ -348,11 +351,11 @@ def fibre_K(n: int, k: int, r: int, X_tail: Sequence[SignedMonomial]) -> Bivaria
     groups: Counter = Counter()
     for g in coset_reps(n, k):
         t_k, ell, des = coset_stats(g, k)
-        sign, dq, dt = 1, -2 * ell, t_k
+        dq, dt = -2 * ell, t_k
         for j in des:
-            x = slots[j]
-            sign, dq, dt = sign * x.sign, dq + x.e_q, dt + x.e_T
-        groups[t_k, dq, dt] += sign
+            a, b = slots[j]
+            dq, dt = dq + a, dt + b
+        groups[t_k, dq, dt] += 1
     out: dict = {}
     for (t_k, dq, dt), c in groups.items():
         _p_iadd(out, B[t_k].terms, c, dq, dt)
@@ -385,7 +388,7 @@ def check_I_equals_K(n: int, k: int, r: int) -> None:
     # sum shares, so the comparison's sum, which multiplies each side only by
     # the factors it lacks, never expands it
     left = fibre_I(n, k, r, X_tail) * BivariatePolynomial(E)
-    right = fibre_prefactor(k, r) * _over_slots(K, X_tail)
+    right = fibre_prefactor(k, r) * FactoredRational(K, Counter(X_tail))
     if left != right:
         raise IdentityMismatch(
             "fibre identity failed at (n, k, r) = (%d, %d, %d)" % (n, k, r)
@@ -404,7 +407,8 @@ def hyperoctahedral_numerator(n: int, c: Sequence[int]) -> BivariatePolynomial:
     of :func:`signed_descent_sum` at Y = q^-1, Z = -q^n T and descent
     slots X_i = q^{c_i} T^{n+1}, computed by its dynamic program.
     """
-    return signed_descent_sum(n, -1, mono(n, 1, -1), [mono(ci, n + 1) for ci in c[:n]])
+    Z = BivariatePolynomial.monomial(-1, n, 1)
+    return signed_descent_sum(n, -1, Z, [(ci, n + 1) for ci in c[:n]])
 
 
 def is_self_reciprocal(f: FactoredRational, a: int, b: int) -> bool:
@@ -660,12 +664,12 @@ CHECKS = {
     "reduced": _check_reduced,
 }
 
-# The rows of errors.LIMITS with a largest value that each check reads, at
-# most its n, in the order in which it first reads them.  The verify command
-# applies the rows of every check it names after the first at n before it
-# runs any of them, so a later check's refusal comes before an earlier
-# check's work; the first check refuses by itself, as it does alone (residue
-# past 10 on its generic markers, a guard outside errors.LIMITS).
+# The rows of errors.LIMITS with a largest value that each check reads, in
+# the order in which it first reads them, each first at its n (residue reads
+# generic_slots at n + 1 too, past signed_descent_sum's smaller row).  The
+# verify command
+# applies the rows of every check it names at n before it runs any of them,
+# so a later check's refusal comes before an earlier check's work.
 GUARDS = {
     "crossform": (
         ("zeta_igusa_sum", "n"),
@@ -675,7 +679,7 @@ GUARDS = {
     ),
     "funeq": (("zeta_compact", "n"),),
     "poles": (("zeta_compact", "n"),),
-    "fibre": (("fibre_K", "n"),),
-    "residue": (("signed_descent_sum", "n"),),
-    "reduced": (("reduced_zeta", "n"), ("eulerian_A", "d"), ("reduced_c", "n")),
+    "fibre": (("generic_slots", "count"), ("fibre_K", "n")),
+    "residue": (("generic_slots", "count"), ("signed_descent_sum", "n")),
+    "reduced": (("reduced_zeta", "n"), ("reduced_c", "n")),
 }

@@ -21,11 +21,10 @@ from .errors import IdentityMismatch, check_limit
 from .exactalg import (
     BivariatePolynomial,
     FactoredRational,
-    SignedMonomial,
+    FactorKey,
     _unroll_dense,
     divide_out_factor,
     gauss_binom,
-    mono,
 )
 
 
@@ -49,14 +48,14 @@ def special_exponent(n: int, r: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def igusa_args(n: int, w: Sequence[int]) -> list[SignedMonomial]:
+def igusa_args(n: int, w: Sequence[int]) -> list[FactorKey]:
     """Slots (X_0, X_1, ..., X_n) for the w-indexed augmented Igusa summand.
 
     X_k = q^{(partial sum) + 2k(n-k)} T^k and X_0 = q^{2n} T * X_n.
     """
     ps = list(accumulate(w))
-    X = [mono(ps[k - 1] + 2 * k * (n - k), k) for k in range(1, n + 1)]
-    return [mono(2 * n, 1) * X[-1]] + X
+    X = [(ps[k - 1] + 2 * k * (n - k), k) for k in range(1, n + 1)]
+    return [(2 * n + X[-1][0], n + 1)] + X
 
 
 @lru_cache(maxsize=None)
@@ -119,7 +118,7 @@ def _type_B_form(n: int, c: Sequence[int]) -> FactoredRational:
     q^{c_i} T^{n+1}, over (T;q)_{2n}."""
     from .igusa import igusa_B
 
-    f = igusa_B(n, -1, mono(n, 1, -1), [mono(ci, n + 1) for ci in c])
+    f = igusa_B(n, -1, BivariatePolynomial.monomial(-1, n, 1), [(ci, n + 1) for ci in c])
     return f * FactoredRational.one_over((i, 1) for i in range(2 * n))
 
 
@@ -187,7 +186,7 @@ def reduced_zeta(n: int) -> FactoredRational:
     from .igusa import igusa_B
 
     check_limit("reduced_zeta", "n", n)
-    P = igusa_B(n, 0, mono(0, 1, -1), [mono(0, n + 1)] * (n + 1)).num
+    P = igusa_B(n, 0, BivariatePolynomial.monomial(-1, 0, 1), [(0, n + 1)] * (n + 1)).num
     for _ in range(n):
         quot = divide_out_factor(P, 0, 1)
         if quot is None:

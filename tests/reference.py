@@ -25,10 +25,9 @@ from heiszeta.exactalg import (
     _p_tslices,
     _unroll,
     gauss_binom,
-    mono,
     qpochhammer,
 )
-from heiszeta.igusa import _check_slots, _over_slots, igusa_A
+from heiszeta.igusa import _check_slots, igusa_A
 from heiszeta.oracle import (
     _gram,
     _omega,
@@ -170,31 +169,37 @@ def gauss_multinom(n: int, I, y_exponent: int) -> Poly:
     return out
 
 
-def qpochhammer_rational(a, step_exponent: int, m: int) -> FactoredRational:
-    """(a; q^step)_m for every integer m: the library's finite product for
-    m >= 0, its reciprocal ((a q^{step m}; q^step)_{-m})^-1 for m < 0."""
+def qpochhammer_rational(a: Poly, step_exponent: int, m: int) -> FactoredRational:
+    """(a; q^step)_m for every integer m and a = +-q^e_q T^e_T: the library's
+    finite product for m >= 0, its reciprocal ((a q^{step m}; q^step)_{-m})^-1
+    for m < 0."""
     if m >= 0:
         return FactoredRational(qpochhammer(a, step_exponent, m))
+    ((e_q, e_T), sign), = a.terms.items()
+    if sign not in (1, -1):
+        raise UsageError("a must be +-q^e_q T^e_T")
     # (a;q)_m = ((a q^m; q)_{-m})^-1
-    exps = [a.e_q + step_exponent * (m + i) for i in range(-m)]
-    if a.e_T == 0 and 0 in exps:
+    exps = [e_q + step_exponent * (m + i) for i in range(-m)]
+    if e_T == 0 and 0 in exps:
         raise UsageError("(a; q^%d)_%d has the constant factor %s, whose reciprocal is not "
                          "a product of factors 1 - q^a T^b"
-                         % (step_exponent, m, "1 - 1 = 0" if a.sign == 1 else "1 + 1 = 2"))
-    if a.sign == 1:
-        return FactoredRational.one_over((eq, a.e_T) for eq in exps)
+                         % (step_exponent, m, "1 - 1 = 0" if sign == 1 else "1 + 1 = 2"))
+    if sign == 1:
+        return FactoredRational.one_over((eq, e_T) for eq in exps)
     # negative monomial: 1/(1 + u) = (1 - u)/(1 - u^2)
     num = Poly.one()
     for eq in exps:
-        num = num * Poly.one_minus(eq, a.e_T)
-    return FactoredRational(num, Counter((2 * eq, 2 * a.e_T) for eq in exps))
+        num = num * Poly.one_minus(eq, e_T)
+    return FactoredRational(num, Counter((2 * eq, 2 * e_T) for eq in exps))
 
 
-def qpochhammer_factors(a, step_exponent: int, m: int) -> list[tuple[int, int]]:
-    """Factor list [(a_i, b)] with (a; q^step)_m = prod (1 - q^{a_i} T^b); m >= 0."""
-    if m < 0 or a.sign != 1:
-        raise ValueError("factor list needs m >= 0 and a positive monomial")
-    return [(a.e_q + step_exponent * i, a.e_T) for i in range(m)]
+def qpochhammer_factors(a: tuple[int, int], step_exponent: int, m: int) -> list[tuple[int, int]]:
+    """Factor list [(a_i, b)] with (q^e_q T^e_T; q^step)_m = prod (1 - q^{a_i} T^b),
+    for a = (e_q, e_T) and m >= 0."""
+    if m < 0:
+        raise ValueError("factor list needs m >= 0")
+    e_q, e_T = a
+    return [(e_q + step_exponent * i, e_T) for i in range(m)]
 
 
 class SubstitutionSingular(HeiszetaError):
@@ -226,9 +231,9 @@ def igusa_A_descent(n: int, y_exponent: int, X) -> FactoredRational:
     for g in perms(n):
         term = Poly.monomial(1, y_exponent * inversions(g), 0)
         for j in descent_set(g):
-            term = term * X[j].to_poly()
+            term = term * Poly.monomial(1, *X[j])
         num = num + term
-    return FactoredRational(num) * FactoredRational.one_over((x.e_q, x.e_T) for x in X)
+    return FactoredRational(num) * FactoredRational.one_over(X)
 
 
 def igusa_B_descent(n: int, y_exponent: int, Z, X) -> FactoredRational:
@@ -239,7 +244,7 @@ def igusa_B_descent(n: int, y_exponent: int, Z, X) -> FactoredRational:
     last entry); no group element is built.
     """
     _check_slots("B", n, X, n)
-    return _over_slots(signed_descent_sum(n, y_exponent, Z, X[:n]), X)
+    return FactoredRational(signed_descent_sum(n, y_exponent, Z, X[:n]), Counter(X))
 
 
 def igusa_B_residue_limit(n: int, m: int, y_exponent: int, Z, X) -> FactoredRational:
@@ -256,8 +261,8 @@ def igusa_B_residue_limit(n: int, m: int, y_exponent: int, Z, X) -> FactoredRati
     if len(X) != n:
         raise UsageError("need the n slots other than X_m")
     slots = {i: x for i, x in zip([i for i in range(n + 1) if i != m], X)}
-    descent_slots = [slots.get(i, mono(0, 0)) for i in range(n)]
-    return _over_slots(signed_descent_sum(n, y_exponent, Z, descent_slots), X)
+    descent_slots = [slots.get(i, (0, 0)) for i in range(n)]
+    return FactoredRational(signed_descent_sum(n, y_exponent, Z, descent_slots), Counter(X))
 
 
 def subset_sum_by_masks(n: int, y_exponent: int, interior, X, weight=None) -> FactoredRational:
@@ -271,11 +276,11 @@ def subset_sum_by_masks(n: int, y_exponent: int, interior, X, weight=None) -> Fa
             term = term * weight[n - min(I + [n])]
         for k, (_, x) in enumerate(interior):
             if mask >> k & 1:
-                term = term * x.to_poly()
+                term = term * Poly.monomial(1, *x)
             else:
-                term = term * Poly.one_minus(x.e_q, x.e_T)
+                term = term * Poly.one_minus(*x)
         _p_iadd(num, term.terms)
-    return _over_slots(Poly(num), X)
+    return FactoredRational(Poly(num), Counter(X))
 
 
 def _qsquare_int(m: int) -> Poly:
@@ -303,7 +308,7 @@ def fibre_K_by_cosets(n: int, k: int, r: int, X_tail) -> Poly:
         t_k, ell, des = coset_stats(g, k)
         term = B[t_k].shift(dq=-2 * ell)
         for j in des:
-            term = term * slots[j].to_poly()
+            term = term * Poly.monomial(1, *slots[j])
         _p_iadd(out, term.terms)
     return Poly(out)
 
@@ -314,7 +319,7 @@ def epsilon_kr(k: int, r: int, t: int) -> Poly:
     reciprocal product for negative s, expanded as a series in x."""
     if t < 0:
         return Poly.zero()
-    F = [qpochhammer_rational(mono(1 - s, 1, -1), 2, s // 2) for s in (r, 2 * k + 1 - r)]
+    F = [qpochhammer_rational(Poly.monomial(-1, 1 - s, 1), 2, s // 2) for s in (r, 2 * k + 1 - r)]
     return (F[0] * F[1]).series_in_T(t)[t]
 
 
@@ -322,7 +327,7 @@ def Z_of_w(w, n: int) -> FactoredRational:
     """Analytic contribution of one w: truncated Igusa over (1-X_0)(1-X_n)."""
     X = igusa_args(n, w)
     f = igusa_A(n, -2, X[1:n])
-    return f * FactoredRational.one_over([(X[0].e_q, X[0].e_T), (X[n].e_q, X[n].e_T)])
+    return f * FactoredRational.one_over([X[0], X[n]])
 
 
 def _partition_sum(n: int, max_size: int, weight) -> FactoredRational:

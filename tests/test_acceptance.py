@@ -20,7 +20,6 @@ from heiszeta.counts import birkhoff_alpha, nprime_closed
 from heiszeta.exactalg import (
     BivariatePolynomial as Poly,
     FactoredRational as FR,
-    mono,
     qpochhammer,
 )
 from heiszeta.igusa import igusa_A, igusa_B
@@ -216,7 +215,7 @@ def test_criterion_10_fibre_machinery():
         assert fibre_E(2, 2) == Poly({(0, 0): 1, (-2, 1): 1, (-1, 1): 1, (-3, 2): 1})
         X3, X4 = generic_slots(2)
         K = fibre_K(4, 2, 2, [X3, X4])
-        x3 = X3.to_poly()
+        x3 = Poly.monomial(1, *X3)
         expect = Poly({(0, 0): 1, (2, 0): 1})
         expect = expect + Poly(
             {(-6, 0): 1, (-5, 0): 1, (-4, 0): 1, (-3, 0): 1}
@@ -253,8 +252,8 @@ def test_criterion_11_type_B_layer():
         for n in (1, 2, 3, 4):
             c = c_exponents(n)
             for m in range(n + 1):
-                X = [mono(c[i] - c[m], 0) for i in range(n + 1) if i != m]
-                L = igusa_B_residue(n, m, -1, mono(n, 1, -1), X)
+                X = [(c[i] - c[m], 0) for i in range(n + 1) if i != m]
+                L = igusa_B_residue(n, m, -1, Poly.monomial(-1, n, 1), X)
                 num = Poly.monomial((-1) ** (n - m), n - m, 0)
                 num = num * Poly.one_minus(2 * m + 1, 0)
                 for i in range(n):
@@ -274,17 +273,17 @@ def test_criterion_12_q_hypergeometric_specializations():
     with Criterion(12, "triangular specializations of both Igusa types"):
         uq, ut = 97, 2
         for n in range(5):
-            X = [mono(-(r * (r + 1) // 2) + uq * r, ut * r) for r in range(1, n + 1)]
+            X = [(-(r * (r + 1) // 2) + uq * r, ut * r) for r in range(1, n + 1)]
             lhs = igusa_A(n, -1, X)
-            num = qpochhammer(mono(uq - 1, ut, -1), -1, n)
-            den = qpochhammer_factors(mono(2 * uq - 2, 2 * ut), -1, n)
+            num = qpochhammer(Poly.monomial(-1, uq - 1, ut), -1, n)
+            den = qpochhammer_factors((2 * uq - 2, 2 * ut), -1, n)
             assert lhs == FR(num, {k: den.count(k) for k in set(den)}), n
         Z = GENERIC_Z
         for k in range(5):
-            X = [mono((k * (k + 1) - r * (r + 1)) // 2, 0) for r in range(k)]
+            X = [((k * (k + 1) - r * (r + 1)) // 2, 0) for r in range(k)]
             lhs = igusa_B(k, -1, Z, X)
-            num = qpochhammer(mono(1 - k, 0, -1) * Z, 2, k)
-            den = qpochhammer_factors(mono(1, 0), 2, k)
+            num = qpochhammer(Poly.monomial(-1, 1 - k) * Z, 2, k)
+            den = qpochhammer_factors((1, 0), 2, k)
             assert lhs == FR(num, {kk: den.count(kk) for kk in set(den)}), k
 
 

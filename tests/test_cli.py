@@ -128,11 +128,11 @@ def test_residue_check_builds_each_descent_sum_once(monkeypatch):
 
 
 def test_verify_residue_past_the_descent_guard_exits_2(capsys):
-    # each check builds its guarded side first, so the refusal enters at most
-    # 10 package functions, as each refusal of tests/test_limits.py does; the
-    # fibre check's guard is fibre_K's.  The guards of a later check are
-    # applied before the first one runs: crossform refuses n = 7 before the
-    # seconds-long fibre proof
+    # the rows of every named check (verify.GUARDS) are applied before any
+    # check runs, so the refusal enters at most 10 package functions, as each
+    # refusal of tests/test_limits.py does; the fibre check's guard at n = 9
+    # is fibre_K's.  A later check's rows refuse before the first one runs:
+    # crossform refuses n = 7 before the seconds-long fibre proof
     from heiszeta import combinat, igusa, verify  # noqa: F401 (loaded before the count)
 
     entered = []
@@ -180,13 +180,13 @@ def test_guards_are_the_rows_each_check_reads(monkeypatch, check):
 
 
 def test_the_first_check_refuses_by_itself(capsys):
-    # past n = 10 residue runs out of generic markers before it reads
-    # signed_descent_sum's row; named first, it prints what it prints alone
-    for checks in ("residue", "residue,funeq"):
+    # past n = 10 residue and fibre run out of generic markers, the first row
+    # each reads; named first, a check prints what it prints alone
+    for checks in ("residue", "residue,funeq", "fibre", "fibre,funeq"):
         code = main(["verify", "--n", "11", "--checks", checks])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, ""), checks
-        assert captured.err == "guard: not enough generic markers\n", checks
+        assert captured.err == "guard: generic_slots: count = 11 exceeds 10\n", checks
 
 
 def test_verify_raised_mismatch_keeps_every_report(capsys, monkeypatch):

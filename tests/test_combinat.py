@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from heiszeta.combinat import Partition, gen_W, partitions_up_to, weight_C
 from heiszeta.errors import SizeGuard, UsageError
-from heiszeta.exactalg import BivariatePolynomial as Poly, FactoredRational as FR, mono
+from heiszeta.exactalg import BivariatePolynomial as Poly, FactoredRational as FR
 from heiszeta.igusa import igusa_B
 from heiszeta.verify import (
     GENERIC_Z,
@@ -237,22 +237,20 @@ def _group_statistics(n):
 
 def _direct_signed_sum(n, y, Z, X):
     """Sum over B_n of q^{y l(g)} Z^neg(g) prod_{i in Des_B(g)} X_i, term by term."""
+    ((z_q, z_T), z), = Z.terms.items()
     terms = {}
     for (length, neg, des), count in _group_statistics(n).items():
-        m = mono(y * length, 0)
-        for _ in range(neg):
-            m = m * Z
+        key = (y * length + neg * z_q, neg * z_T)
         for i in des:
-            m = m * X[i]
-        key = (m.e_q, m.e_T)
-        terms[key] = terms.get(key, 0) + m.sign * count
+            key = (key[0] + X[i][0], key[1] + X[i][1])
+        terms[key] = terms.get(key, 0) + z**neg * count
     return Poly(terms)
 
 
 _monomials = st.builds(
-    mono, st.integers(-9, 9), st.integers(0, 3), st.sampled_from((1, -1))
+    Poly.monomial, st.sampled_from((1, -1, 3)), st.integers(-9, 9), st.integers(0, 3)
 )
-_positive = st.builds(mono, st.integers(-9, 9), st.integers(0, 3))
+_slots = st.tuples(st.integers(-9, 9), st.integers(0, 3))
 
 
 @settings(max_examples=80, deadline=None)
@@ -260,7 +258,7 @@ _positive = st.builds(mono, st.integers(-9, 9), st.integers(0, 3))
     n=st.integers(0, 4),
     y=st.integers(-3, 3),
     Z=_monomials,
-    X=st.lists(_positive, min_size=4, max_size=4),
+    X=st.lists(_slots, min_size=4, max_size=4),
 )
 def test_signed_descent_sum_matches_group_enumeration(n, y, Z, X):
     assert signed_descent_sum(n, y, Z, X[:n]) == _direct_signed_sum(n, y, Z, X[:n])
@@ -272,7 +270,7 @@ def test_signed_descent_sum_hyperoctahedral_slots(n, graded):
     from heiszeta.zeta import c_exponents, c_exponents_graded
 
     c = c_exponents_graded(n) if graded else c_exponents(n)
-    args = (-1, mono(n, 1, -1), [mono(ci, n + 1) for ci in c[:n]])
+    args = (-1, Poly.monomial(-1, n, 1), [(ci, n + 1) for ci in c[:n]])
     assert signed_descent_sum(n, *args) == _direct_signed_sum(n, *args)
 
 
@@ -280,19 +278,26 @@ def test_signed_descent_sum_hyperoctahedral_slots(n, graded):
 def test_signed_descent_sum_residue_limit_slots(n):
     # slot m set to 1, as in the residue limits
     for m in range(n + 1):
-        X = [mono(0, 0) if i == m else mono(101 + 100 * i, 1) for i in range(n)]
+        X = [(0, 0) if i == m else (101 + 100 * i, 1) for i in range(n)]
         got = signed_descent_sum(n, -1, GENERIC_Z, X)
         assert got == _direct_signed_sum(n, -1, GENERIC_Z, X)
 
 
 def test_signed_descent_sum_guard_and_arity():
+    Z = Poly.monomial(1, 0, 1)
     with pytest.raises(SizeGuard):
-        signed_descent_sum(9, -1, mono(0, 1), [mono(1, 1)] * 9)
+        signed_descent_sum(9, -1, Z, [(1, 1)] * 9)
     with pytest.raises(UsageError):
-        signed_descent_sum(3, -1, mono(0, 1), [mono(1, 1)] * 4)
+        signed_descent_sum(3, -1, Z, [(1, 1)] * 4)
     with pytest.raises(UsageError):
-        signed_descent_sum(-1, -1, mono(0, 1), [])
-    assert signed_descent_sum(0, -1, mono(0, 1), []) == Poly.one()
+        signed_descent_sum(-1, -1, Z, [])
+    assert signed_descent_sum(0, -1, Z, []) == Poly.one()
+
+
+@pytest.mark.parametrize("Z", [Poly.one_minus(0, 1), Poly.zero()], ids=["1 - T", "0"])
+def test_signed_descent_sum_refuses_a_Z_of_other_than_one_term(Z):
+    with pytest.raises(UsageError, match="one term"):
+        signed_descent_sum(2, -1, Z, [(1, 1)] * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +336,7 @@ def test_eulerian_identity(d):
 def _brenti_B(n):
     # B_n(X, Y) = sum over B_n of Y^neg X^des_B, as the type-B Igusa function's
     # numerator at Y = 1: slots q mark descents and Z = T marks negatives
-    f = igusa_B(n, 0, mono(0, 1), [mono(1, 0)] * n)
+    f = igusa_B(n, 0, Poly.monomial(1, 0, 1), [(1, 0)] * n)
     assert Counter(f.den) == Counter({(1, 0): n}) and f.tshift == 0
     return f.num
 

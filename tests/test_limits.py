@@ -19,11 +19,11 @@ from heiszeta.cli import build_parser, validate
 from heiszeta.combinat import gen_W
 from heiszeta.errors import LIMITS, BudgetExceeded, SizeGuard, UsageError, check_prime
 from heiszeta.counts import birkhoff_number
-from heiszeta.exactalg import gauss_binom, mono, qpochhammer
+from heiszeta.exactalg import BivariatePolynomial as Poly, gauss_binom, qpochhammer
 from heiszeta.igusa import igusa_A
 from heiszeta.numeric import rn_numeric
 from heiszeta.oracle import enum_lagrangians, enum_subalgebras, enum_sublattices, hnf_enumerate
-from heiszeta.verify import eulerian_A, fibre_K, reduced_c, reduced_cone_series
+from heiszeta.verify import eulerian_A, fibre_K, generic_slots, reduced_c, reduced_cone_series
 from heiszeta.verify import signed_descent_sum
 from heiszeta.zeta import (
     dirichlet_coeffs,
@@ -37,8 +37,8 @@ from heiszeta.zeta import (
 )
 
 PACKAGE = str(Path(oracle.__file__).parent)
-SLOTS = [mono(101, 1)] * 10  # built here, so that the refusals do not count them
-Z = mono(977, 2)
+SLOTS = [(101, 1)] * 10
+Z = Poly.monomial(1, 977, 2)  # built here, so that the refusals do not count it
 
 
 def _hnf_bases(v):
@@ -58,6 +58,7 @@ CASES = {
     ("signed_descent_sum", "n"): lambda v: signed_descent_sum(v, -1, Z, SLOTS[:max(v, 0)]),
     ("eulerian_A", "d"): eulerian_A,
     ("fibre_K", "n"): lambda v: fibre_K(v, 0, 0, SLOTS[:max(v, 0)]),
+    ("generic_slots", "count"): generic_slots,
     ("zeta_igusa_sum", "n"): zeta_igusa_sum,
     ("zeta_compact", "n"): zeta_compact,
     ("zeta_hyperoctahedral", "n"): zeta_hyperoctahedral,
@@ -72,7 +73,7 @@ CASES = {
     ("enum_subalgebras", "n"): lambda v: enum_subalgebras(v, 2, 1),
     ("gen_W", "n"): gen_W,
     ("gauss_binom", "n"): lambda v: gauss_binom(v, 0, 1),
-    ("qpochhammer", "m"): lambda v: qpochhammer(mono(1, 1), 1, v),
+    ("qpochhammer", "m"): lambda v: qpochhammer(Z, 1, v),
     ("Igusa functions", "degree n"): lambda v: igusa_A(v, 1, []),
     ("HNF enumeration", "rank"): lambda v: list(hnf_enumerate(v, 2, 1)),
     ("birkhoff_number", "Q"): lambda v: birkhoff_number((1,), 1, v),

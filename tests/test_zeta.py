@@ -11,7 +11,6 @@ from heiszeta.errors import IdentityMismatch, UsageError
 from heiszeta.exactalg import (
     BivariatePolynomial as Poly,
     FactoredRational as FR,
-    mono,
 )
 from heiszeta.igusa import igusa_B
 from heiszeta.oracle import (
@@ -314,8 +313,8 @@ def test_truncated_factor_identity(n):
     # specialization, since c_n = 2n and truncation divides out that slot
     c = c_exponents(n)
     assert c[n] == 2 * n
-    X = [mono(ci, n + 1) for ci in c[:n]]
-    igm = igusa_B(n, -1, mono(n, 1, -1), X)
+    X = [(ci, n + 1) for ci in c[:n]]
+    igm = igusa_B(n, -1, Poly.monomial(-1, n, 1), X)
     den = {(i, 1): 1 for i in range(2 * n)}
     den[(2 * n, n + 1)] = 1
     assert zeta_hyperoctahedral(n) == FR(1, den) * igm
