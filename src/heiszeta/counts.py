@@ -113,7 +113,7 @@ def nprime_closed(mu) -> BivariatePolynomial:
         dot = sum(wi * mi for wi, mi in zip(w, mu))
         terms.append(weight_C(w) * BivariatePolynomial.monomial(1, dot, 0))
     total = FactoredRational.sum(terms).reduced()
-    if total.den or total.tshift:
+    if total.den or any(et for _, et in total.num.terms):
         raise IdentityMismatch(
             "N'(%s) did not reduce to a polynomial" % (mu,)
         )

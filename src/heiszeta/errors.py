@@ -68,7 +68,10 @@ LIMITS = {
     ("zeta_igusa_sum", "n"): (1, 5),
     ("zeta_compact", "n"): (0, 12),
     ("zeta_hyperoctahedral", "n"): (0, 6),
-    ("zeta_ideal", "n"): (0, None),
+    # the largest power of ten inside 10 s on a 2-vCPU VM: `zeta --n 1000000
+    # --form ideal` took 6.7 s and 604 MB (10^5: 0.8 s and 86 MB), so 10^7
+    # would take about a minute and 6 GB
+    ("zeta_ideal", "n"): (0, 10**6),
     ("zeta_graded", "n"): (0, 6),
     ("reduced_zeta", "n"): (0, 8),
     ("reduced_cone_series", "n"): (0, None),
@@ -77,7 +80,10 @@ LIMITS = {
     ("rn_numeric", "n"): (2, 6),
     ("enum_sublattices", "n"): (1, None),
     ("enum_subalgebras", "n"): (0, None),
-    ("gen_W", "n"): (0, None),
+    # the largest n inside 10 s on a 2-vCPU VM: gen_W(n) builds 2^n vectors,
+    # n = 21 took 2.9 s and 677 MB, and each step doubles both (n = 22:
+    # about 6 s and 1.4 GB)
+    ("gen_W", "n"): (0, 22),
     ("gauss_binom", "n"): (0, None),
     ("qpochhammer", "m"): (0, None),
     # igusa_A and igusa_B

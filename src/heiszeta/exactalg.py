@@ -3,13 +3,12 @@
 Everything downstream of this module lives in one of two value types, both
 immutable by construction:
 
-* :class:`BivariatePolynomial` -- a Laurent polynomial in q whose T-exponents
-  are nonnegative, with arbitrary-precision integer coefficients.  Stored as
-  a read-only sparse map ``(e_q, e_T) -> coefficient``; zero coefficients are
-  never stored.
+* :class:`BivariatePolynomial` -- a Laurent polynomial in q and T with
+  arbitrary-precision integer coefficients.  Stored as a read-only sparse
+  map ``(e_q, e_T) -> coefficient``; zero coefficients are never stored.
 
-* :class:`FactoredRational` -- ``T^tshift * num / prod (1 - q^a T^b)^mult``
-  with the denominator kept as a read-only multiset of factors.  All
+* :class:`FactoredRational` -- ``num / prod (1 - q^a T^b)^mult`` with the
+  denominator kept as a read-only multiset of factors.  All
   generating functions and zeta functions in this package are values of
   this type.
 
@@ -28,8 +27,8 @@ layout a product with 1 - q^a T^b is a shift and a subtraction.
 Sums multiply by cofactors and never expand a common denominator only to
 divide it back: on dicts by ``_p_iadd``, or, under the size rule applied to the
 whole sum, in one packed accumulation read back once, folded over the growing lcm.
-Equality compares the numerators of two sides over the same denominator and
-T-shift, and otherwise asks the sum whether their difference is zero.
+Equality compares the numerators of two sides over the same denominator, and
+otherwise asks the sum whether their difference is zero.
 
 Division by 1 - u is one recurrence, y = x + u y: ``_unroll`` on the T-rows
 of ``_p_tslices`` for T-factors and series in T, ``_unroll_dense`` on dense
@@ -87,18 +86,17 @@ def _p_box(a: dict) -> tuple[int, int, int, int]:
     return min(qs), max(qs), min(ts), max(ts)
 
 
+def _t_low(a: Mapping) -> int:
+    """Least T-exponent of a raw dict; 0 for the empty one."""
+    return min((et for _, et in a), default=0)
+
+
 def _p_mul(a: dict, b: dict) -> dict:
     """Product of two raw dicts: by Kronecker substitution when the shorter
     operand has at least _KRONECKER_MIN_TERMS terms and the product's exponent
     box has at most len(a) * len(b) / 2 cells, else by the schoolbook loop."""
     if len(b) < len(a):
         a, b = b, a
-    if len(b) == 1:
-        # monomial times monomial, the bulk of the products in the fibre and
-        # residue checks: one term, nothing to collect or cancel
-        for (qa, ta), ca in a.items():
-            for (qb, tb), cb in b.items():
-                return {(qa + qb, ta + tb): ca * cb}
     if len(a) >= _KRONECKER_MIN_TERMS:
         qa0, qa1, ta0, ta1 = _p_box(a)
         qb0, qb1, tb0, tb1 = _p_box(b)
@@ -210,15 +208,16 @@ def _p_scale(a: dict, c: int, dq: int = 0, dt: int = 0) -> dict:
     return {(eq + dq, et + dt): cc * c for (eq, et), cc in a.items()}
 
 
-def _p_tslices(a: Mapping, dt: int = 0, top: Optional[int] = None) -> list[dict[int, int]]:
-    """The row layout of T^dt * a: a list indexed by e_T whose row k is
-    {e_q: coeff} of T^k, through T^top (by default the top degree)."""
+def _p_tslices(a: Mapping, lo: int, top: Optional[int] = None) -> list[dict[int, int]]:
+    """The row layout of a from T^lo, which is at most its least T-exponent:
+    a list whose row k is {e_q: coeff} of T^(lo + k), through T^top (by
+    default the top degree)."""
     if top is None:
-        top = max((et for _, et in a), default=-1) + dt
-    rows: list[dict[int, int]] = [{} for _ in range(top + 1)]
+        top = max((et for _, et in a), default=lo - 1)
+    rows: list[dict[int, int]] = [{} for _ in range(top - lo + 1)]
     for (eq, et), c in a.items():
-        if et + dt <= top:
-            rows[et + dt][eq] = c
+        if et <= top:
+            rows[et - lo][eq] = c
     return rows
 
 
@@ -265,7 +264,7 @@ def _set_fields(obj, **fields):
 
 
 class BivariatePolynomial:
-    """Sparse exact polynomial in T with Laurent exponents in q.
+    """Sparse exact polynomial with Laurent exponents in q and T.
 
     Immutable by construction: ``terms`` is a read-only view, and the
     attribute cannot be rebound.
@@ -285,11 +284,8 @@ class BivariatePolynomial:
         t = {}
         if terms:
             for (eq, et), c in terms.items():
-                if c == 0:
-                    continue
-                if et < 0:
-                    raise UsageError("negative T-exponent in polynomial term")
-                t[(eq, et)] = c
+                if c:
+                    t[(eq, et)] = c
         _set_fields(self, terms=MappingProxyType(t))
 
     # -- constructors -------------------------------------------------------
@@ -304,8 +300,6 @@ class BivariatePolynomial:
 
     @classmethod
     def monomial(cls, coeff: int, e_q: int = 0, e_T: int = 0) -> "BivariatePolynomial":
-        if e_T < 0:
-            raise UsageError("negative T-exponent in polynomial term")
         return cls._raw({(e_q, e_T): coeff} if coeff else {})
 
     @classmethod
@@ -374,10 +368,6 @@ class BivariatePolynomial:
     def coefficient(self, e_q: int, e_T: int) -> int:
         return self.terms.get((e_q, e_T), 0)
 
-    def t_degree(self) -> int:
-        """Largest T-exponent; -1 for the zero polynomial."""
-        return max((et for _, et in self.terms), default=-1)
-
     def sorted_terms(self) -> list[tuple[int, int, int]]:
         """Terms as (coeff, e_q, e_T), ordered lexicographically by (e_T, e_q)."""
         return [
@@ -386,8 +376,8 @@ class BivariatePolynomial:
         ]
 
     def shift(self, dq: int = 0, dt: int = 0) -> "BivariatePolynomial":
-        """Multiply by q^dq T^dt (dt may not push any exponent below zero)."""
-        return BivariatePolynomial(_p_scale(self.terms, 1, dq, dt))
+        """Multiply by q^dq T^dt."""
+        return BivariatePolynomial._raw(_p_scale(self.terms, 1, dq, dt))
 
     def scaled(self, c: int) -> "BivariatePolynomial":
         return BivariatePolynomial._raw(_p_scale(self.terms, c))
@@ -396,18 +386,19 @@ class BivariatePolynomial:
         """Exact evaluation at an integer q (q != 0): {e_T: integer coeff}.
 
         Negative q-exponents must cancel; raises if the result is not an
-        integer polynomial in T.
+        integer Laurent polynomial in T.
         """
         if not q:
             raise UsageError("evaluation needs q != 0")
         out = {}
-        for et, row in enumerate(_p_tslices(self.terms)):
+        lo = _t_low(self.terms)
+        for k, row in enumerate(_p_tslices(self.terms, lo)):
             neg = -min(0, min(row, default=0))
             val, rem = divmod(sum(c * q ** (eq + neg) for eq, c in row.items()), q**neg)
             if rem:
                 raise UsageError("evaluation at q=%d is not integral" % q)
             if val:
-                out[et] = val
+                out[lo + k] = val
         return out
 
     def __repr__(self):
@@ -439,17 +430,18 @@ def divide_out_factor(p: BivariatePolynomial, a: int, b: int) -> Optional[Bivari
         raise UsageError("factor must have b >= 0")
     if p.is_zero():
         return BivariatePolynomial.zero()
-    terms, tv, left = _cancel(p.terms, [(a, b, 1)])
-    return None if left[0] else BivariatePolynomial._raw(_p_scale(terms, 1, 0, tv))
+    terms, left = _cancel(p.terms, [(a, b, 1)])
+    return None if left[0] else BivariatePolynomial._raw(terms)
 
 
-def _cancel(terms: Mapping, factors: Sequence[tuple[int, int, int]]) -> tuple[dict, int, list]:
+def _cancel(terms: Mapping, factors: Sequence[tuple[int, int, int]]) -> tuple[dict, list]:
     """Divide terms by each (1 - q^a T^b)^m of factors in order, one copy at a
     time while a copy divides exactly: constant factors on dense row lists kept
     from one factor to the next, T-factors on the sparse rows once the copy
-    divides at q = 2.  Returns the quotient's terms without their T-content,
-    that T-content, and the copies of each factor that did not divide."""
-    rows, dense, left, at2 = _p_tslices(terms), False, [], None
+    divides at q = 2.  Returns the quotient's terms and the copies of each
+    factor that did not divide."""
+    t0 = _t_low(terms)
+    rows, dense, left, at2 = _p_tslices(terms, t0), False, [], None
     for a, b, m in factors:
         if dense != (b == 0):
             rows, dense = [_dense_row(r) if b == 0 else _sparse_row(r) for r in rows], b == 0
@@ -477,8 +469,7 @@ def _cancel(terms: Mapping, factors: Sequence[tuple[int, int, int]]) -> tuple[di
         left.append(m)
     if dense:
         rows = [_sparse_row(r) for r in rows]
-    tv = next((et for et, row in enumerate(rows) if row), 0)
-    return {(eq, et - tv): c for et, row in enumerate(rows) for eq, c in row.items()}, tv, left
+    return {(eq, t0 + k): c for k, row in enumerate(rows) for eq, c in row.items()}, left
 
 
 def _dense_row(row: dict[int, int]) -> Optional[tuple[int, list[int]]]:
@@ -514,32 +505,30 @@ FactorKey = tuple[int, int]  # (a, b) denoting 1 - q^a T^b
 
 
 class FactoredRational:
-    """T^tshift * num / prod over den of (1 - q^a T^b)^mult.
+    """num / prod over den of (1 - q^a T^b)^mult.
 
-    ``den`` maps (a, b) to a positive multiplicity.  The constructor
-    normalizes factors so that b >= 0, and a > 0 whenever b == 0, folding the
-    units of all flipped factors into the numerator and tshift in one pass.
+    ``num`` is a Laurent polynomial in q and T, and ``den`` maps (a, b) to a
+    positive multiplicity.  The constructor normalizes factors so that
+    b >= 0, and a > 0 whenever b == 0, folding the units -q^-a T^-b of all
+    flipped factors into the numerator in one pass.
     The represented value never changes under normalization or
     :meth:`reduced`.  Immutable by construction: ``den`` is a read-only view,
     and no attribute can be rebound.
     """
 
-    __slots__ = ("num", "den", "tshift")
+    __slots__ = ("num", "den")
 
     __setattr__ = __delattr__ = BivariatePolynomial.__setattr__
 
     def __reduce__(self):
-        return FactoredRational, (self.num, dict(self.den), self.tshift)
+        return FactoredRational, (self.num, dict(self.den))
 
     def __init__(
-        self,
-        num: BivariatePolynomial | int = 1,
-        den: Optional[Mapping[FactorKey, int]] = None,
-        tshift: int = 0,
+        self, num: BivariatePolynomial | int = 1, den: Optional[Mapping[FactorKey, int]] = None
     ):
         num = _coerce_poly(num)
         clean_den: dict[FactorKey, int] = {}
-        sign, dq = 1, 0
+        sign, dq, dt = 1, 0, 0
         for (a, b), m in (den or {}).items():
             if m < 0:
                 raise UsageError("negative factor multiplicity")
@@ -549,14 +538,14 @@ class FactoredRational:
                 raise UsageError("denominator factor 1 - q^0 T^0 = 0")
             if b < 0 or (b == 0 and a < 0):
                 # 1/(1 - q^a T^b) = -q^-a T^-b / (1 - q^-a T^-b)
-                sign, dq, tshift = sign * (-1) ** m, dq - a * m, tshift - b * m
+                sign, dq, dt = sign * (-1) ** m, dq - a * m, dt - b * m
                 a, b = -a, -b
             clean_den[(a, b)] = clean_den.get((a, b), 0) + m
-        if sign != 1 or dq:
-            num = BivariatePolynomial._raw(_p_scale(num.terms, sign, dq))
+        if sign != 1 or dq or dt:
+            num = BivariatePolynomial._raw(_p_scale(num.terms, sign, dq, dt))
         if num.is_zero():
-            clean_den, tshift = {}, 0
-        _set_fields(self, num=num, den=MappingProxyType(clean_den), tshift=tshift)
+            clean_den = {}
+        _set_fields(self, num=num, den=MappingProxyType(clean_den))
 
     # -- constructors -------------------------------------------------------
 
@@ -572,17 +561,17 @@ class FactoredRational:
 
     def __mul__(self, other):
         if isinstance(other, _POLY_LIKE):
-            return FactoredRational(self.num * _coerce_poly(other), self.den, self.tshift)
+            return FactoredRational(self.num * _coerce_poly(other), self.den)
         if not isinstance(other, FactoredRational):
             return NotImplemented
         den = Counter(self.den)
         den.update(other.den)
-        return FactoredRational(self.num * other.num, den, self.tshift + other.tshift)
+        return FactoredRational(self.num * other.num, den)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return FactoredRational(self.num.scaled(-1), self.den, self.tshift)
+        return FactoredRational(self.num.scaled(-1), self.den)
 
     def __add__(self, other):
         if isinstance(other, _POLY_LIKE):
@@ -616,38 +605,37 @@ class FactoredRational:
         lcm: dict[FactorKey, int] = {}
         for it in items:
             lcm.update((k, m) for k, m in it.den.items() if m > lcm.get(k, 0))
-        tmin = min(it.tshift for it in items)
         parts, spans, pairs = [], [], 0
         for it in items:
-            terms, missing, dt = it.num.terms, _missing(it.den, lcm), it.tshift - tmin
+            terms, missing = it.num.terms, _missing(it.den, lcm)
             (lo, hi, top, count), box = _span(missing), _p_box(terms)
-            parts.append((terms, missing, box, dt, it.den))
-            spans.append((box[0] + lo, box[1] + hi, box[2] + dt, box[3] + top + dt))
+            parts.append((terms, missing, box, it.den))
+            spans.append((box[0] + lo, box[1] + hi, box[2], box[3] + top))
             pairs += len(terms) * count
         q0, q1, t0, t1 = (f(s[i] for s in spans) for i, f in enumerate((min, max, min, max)))
         width, rows = q1 - q0 + 1, t1 - t0 + 1
         if 2 * width * rows > pairs:
             total: dict = {}
-            for terms, missing, _, dt, _ in parts:
+            for terms, missing, _, _ in parts:
                 for (a, b), m in missing.items():  # times 1 - q^a T^b, m times
                     for _ in range(m):
                         terms = _p_iadd(dict(terms), terms, -1, a, b)
-                _p_iadd(total, terms, 1, 0, dt)
+                _p_iadd(total, terms)
         else:
             # each product's coefficients are below 2^(bits of num + sum of mult)
             bits = max(max(map(abs, t.values())).bit_length() + sum(m.values())
-                       for t, m, _, _, _ in parts)
+                       for t, m, _, _ in parts)
             w = _slot_bytes(bits + len(parts).bit_length() + 1)
             # seen, the lcm of the items so far, starts at the first item's factors:
             # a factor of every item may shift by <= 0, and is never applied
-            value, seen = 0, dict(parts[0][4])
-            for terms, _, box, dt, den in parts:
+            value, seen = 0, dict(parts[0][3])
+            for terms, _, box, den in parts:
                 value = _kron_times(value, _missing(seen, den), w, width)
                 seen.update((k, m) for k, m in den.items() if m > seen.get(k, 0))
                 packed = _kron_times(_kron_pack(terms, box, width, w), _missing(den, seen), w, width)
-                value += packed << 8 * w * ((box[2] + dt - t0) * width + box[0] - q0)
+                value += packed << 8 * w * ((box[2] - t0) * width + box[0] - q0)
             total = _kron_unpack(value, w, width, rows, q0, t0)
-        return FactoredRational(BivariatePolynomial._raw(total), lcm, tmin)
+        return FactoredRational(BivariatePolynomial._raw(total), lcm)
 
     # -- equality through the sum ---------------------------------------------
 
@@ -657,7 +645,7 @@ class FactoredRational:
             other = FactoredRational(_coerce_poly(other))
         if not isinstance(other, FactoredRational):
             return NotImplemented
-        if self.den == other.den and self.tshift == other.tshift:
+        if self.den == other.den:
             # the same denominator needs no cofactor, and the sum would still
             # pack both numerators and read the difference back (ten to fifteen
             # times slower on the funeq and residue identities)
@@ -677,30 +665,24 @@ class FactoredRational:
         Factors with b == 0 are attempted first, then the T-positive factors,
         each copy unrolled only if it divides the numerator at q = 2, as every
         copy that divides exactly does (a one-sided test: the result is the
-        same).  Finally the numerator's T-content is folded into tshift.  To
-        cancel only some factors, reduce a value over those alone, as
-        zeta_compact does with (q;q^2)_{n+1}.
+        same).  To cancel only some factors, reduce a value over those alone,
+        as zeta_compact does with (q;q^2)_{n+1}.
         """
         if self.num.is_zero():
             return FactoredRational.zero()
         factors = sorted_factors(self.den)
-        terms, tv, left = _cancel(self.num.terms, factors)
+        terms, left = _cancel(self.num.terms, factors)
         den = {(a, b): m for (a, b, _), m in zip(factors, left) if m}
-        num = BivariatePolynomial._raw(terms)
         out = FactoredRational.__new__(FactoredRational)
-        return _set_fields(out, num=num, den=MappingProxyType(den), tshift=self.tshift + tv)
+        return _set_fields(out, num=BivariatePolynomial._raw(terms), den=MappingProxyType(den))
 
     # -- substitutions -------------------------------------------------------
 
     def subs_inverse(self) -> "FactoredRational":
         """Joint substitution q -> q^-1, T -> T^-1, renormalized to standard form."""
-        if self.num.is_zero():
-            return FactoredRational.zero()
-        deg = self.num.t_degree()
-        num = BivariatePolynomial({(-eq, deg - et): c for (eq, et), c in self.num.terms.items()})
+        num = BivariatePolynomial._raw({(-eq, -et): c for (eq, et), c in self.num.terms.items()})
         # the constructor folds each flipped factor 1 - q^-a T^-b back
-        return FactoredRational(num, {(-a, -b): m for (a, b), m in self.den.items()},
-                                -self.tshift - deg)
+        return FactoredRational(num, {(-a, -b): m for (a, b), m in self.den.items()})
 
     # -- series -------------------------------------------------------------
 
@@ -709,12 +691,13 @@ class FactoredRational:
         f = self.reduced()
         if f.num.is_zero():
             return [BivariatePolynomial.zero()] * (order + 1)
-        if f.tshift < 0:
-            raise UsageError("pole of order %d at T = 0" % -f.tshift)
+        lo = _t_low(f.num.terms)
+        if lo < 0:
+            raise UsageError("pole of order %d at T = 0" % -lo)
         for (a, b) in f.den:
             if b == 0:
                 raise UsageError("denominator factor 1 - q^%d does not divide the numerator" % a)
-        rows = _p_tslices(f.num.terms, f.tshift, order)
+        rows = _p_tslices(f.num.terms, 0, order)
         for (a, b), m in sorted(f.den.items()):
             for _ in range(m):
                 _unroll(rows, a, b, order)
@@ -786,9 +769,11 @@ def poly_to_json(p: BivariatePolynomial) -> list[list]:
 
 
 def rational_to_json(f: FactoredRational) -> dict:
+    """The numerator's least power of T as the unit, and the rest."""
+    t = _t_low(f.num.terms)
     return {
-        "num": poly_to_json(f.num),
-        "unit": [1, 0, f.tshift],
+        "num": poly_to_json(f.num.shift(dt=-t)),
+        "unit": [1, 0, t],
         "den": sorted([a, b, m] for (a, b), m in f.den.items()),
     }
 
@@ -796,9 +781,9 @@ def rational_to_json(f: FactoredRational) -> dict:
 def rational_from_json(data: Mapping) -> FactoredRational:
     sign, e_q, e_T = data["unit"]
     num = BivariatePolynomial({(int(eq), int(et)): int(c) for c, eq, et in data["num"]})
-    num = num.scaled(int(sign)).shift(dq=int(e_q))
+    num = num.scaled(int(sign)).shift(int(e_q), int(e_T))
     den = {(int(a), int(b)): int(m) for a, b, m in data["den"]}
-    return FactoredRational(num, den, int(e_T))
+    return FactoredRational(num, den)
 
 
 def rational_dumps(f: FactoredRational) -> str:
@@ -860,10 +845,12 @@ def sorted_factors(den: Mapping[FactorKey, int]) -> list[tuple[int, int, int]]:
 
 
 def _format_rational(f: FactoredRational, latex: bool) -> str:
-    num = format_poly(f.num, latex=latex)
-    if f.tshift:
-        tpow = _format_monomial(1, 0, f.tshift, latex)
-        one = f.num.terms == {(0, 0): 1}
+    t = _t_low(f.num.terms)
+    rest = f.num.shift(dt=-t)
+    num = format_poly(rest, latex=latex)
+    if t:
+        tpow = _format_monomial(1, 0, t, latex)
+        one = rest.terms == {(0, 0): 1}
         num = tpow if one else ("%s(%s)" if latex else "%s (%s)") % (tpow, num)
     if not f.den:
         return num

@@ -81,6 +81,7 @@ def _valuation(x: int, p: int) -> int:
 
 def smith_type(mat: Sequence[Sequence[int]], p: int) -> Partition:
     """Quotient type of Z^r / M Z^r at p: p-valuations of the SNF diagonal."""
+    check_prime(p)
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise UsageError("matrix must be square")
@@ -96,6 +97,7 @@ def alt_type(gram: Sequence[Sequence[int]], p: int) -> Partition:
     Over a local ring an alternating form admits a symplectic basis, so the
     Smith divisors pair up; the type keeps one valuation per pair.
     """
+    check_prime(p)
     n = len(gram)
     if n % 2:
         raise UsageError("alternating matrix of odd size is degenerate")

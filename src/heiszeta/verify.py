@@ -60,8 +60,8 @@ def coset_stats(g: Sequence[int], k: int) -> tuple[int, int, frozenset[int]]:
     positions k+1, ..., n-1.  All three are constant on the coset.
     """
     n = len(g)
-    if k > n:
-        raise UsageError("k must be at most n")
+    if not 0 <= k <= n:
+        raise UsageError("k must be in 0..n")
     nxt = g[k] if k < n else n + 1
     t_k = sum(1 for i in range(k) if g[i] > nxt)
     ell = sum(
@@ -317,8 +317,8 @@ def fibre_I(n: int, k: int, r: int, X_tail: Sequence[FactorKey]) -> FactoredRati
     (Y_1(w_1,T), ..., Y_k(w_k,T), X_{k+1}, ..., X_n); slots X_tail are the
     trailing n - k arguments.
     """
-    if k > n:
-        raise UsageError("k must be at most n")
+    if not 0 <= k <= n:
+        raise UsageError("k must be in 0..n")
     if len(X_tail) != n - k:
         raise UsageError("need the %d trailing slots" % (n - k))
     terms = []
@@ -339,13 +339,13 @@ def fibre_K(n: int, k: int, r: int, X_tail: Sequence[FactorKey]) -> BivariatePol
     B^(t_k) is added once per group, times its count.
     """
     check_limit("fibre_K", "n", n)
-    if k > n:
-        raise UsageError("k must be at most n")
+    if not 0 <= k <= n:
+        raise UsageError("k must be in 0..n")
     if len(X_tail) != n - k:
         raise UsageError("need the %d trailing slots" % (n - k))
     slots = dict(zip(range(k + 1, n + 1), X_tail))
     B = []
-    for t, row in enumerate(_p_tslices(fibre_E(k, r).terms, top=k)):
+    for t, row in enumerate(_p_tslices(fibre_E(k, r).terms, 0, k)):
         e = BivariatePolynomial({(eq, 0): c for eq, c in row.items()})
         B.append((_qsquare_factorial(t) * _qsquare_factorial(k - t) * e).shift(dq=-t * (t - 1)))
     groups: Counter = Counter()
@@ -413,7 +413,7 @@ def hyperoctahedral_numerator(n: int, c: Sequence[int]) -> BivariatePolynomial:
 
 def is_self_reciprocal(f: FactoredRational, a: int, b: int) -> bool:
     """Whether f(1/q, 1/T) = -q^a T^b f(q, T)."""
-    return f.subs_inverse() == FactoredRational(f.num.scaled(-1).shift(dq=a), f.den, f.tshift + b)
+    return f.subs_inverse() == FactoredRational(f.num.scaled(-1).shift(dq=a, dt=b), f.den)
 
 
 def funeq_check(n: int) -> str:
@@ -665,21 +665,22 @@ CHECKS = {
 }
 
 # The rows of errors.LIMITS with a largest value that each check reads, in
-# the order in which it first reads them, each first at its n (residue reads
-# generic_slots at n + 1 too, past signed_descent_sum's smaller row).  The
-# verify command
+# the order in which it first reads them, each at its n (fibre reads gen_W
+# at every k <= n, and residue reads generic_slots at n + 1 too, past
+# signed_descent_sum's smaller row).  The verify command
 # applies the rows of every check it names at n before it runs any of them,
 # so a later check's refusal comes before an earlier check's work.
 GUARDS = {
     "crossform": (
         ("zeta_igusa_sum", "n"),
+        ("gen_W", "n"),
         ("zeta_compact", "n"),
         ("zeta_hyperoctahedral", "n"),
         ("signed_descent_sum", "n"),
     ),
     "funeq": (("zeta_compact", "n"),),
     "poles": (("zeta_compact", "n"),),
-    "fibre": (("generic_slots", "count"), ("fibre_K", "n")),
+    "fibre": (("generic_slots", "count"), ("fibre_K", "n"), ("gen_W", "n")),
     "residue": (("generic_slots", "count"), ("signed_descent_sum", "n")),
     "reduced": (("reduced_zeta", "n"), ("reduced_c", "n")),
 }

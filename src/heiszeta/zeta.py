@@ -84,7 +84,7 @@ def zeta_compact(n: int) -> FactoredRational:
     check_limit("zeta_compact", "n", n)
     total = FactoredRational.sum([_compact_summand(n, r) for r in range(n + 1)])
     odd = FactoredRational(total.num, {(2 * i + 1, 0): 1 for i in range(n + 1)}).reduced()
-    return odd * FactoredRational(1, total.den, total.tshift)
+    return odd * FactoredRational(1, total.den)
 
 
 def _compact_summand(n: int, r: int) -> FactoredRational:
@@ -162,7 +162,7 @@ def dirichlet_coeffs(n: int, p: int, order: int) -> list[int]:
     check_limit("dirichlet_coeffs", "order", order)
     f = zeta_compact(n)
     at_p = f.num.eval_q(p)
-    xs = [at_p.get(k - f.tshift, 0) for k in range(order + 1)]
+    xs = [at_p.get(k, 0) for k in range(order + 1)]
     for (a, b), m in f.den.items():
         for _ in range(m):
             _unroll_dense(xs, b, p**a)

@@ -23,6 +23,7 @@ from heiszeta.exactalg import (
     _p_iadd,
     _p_mul_schoolbook,
     _p_tslices,
+    _t_low,
     _unroll,
     gauss_binom,
     qpochhammer,
@@ -216,7 +217,7 @@ def subs_q_one(f: FactoredRational) -> FactoredRational:
     num: dict = {}
     for (_, et), c in f.num.terms.items():
         num[(0, et)] = num.get((0, et), 0) + c
-    return FactoredRational(Poly(num), den, f.tshift)
+    return FactoredRational(Poly(num), den)
 
 
 def igusa_A_descent(n: int, y_exponent: int, X) -> FactoredRational:
@@ -668,40 +669,46 @@ def sum_per_item(items) -> FactoredRational:
     for it in items:
         for k, m in it.den.items():
             lcm[k] = max(lcm.get(k, 0), m)
-    tmin = min(it.tshift for it in items)
     total: dict = {}
     for it in items:
         missing = {k: m - it.den.get(k, 0) for k, m in lcm.items() if m > it.den.get(k, 0)}
         product = _p_mul_schoolbook(dict(it.num.terms), expand_factor_by_factor(missing))
-        _p_iadd(total, product, 1, 0, it.tshift - tmin)
-    return FactoredRational(Poly(total), lcm, tmin)
+        _p_iadd(total, product)
+    return FactoredRational(Poly(total), lcm)
 
 
 def divide_one_factor(p: Poly, a: int, b: int):
     """p / (1 - q^a T^b), or None, with fresh rows on every call: the series in
     T unrolled to the top degree for b >= 1, a dense list per T-row for b == 0."""
+    if b == 0 and a < 0:  # 1 - q^a = -q^a (1 - q^-a)
+        p, a = p.scaled(-1).shift(dq=-a), -a
+    t0 = _t_low(p.terms)
+    rows = _p_tslices(p.terms, t0)
     if b == 0:
-        if a < 0:  # 1 - q^a = -q^a (1 - q^-a)
-            p, a = p.scaled(-1).shift(dq=-a), -a
         out = {}
-        for et, row in enumerate(_p_tslices(p.terms)):
+        for k, row in enumerate(rows):
             if row:
                 lo = min(row)
                 ys = _divide_dense([row.get(j, 0) for j in range(lo, max(row) + 1)], a)
                 if ys is None:
                     return None
-                out.update(((lo + j, et), c) for j, c in enumerate(ys) if c)
+                out.update(((lo + j, t0 + k), c) for j, c in enumerate(ys) if c)
         return Poly(out)
-    top = p.t_degree()
-    rows = _unroll(_p_tslices(p.terms), a, b, top)
+    top = len(rows) - 1
+    rows = _unroll(rows, a, b, top)
     if any(rows[max(top - b + 1, 0) :]):
         return None
-    return Poly({(eq, et): c for et, row in enumerate(rows) for eq, c in row.items()})
+    return Poly({(eq, t0 + k): c for k, row in enumerate(rows) for eq, c in row.items()})
+
+
+def t_degree(p: Poly) -> int:
+    """Largest T-exponent of p; -1 for the zero polynomial."""
+    return max((et for _, et in p.terms), default=-1)
 
 
 def reduced_factor_at_a_time(f: FactoredRational) -> FactoredRational:
     """FactoredRational.reduced by one divide_one_factor call per copy of each
-    factor, constant factors first, then the T-content folded into tshift."""
+    factor, constant factors first."""
     if f.num.is_zero():
         return FactoredRational.zero()
     num, den = f.num, dict(f.den)
@@ -712,5 +719,4 @@ def reduced_factor_at_a_time(f: FactoredRational) -> FactoredRational:
                 break
             num = quot
             den[(a, b)] -= 1
-    tv = min(et for _, et in num.terms)
-    return FactoredRational(num.shift(dt=-tv), den, f.tshift + tv)
+    return FactoredRational(num, den)

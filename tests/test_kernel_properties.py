@@ -8,8 +8,9 @@ the factor-at-a-time reduction of tests/reference.py.  The term accumulator
 and the two division recurrences (`divide_out_factor` and
 `_vanishing_order`), the constructor's folding of flipped factors and
 `subs_inverse` are checked against sympy.  The ring laws, `reduced` and
-the JSON round trip are checked on the same random rationals.  hypothesis
-and sympy are test-only dependencies.
+the JSON round trip are checked on the same random rationals, whose
+numerators reach negative powers of T as well as of q.  hypothesis and sympy
+are test-only dependencies.
 """
 
 import functools
@@ -24,6 +25,7 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from heiszeta import exactalg  # noqa: E402
+from heiszeta.errors import UsageError  # noqa: E402
 from heiszeta.exactalg import (  # noqa: E402
     BivariatePolynomial as Poly,
     FactoredRational as FR,
@@ -88,14 +90,15 @@ def unnormalized_dens(draw):
 
 @st.composite
 def rationals(draw, den_pool=None):
-    """FactoredRational with small exponents; den_pool restricts the factors."""
+    """FactoredRational with small exponents, T's down to T^-2; den_pool
+    restricts the factors."""
     num = Poly(draw(raw_polys(4, 3, 4, small | huge)))
     if den_pool is None:
         den = draw(dens)
     else:
         keys = draw(st.lists(st.sampled_from(den_pool), max_size=3))
         den = {k: keys.count(k) for k in keys}
-    return FR(num, den, draw(st.integers(-2, 2)))
+    return FR(num.shift(dt=draw(st.integers(-2, 2))), den)
 
 
 # -- sympy oracle ---------------------------------------------------------------
@@ -107,7 +110,7 @@ def poly_expr(terms):
 
 def fr_expr(f):
     den = sympy.Mul(*[(1 - q**a * T**b) ** m for (a, b), m in f.den.items()])
-    return T**f.tshift * poly_expr(f.num.terms) / den
+    return poly_expr(f.num.terms) / den
 
 
 sympy_examples = settings(max_examples=20)
@@ -118,7 +121,7 @@ def sympy_zero(expr):
 
 
 def snapshot(items):
-    return [(dict(f.num.terms), dict(f.den), f.tshift) for f in items]
+    return [(dict(f.num.terms), dict(f.den)) for f in items]
 
 
 # -- products -------------------------------------------------------------------
@@ -283,7 +286,7 @@ def test_sums_that_cancel_to_zero(items, rng):
     # each item appears once as itself and once negated over a larger denominator
     extra = expand_factors({(1, 1): 1})
     negated = [
-        FR(-(f.num * extra), {**f.den, (1, 1): f.den.get((1, 1), 0) + 1}, f.tshift)
+        FR(-(f.num * extra), {**f.den, (1, 1): f.den.get((1, 1), 0) + 1})
         for f in items
     ]
     both = items + negated
@@ -305,15 +308,16 @@ factor_pool = [(1, 0), (2, 0), (3, 0), (1, 1), (-2, 1), (-1, 2), (0, 1), (2, 3)]
 
 @st.composite
 def summands(draw):
-    """A rational over up to six factors from factor_pool, repeats giving multiplicities."""
+    """A rational over up to six factors from factor_pool, repeats giving
+    multiplicities, with T's down to T^-3."""
     values = draw(st.sampled_from([small, small | slot_bounds, small | huge]))
     num = Poly(draw(raw_polys(2, 2, 9, values)))
     den = Counter(draw(st.lists(st.sampled_from(factor_pool), max_size=6)))
-    return FR(num, den, draw(st.integers(-3, 3)))
+    return FR(num.shift(dt=draw(st.integers(-3, 3))), den)
 
 
 def exact(f):
-    """The representation of f: numerator terms, factors and tshift."""
+    """The representation of f: numerator terms and factors."""
     return snapshot([f])[0]
 
 
@@ -329,11 +333,11 @@ def refuse(what):
 def test_sum_matches_the_per_item_reference(items, kind):
     if kind == "zero":
         # each item once as itself and once negated over a larger denominator
-        items = items + [FR(-(f.num * Poly.one_minus(-1, 2)), Counter(f.den) + Counter({(-1, 2): 1}),
-                            f.tshift) for f in items]
+        items = items + [FR(-(f.num * Poly.one_minus(-1, 2)), Counter(f.den) + Counter({(-1, 2): 1}))
+                         for f in items]
     elif kind == "wide":
         # a factor whose q-span outgrows the packed box: the per-item path
-        items = items + [FR(Poly.monomial(5, 2, 1), {(300, 2): 1}, -1)]
+        items = items + [FR(Poly.monomial(5, 2, 0), {(300, 2): 1})]
     before = snapshot(items)
     total = FR.sum(items)
     assert snapshot(items) == before
@@ -377,10 +381,10 @@ def test_a_comparison_over_other_denominators_is_one_packed_sum(monkeypatch):
 
 def test_a_comparison_over_one_denominator_skips_the_sum(monkeypatch):
     den = {(1, 0): 1, (2, 1): 2}
-    f = FR(Poly({(0, 0): 2, (1, 2): -1}), den, 1)
-    g = FR(Poly({(0, 0): 2, (1, 2): 1}), den, 1)
+    f = FR(Poly({(0, 1): 2, (1, 3): -1}), den)
+    g = FR(Poly({(0, 1): 2, (1, 3): 1}), den)
     monkeypatch.setattr(FR, "sum", refuse("summed a comparison over one denominator"))
-    assert f == FR(Poly({(1, 2): -1, (0, 0): 2}), den, 1)
+    assert f == FR(Poly({(1, 3): -1, (0, 1): 2}), den)
     assert f != g
 
 
@@ -390,7 +394,7 @@ def test_packed_sums_carry_past_the_slot_bound(w, monkeypatch):
     # up in every cell, so the packed sum needs slots wider than w bytes
     c = 2 ** (8 * w - 1) - 1
     block = Poly({(i, j): c for i in range(3) for j in range(3)})
-    items = [FR(block), FR(block), FR(block.scaled(-1), {(1, 0): 1}, 1)]
+    items = [FR(block), FR(block), FR(block.scaled(-1).shift(dt=1), {(1, 0): 1})]
     with monkeypatch.context() as mp:
         mp.setattr(exactalg, "_p_iadd", refuse("the per-item path ran"))
         total = FR.sum(items)
@@ -405,7 +409,7 @@ def test_a_packed_sum_never_applies_a_factor_that_every_item_has(monkeypatch):
     # while it multiplies the total so far by the factors the later items add
     block = Poly({(i, j): 1 + i + j for i in range(3) for j in range(3)})
     items = [FR(block, {(-5, 1): 1}), FR(block.scaled(-2), {(-5, 1): 1, (1, 0): 1}),
-             FR(block, {(-5, 1): 1, (0, 1): 1}, 1), FR(block, {(-5, 1): 1, (1, 0): 1})]
+             FR(block.shift(dt=1), {(-5, 1): 1, (0, 1): 1}), FR(block, {(-5, 1): 1, (1, 0): 1})]
     reads = []
     unpack = exactalg._kron_unpack
     monkeypatch.setattr(exactalg, "_kron_unpack", lambda *args: reads.append(args) or unpack(*args))
@@ -418,11 +422,50 @@ def test_a_packed_sum_never_applies_a_factor_that_every_item_has(monkeypatch):
 
 def test_a_sum_with_a_huge_exponent_stays_per_item(monkeypatch):
     monkeypatch.setattr(exactalg, "_kron_pack", refuse("packed a sum whose box is 10^9 columns wide"))
-    items = [FR.one_over([(10**9, 1)]), FR(Poly({(0, 0): 3, (1, 1): -2}), {(1, 0): 2}, 1)]
+    items = [FR.one_over([(10**9, 1)]), FR(Poly({(0, 1): 3, (1, 2): -2}), {(1, 0): 2})]
     start = time.perf_counter()
     total = FR.sum(items)
     assert time.perf_counter() - start < 2
     assert exact(total) == exact(sum_per_item(items))
+
+
+def test_a_numerator_with_negative_T_exponents(monkeypatch):
+    # T^-2 (2 + qT) (1 - qT) / ((1 - qT) (1 - q^2 T)): every operation reads
+    # the power of T off the numerator's terms, negative ones included
+    rest = Poly({(0, -2): 2, (1, -1): 1})
+    num = rest * Poly.one_minus(1, 1)
+    f = FR(num, {(1, 1): 1, (2, 1): 1})
+    g = f.reduced()
+    assert g.num == rest and dict(g.den) == {(2, 1): 1}
+    assert exact(g) == exact(reduced_factor_at_a_time(f))
+    assert divide_out_factor(num, 1, 1) == rest
+    assert divide_out_factor(num, 2, 1) is None
+    assert num.eval_q(2) == {-2: 2, -1: -2, 0: -4}
+    # T^2 (2 + q^-1 T^-1) / (1 - q^-2 T^-1) = -(2 q^2 T^3 + q T^2) / (1 - q^2 T)
+    assert g.subs_inverse().num.terms == {(2, 3): -2, (1, 2): -1}
+    assert f.subs_inverse().subs_inverse() == f
+    with pytest.raises(UsageError, match="pole of order 2 at T = 0"):
+        f.series_in_T(3)
+    assert (f * Poly.monomial(1, 0, 2)).series_in_T(2) == [
+        Poly.monomial(2), Poly({(1, 0): 1, (2, 0): 2}), Poly({(3, 0): 1, (4, 0): 2})]
+    text = rational_dumps(g)
+    assert '"unit":[1,0,-2]' in text
+    assert exact(rational_loads(text)) == exact(g)
+    # sums: a dense block from T^-3 to T^-1, packed into one accumulation,
+    # and a sparse sum with a 300-column factor, added per item into a dict
+    block = Poly({(i, j): 1 + i - j for i in range(3) for j in range(-3, 0)})
+    packed = [FR(block), FR(block.scaled(-2), {(1, 0): 1}), FR(block.shift(dt=-1), {(0, 1): 1})]
+    per_item = [FR.one_over([(300, 1)]), f]
+    with monkeypatch.context() as mp:
+        mp.setattr(exactalg, "_p_iadd", refuse("the per-item path ran"))
+        total = FR.sum(packed)
+    assert exact(total) == exact(sum_per_item(packed))
+    assert min(et for _, et in total.num.terms) == -4
+    with monkeypatch.context() as mp:
+        mp.setattr(exactalg, "_kron_pack", refuse("packed a sparse sum"))
+        total = FR.sum(per_item)
+    assert exact(total) == exact(sum_per_item(per_item))
+    assert sympy_zero(fr_expr(total) - sympy.Add(*[fr_expr(x) for x in per_item]))
 
 
 t_factor_keys = st.tuples(st.integers(-4, 4), st.integers(1, 3))
@@ -433,7 +476,8 @@ def reducible(draw):
     """A rational whose numerator is a multiple of some of its factors, with
     extra factors that may not divide, constant or with a < 0 or a >= 0,
     some of them 1 - q^a T^b whose 1 - 2^a T^b divides the numerator (so
-    they divide at q = 2 only), a possible remainder and T-content."""
+    they divide at q = 2 only), a possible remainder and a power of T from
+    T^-2 to T^4."""
     divides = Counter(draw(st.lists(st.sampled_from(factor_pool), max_size=5)))
     extra = Counter(draw(st.lists(st.sampled_from(factor_pool) | factor_keys, max_size=3)))
     decoys = Counter(draw(st.lists(t_factor_keys, max_size=2)))
@@ -444,7 +488,7 @@ def reducible(draw):
     if draw(st.booleans()):
         num = num + Poly(draw(raw_polys(3, 2, 2, small)))
     den = divides + extra + decoys
-    return FR(num.shift(dt=draw(st.integers(0, 2))), den, draw(st.integers(-2, 2)))
+    return FR(num.shift(dt=draw(st.integers(-2, 4))), den)
 
 
 @settings(max_examples=80)
@@ -454,9 +498,10 @@ def test_reduced_matches_the_factor_at_a_time_reference(f):
 
 
 @given(operands, st.tuples(st.integers(-4, 4), st.integers(0, 3)).filter(lambda k: k != (0, 0)),
-       st.booleans())
-def test_divide_out_factor_matches_the_reference(f, k, multiple):
-    p = Poly(f) * Poly.one_minus(*k) if multiple else Poly(f)
+       st.booleans(), st.integers(-3, 0))
+def test_divide_out_factor_matches_the_reference(f, k, multiple, dt):
+    p = Poly(f).shift(dt=dt)
+    p = p * Poly.one_minus(*k) if multiple else p
     got, want = divide_out_factor(p, *k), divide_one_factor(p, *k)
     assert (got is None) == (want is None)
     assert got.terms == want.terms if got is not None else not multiple
@@ -467,17 +512,16 @@ def test_divide_out_factor_matches_the_reference(f, k, multiple):
 
 @st.composite
 def pairs(draw):
-    """(f, g) with g equal to f in another representation, or unrelated."""
+    """(f, g) with g equal to f over more factors, or unrelated."""
     f = draw(rationals())
     if draw(st.booleans()):
         return f, draw(rationals())
     extra = draw(dens)
-    shift = draw(st.integers(0, 2))
     num = Poly(f.num.terms) * expand_factors(extra)
     den = dict(f.den)
     for k, m in extra.items():
         den[k] = den.get(k, 0) + m
-    return f, FR(num.shift(dt=shift), den, f.tshift - shift)
+    return f, FR(num, den)
 
 
 @sympy_examples
@@ -492,11 +536,11 @@ def test_equality_agrees_with_sympy(pair):
 
 @sympy_examples
 @given(raw_polys(4, 3, 4, small | huge), unnormalized_dens(), st.integers(-2, 2))
-def test_the_constructor_folds_flipped_factors(num, den, tshift):
-    f = FR(Poly(num), den, tshift)
+def test_the_constructor_folds_flipped_factors(num, den, dt):
+    f = FR(Poly(num).shift(dt=dt), den)
     assert all(b >= 0 and (a > 0 or b > 0) for a, b in f.den)
     assert sum(f.den.values()) == sum(den.values())
-    value = T**tshift * poly_expr(num) / sympy.Mul(*[(1 - q**a * T**b) ** m for (a, b), m in den.items()])
+    value = T**dt * poly_expr(num) / sympy.Mul(*[(1 - q**a * T**b) ** m for (a, b), m in den.items()])
     assert sympy_zero(fr_expr(f) - value)
 
 

@@ -150,6 +150,27 @@ def test_valuation_of_zero_is_refused():
     assert oracle._valuation(-24, 2) == 3
 
 
+def test_smith_and_alt_type_refuse_a_non_prime():
+    # p = 1 looped forever, p = 0 divided by zero, and p = 4 and p = -3 gave a
+    # type with no error; run in a subprocess with a timeout, as a hang may be
+    code = (
+        "from heiszeta.errors import UsageError\n"
+        "from heiszeta.oracle import alt_type, smith_type\n"
+        "for p in (1, 0, 4, -3):\n"
+        "    for fn, mat in ((smith_type, [[6]]), (alt_type, [[0, 2], [-2, 0]])):\n"
+        "        try:\n            print(fn(mat, p))\n"
+        "        except UsageError as e:\n            print(e)"
+    )
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
+    )
+    want = ["--prime must be a prime, got %d" % p for p in (1, 0, 4, -3) for _ in range(2)]
+    assert proc.stdout.splitlines() == want, proc.stderr
+
+
 def test_alt_type_examples():
     assert alt_type([[0, 1], [-1, 0]], 3) == Partition(())
     assert alt_type([], 3) == Partition(())
