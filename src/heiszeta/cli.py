@@ -14,13 +14,14 @@ Library names load on first use: each command imports the modules it runs
 inside its own function.  `--version` loads only this module and `errors`;
 zeta, verify and global never load the oracles.  The verify checks, and the
 second derivations they compare with, are in `verify`, which only the verify
-command loads; of the closed forms only form a loads `combinat`, and only
-`global --rn` loads the float code of `numeric`.  `oracle lagrangian` and `oracle sublattice`
-load `oracle` and `combinat`, and `oracle factorization` also `counts`, for
-its integer Birkhoff numbers; no oracle mode loads the exact kernel
-`exactalg`, the closed forms or `igusa`.  Only the functions that write JSON
-import `json`, and when the command line starts with a command, main builds
-the parser of that command only.
+command loads; of the closed forms only form a, and of the checks only fibre
+and crossform, load `combinat`; only `global --rn` loads the float code of
+`numeric`.  `oracle lagrangian` and `oracle sublattice` load `oracle` and
+`combinat`, and `oracle factorization` also `counts`, for its integer
+Birkhoff numbers; no oracle mode loads the exact kernel `exactalg`, the closed
+forms or `igusa`.  Only the functions that write JSON import `json`, and when
+the command line starts with a command, main builds the parser of that
+command only.
 """
 
 from __future__ import annotations

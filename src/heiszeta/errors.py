@@ -56,9 +56,12 @@ class BudgetExceeded(SizeGuard):
 
 # Every numeric input limit: (entry point or budget, value) -> (least, largest).
 # Below the least value the object is undefined; above the largest the cost
-# explodes.  None means no bound on that side: no largest value means the
-# cost stays small, or a budget bounds the enumeration instead.  The rows of
-# "budget" bound the size of a brute-force enumeration, not an input.
+# explodes.  A largest value set by cost is the largest round value whose case
+# finishes inside 10 s on a 2-vCPU VM and peaks under 1 GB in a fresh process;
+# the row comments give the measurements.  None means no bound on that side:
+# no largest value means the cost stays small, or a budget bounds the
+# enumeration instead.  The rows of "budget" bound the size of a brute-force
+# enumeration, not an input.
 LIMITS = {
     ("signed_descent_sum", "n"): (0, 8),
     ("eulerian_A", "d"): (0, None),
@@ -68,9 +71,9 @@ LIMITS = {
     ("zeta_igusa_sum", "n"): (1, 5),
     ("zeta_compact", "n"): (0, 12),
     ("zeta_hyperoctahedral", "n"): (0, 6),
-    # the largest power of ten inside 10 s on a 2-vCPU VM: `zeta --n 1000000
-    # --form ideal` took 6.7 s and 604 MB (10^5: 0.8 s and 86 MB), so 10^7
-    # would take about a minute and 6 GB
+    # the largest power of ten by the rule: `zeta --n 1000000 --form ideal`
+    # took 5.4-6.7 s and 604 MB (10^5: 0.8 s and 86 MB), so 10^7 would take
+    # about a minute and 6 GB
     ("zeta_ideal", "n"): (0, 10**6),
     ("zeta_graded", "n"): (0, 6),
     ("reduced_zeta", "n"): (0, 8),
@@ -80,10 +83,10 @@ LIMITS = {
     ("rn_numeric", "n"): (2, 6),
     ("enum_sublattices", "n"): (1, None),
     ("enum_subalgebras", "n"): (0, None),
-    # the largest n inside 10 s on a 2-vCPU VM: gen_W(n) builds 2^n vectors,
-    # n = 21 took 2.9 s and 677 MB, and each step doubles both (n = 22:
-    # about 6 s and 1.4 GB)
-    ("gen_W", "n"): (0, 22),
+    # the largest n by the rule: gen_W(n) builds 2^n vectors, n = 21 took
+    # 2.9-3.4 s and 675-677 MB (n = 20: 1.4 s and 336 MB), and each step
+    # doubles both, so n = 22 would peak near 1.4 GB
+    ("gen_W", "n"): (0, 21),
     ("gauss_binom", "n"): (0, None),
     ("qpochhammer", "m"): (0, None),
     # igusa_A and igusa_B
@@ -96,14 +99,14 @@ LIMITS = {
     # not a library limit: at n = 0 crossform raises and reduced fails
     # 0 < c_0 < 1
     ("verify", "n"): (1, None),
-    # The largest prime bound and order: each the largest power of ten at
-    # which its case finished inside 10 s on a 2-vCPU VM.  `global --n 6
-    # --rn`, the largest n, took 1.6 s at a prime bound of 10^5 and 9.8 s at
-    # 10^6 (4.0-5.3 s since the half-bound value comes from the same pass);
-    # far larger bounds end in a MemoryError.  `coeffs --n 12 --prime 2`,
-    # the largest n, takes 1.05 s and 43 MB at an order of 10^3; at 10^4 its
-    # integer recurrence takes 3.7 s and 192 MB, but printing its counts of
-    # up to 69,000 digits did not end inside 30 s.
+    # The largest prime bound and order: each the largest power of ten by
+    # the rule.  `global --n 6 --rn`, the largest n, took 1.6 s at a prime
+    # bound of 10^5 and 9.8 s at 10^6 (3.1-5.3 s and 18 MB since the
+    # half-bound value comes from the same pass); far larger bounds end in a
+    # MemoryError.  `coeffs --n 12 --prime 2`, the largest n, takes 1.05 s
+    # and 43 MB at an order of 10^3; at 10^4 its integer recurrence takes
+    # 3.7 s and 192 MB, but printing its counts of up to 69,000 digits did
+    # not end inside 30 s.
     ("rn_numeric", "prime_bound"): (2, 10**6),
     ("dirichlet_coeffs", "order"): (0, 10**3),
     # the primality test is exact below PRIME_LIMIT; below 2 is no prime

@@ -12,7 +12,9 @@ lattice-point oracle and the leading coefficient c_n of the reduced zeta
 functions.  Only the verify command imports this module, so no other
 command, `--version` included, compiles it; the checks, the
 functional-equation and the pole functions import the closed forms when they
-run, so the fibre and residue checks do not compile them.
+run, so the fibre and residue checks do not compile them, and the fibre
+functions import the enumerators of ``heiszeta.combinat`` when they run, so
+only the fibre and crossform checks compile those.
 """
 
 from __future__ import annotations
@@ -23,13 +25,11 @@ from collections import Counter
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .combinat import gen_W, weight_C
 from .errors import IdentityMismatch, UsageError, check_limit
 from .exactalg import (
     BivariatePolynomial,
     FactoredRational,
     FactorKey,
-    _divide_dense,
     _p_iadd,
     _p_tslices,
     gauss_binom,
@@ -85,6 +85,8 @@ def coset_reps(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 def fibre_W(k: int, r: int) -> tuple[tuple[int, ...], ...]:
     """The fibre {w : w_k in {r, 2k+1-r}}; empty unless r in [2k+1]_0."""
+    from .combinat import gen_W
+
     if r < 0 or r > 2 * k + 1:
         return ()
     if k == 0:
@@ -317,6 +319,8 @@ def fibre_I(n: int, k: int, r: int, X_tail: Sequence[FactorKey]) -> FactoredRati
     (Y_1(w_1,T), ..., Y_k(w_k,T), X_{k+1}, ..., X_n); slots X_tail are the
     trailing n - k arguments.
     """
+    from .combinat import weight_C
+
     if not 0 <= k <= n:
         raise UsageError("k must be in 0..n")
     if len(X_tail) != n - k:
@@ -444,30 +448,19 @@ def pole_candidates(n: int) -> tuple[list[int], list[Fraction]]:
     return integral, fractional
 
 
-# the primes at which pole_analysis specializes q
-POLE_PRIMES = (2, 3, 5)
-
-
-def _vanishing_order(coeffs: dict[int, int], p: int, c: int, d: int) -> int:
-    """Largest k with (1 - p^c T^d)^k dividing the integer polynomial."""
-    xs = [coeffs.get(k, 0) for k in range(max(coeffs, default=-1) + 1)]
-    order = 0
-    while xs:
-        xs = _divide_dense(xs, d, p**c)
-        if xs is None:
-            break
-        order += 1
-    return order
-
-
 def pole_analysis(n: int) -> dict[Fraction, int]:
-    """Exact pole orders, {s: order} for every pole s in increasing order.
+    """Exact pole orders of form b, {s: order} for every pole s in increasing
+    order, each computed as an identity in q.
 
-    Every denominator factor of the reduced compact form must sit over a
-    candidate location; the order at s = c/d is the matching factor
-    multiplicity minus the numerator's vanishing order at T = p^{-c/d},
-    for q specialized to each prime p of POLE_PRIMES.  Raises
-    IdentityMismatch when an order differs between the primes.
+    Every denominator factor 1 - q^a T^b of the reduced compact form must sit
+    over a candidate location s = a/b, and vanishes once at T = q^-s.  Write
+    s = c/d in lowest terms.  Then T = q^-s is a root of 1 - q^c T^d, which
+    is irreducible over Q(q) and prime to the factor of every other
+    location.  So one reduction of the numerator over (1 - q^c T^d)^m, m the
+    factor multiplicity over s, counts each location on its own: the order
+    at s is the number of copies of 1 - q^c T^d left, and s is not a pole
+    when none is left.  Raises IdentityMismatch on a factor off the
+    candidate list.
     """
     from fractions import Fraction
 
@@ -485,17 +478,9 @@ def pole_analysis(n: int) -> dict[Fraction, int]:
                 "denominator factor (1 - q^%d T^%d) off the candidate list" % (a, b)
             )
         mults[Fraction(a, b)] += m
-    at_p = {p: f.num.eval_q(p) for p in POLE_PRIMES}
-    orders = {}
-    for s in sorted(mults):
-        by_p = {p: mults[s] - _vanishing_order(coeffs, p, s.numerator, s.denominator)
-                for p, coeffs in at_p.items()}
-        order = by_p[POLE_PRIMES[0]]
-        if any(o != order for o in by_p.values()):
-            raise IdentityMismatch("order at s = %s varies with q: %s" % (s, by_p))
-        if order > 0:
-            orders[s] = order
-    return orders
+    keys = {s: (s.numerator, s.denominator) for s in sorted(mults)}
+    left = FactoredRational(f.num, {keys[s]: mults[s] for s in keys}).reduced().den
+    return {s: left[k] for s, k in keys.items() if k in left}
 
 
 def reduced_cone_series(n: int, order: int) -> list[int]:
@@ -585,10 +570,10 @@ def _check_funeq(n: int) -> dict:
 
 
 def _check_poles(n: int) -> dict:
-    """The pole orders of form b, and the double-pole law: the poles of order
-    2 or more are exactly the s = m with m(m+1) = 4n (s = 3 at n = 3, s = 4
-    at n = 5).  The law is observed, not proved: it holds for every n <= 12,
-    the n up to which verify runs this check."""
+    """The pole orders of form b, computed exactly in q, and the double-pole
+    law: the poles of order 2 or more are exactly the s = m with m(m+1) = 4n
+    (s = 3 at n = 3, s = 4 at n = 5).  The law is observed, not proved: it
+    holds for every n <= 12, the n up to which verify runs this check."""
     orders = pole_analysis(n)
     double = [s for s, o in orders.items() if o >= 2]
     ok = double == [m for m in range(1, n + 1) if m * (m + 1) == 4 * n]

@@ -10,6 +10,7 @@ They carry no size guard; the tests call them at small n only.
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
@@ -383,6 +384,32 @@ def dirichlet_coeffs_by_series(n: int, p: int, order: int) -> list[int]:
             raise IdentityMismatch("series coefficient is not constant in T")
         out.append(vals.get(0, 0))
     return out
+
+
+def _vanishing_order(coeffs: dict[int, int], p: int, c: int, d: int) -> int:
+    """Largest k with (1 - p^c T^d)^k dividing the integer polynomial."""
+    xs = [coeffs.get(k, 0) for k in range(max(coeffs, default=-1) + 1)]
+    order = 0
+    while xs:
+        xs = _divide_dense(xs, d, p**c)
+        if xs is None:
+            break
+        order += 1
+    return order
+
+
+def pole_orders_at(n: int, p: int) -> dict[Fraction, int]:
+    """The pole orders of form b with q specialized to the prime p, {s: order}
+    in increasing s: the factor multiplicity over s = c/d minus the vanishing
+    order of the numerator at q = p, T = p^(-c/d)."""
+    f = zeta_compact(n)
+    mults = Counter()
+    for (a, b), m in f.den.items():
+        mults[Fraction(a, b)] += m
+    coeffs = f.num.eval_q(p)
+    orders = {s: mults[s] - _vanishing_order(coeffs, p, s.numerator, s.denominator)
+              for s in sorted(mults)}
+    return {s: o for s, o in orders.items() if o > 0}
 
 
 def lemma_global_bound(n: int) -> tuple[int, tuple[int, ...]]:

@@ -5,9 +5,9 @@ failure) and enforces the stated runtime bound where one is given.  All
 comparisons are exact.
 
 Criterion 15 asserts that the zeta function of h_5 has a double pole at
-s = 4, and confirms that order from the hyperoctahedral form by synthetic
-division over the rationals, independently of zeta_compact and
-pole_analysis.
+s = 4, an order pole_analysis computes as an identity in q, and confirms it
+from the hyperoctahedral form at q = 2, 3 and 5 by synthetic division over
+the rationals, independently of zeta_compact.
 """
 
 import time
@@ -32,7 +32,6 @@ from heiszeta.oracle import (
 )
 from heiszeta.verify import (
     GENERIC_Z,
-    POLE_PRIMES,
     _reduced_eulerian,
     check_I_equals_K,
     fibre_E,
@@ -383,10 +382,8 @@ def _pole_order_hyperoctahedral(n, p, s):
 
 
 def test_criterion_15_pole_analysis():
-    with Criterion(15, "pole locations and orders for n <= 6 at p in {2,3,5}"):
-        assert POLE_PRIMES == (2, 3, 5)
-        # locations lie in the candidate sets, and an order that differs
-        # between the primes raises: both enforced inside pole_analysis
+    with Criterion(15, "pole locations and orders for n <= 6, exact in q"):
+        # locations lie in the candidate sets: enforced inside pole_analysis
         orders = {n: pole_analysis(n) for n in range(1, 7)}
         assert orders[3][3] == 2
         # h_5 has a double pole at s = 4 (m(m+1) = 4n for m = 4); a
@@ -398,7 +395,7 @@ def test_criterion_15_pole_analysis():
             for s, order in rep.items():
                 if (n, s) not in double:
                     assert order == 1, (n, s, order)
-        # The same order from the hyperoctahedral form, independently of
-        # zeta_compact and pole_analysis.
+        # The same order from the hyperoctahedral form at q = p, independently
+        # of zeta_compact, against the order pole_analysis computes in q.
         for p in (2, 3, 5):
-            assert _pole_order_hyperoctahedral(5, p, 4) == 2, p
+            assert _pole_order_hyperoctahedral(5, p, 4) == orders[5][4] == 2, p

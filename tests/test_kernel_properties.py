@@ -5,7 +5,7 @@ and `FactoredRational.sum` and `__eq__` against pairwise addition and
 against `sympy.cancel` as an independent oracle.  The packed sum and the
 one-pass `reduced` are checked term for term against the per-item sum and
 the factor-at-a-time reduction of tests/reference.py.  The term accumulator
-and the two division recurrences (`divide_out_factor` and
+and the two division recurrences (`divide_out_factor` and tests/reference.py's
 `_vanishing_order`), the constructor's folding of flipped factors and
 `subs_inverse` are checked against sympy.  The ring laws, `reduced` and
 the JSON round trip are checked on the same random rationals, whose
@@ -37,8 +37,8 @@ from heiszeta.exactalg import (  # noqa: E402
     rational_dumps,
     rational_loads,
 )
-from heiszeta.verify import _vanishing_order  # noqa: E402
 from reference import (  # noqa: E402
+    _vanishing_order,
     divide_one_factor,
     expand_factor_by_factor,
     reduced_factor_at_a_time,

@@ -3,9 +3,10 @@
 The package resolves its public names on first use, and each command imports
 only the library modules it runs: the verify checks and their second
 derivations in `heiszeta.verify` load with the verify command only, the
-enumerators of `heiszeta.combinat` with form a (and the oracles and checks)
-only, and the float code of `heiszeta.numeric` with `global --rn` only.  No module imports `dataclasses`, whose
-import pulls in inspect, dis and tokenize, and only the functions that use
+enumerators of `heiszeta.combinat` with form a, the oracles and the fibre and
+crossform checks only, and the float code of `heiszeta.numeric` with
+`global --rn` only.  No module imports `dataclasses`, whose import pulls in
+inspect, dis and tokenize, and only the functions that use
 `fractions` (with decimal and numbers behind it) or that write JSON import
 them.  Import sets are read in a fresh interpreter per case, since this
 process has loaded every module.
@@ -50,10 +51,16 @@ IGUSA_FORMS = CLOSED_FORMS | {"heiszeta.igusa"}
 FORM_A = IGUSA_FORMS | {"heiszeta.combinat"}
 # global --rn, the only command that runs the float code
 GLOBAL_RN = IGUSA_FORMS | {"heiszeta.numeric"}
-# every verify check; the second derivations build on the Igusa functions
-VERIFY = FORM_A | {"heiszeta.verify"}
-# the fibre and residue checks, which build no closed form
+# the funeq, poles and reduced checks; the second derivations build on the
+# Igusa functions
+VERIFY = IGUSA_FORMS | {"heiszeta.verify"}
+# the crossform check, which builds form a
+CROSSFORM = VERIFY | {"heiszeta.combinat"}
+# the residue check, which builds no closed form
 PROOFS = VERIFY - {"heiszeta.zeta"}
+# the fibre check, which sums over the w-vectors of combinat and builds no
+# closed form
+FIBRE = PROOFS | {"heiszeta.combinat"}
 ORACLE = BASE | {"heiszeta.combinat", "heiszeta.oracle"}  # lagrangian and sublattice
 # alpha_n(mu; q^2) at q = p as an integer, without the exact kernel
 FACTORIZATION = ORACLE | {"heiszeta.counts"}
@@ -85,9 +92,9 @@ def _run(code, *argv):
         (["coeffs", "--n", "1", "--prime", "2", "--max-order", "2", "--oracle"],
          CLOSED_FORMS | {"heiszeta.combinat", "heiszeta.oracle"}),
         (["verify", "--n", "2", "--checks", "funeq"], VERIFY),
-        (["verify", "--n", "2", "--checks", "crossform"], VERIFY),
+        (["verify", "--n", "2", "--checks", "crossform"], CROSSFORM),
         (["verify", "--n", "2", "--checks", "poles"], VERIFY),
-        (["verify", "--n", "2", "--checks", "fibre"], PROOFS),
+        (["verify", "--n", "2", "--checks", "fibre"], FIBRE),
         (["verify", "--n", "2", "--checks", "residue"], PROOFS),
         (["verify", "--n", "2", "--checks", "reduced"], VERIFY),
         (["oracle", "lagrangian", "--mu", "1", "--prime", "2"], ORACLE),

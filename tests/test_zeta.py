@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -46,7 +47,7 @@ from heiszeta.zeta import (
 )
 from reference import Z_of_w, Z_of_w_partition_sum, lemma_global_bound, subs_q_one
 from reference import compact_summand_by_pochhammers, dirichlet_coeffs_by_series
-from reference import zeta_series_oracle
+from reference import pole_orders_at, zeta_series_oracle
 
 N1_FORM = FR(
     Poly.one_minus(3, 3),
@@ -523,18 +524,26 @@ def test_pole_locations_within_candidates_and_criterion(n):
     assert set(orders) <= set(integral) | set(fractional)
 
 
-def test_pole_order_that_varies_with_q_raises(monkeypatch, capsys):
-    # the orders at the primes of POLE_PRIMES must agree; verify reports a
-    # disagreement as a failed poles check with the message
-    real = verify._vanishing_order
-    monkeypatch.setattr(
-        verify, "_vanishing_order", lambda coeffs, p, c, d: real(coeffs, p, c, d) + (p == 5)
-    )
-    with pytest.raises(IdentityMismatch, match="varies with q"):
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("n", range(1, 13))
+def test_pole_orders_agree_with_the_orders_at_a_prime(n, p):
+    # the orders exact in q against q specialized to p, the numerator divided
+    # by 1 - p^c T^d as an integer polynomial in T
+    assert pole_analysis(n) == pole_orders_at(n, p)
+
+
+def test_a_factor_off_the_candidate_list_fails_the_poles_check(monkeypatch, capsys):
+    # without s = 0 among the candidates the factor 1 - T of every form b
+    # falls off the list; verify reports it as a failed poles check with the
+    # message
+    real = verify.pole_candidates
+    monkeypatch.setattr(verify, "pole_candidates", lambda n: (real(n)[0][1:], real(n)[1]))
+    message = r"denominator factor (1 - q^0 T^1) off the candidate list"
+    with pytest.raises(IdentityMismatch, match=re.escape(message)):
         pole_analysis(1)
     assert cli.main(["verify", "--n", "1", "--checks", "poles"]) == 1
     rep = json.loads(capsys.readouterr().out)[0]
-    assert rep["status"] == "fail" and "varies with q" in rep["detail"]
+    assert rep["status"] == "fail" and message in rep["detail"]
 
 
 # ---------------------------------------------------------------------------
