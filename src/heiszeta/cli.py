@@ -161,16 +161,11 @@ def cmd_oracle(args) -> int:
     if args.mode == "lagrangian":
         mu = args.mu
         counts = enum_lagrangians(mu, args.prime)
-        rows = [row(lam, mu, c) for lam, c in sorted(counts.items(), key=lambda kv: kv[0].parts)]
+        rows = [row(lam, mu, c) for lam, c in sorted(counts.items())]
         rows.append(row("*", mu, sum(counts.values())))
     elif args.mode == "sublattice":
         table = enum_sublattices(args.n, args.prime, args.max_val)
-        rows = [
-            row(lam, mu, c)
-            for (lam, mu), c in sorted(
-                table.items(), key=lambda kv: (kv[0][0].parts, kv[0][1].parts)
-            )
-        ]
+        rows = [row(lam, mu, c) for (lam, mu), c in sorted(table.items())]
     else:  # factorization
         rows = check_factorization(args.n, args.prime, args.max_val)
     import json

@@ -1,9 +1,9 @@
 """Combinatorial ground sets and statistics.
 
-Partitions, and the two-choice vectors w indexing the Lagrangian-count
-closed formula with their weights C(w).  The permutation statistics, the
-statistic sum over the hyperoctahedral group B_n and the Eulerian
-polynomials are second derivations, in ``heiszeta.verify``.
+Partitions, each a tuple of its parts, and the two-choice vectors w
+indexing the Lagrangian-count closed formula with their weights C(w).  The
+permutation statistics, the statistic sum over the hyperoctahedral group B_n
+and the Eulerian polynomials are second derivations, in ``heiszeta.verify``.
 """
 
 from __future__ import annotations
@@ -22,17 +22,18 @@ if TYPE_CHECKING:  # the oracles load this module without the exact kernel
 # ---------------------------------------------------------------------------
 
 
-class Partition:
-    """Weakly decreasing tuple of nonnegative integers.
+class Partition(tuple):
+    """A partition: a weakly decreasing tuple of positive integers.
 
-    Trailing zeros are allowed on input and stripped for equality and
-    hashing; operations that depend on the ambient rank (like Birkhoff
-    numbers) take an explicit rank argument instead.
+    Trailing zeros are allowed on input and stripped, so a partition equals,
+    hashes and sorts as the plain tuple of its parts; operations that depend
+    on the ambient rank (like Birkhoff numbers) take an explicit rank
+    argument instead.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts: Sequence[int] = ()):
+    def __new__(cls, parts: Sequence[int] = ()):
         parts = tuple(parts)
         if any(p < 0 for p in parts):
             raise UsageError("negative part")
@@ -40,7 +41,7 @@ class Partition:
             raise UsageError("parts must be weakly decreasing")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
-        self.parts = parts
+        return super().__new__(cls, parts)
 
     @classmethod
     def from_string(cls, s: str) -> "Partition":
@@ -49,35 +50,13 @@ class Partition:
             return cls(())
         return cls(tuple(int(x) for x in s.split(",")))
 
-    def size(self) -> int:
-        return sum(self.parts)
-
     def padded(self, n: int) -> tuple[int, ...]:
-        if len(self.parts) > n:
+        if len(self) > n:
             raise UsageError("partition has more than %d parts" % n)
-        return self.parts + (0,) * (n - len(self.parts))
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        if isinstance(other, tuple):
-            return self == Partition(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
+        return self + (0,) * (n - len(self))
 
     def __str__(self):
-        return ",".join(str(p) for p in self.parts)
-
-    def __repr__(self):
-        return "Partition(%r)" % (self.parts,)
+        return ",".join(map(str, self))
 
 
 def partitions_up_to(max_size: int, max_parts: int) -> list[Partition]:

@@ -32,7 +32,8 @@ otherwise asks the sum whether their difference is zero.
 
 Division by 1 - u is one recurrence, y = x + u y: ``_unroll`` on the T-rows
 of ``_p_tslices`` for T-factors and series in T, ``_unroll_dense`` on dense
-lists for constant factors and for series and pole orders at q = p.
+lists for constant factors, for ``_cancel``'s test at q = 2 and for the
+Dirichlet coefficients at q = p.
 ``reduced`` cancels factors in one row pass (``_cancel``), of which
 ``divide_out_factor`` is the one-factor case.  A copy of 1 - q^a T^b is
 unrolled there only if 1 - 2^a T^b divides the values at q = 2, an integer

@@ -193,7 +193,7 @@ class AltModule:
                              for k in range(1, max(self.mu, default=0) + 1)]
         sizes = [0] + [_valuation((sub & t).bit_count(), self.p) for t in self._torsion]
         conj = [b - a for a, b in zip(sizes, sizes[1:])]  # lambda'_k, the number of parts >= k
-        return Partition(tuple(sum(c > i for c in conj) for i in range(conj[0] if conj else 0)))
+        return Partition(sum(c > i for c in conj) for i in range(conj[0] if conj else 0))
 
 
 def _span(s: int, rotation: Sequence[tuple[int, int, int, int]], p: int) -> int:
@@ -227,11 +227,11 @@ def enum_lagrangians(mu, p: int) -> dict[Partition, int]:
     """
     check_prime(p)
     mu = Partition(mu)
-    m = mu.size()
+    m = sum(mu)
     check_limit("budget", "|M_mu|", p ** (2 * m))
     if m == 0:
         return {Partition(()): 1}
-    mod = AltModule(tuple(mu.parts), p)
+    mod = AltModule(mu, p)
     multiples = mod.grid([p] * len(mod.mods))  # pM
     gens: dict[int, tuple] = {}  # index of v -> (rotation, orth(v) unless first met last)
     # subgroup -> (perp, preimage); grown by index p per step, deduplicated globally
@@ -398,19 +398,11 @@ def check_factorization(n: int, p: int, max_valuation: int) -> list[dict]:
     for size in range(max_valuation + 1):  # names the least |M_mu| over budget
         check_limit("budget", "|M_mu|", p ** (2 * size))
     lattice = enum_sublattices(n, p, max_valuation)
-    mus = sorted(
-        {mu.parts for _, mu in lattice}
-        | {pt.parts for pt in partitions_up_to(max_valuation, n)}
-    )
     rows = []
-    for mu_parts in mus:
-        mu = Partition(mu_parts)
+    for mu in sorted({mu for _, mu in lattice} | set(partitions_up_to(max_valuation, n))):
         lagr = enum_lagrangians(mu, p)
         alpha = birkhoff_number(mu, n, p * p)
-        lambdas = {lam.parts for lam, m2 in lattice if m2 == mu}
-        lambdas |= {lam.parts for lam in lagr}
-        for lam_parts in sorted(lambdas):
-            lam = Partition(lam_parts)
+        for lam in sorted({lam for lam, m2 in lattice if m2 == mu} | set(lagr)):
             got = lattice.get((lam, mu), 0)
             expect = lagr.get(lam, 0) * alpha
             rows.append({"lambda": str(lam), "mu": str(mu), "p": p, "lattice": got,

@@ -342,7 +342,7 @@ def _partition_sum(n: int, max_size: int, weight) -> FactoredRational:
     total = Poly.zero()
     for mu in partitions_up_to(max_size, n):
         last = mu.padded(n)[-1]
-        alpha = birkhoff_alpha(mu, n, base_exponent=2).shift(dt=mu.size())
+        alpha = birkhoff_alpha(mu, n, base_exponent=2).shift(dt=sum(mu))
         total = total + weight(mu.padded(n)) * alpha * Poly.one_minus(2 * n * (last + 1), last + 1)
     return FactoredRational(total, {(2 * n, 1): 1})
 
@@ -555,11 +555,11 @@ def enum_lagrangians_by_tuples(mu, p: int) -> dict[Partition, int]:
     """
     check_prime(p)
     mu = Partition(mu)
-    m = mu.size()
+    m = sum(mu)
     check_limit("budget", "|M_mu|", p ** (2 * m))
     if m == 0:
         return {Partition(()): 1}
-    mod = TupleAltModule(tuple(mu.parts), p)
+    mod = TupleAltModule(mu, p)
     elements = list(mod.elements())
     times_p = {x: mod.scalar(p, x) for x in elements}
     # subgroup -> perp list; grown by index p per step, deduplicated globally

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 from collections import Counter
 from functools import lru_cache
@@ -33,12 +34,17 @@ from reference import inversions, is_w_vector, perms, signed_perm_length_bfs, si
 def test_partition_normalizes_trailing_zeros():
     assert Partition((2, 1, 0, 0)) == Partition((2, 1))
     assert hash(Partition((2, 1, 0))) == hash(Partition((2, 1)))
+    # a partition is the tuple of its parts, trailing zeros stripped
+    assert isinstance(Partition((2, 1)), tuple)
+    assert Partition((2, 1)) == (2, 1) and hash(Partition((2, 1))) == hash((2, 1))
+    assert Partition((2, 1, 0)) == (2, 1)
+    assert Partition((2, 1)) != (2, 1, 0)
 
 
 def test_partition_rejects_bad_input():
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="parts must be weakly decreasing"):
         Partition((1, 2))
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="negative part"):
         Partition((1, -1))
 
 
@@ -54,18 +60,22 @@ def test_partition_string_round_trip():
     assert Partition.from_string("2,1") == Partition((2, 1))
     assert Partition.from_string("") == Partition(())
     assert str(Partition((2, 1))) == "2,1"
+    back = pickle.loads(pickle.dumps(Partition((2, 1))))
+    assert type(back) is Partition and back == (2, 1)
 
 
 def test_partitions_up_to_small():
-    assert [p.parts for p in partitions_up_to(0, 3)] == [()]
-    assert [p.parts for p in partitions_up_to(2, 2)] == [(), (1,), (2,), (1, 1)]
+    assert partitions_up_to(0, 3) == [()]
+    assert partitions_up_to(2, 2) == [(), (1,), (2,), (1, 1)]
+    # partitions sort as their tuples do
+    assert sorted(partitions_up_to(4, 3)) == sorted(map(tuple, partitions_up_to(4, 3)))
     assert len(partitions_up_to(4, 2)) == 9
 
 
 def test_partitions_up_to_respects_bounds():
     for p in partitions_up_to(6, 3):
-        assert p.size() <= 6 and len(p) <= 3
-    seen = set(p.parts for p in partitions_up_to(6, 3))
+        assert sum(p) <= 6 and len(p) <= 3
+    seen = set(partitions_up_to(6, 3))
     assert len(seen) == len(partitions_up_to(6, 3))
 
 

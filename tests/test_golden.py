@@ -7,6 +7,10 @@ equality and products were rewritten, so they pin the kernel's behaviour.
 `verify.jsonl` holds the compact JSON of `verify`'s reports, without their
 `seconds` and `version`: every check for n <= 5, then funeq and poles up to
 n = 12.  It was written before each report came to be built in one place.
+`oracle.jsonl` holds, on line i, the compact JSON (keys sorted) of the stdout
+of the i-th command in `ORACLE_COMMANDS`: Lagrangian, sublattice and
+factorization tables keyed by the partitions (lambda, mu), in row order.  It
+was written before `Partition` became a tuple.
 Regenerate them only after an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -59,6 +63,26 @@ def _reports_dumps(reports):
     return json.dumps(reports, sort_keys=True, separators=(",", ":"))
 
 
+ORACLE_COMMANDS = (
+    "oracle lagrangian --mu 2,1,1 --prime 2",
+    "oracle lagrangian --mu 2,1 --prime 3",
+    "oracle lagrangian --mu 3,2 --prime 2",
+    "oracle sublattice --n 2 --prime 2 --max-val 3",
+    "oracle sublattice --n 1 --prime 5 --max-val 4",
+    "oracle factorization --n 2 --prime 2 --max-val 3",
+    "oracle factorization --n 2 --prime 3 --max-val 3",
+    "oracle factorization --n 3 --prime 2 --max-val 2",
+)
+
+
+def oracle_rows(i):
+    """The JSON rows that the i-th of ORACLE_COMMANDS prints, from i = 1."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(ORACLE_COMMANDS[i - 1].split()) == 0
+    return json.loads(out.getvalue())
+
+
 # file stem -> (function, serializer, largest n)
 CASES = {
     "zeta_a": (zeta_igusa_sum, rational_dumps, _top(zeta_igusa_sum, 6)),
@@ -68,6 +92,7 @@ CASES = {
     "reduced_zeta": (reduced_zeta, rational_dumps, _top(reduced_zeta, 8)),
     "global_factor": (global_factor, _poly_dumps, _top(global_factor, 6)),
     "verify": (verify_reports, _reports_dumps, 12),
+    "oracle": (oracle_rows, _reports_dumps, len(ORACLE_COMMANDS)),
 }
 
 
