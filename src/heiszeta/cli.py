@@ -8,7 +8,10 @@ guard violation, 141 stdout closed by its reader before the output was
 written (as by `| head`).  The library refuses each numeric input out of its
 range (errors.LIMITS): below the least value with one `usage:` line on
 stderr, above the largest with one `guard:` line, both before any
-computation.  All output is deterministic for fixed inputs and version.
+computation.  Each command checks its own options first, before it computes
+anything, and main opens `--out` before the command runs, truncated as by the
+shell's `>`: a path that cannot be written is refused with one `usage:` line
+before any work.  All output is deterministic for fixed inputs and version.
 
 Library names load on first use: each command imports the modules it runs
 inside its own function.  `--version` loads only this module and `errors`;
@@ -61,17 +64,6 @@ FORMS = {
 }
 
 
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise UsageError("cannot write --out %s: %s" % (out_path, exc.strerror or exc)) from None
-    else:
-        print(text)
-
-
 def _render(f, fmt: str) -> str:
     from .exactalg import format_latex, format_plain, rational_to_json
 
@@ -86,22 +78,32 @@ def _render(f, fmt: str) -> str:
     return json.dumps(data, sort_keys=True)
 
 
-def cmd_zeta(args) -> int:
-    f = FORMS[args.form](args.n)
-    _emit(_render(f, args.output), args.out)
+def cmd_zeta(args, out) -> int:
+    print(_render(FORMS[args.form](args.n), args.output), file=out)
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, out) -> int:
     """Run each check and print its report: the check's name and n, the
     status and detail the check returns, its seconds and the version.  A
     mismatch raised inside a check is its "fail" status, with the message as
-    detail; a refusal ends the command."""
-    from .verify import CHECKS
+    detail; a refusal ends the command.  n, the names in --checks and the
+    size rows (verify.GUARDS) of every named check are checked first."""
+    check_limit("verify", "n", args.n)
+    checks = list(filter(None, map(str.strip, args.checks.split(","))))
+    if not checks:
+        raise UsageError("--checks names no check")
+    from .verify import CHECKS, GUARDS
 
+    for name in checks:
+        if name not in CHECKS:
+            raise UsageError("unknown check %r" % name)
+    for name in checks:
+        for owner, what in GUARDS[name]:
+            check_limit(owner, what, args.n)
     reports = []
     failed = None
-    for name in args.checks:
+    for name in checks:
         t0 = time.perf_counter()
         rep = {"check": name, "n": args.n}
         try:
@@ -117,24 +119,33 @@ def cmd_verify(args) -> int:
             failed = name
     import json
 
-    _emit(json.dumps(reports, sort_keys=True, indent=2), args.out)
+    print(json.dumps(reports, sort_keys=True, indent=2), file=out)
     if failed:
         print("FAILED: %s" % failed, file=sys.stderr)
         return 1
     return 0
 
 
-def cmd_coeffs(args) -> int:
+def cmd_coeffs(args, out) -> int:
+    """a_{p^i} by the formula, and with --oracle by the subalgebra oracle.
+    --prime must be a prime, though dirichlet_coeffs takes any q >= 2.  The
+    oracle counts, which refuse past their HNF budget, come before the
+    formula is computed, and after its own rows, as without --oracle."""
+    check_prime(args.prime)
     from .zeta import dirichlet_coeffs
 
+    counts = []
+    if args.oracle:
+        from .oracle import enum_subalgebras
+
+        check_limit("dirichlet_coeffs", "order", args.max_order)
+        check_limit("zeta_compact", "n", args.n)
+        counts = enum_subalgebras(args.n, args.prime, args.max_order)
     formula = dirichlet_coeffs(args.n, args.prime, args.max_order)
     header = ["index", "formula"]
     columns = [["%d^%d" % (args.prime, i) for i in range(len(formula))], formula]
     agree = []
     if args.oracle:
-        from .oracle import enum_subalgebras
-
-        counts = enum_subalgebras(args.n, args.prime, args.max_order)
         agree = [c == f for c, f in zip(counts, formula)]
         header += ["oracle", "agree"]
         columns += [counts, agree]
@@ -148,33 +159,52 @@ def cmd_coeffs(args) -> int:
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-    _emit("\n".join(lines), args.out)
+    print("\n".join(lines), file=out)
     return 0 if all(agree) else 1
 
 
-def cmd_oracle(args) -> int:
-    from .oracle import check_factorization, enum_lagrangians, enum_sublattices
+def cmd_oracle(args, out) -> int:
+    """The oracle's counts as JSON rows.  Each mode refuses the options it
+    does not read; sublattice and factorization default to --n 1 --max-val 2."""
 
     def row(lam, mu, count):
         return {"lambda": str(lam), "mu": str(mu), "p": args.prime, "count": str(count)}
 
     if args.mode == "lagrangian":
-        mu = args.mu
+        if args.n is not None or args.max_val is not None:
+            raise UsageError("oracle lagrangian takes no --n or --max-val")
+        from .combinat import Partition
+
+        try:
+            mu = Partition.from_string(args.mu or "")
+        except UsageError as exc:
+            raise UsageError("--mu %r is not a partition: %s" % (args.mu, exc)) from None
+        from .oracle import enum_lagrangians
+
         counts = enum_lagrangians(mu, args.prime)
         rows = [row(lam, mu, c) for lam, c in sorted(counts.items())]
         rows.append(row("*", mu, sum(counts.values())))
-    elif args.mode == "sublattice":
-        table = enum_sublattices(args.n, args.prime, args.max_val)
-        rows = [row(lam, mu, c) for (lam, mu), c in sorted(table.items())]
-    else:  # factorization
-        rows = check_factorization(args.n, args.prime, args.max_val)
+    else:
+        if args.mu is not None:
+            raise UsageError("oracle %s takes no --mu" % args.mode)
+        n = 1 if args.n is None else args.n
+        max_val = 2 if args.max_val is None else args.max_val
+        if args.mode == "sublattice":
+            from .oracle import enum_sublattices
+
+            table = enum_sublattices(n, args.prime, max_val)
+            rows = [row(lam, mu, c) for (lam, mu), c in sorted(table.items())]
+        else:  # factorization
+            from .oracle import check_factorization
+
+            rows = check_factorization(n, args.prime, max_val)
     import json
 
-    _emit(json.dumps(rows, sort_keys=True, indent=2), args.out)
+    print(json.dumps(rows, sort_keys=True, indent=2), file=out)
     return 0
 
 
-def cmd_global(args) -> int:
+def cmd_global(args, out) -> int:
     from .exactalg import format_poly
     from .zeta import global_factor, global_factor_eval
 
@@ -197,54 +227,8 @@ def cmd_global(args) -> int:
         import json
 
         lines.append(json.dumps(rn, sort_keys=True))
-    _emit("\n".join(lines), args.out)
+    print("\n".join(lines), file=out)
     return 0
-
-
-def validate(args) -> None:
-    """Parse what argparse leaves as text, and apply the command line's own
-    policies, before any computation.
-
-    Raises UsageError, which main maps to exit code 2.  verify's --checks
-    becomes the list of check names (an empty list or an unknown name is
-    rejected) and needs n >= 1, and the size rows (verify.GUARDS) of every
-    named check are applied at its n before the first runs, so they raise
-    SizeGuard here; coeffs needs a prime --prime, though dirichlet_coeffs
-    takes any integer q; oracle lagrangian's --mu becomes a Partition, and
-    each oracle mode refuses the options of the others.
-    Every numeric range is the library's: each entry point refuses a value
-    below its least value with UsageError and above its largest with
-    SizeGuard (errors.LIMITS).
-    """
-    if args.command == "verify":
-        check_limit("verify", "n", args.n)
-        args.checks = list(filter(None, map(str.strip, args.checks.split(","))))
-        if not args.checks:
-            raise UsageError("--checks names no check")
-        from .verify import CHECKS, GUARDS
-
-        for name in args.checks:
-            if name not in CHECKS:
-                raise UsageError("unknown check %r" % name)
-        for name in args.checks:
-            for owner, what in GUARDS[name]:
-                check_limit(owner, what, args.n)
-    elif args.command == "coeffs":
-        check_prime(args.prime)
-    elif args.command == "oracle" and args.mode == "lagrangian":
-        from .combinat import Partition
-
-        if args.n is not None or args.max_val is not None:
-            raise UsageError("oracle lagrangian takes no --n or --max-val")
-        try:
-            args.mu = Partition.from_string(args.mu or "")
-        except ValueError as exc:
-            raise UsageError("--mu %r is not a partition: %s" % (args.mu, exc)) from None
-    elif args.command == "oracle":
-        if args.mu is not None:
-            raise UsageError("oracle %s takes no --mu" % args.mode)
-        args.n = 1 if args.n is None else args.n
-        args.max_val = 2 if args.max_val is None else args.max_val
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -312,8 +296,15 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
         args = build_parser(command).parse_args(argv)
-        validate(args)
-        return args.func(args)
+        if not args.out:
+            return args.func(args, sys.stdout)
+        try:
+            # truncated as by `>`; the library writes no file, so an OSError
+            # here is this file's, on open or on a later write
+            with open(args.out, "w") as out:
+                return args.func(args, out)
+        except OSError as exc:
+            raise UsageError("cannot write --out %s: %s" % (args.out, exc.strerror or exc)) from None
     except UsageError as exc:
         print("usage: %s" % exc, file=sys.stderr)
         return 2

@@ -35,8 +35,11 @@ class Partition(tuple):
 
     def __new__(cls, parts: Sequence[int] = ()):
         parts = tuple(parts)
-        if any(p < 0 for p in parts):
-            raise UsageError("negative part")
+        for p in parts:
+            if not isinstance(p, int):
+                raise UsageError("parts must be integers")
+            if p < 0:
+                raise UsageError("negative part")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise UsageError("parts must be weakly decreasing")
         while parts and parts[-1] == 0:
@@ -48,7 +51,11 @@ class Partition(tuple):
         s = s.strip()
         if not s:
             return cls(())
-        return cls(tuple(int(x) for x in s.split(",")))
+        try:
+            parts = [int(x) for x in s.split(",")]
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        return cls(parts)
 
     def padded(self, n: int) -> tuple[int, ...]:
         if len(self) > n:

@@ -109,6 +109,8 @@ LIMITS = {
     # not end inside 30 s.
     ("rn_numeric", "prime_bound"): (2, 10**6),
     ("dirichlet_coeffs", "order"): (0, 10**3),
+    # the last power of T whose coefficient FactoredRational.series_in_T gives
+    ("series_in_T", "order"): (0, None),
     # the primality test is exact below PRIME_LIMIT; below 2 is no prime
     ("check_prime", "p"): (None, PRIME_LIMIT - 1),
     # enum_sublattices, enum_subalgebras and check_factorization

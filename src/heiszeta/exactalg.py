@@ -689,6 +689,7 @@ class FactoredRational:
 
     def series_in_T(self, order: int) -> list[BivariatePolynomial]:
         """Coefficients of T^0 .. T^order as Laurent polynomials in q."""
+        check_limit("series_in_T", "order", order)
         f = self.reduced()
         if f.num.is_zero():
             return [BivariatePolynomial.zero()] * (order + 1)

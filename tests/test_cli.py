@@ -266,6 +266,27 @@ def test_coeffs_prints_counts_past_the_interpreter_digit_limit(capsys):
     assert digit_limit() == limit
 
 
+def test_coeffs_oracle_refuses_its_budget_before_the_formula(capsys, monkeypatch):
+    # n = 12 and order 1000 are inside the formula's limits, but the 2^24 - 1
+    # HNF bases of index 2 in rank 24 are past the oracle's budget: refused
+    # before form b and its 1,001 coefficients are built
+    monkeypatch.setattr(zeta, "dirichlet_coeffs", _stop)
+    code = main(["coeffs", "--n", "12", "--prime", "2", "--max-order", "1000", "--oracle"])
+    assert code == 2
+    assert capsys.readouterr().err == "guard: budget: HNF bases = 16777216 exceeds 2000000\n"
+
+
+@pytest.mark.parametrize("n, order", [("12", "1001"), ("13", "1"), ("-1", "1"), ("1", "-1")])
+def test_coeffs_refuses_as_it_does_without_the_oracle(capsys, n, order):
+    # the formula's own rows come before the oracle's, the budget among them
+    argv = ["coeffs", "--n", n, "--prime", "2", "--max-order", order]
+    errs = []
+    for oracle in ([], ["--oracle"]):
+        assert main(argv + oracle) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] and len(errs[0].splitlines()) == 1
+
+
 def test_oracle_lagrangian(capsys):
     code, out = run(capsys, "oracle", "lagrangian", "--mu", "1", "--prime", "2")
     assert code == 0
@@ -356,6 +377,47 @@ def test_out_that_cannot_be_written_exits_2(tmp_path, capsys, where):
     assert code == 2 and captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("usage: cannot write --out ")
+
+
+def test_out_that_cannot_be_written_is_refused_before_any_check(tmp_path, capsys, monkeypatch):
+    # main opens --out before the command runs: the check, which at n = 8
+    # would be the 12-16 s fibre proof, is never entered
+    from heiszeta import verify
+
+    entered = []
+
+    def recorded(n):
+        entered.append(n)
+        return {"status": "pass", "detail": None}
+
+    monkeypatch.setitem(verify.CHECKS, "fibre", recorded)
+    argv = ["verify", "--n", "8", "--checks", "fibre", "--out"]
+    code = main(argv + [str(tmp_path / "missing" / "x")])
+    captured = capsys.readouterr()
+    assert (code, captured.out, entered) == (2, "", [])
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage: cannot write --out ")
+    # a path that can be written gets the report of the check
+    assert main(argv + [str(tmp_path / "x")]) == 0 and entered == [8]
+    assert json.loads((tmp_path / "x").read_text())[0]["check"] == "fibre"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--n", "0"),
+    ("verify", "--n", "11", "--checks", "residue"),
+    ("coeffs", "--n", "1", "--prime", "4", "--max-order", "2"),
+    ("oracle", "lagrangian", "--mu", "x", "--prime", "2"),
+    ("zeta", "--n", "9", "--form", "c"),
+], ids=" ".join)
+def test_a_refused_command_leaves_out_empty(tmp_path, capsys, argv):
+    # --out is truncated when it is opened, before the command runs, as the
+    # shell's `>` does, so a refusal leaves no earlier output in it
+    path = tmp_path / "out.txt"
+    path.write_text("an earlier output\n")
+    code = main([*argv, "--out", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "") and len(captured.err.splitlines()) == 1
+    assert path.read_text() == ""
 
 
 def test_stdout_closed_early_exits_141_without_a_traceback():

@@ -12,6 +12,7 @@ from heiszeta.combinat import Partition, gen_W, partitions_up_to, weight_C
 from heiszeta.errors import SizeGuard, UsageError
 from heiszeta.exactalg import BivariatePolynomial as Poly, FactoredRational as FR, _t_low
 from heiszeta.igusa import igusa_B
+from heiszeta.oracle import enum_lagrangians
 from heiszeta.verify import (
     GENERIC_Z,
     coset_reps,
@@ -46,6 +47,15 @@ def test_partition_rejects_bad_input():
         Partition((1, 2))
     with pytest.raises(UsageError, match="negative part"):
         Partition((1, -1))
+    # a part that is no integer, a string's characters among them
+    for parts in ((1.5,), (2, 1.0), "1", "ab"):
+        with pytest.raises(UsageError, match="parts must be integers"):
+            Partition(parts)
+    # int()'s own text, which `oracle lagrangian --mu` prints
+    with pytest.raises(UsageError, match="invalid literal for int"):
+        Partition.from_string("a")
+    with pytest.raises(UsageError, match="parts must be integers"):
+        enum_lagrangians((1.5,), 2)
 
 
 def test_partition_difference_vector_reconstructs():

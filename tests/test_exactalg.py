@@ -446,10 +446,12 @@ def test_series_identity_function():
 
 
 def test_series_is_cut_at_the_order():
-    # T^5 / (1 - qT) and T^5 alone, cut below, at and after their first term
+    # T^5 / (1 - qT) and T^5 alone, cut below, at and after their first term;
+    # a negative order is refused, as dirichlet_coeffs refuses it
     for den, tail in (({(1, 1): 1}, [Poly.one(), Poly.monomial(1, 1, 0)]), ({}, [Poly.one()])):
         f = FR(Poly.monomial(1, 0, 5), den)
-        assert f.series_in_T(-2) == []
+        with pytest.raises(UsageError, match="series_in_T: order must be >= 0, got -2"):
+            f.series_in_T(-2)
         assert f.series_in_T(3) == [Poly.zero()] * 4
         assert f.series_in_T(6) == [Poly.zero()] * 5 + tail + [Poly.zero()] * (2 - len(tail))
 

@@ -15,11 +15,12 @@ from pathlib import Path
 import pytest
 
 from heiszeta import oracle
-from heiszeta.cli import build_parser, validate
+from heiszeta.cli import build_parser, cmd_verify
 from heiszeta.combinat import gen_W
 from heiszeta.errors import LIMITS, BudgetExceeded, SizeGuard, UsageError, check_prime
 from heiszeta.counts import birkhoff_number
-from heiszeta.exactalg import BivariatePolynomial as Poly, gauss_binom, qpochhammer
+from heiszeta.exactalg import BivariatePolynomial as Poly, FactoredRational as FR
+from heiszeta.exactalg import gauss_binom, qpochhammer
 from heiszeta.igusa import igusa_A
 from heiszeta.numeric import rn_numeric
 from heiszeta.oracle import enum_lagrangians, enum_subalgebras, enum_sublattices, hnf_enumerate
@@ -39,6 +40,7 @@ from heiszeta.zeta import (
 PACKAGE = str(Path(oracle.__file__).parent)
 SLOTS = [(101, 1)] * 10
 Z = Poly.monomial(1, 977, 2)  # built here, so that the refusals do not count it
+GEOMETRIC = FR(1, {(1, 1): 1})  # 1 / (1 - q T)
 
 
 def _hnf_bases(v):
@@ -78,9 +80,11 @@ CASES = {
     ("HNF enumeration", "rank"): lambda v: list(hnf_enumerate(v, 2, 1)),
     ("birkhoff_number", "Q"): lambda v: birkhoff_number((1,), 1, v),
     ("dirichlet_coeffs", "q"): lambda v: dirichlet_coeffs(1, v, 3),
-    ("verify", "n"): lambda v: validate(build_parser().parse_args(["verify", "--n", str(v)])),
+    ("verify", "n"): lambda v: cmd_verify(build_parser().parse_args(["verify", "--n", str(v)]),
+                                          sys.stdout),
     ("rn_numeric", "prime_bound"): lambda v: rn_numeric(2, v),
     ("dirichlet_coeffs", "order"): lambda v: dirichlet_coeffs(1, 2, v),
+    ("series_in_T", "order"): lambda v: GEOMETRIC.series_in_T(v),
     ("check_prime", "p"): check_prime,
     ("lattice oracles", "max valuation"): lambda v: enum_sublattices(1, 2, v),
     ("budget", "HNF bases"): _hnf_bases,
