@@ -36,7 +36,9 @@ _HOME = {
             "enum_subalgebras",
             "enum_sublattices",
         ),
-        "verify": ("funeq_check", "pole_analysis", "reduced_c"),
+        "verify.funeq": ("funeq_check",),
+        "verify.poles": ("pole_analysis",),
+        "verify.reduced": ("reduced_c",),
         "zeta": (
             "dirichlet_coeffs",
             "global_factor",

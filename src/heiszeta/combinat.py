@@ -34,9 +34,12 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Sequence[int] = ()):
-        parts = tuple(parts)
+        try:
+            parts = tuple(parts)
+        except TypeError:
+            raise UsageError("a partition is a sequence of parts, got %r" % (parts,)) from None
         for p in parts:
-            if not isinstance(p, int):
+            if not isinstance(p, int) or isinstance(p, bool):
                 raise UsageError("parts must be integers")
             if p < 0:
                 raise UsageError("negative part")

@@ -124,8 +124,11 @@ LIMITS = {
 
 
 def check_limit(owner: str, what: str, value: int) -> None:
-    """Raise UsageError below LIMITS[owner, what] and SizeGuard above it;
-    BudgetExceeded above a budget."""
+    """Raise UsageError for a value that is no int (a bool included) or below
+    LIMITS[owner, what], and SizeGuard above it; BudgetExceeded above a
+    budget."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise UsageError("%s: %s must be an integer, got %r" % (owner, what, value))
     least, largest = LIMITS[owner, what]
     if least is not None and value < least:
         raise UsageError("%s: %s must be >= %d, got %d" % (owner, what, least, value))

@@ -22,7 +22,6 @@ from .exactalg import (
     BivariatePolynomial,
     FactoredRational,
     FactorKey,
-    _unroll_dense,
     divide_out_factor,
     gauss_binom,
 )
@@ -106,8 +105,9 @@ def zeta_hyperoctahedral(n: int) -> FactoredRational:
     Y = q^-1, Z = -q^n T and slots q^{c_i} T^{n+1}; the recurrence of
     ``igusa._subset_sum`` sums its 2^n subsets in O(n^2) products.  Its
     numerator equals the statistic sum over B_n of
-    :func:`~heiszeta.verify.hyperoctahedral_numerator`, an independent
-    derivation that ``verify --checks crossform`` compares with it.
+    :func:`~heiszeta.verify.crossform.hyperoctahedral_numerator`, an
+    independent derivation that ``verify --checks crossform`` compares with
+    it.
     """
     check_limit("zeta_hyperoctahedral", "n", n)
     return _type_B_form(n, c_exponents(n))
@@ -142,9 +142,10 @@ def zeta_graded(n: int) -> FactoredRational:
 
     The substitution is applied both in the Igusa slots and inside the
     statistic C: the hyperoctahedral form built at the c_i'.  Its numerator
-    is the B_n group sum :func:`~heiszeta.verify.hyperoctahedral_numerator`
-    at the c_i' (the tests compare the two); no count outside the package is
-    compared with it.
+    is the B_n group sum
+    :func:`~heiszeta.verify.crossform.hyperoctahedral_numerator` at the c_i'
+    (the tests compare the two); no count outside the package is compared
+    with it.
     """
     check_limit("zeta_graded", "n", n)
     return _type_B_form(n, c_exponents_graded(n))
@@ -158,6 +159,8 @@ def zeta_graded(n: int) -> FactoredRational:
 def dirichlet_coeffs(n: int, p: int, order: int) -> list[int]:
     """Subalgebra counts a_{p^i} for i <= order: form b's numerator at q = p
     over each denominator factor 1 - p^a T^b, in integers."""
+    from ._engine import _unroll_dense
+
     check_limit("dirichlet_coeffs", "q", p)
     check_limit("dirichlet_coeffs", "order", order)
     f = zeta_compact(n)
@@ -207,8 +210,8 @@ def global_factor(n: int) -> BivariatePolynomial:
     compact-form numerator after T^{(n+1) des + neg} is regrouped by D.
     This is the numerator of the cached :func:`zeta_hyperoctahedral`, which
     ``verify --checks crossform`` compares with the group sum
-    :func:`~heiszeta.verify.hyperoctahedral_numerator`; no group element is
-    built.
+    :func:`~heiszeta.verify.crossform.hyperoctahedral_numerator`; no group
+    element is built.
     """
     check_limit("global_factor", "n", n)
     return zeta_hyperoctahedral(n).num

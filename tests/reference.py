@@ -14,18 +14,16 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
+from heiszeta._engine import _divide_dense, _p_tslices, _unroll
 from heiszeta.combinat import Partition, partitions_up_to
 from heiszeta.counts import birkhoff_alpha, nprime_closed
 from heiszeta.errors import HeiszetaError, IdentityMismatch, UsageError, check_limit, check_prime
 from heiszeta.exactalg import (
     BivariatePolynomial as Poly,
     FactoredRational,
-    _divide_dense,
     _p_iadd,
     _p_mul_schoolbook,
-    _p_tslices,
     _t_low,
-    _unroll,
     gauss_binom,
     qpochhammer,
 )
@@ -39,13 +37,8 @@ from heiszeta.oracle import (
     hnf_enumerate,
     smith_type,
 )
-from heiszeta.verify import (
-    coset_reps,
-    coset_stats,
-    descent_set,
-    fibre_E,
-    signed_descent_sum,
-)
+from heiszeta.verify.descent import signed_descent_sum
+from heiszeta.verify.fibre import coset_reps, coset_stats, descent_set, fibre_E
 from heiszeta.zeta import c_exponents, igusa_args, special_exponent, zeta_compact
 
 

@@ -30,19 +30,12 @@ from heiszeta.oracle import (
     enum_subalgebras,
     enum_sublattices,
 )
-from heiszeta.verify import (
-    GENERIC_Z,
-    _reduced_eulerian,
-    check_I_equals_K,
-    fibre_E,
-    fibre_K,
-    funeq_check,
-    generic_slots,
-    igusa_B_residue,
-    pole_analysis,
-    reduced_c,
-    reduced_cone_series,
-)
+from heiszeta.verify.descent import GENERIC_Z, generic_slots
+from heiszeta.verify.fibre import check_I_equals_K, fibre_E, fibre_K
+from heiszeta.verify.funeq import funeq_check
+from heiszeta.verify.poles import pole_analysis
+from heiszeta.verify.reduced import _reduced_eulerian, reduced_c, reduced_cone_series
+from heiszeta.verify.residue import igusa_B_residue
 from heiszeta.zeta import (
     c_exponents,
     dirichlet_coeffs,

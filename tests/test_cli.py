@@ -110,17 +110,17 @@ def test_verify_fibre_residue_reduced(capsys):
 
 
 def test_residue_check_builds_each_descent_sum_once(monkeypatch):
-    from heiszeta import verify
+    from heiszeta.verify import residue
 
     calls = []
-    descent_sum = verify.signed_descent_sum
+    descent_sum = residue.signed_descent_sum
 
     def counted(n, y_exponent, Z, X):
         calls.append((n, y_exponent, Z, tuple(X)))
         return descent_sum(n, y_exponent, Z, X)
 
-    monkeypatch.setattr(verify, "signed_descent_sum", counted)
-    assert verify._check_residue(5)["status"] == "pass"
+    monkeypatch.setattr(residue, "signed_descent_sum", counted)
+    assert residue._check_residue(5)["status"] == "pass"
     # one run on marker slots gives the sum on the generic slots and every
     # residue limit; the factored residues build their type-B factor by the
     # subset expansion, with no descent sum
@@ -192,13 +192,13 @@ def test_the_first_check_refuses_by_itself(capsys):
 def test_verify_raised_mismatch_keeps_every_report(capsys, monkeypatch):
     # a check that raises a mismatch reports "fail" with the message; the
     # reports before and after it are still printed
-    from heiszeta import verify
     from heiszeta.errors import IdentityMismatch
+    from heiszeta.verify import funeq
 
     def failing(n):
         raise IdentityMismatch("functional equation failed at n = %d" % n)
 
-    monkeypatch.setattr(verify, "funeq_check", failing)
+    monkeypatch.setattr(funeq, "funeq_check", failing)
     code = main(["verify", "--n", "2", "--checks", "crossform,funeq,reduced"])
     captured = capsys.readouterr()
     assert code == 1

@@ -13,15 +13,9 @@ from heiszeta.errors import SizeGuard, UsageError
 from heiszeta.exactalg import BivariatePolynomial as Poly, FactoredRational as FR, _t_low
 from heiszeta.igusa import igusa_B
 from heiszeta.oracle import enum_lagrangians
-from heiszeta.verify import (
-    GENERIC_Z,
-    coset_reps,
-    coset_stats,
-    descent_set,
-    eulerian_A,
-    fibre_W,
-    signed_descent_sum,
-)
+from heiszeta.verify.descent import GENERIC_Z, signed_descent_sum
+from heiszeta.verify.fibre import coset_reps, coset_stats, descent_set, fibre_W
+from heiszeta.verify.reduced import eulerian_A
 from heiszeta.zeta import reduced_zeta
 from reference import SignedPermutation, brenti_B_by_enumeration, difference_vector
 from reference import inversions, is_w_vector, perms, signed_perm_length_bfs, signed_perms
@@ -56,6 +50,22 @@ def test_partition_rejects_bad_input():
         Partition.from_string("a")
     with pytest.raises(UsageError, match="parts must be integers"):
         enum_lagrangians((1.5,), 2)
+
+
+def test_partition_refuses_a_value_that_is_no_sequence():
+    # a bare int has no parts to iterate over
+    for call in (lambda: Partition(3), lambda: Partition(None), lambda: enum_lagrangians(3, 2)):
+        with pytest.raises(UsageError, match="a partition is a sequence of parts, got"):
+            call()
+
+
+def test_partition_refuses_a_bool_part():
+    # True is an int to isinstance, but no part: it printed as "True"
+    for parts in ((True,), (2, False), (True, True)):
+        with pytest.raises(UsageError, match="parts must be integers"):
+            Partition(parts)
+    with pytest.raises(UsageError, match="parts must be integers"):
+        enum_lagrangians((True,), 2)
 
 
 def test_partition_difference_vector_reconstructs():

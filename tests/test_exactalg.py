@@ -257,7 +257,7 @@ def test_a_factor_that_divides_only_at_q_2_is_refused():
 def test_form_a_unrolls_only_the_copies_that_divide(monkeypatch):
     # zeta_igusa_sum(4)'s reduce: of its 19 copies of T-factors, the 12 that
     # do not divide fail at q = 2, so only the 7 that divide are unrolled
-    from heiszeta import exactalg, zeta
+    from heiszeta import _engine, zeta
 
     unrolls, cancels = [], []
 
@@ -270,9 +270,9 @@ def test_form_a_unrolls_only_the_copies_that_divide(monkeypatch):
         cancels.append([(b, m, left) for (_, b, m), left in zip(factors, out[1])])
         return out
 
-    real_unroll, real_cancel = exactalg._unroll, exactalg._cancel
-    monkeypatch.setattr(exactalg, "_unroll", unroll)
-    monkeypatch.setattr(exactalg, "_cancel", cancel)
+    real_unroll, real_cancel = _engine._unroll, _engine._cancel
+    monkeypatch.setattr(_engine, "_unroll", unroll)
+    monkeypatch.setattr(_engine, "_cancel", cancel)
     zeta.zeta_igusa_sum.__wrapped__(4)
     (copies,) = cancels
     assert sum(m for b, m, _ in copies if b) == 19

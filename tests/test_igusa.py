@@ -9,8 +9,8 @@ from heiszeta.exactalg import (
     qpochhammer,
 )
 from heiszeta.igusa import _subset_sum, igusa_A, igusa_B
-from heiszeta.verify import (
-    GENERIC_Z,
+from heiszeta.verify.descent import GENERIC_Z, generic_slots, signed_descent_sum
+from heiszeta.verify.fibre import (
     Y_slot,
     check_I_equals_K,
     coset_stats,
@@ -18,11 +18,8 @@ from heiszeta.verify import (
     fibre_I,
     fibre_K,
     fibre_prefactor,
-    generic_slots,
-    igusa_B_residue,
-    residue_limits,
-    signed_descent_sum,
 )
+from heiszeta.verify.residue import igusa_B_residue, residue_limits
 from heiszeta.zeta import c_exponents, igusa_args
 from reference import (
     epsilon_kr,
@@ -330,7 +327,7 @@ def test_residue_limits_from_one_run_match_each_per_m_sum(n, y, Z):
 def test_descent_markers_decode_inside_the_base_bounds(n):
     # every term's base y l + e_q(Z) neg, read off the marker exponent, lies
     # in [lo, hi], so that no base spills into the mask bits
-    from heiszeta.verify import _base_bounds, _descent_by_mask
+    from heiszeta.verify.residue import _base_bounds, _descent_by_mask
 
     for y, Z in [(-1, GENERIC_Z), (1, Poly.monomial(1, -7, 1))]:
         lo, hi = _base_bounds(n, y, Z)
@@ -468,7 +465,7 @@ def test_the_coset_and_fibre_helpers_refuse_k_outside_0_to_n(k):
 
 def test_fibre_K_terminal_case():
     # K_n^{n,r} = [n]_{q^2}!
-    from heiszeta.verify import _qsquare_factorial
+    from heiszeta.verify.fibre import _qsquare_factorial
 
     for n in (1, 2, 3):
         for r in range(n + 1):
@@ -477,7 +474,7 @@ def test_fibre_K_terminal_case():
 
 def test_fibre_K_base_is_descent_sum():
     # K_n^{0,0} = sum over S_n of q^{-2 l(g)} X^{Des(g)}
-    from heiszeta.verify import descent_set
+    from heiszeta.verify.fibre import descent_set
     from reference import perms
 
     n = 3
@@ -576,12 +573,12 @@ def test_I_equals_K_fails_on_a_perturbed_K(r, monkeypatch):
     # one extra monomial in the coset model must break the identity, both
     # where the slot factors sit in the right side's denominator and where
     # the fibre is empty (k = 2 has fibres r = 0 .. 5)
-    from heiszeta import verify
+    from heiszeta.verify import fibre
 
-    real = verify.fibre_K
+    real = fibre.fibre_K
     check_I_equals_K(4, 2, r)
     monkeypatch.setattr(
-        verify, "fibre_K", lambda *args: real(*args) + Poly.monomial(1, 3, 2)
+        fibre, "fibre_K", lambda *args: real(*args) + Poly.monomial(1, 3, 2)
     )
     with pytest.raises(IdentityMismatch):
         check_I_equals_K(4, 2, r)

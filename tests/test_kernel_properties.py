@@ -24,14 +24,14 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from heiszeta import exactalg  # noqa: E402
+from heiszeta import _engine  # noqa: E402
+from heiszeta._engine import _p_mul_kronecker  # noqa: E402
 from heiszeta.errors import UsageError  # noqa: E402
 from heiszeta.exactalg import (  # noqa: E402
     BivariatePolynomial as Poly,
     FactoredRational as FR,
     _p_iadd,
     _p_mul,
-    _p_mul_kronecker,
     _p_mul_schoolbook,
     divide_out_factor,
     rational_dumps,
@@ -347,8 +347,8 @@ def test_sum_matches_the_per_item_reference(items, kind):
 
 def test_a_dense_sum_is_one_packed_accumulation(monkeypatch):
     reads = []
-    unpack = exactalg._kron_unpack
-    monkeypatch.setattr(exactalg, "_kron_unpack", lambda *args: reads.append(args) or unpack(*args))
+    unpack = _engine._kron_unpack
+    monkeypatch.setattr(_engine, "_kron_unpack", lambda *args: reads.append(args) or unpack(*args))
     # a box of 76 cells against 196 terms before collecting
     num = Poly.one_minus(1, 0) ** 3
     items = [
@@ -356,7 +356,7 @@ def test_a_dense_sum_is_one_packed_accumulation(monkeypatch):
         for r in range(4)
     ]
     with monkeypatch.context() as mp:
-        mp.setattr(exactalg, "_p_iadd", refuse("the per-item path ran"))
+        mp.setattr(_engine, "_p_iadd", refuse("the per-item path ran"))
         total = FR.sum(items)
     assert len(reads) == 1
     assert exact(total) == exact(sum_per_item(items))
@@ -370,9 +370,9 @@ def test_a_comparison_over_other_denominators_is_one_packed_sum(monkeypatch):
     g = FR(block * Poly.one_minus(1, 0) ** 2, {(1, 0): 3})
     h = FR(block * Poly.one_minus(1, 0) ** 2 + Poly.monomial(1, 1, 1), {(1, 0): 3})
     reads = []
-    unpack = exactalg._kron_unpack
-    monkeypatch.setattr(exactalg, "_kron_unpack", lambda *args: reads.append(args) or unpack(*args))
-    monkeypatch.setattr(exactalg, "_p_iadd", refuse("the per-item path ran"))
+    unpack = _engine._kron_unpack
+    monkeypatch.setattr(_engine, "_kron_unpack", lambda *args: reads.append(args) or unpack(*args))
+    monkeypatch.setattr(_engine, "_p_iadd", refuse("the per-item path ran"))
     assert f == g
     assert len(reads) == 1
     assert f != h
@@ -396,7 +396,7 @@ def test_packed_sums_carry_past_the_slot_bound(w, monkeypatch):
     block = Poly({(i, j): c for i in range(3) for j in range(3)})
     items = [FR(block), FR(block), FR(block.scaled(-1).shift(dt=1), {(1, 0): 1})]
     with monkeypatch.context() as mp:
-        mp.setattr(exactalg, "_p_iadd", refuse("the per-item path ran"))
+        mp.setattr(_engine, "_p_iadd", refuse("the per-item path ran"))
         total = FR.sum(items)
     assert max(map(abs, total.num.terms.values())) > c
     assert exact(total) == exact(sum_per_item(items))
@@ -411,17 +411,17 @@ def test_a_packed_sum_never_applies_a_factor_that_every_item_has(monkeypatch):
     items = [FR(block, {(-5, 1): 1}), FR(block.scaled(-2), {(-5, 1): 1, (1, 0): 1}),
              FR(block.shift(dt=1), {(-5, 1): 1, (0, 1): 1}), FR(block, {(-5, 1): 1, (1, 0): 1})]
     reads = []
-    unpack = exactalg._kron_unpack
-    monkeypatch.setattr(exactalg, "_kron_unpack", lambda *args: reads.append(args) or unpack(*args))
+    unpack = _engine._kron_unpack
+    monkeypatch.setattr(_engine, "_kron_unpack", lambda *args: reads.append(args) or unpack(*args))
     with monkeypatch.context() as mp:
-        mp.setattr(exactalg, "_p_iadd", refuse("the per-item path ran"))
+        mp.setattr(_engine, "_p_iadd", refuse("the per-item path ran"))
         total = FR.sum(items)
     assert len(reads) == 1 and reads[0][2] == 4  # the width of the box
     assert exact(total) == exact(sum_per_item(items))
 
 
 def test_a_sum_with_a_huge_exponent_stays_per_item(monkeypatch):
-    monkeypatch.setattr(exactalg, "_kron_pack", refuse("packed a sum whose box is 10^9 columns wide"))
+    monkeypatch.setattr(_engine, "_kron_pack", refuse("packed a sum whose box is 10^9 columns wide"))
     items = [FR.one_over([(10**9, 1)]), FR(Poly({(0, 1): 3, (1, 2): -2}), {(1, 0): 2})]
     start = time.perf_counter()
     total = FR.sum(items)
@@ -457,12 +457,12 @@ def test_a_numerator_with_negative_T_exponents(monkeypatch):
     packed = [FR(block), FR(block.scaled(-2), {(1, 0): 1}), FR(block.shift(dt=-1), {(0, 1): 1})]
     per_item = [FR.one_over([(300, 1)]), f]
     with monkeypatch.context() as mp:
-        mp.setattr(exactalg, "_p_iadd", refuse("the per-item path ran"))
+        mp.setattr(_engine, "_p_iadd", refuse("the per-item path ran"))
         total = FR.sum(packed)
     assert exact(total) == exact(sum_per_item(packed))
     assert min(et for _, et in total.num.terms) == -4
     with monkeypatch.context() as mp:
-        mp.setattr(exactalg, "_kron_pack", refuse("packed a sparse sum"))
+        mp.setattr(_engine, "_kron_pack", refuse("packed a sparse sum"))
         total = FR.sum(per_item)
     assert exact(total) == exact(sum_per_item(per_item))
     assert sympy_zero(fr_expr(total) - sympy.Add(*[fr_expr(x) for x in per_item]))

@@ -4,8 +4,10 @@ A top-level function or class is live when code of src/heiszeta outside its
 own body names it (an ast.Name or ast.Attribute), and a non-dunder method
 when such code reads it as an attribute (`obj.method`); that code must be
 module-level or inside a live definition.  A bare local of the same name
-does not reach a method.  Docstrings, `__init__` and the string keys of
-`errors.LIMITS` name nothing.  What only the tests call is a second
+does not reach a method.  The modules of subpackages such as
+`heiszeta.verify` count, their `__init__.py` included.  Docstrings, the
+package's own `__init__.py` and the string keys of `errors.LIMITS` name
+nothing.  What only the tests call is a second
 derivation and belongs in tests/reference.py.  The public API in PUBLIC is
 live by definition, and so is a module-level dunder function such as a PEP
 562 `__getattr__`: the interpreter calls it, as it calls a class's dunder
@@ -37,8 +39,8 @@ def _units():
     The key is what reaches the unit: its name, or `.name` for a method.
     """
     units, root = [], set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path == PACKAGE / "__init__.py":
             continue
         for top in ast.parse(path.read_text()).body:
             if not isinstance(top, FUNCTIONS + (ast.ClassDef,)) or top.name.startswith("__"):

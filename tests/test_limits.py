@@ -24,8 +24,9 @@ from heiszeta.exactalg import gauss_binom, qpochhammer
 from heiszeta.igusa import igusa_A
 from heiszeta.numeric import rn_numeric
 from heiszeta.oracle import enum_lagrangians, enum_subalgebras, enum_sublattices, hnf_enumerate
-from heiszeta.verify import eulerian_A, fibre_K, generic_slots, reduced_c, reduced_cone_series
-from heiszeta.verify import signed_descent_sum
+from heiszeta.verify.descent import generic_slots, signed_descent_sum
+from heiszeta.verify.fibre import fibre_K
+from heiszeta.verify.reduced import eulerian_A, reduced_c, reduced_cone_series
 from heiszeta.zeta import (
     dirichlet_coeffs,
     global_factor,
@@ -95,6 +96,20 @@ ROWS = sorted(LIMITS)
 
 def test_every_row_has_a_case():
     assert sorted(CASES) == ROWS
+
+
+@pytest.mark.parametrize("value", [True, False, 2.0, 1.5, "2", None], ids=repr)
+def test_a_value_that_is_no_int_is_a_usage_error(value):
+    # a bool is an int to isinstance, and True read as n = 1; a float died in
+    # a comparison or a range() with a bare TypeError
+    calls = {
+        "zeta_compact": lambda: zeta_compact(value),
+        "enum_sublattices": lambda: enum_sublattices(value, 2, 1),
+        "check_prime": lambda: check_prime(value),
+    }
+    for owner, call in calls.items():
+        with pytest.raises(UsageError, match="%s: .* must be an integer, got %r" % (owner, value)):
+            call()
 
 
 @pytest.mark.parametrize("row", [r for r in ROWS if LIMITS[r][0] is not None], ids=" ".join)

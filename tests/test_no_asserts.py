@@ -15,7 +15,8 @@ import pytest
 from heiszeta import errors
 from heiszeta.errors import HeiszetaError
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "heiszeta").glob("*.py"))
+PACKAGE = Path(__file__).parent.parent / "src" / "heiszeta"
+SOURCES = sorted(PACKAGE.rglob("*.py"))
 
 # (file, function, exception) of each raise that is no HeiszetaError
 ALLOWED = {
@@ -26,7 +27,11 @@ ALLOWED = {
 }
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def _id(path):
+    return str(path.relative_to(PACKAGE))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=_id)
 def test_no_assert_in_library(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     found = [
@@ -80,12 +85,12 @@ def _bad_raises(tree, namespace, filename):
     return bad
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=_id)
 def test_every_raise_is_a_package_error(path):
-    name = "heiszeta" if path.stem == "__init__" else "heiszeta." + path.stem
-    module = importlib.import_module(name)
+    parts = ("heiszeta",) + path.relative_to(PACKAGE).with_suffix("").parts
+    module = importlib.import_module(".".join(p for p in parts if p != "__init__"))
     tree = ast.parse(path.read_text(), filename=str(path))
-    assert _bad_raises(tree, vars(module), path.name) == []
+    assert _bad_raises(tree, vars(module), _id(path)) == []
 
 
 def test_a_bare_value_error_is_caught():

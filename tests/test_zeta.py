@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from heiszeta import cli, verify, zeta
+from heiszeta import cli, zeta
 from heiszeta.combinat import gen_W, weight_C
 from heiszeta.counts import nprime_closed
 from heiszeta.numeric import rn_numeric
@@ -22,13 +22,13 @@ from heiszeta.oracle import (
     hnf_count,
     hnf_enumerate,
 )
-from heiszeta.verify import (
+from heiszeta.verify import crossform, funeq, is_self_reciprocal, poles
+from heiszeta.verify.crossform import hyperoctahedral_numerator
+from heiszeta.verify.funeq import funeq_check
+from heiszeta.verify.poles import pole_analysis, pole_candidates
+from heiszeta.verify.reduced import (
+    _check_reduced,
     _reduced_c_telescoped,
-    funeq_check,
-    hyperoctahedral_numerator,
-    is_self_reciprocal,
-    pole_analysis,
-    pole_candidates,
     reduced_c,
     reduced_cone_series,
 )
@@ -254,10 +254,11 @@ def test_below_range_raises_value_error(call):
 def test_hyperoctahedral_cross_check_bites(monkeypatch, capsys):
     # verify --checks crossform compares form c's numerator, from the subset
     # expansion, with the group sum; a perturbed group sum must be caught
-    # (the check reads the group sum from heiszeta.verify when it runs)
+    # (the check reads the group sum from heiszeta.verify.crossform when it
+    # runs)
     assert zeta_hyperoctahedral(4).num == hyperoctahedral_numerator(4, c_exponents(4))
     monkeypatch.setattr(
-        verify,
+        crossform,
         "hyperoctahedral_numerator",
         lambda n, c: hyperoctahedral_numerator(n, c) + Poly.monomial(1, c[0], n + 1),
     )
@@ -485,7 +486,7 @@ def test_self_reciprocity_needs_the_right_factor():
 
 
 def test_functional_equation_failure_raises(monkeypatch):
-    monkeypatch.setattr(verify, "is_self_reciprocal", lambda f, a, b: False)
+    monkeypatch.setattr(funeq, "is_self_reciprocal", lambda f, a, b: False)
     with pytest.raises(IdentityMismatch, match="n = 2"):
         funeq_check(2)
 
@@ -536,8 +537,8 @@ def test_a_factor_off_the_candidate_list_fails_the_poles_check(monkeypatch, caps
     # without s = 0 among the candidates the factor 1 - T of every form b
     # falls off the list; verify reports it as a failed poles check with the
     # message
-    real = verify.pole_candidates
-    monkeypatch.setattr(verify, "pole_candidates", lambda n: (real(n)[0][1:], real(n)[1]))
+    real = poles.pole_candidates
+    monkeypatch.setattr(poles, "pole_candidates", lambda n: (real(n)[0][1:], real(n)[1]))
     message = r"denominator factor (1 - q^0 T^1) off the candidate list"
     with pytest.raises(IdentityMismatch, match=re.escape(message)):
         pole_analysis(1)
@@ -594,7 +595,7 @@ def test_reduced_c_values():
         assert 0 < reduced_c(n) < 1
     # the limit P_n(1) / (n+1)^(n+1), with the other checks of verify
     for n in range(1, 9):
-        assert verify._check_reduced(n)["status"] == "pass", n
+        assert _check_reduced(n)["status"] == "pass", n
 
 
 # ---------------------------------------------------------------------------
